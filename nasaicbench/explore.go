@@ -32,6 +32,10 @@ var (
 	exploreEAW1 = exploration{workload: workload.W1, ea: true, episodes: 100}
 )
 
+// setupSamples is the number of explorer constructions setup_s is the median
+// of: those of the window's explorations, topped up after the window.
+const setupSamples = 40
+
 func (e exploration) config(seed int64) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Episodes = e.episodes
@@ -155,6 +159,7 @@ func (e exploration) bench(env *runEnv) (*outcome, error) {
 		}
 		if err := meetsSpecs(r.res.Best, specs); err != nil {
 			o.fail("seed %d: %v", subSeed(env.seed, i), err)
+			continue
 		}
 		if i == 0 {
 			first = r
@@ -179,6 +184,14 @@ func (e exploration) bench(env *runEnv) (*outcome, error) {
 	case solutionKey(again.res.Best) != solutionKey(first.res.Best) || solutionKey(again.loopBest) != solutionKey(first.loopBest):
 		o.fail("repeat of seed %d is not bit-identical:\n  %s\n  %s", subSeed(env.seed, 0),
 			solutionKey(first.res.Best), solutionKey(again.res.Best))
+	}
+	// More constructions after the window, so setup_s is a median of many.
+	for i := len(setup); i < setupSamples; i++ {
+		t := time.Now()
+		if _, err := core.New(e.workload(), e.config(subSeed(env.seed, i))); err != nil {
+			return nil, fmt.Errorf("build explorer: %w", err)
+		}
+		setup = append(setup, time.Since(t).Seconds())
 	}
 	fmt.Printf("%d explorations in %.3f s\n", len(explore), elapsed.Seconds())
 	o.metrics["setup_s"] = median(setup)

@@ -21,7 +21,6 @@ import (
 	"nasaic/internal/faultfs"
 	"nasaic/internal/jobs"
 	"nasaic/internal/maestro"
-	"nasaic/internal/stats"
 	"nasaic/internal/tenant"
 	"nasaic/pkg/nasaic"
 )
@@ -36,14 +35,15 @@ const (
 	// window holds hundreds of jobs: enough for a p95 with ten beyond it.
 	serveEpisodes = 5
 	serveHWSteps  = 2
-	// serveSeedPool is the number of distinct job seeds per run. Specs
-	// repeat, so the shared caches are read mostly warm, as a busy daemon's
-	// are; a larger pool makes the cold first job of each seed, whose cost
-	// varies widely, a large and seed-dependent share of the window.
-	serveSeedPool = 8
 	// serveStarts is the number of extra daemon starts per run for setup_s.
-	serveStarts = 9
+	// One start takes under a millisecond, so the median needs many.
+	serveStarts = 99
 )
+
+// jobSeed is the seed of client i's j-th job. Every job has a seed of its
+// own: no two jobs of a run share a spec, so the shared caches are warm only
+// where the specs' architectures and designs overlap.
+func jobSeed(seed int64, i, j int) int64 { return subSeed(subSeed(seed, i), j) }
 
 var serveTenants = []struct{ name, key string }{
 	{"alpha", "nasaicbench-alpha-key"},
@@ -179,6 +179,7 @@ type jobSample struct {
 	total         time.Duration // POST start to the done frame
 	frames, bytes int
 	received      time.Time // wall clock at the done frame's receipt
+	raw           []byte    // the done frame's data, decoded after the window
 	done          doneFrame
 	err           error
 }
@@ -194,12 +195,18 @@ type doneFrame struct {
 	Result     *struct {
 		Best     json.RawMessage `json:"best"`
 		Explored json.RawMessage `json:"explored"`
+		Stats    nasaic.Stats    `json:"stats"`
 	} `json:"result"`
 }
 
+// client is one tenant's closed loop. Its stream reader and line buffer are
+// reused across jobs, so reading a stream allocates little beyond the copy
+// of the done frame's data.
 type client struct {
 	base, key string
 	http      *http.Client
+	br        *bufio.Reader
+	line      []byte
 }
 
 func (c *client) do(ctx context.Context, method, path, body string) (*http.Response, error) {
@@ -246,25 +253,43 @@ func (c *client) job(ctx context.Context, seed int64) jobSample {
 		smp.err = fmt.Errorf("events: status %d", resp.StatusCode)
 		return smp
 	}
-	smp.err = follow(bufio.NewReader(resp.Body), start, &smp)
+	c.br.Reset(resp.Body)
+	smp.err = c.follow(start, &smp)
 	return smp
 }
 
+// readLine reads one line into the client's line buffer.
+func (c *client) readLine() ([]byte, error) {
+	c.line = c.line[:0]
+	for {
+		frag, err := c.br.ReadSlice('\n')
+		c.line = append(c.line, frag...)
+		if err != bufio.ErrBufferFull {
+			return c.line, err
+		}
+	}
+}
+
+var (
+	sseEvent = []byte("event: ")
+	sseID    = []byte("id: ")
+	sseData  = []byte("data: ")
+)
+
 // follow reads SSE frames up to the done frame and requires the episode
 // frames to be numbered 0, 1, 2, … without gaps; a reset frame (events lost
-// from the ring) is a gap too.
-func follow(r *bufio.Reader, start time.Time, smp *jobSample) error {
-	event, data, id := "", "", -1
-	next := 0
+// from the ring) is a gap too. It keeps a copy of the done frame's data.
+func (c *client) follow(start time.Time, smp *jobSample) error {
+	event, id, next := "", -1, 0
 	for {
-		line, err := r.ReadString('\n')
+		line, err := c.readLine()
 		smp.bytes += len(line)
 		if err != nil {
 			return fmt.Errorf("stream ended before the done frame: %w", err)
 		}
-		line = strings.TrimSuffix(line, "\n")
+		line = bytes.TrimSuffix(line, []byte("\n"))
 		switch {
-		case line == "":
+		case len(line) == 0:
 			if event == "" {
 				continue // the end of a heartbeat comment
 			}
@@ -284,19 +309,29 @@ func follow(r *bufio.Reader, start time.Time, smp *jobSample) error {
 				if id != next {
 					return fmt.Errorf("done frame id %d after %d episode frames", id, next)
 				}
-				return json.Unmarshal([]byte(data), &smp.done)
+				if smp.raw == nil {
+					return errors.New("done frame without data")
+				}
+				return nil
 			default:
 				return fmt.Errorf("unexpected %q frame (id %d)", event, id)
 			}
-			event, data, id = "", "", -1
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "id: "):
-			if id, err = strconv.Atoi(strings.TrimPrefix(line, "id: ")); err != nil {
+			event, id = "", -1
+		case bytes.HasPrefix(line, sseEvent):
+			switch ev := line[len(sseEvent):]; {
+			case bytes.Equal(ev, []byte("episode")):
+				event = "episode"
+			case bytes.Equal(ev, []byte("done")):
+				event = "done"
+			default:
+				event = string(ev)
+			}
+		case bytes.HasPrefix(line, sseID):
+			if id, err = strconv.Atoi(string(line[len(sseID):])); err != nil {
 				return fmt.Errorf("bad frame id: %w", err)
 			}
-		case strings.HasPrefix(line, "data: "):
-			data = strings.TrimPrefix(line, "data: ")
+		case event == "done" && bytes.HasPrefix(line, sseData):
+			smp.raw = bytes.Clone(line[len(sseData):])
 		}
 	}
 }
@@ -313,7 +348,7 @@ type session struct {
 	gcPause    time.Duration
 }
 
-func runSession(ctx context.Context, env *runEnv, fs faultfs.FS, seeds []int64, length time.Duration) (*session, error) {
+func runSession(ctx context.Context, env *runEnv, fs faultfs.FS, length time.Duration) (*session, error) {
 	maestro.ResetSharedCostMemos() // every session starts cold
 	svc, setup, err := startService(env.tmp, fs)
 	if err != nil {
@@ -335,11 +370,10 @@ func runSession(ctx context.Context, env *runEnv, fs faultfs.FS, seeds []int64, 
 			defer wg.Done()
 			tr := &http.Transport{}
 			defer tr.CloseIdleConnections()
-			c := &client{base: svc.base, key: key, http: &http.Client{Transport: tr}}
-			rng := stats.NewRNG(subSeed(env.seed, serveSeedPool+i))
+			c := &client{base: svc.base, key: key, http: &http.Client{Transport: tr}, br: bufio.NewReaderSize(nil, 1<<16)}
 			t0 := time.Now()
-			for time.Now().Before(until) {
-				per[i] = append(per[i], c.job(ctx, seeds[rng.Intn(len(seeds))]))
+			for j := 0; time.Now().Before(until); j++ {
+				per[i] = append(per[i], c.job(ctx, jobSeed(env.seed, i, j)))
 			}
 			walls[i] = time.Since(t0)
 		}(i, tn.key)
@@ -365,43 +399,98 @@ func runSession(ctx context.Context, env *runEnv, fs faultfs.FS, seeds []int64, 
 // reference is a direct pkg/nasaic.Run of one job spec.
 type reference struct{ best, explored []byte }
 
-// check counts every job of the session as one operation and fails those
-// that did not succeed, streamed with a gap, or whose result differs from a
-// direct run of the same spec — computed here, outside the window.
-func (s *session) check(ctx context.Context, o *outcome) error {
-	refs := map[int64]reference{}
-	for _, smp := range s.samples {
-		if _, ok := refs[smp.seed]; ok {
-			continue
-		}
-		res, err := nasaic.Run(ctx, nasaic.WithWorkload("W3"), nasaic.WithEpisodes(serveEpisodes),
-			nasaic.WithHWSteps(serveHWSteps), nasaic.WithSeed(smp.seed), nasaic.WithRefine(false))
-		if err != nil {
-			return fmt.Errorf("reference run of seed %d: %w", smp.seed, err)
-		}
-		var r reference
-		if res.Best != nil {
-			if r.best, err = json.Marshal(res.Best); err != nil {
-				return err
-			}
-		}
-		if len(res.Explored) > 0 {
-			if r.explored, err = json.Marshal(res.Explored); err != nil {
-				return err
-			}
-		}
-		refs[smp.seed] = r
-	}
-	for _, smp := range s.samples {
-		o.attempted++
-		if err := checkJob(smp, refs[smp.seed]); err != nil {
-			o.fail("job seed %d: %v", smp.seed, err)
-		}
-	}
-	return nil
+// references are the direct runs the served jobs are compared with,
+// computed outside the window on every core. They share one memo bundle,
+// which changes work counters but never results, so checking a window's
+// jobs takes a fraction of the window.
+type references struct {
+	memos *nasaic.SharedMemos
+	runs  map[int64]reference
 }
 
-func checkJob(smp jobSample, ref reference) error {
+func newReferences() *references {
+	return &references{memos: nasaic.NewSharedMemos(), runs: map[int64]reference{}}
+}
+
+// compute runs every seed not yet run.
+func (rs *references) compute(ctx context.Context, samples []jobSample) error {
+	var seeds []int64
+	for _, smp := range samples {
+		if _, ok := rs.runs[smp.seed]; !ok {
+			rs.runs[smp.seed] = reference{}
+			seeds = append(seeds, smp.seed)
+		}
+	}
+	refs := make([]reference, len(seeds))
+	errs := make([]error, len(seeds))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(seeds); i = int(next.Add(1) - 1) {
+				refs[i], errs[i] = rs.run(ctx, seeds[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, seed := range seeds {
+		rs.runs[seed] = refs[i]
+	}
+	return errors.Join(errs...)
+}
+
+func (rs *references) run(ctx context.Context, seed int64) (reference, error) {
+	res, err := nasaic.Run(ctx, nasaic.WithWorkload("W3"), nasaic.WithEpisodes(serveEpisodes),
+		nasaic.WithHWSteps(serveHWSteps), nasaic.WithSeed(seed), nasaic.WithRefine(false),
+		nasaic.WithSharedMemos(rs.memos))
+	if err != nil {
+		return reference{}, fmt.Errorf("reference run of seed %d: %w", seed, err)
+	}
+	var r reference
+	if res.Best != nil {
+		if r.best, err = json.Marshal(res.Best); err != nil {
+			return reference{}, err
+		}
+	}
+	if len(res.Explored) > 0 {
+		if r.explored, err = json.Marshal(res.Explored); err != nil {
+			return reference{}, err
+		}
+	}
+	return r, nil
+}
+
+// check counts every job of the session as one operation and fails those
+// that did not succeed, streamed with a gap, or whose result differs from a
+// direct run of the same spec. It returns the number of jobs that passed.
+func (s *session) check(ctx context.Context, o *outcome, refs *references) (int, error) {
+	t := time.Now()
+	if err := refs.compute(ctx, s.samples); err != nil {
+		return 0, err
+	}
+	fmt.Printf("%d reference runs in %.3f s\n", len(s.samples), time.Since(t).Seconds())
+	ok := 0
+	for i := range s.samples {
+		smp := &s.samples[i]
+		if smp.err == nil {
+			if err := json.Unmarshal(smp.raw, &smp.done); err != nil {
+				smp.err = fmt.Errorf("done frame: %w", err)
+			}
+		}
+		o.attempted++
+		if err := checkJob(smp, refs.runs[smp.seed]); err != nil {
+			smp.err = err
+			o.fail("job seed %d: %v", smp.seed, err)
+			continue
+		}
+		ok++
+	}
+	return ok, nil
+}
+
+func checkJob(smp *jobSample, ref reference) error {
 	d := smp.done
 	switch {
 	case smp.err != nil:
@@ -420,14 +509,11 @@ func checkJob(smp jobSample, ref reference) error {
 
 func benchServe(env *runEnv) (*outcome, error) {
 	o := newOutcome()
-	seeds := make([]int64, serveSeedPool)
-	for i := range seeds {
-		seeds[i] = subSeed(env.seed, i)
-	}
 	if env.trace {
-		return o, benchServeTraced(env, o, seeds)
+		return o, benchServeTraced(env, o)
 	}
 	var setups []float64
+	t := time.Now()
 	for i := 0; i < serveStarts; i++ {
 		svc, d, err := startService(env.tmp, nil)
 		if err != nil {
@@ -438,18 +524,20 @@ func benchServe(env *runEnv) (*outcome, error) {
 		}
 		setups = append(setups, d.Seconds())
 	}
+	fmt.Printf("%d daemon starts and stops in %.3f s\n", serveStarts, time.Since(t).Seconds())
 	stopProfile, err := env.profile()
 	if err != nil {
 		return nil, err
 	}
-	s, err := runSession(env.ctx, env, nil, seeds, env.window)
+	s, err := runSession(env.ctx, env, nil, env.window)
 	if perr := stopProfile(); err == nil {
 		err = perr
 	}
 	if err != nil {
 		return nil, err
 	}
-	if err := s.check(env.ctx, o); err != nil {
+	ok, err := s.check(env.ctx, o, newReferences())
+	if err != nil {
 		return nil, err
 	}
 	setups = append(setups, s.setup.Seconds())
@@ -459,42 +547,46 @@ func benchServe(env *runEnv) (*outcome, error) {
 			total = append(total, smp.total.Seconds())
 		}
 	}
-	fmt.Printf("%d jobs in %.3f s\n", len(s.samples), s.wall.Seconds())
+	fmt.Printf("%d jobs in %.3f s, %d passed\n", len(s.samples), s.wall.Seconds(), ok)
 	o.metrics["setup_s"] = median(setups)
 	o.metrics["explore_s"] = median(total)
-	o.metrics["jobs_per_s"] = float64(len(s.samples)) / s.wall.Seconds()
+	o.metrics["jobs_per_s"] = float64(ok) / s.wall.Seconds()
 	o.metrics["alloc_mb"] = ratio(float64(s.alloc)/1e6, float64(len(s.samples)))
 	return o, nil
 }
 
 // benchServeTraced splits the window between an untraced session and one
 // whose journal runs through timedFS, and reports the traced one.
-func benchServeTraced(env *runEnv, o *outcome, seeds []int64) error {
-	u, err := runSession(env.ctx, env, nil, seeds, env.window/2)
+func benchServeTraced(env *runEnv, o *outcome) error {
+	u, err := runSession(env.ctx, env, nil, env.window/2)
 	if err != nil {
 		return err
 	}
 	st := &ioStats{}
-	t, err := runSession(env.ctx, env, timedFS{faultfs.OS, st}, seeds, env.window/2)
+	t, err := runSession(env.ctx, env, timedFS{faultfs.OS, st}, env.window/2)
 	if err != nil {
 		return err
 	}
-	if err := u.check(env.ctx, o); err != nil {
+	refs := newReferences()
+	if _, err := u.check(env.ctx, o, refs); err != nil {
 		return err
 	}
-	if err := t.check(env.ctx, o); err != nil {
+	if _, err := t.check(env.ctx, o, refs); err != nil {
 		return err
 	}
 	var untraced, total, first, submit, ttr, exec, lag []float64
 	for _, smp := range u.samples {
-		untraced = append(untraced, ms(smp.total))
+		if smp.err == nil {
+			untraced = append(untraced, ms(smp.total))
+		}
 	}
 	frames, sseBytes := 0, 0
+	var work nasaic.Stats
 	for _, smp := range t.samples {
-		d := smp.done
-		if smp.err != nil || d.StartedAt == nil || d.FinishedAt == nil {
+		if smp.err != nil {
 			continue
 		}
+		d := smp.done
 		total = append(total, ms(smp.total))
 		first = append(first, ms(smp.first))
 		submit = append(submit, ms(smp.submit))
@@ -503,20 +595,29 @@ func benchServeTraced(env *runEnv, o *outcome, seeds []int64) error {
 		lag = append(lag, ms(smp.received.Sub(*d.FinishedAt)))
 		frames += smp.frames
 		sseBytes += smp.bytes
+		js := d.Result.Stats
+		work.HWRequests += js.HWRequests
+		work.HWCacheHits += js.HWCacheHits
+		work.LayerCostRequests += js.LayerCostRequests
+		work.LayerCostHits += js.LayerCostHits
+		work.Trainings += js.Trainings
 	}
-	n := float64(len(t.samples))
+	n, passed := float64(len(t.samples)), float64(len(total))
 	fmt.Printf("%d untraced and %d traced jobs\n", len(u.samples), len(t.samples))
 	for k, v := range map[string]float64{
 		"jobs.ttr_ms":                 median(ttr),
 		"jobs.exec_ms":                median(exec),
 		"jobs.sse_done_lag_ms":        median(lag),
-		"jobs.sse_frames":             ratio(float64(frames), float64(len(total))),
-		"jobs.sse_bytes":              ratio(float64(sseBytes), float64(len(total))),
+		"jobs.sse_frames":             ratio(float64(frames), passed),
+		"jobs.sse_bytes":              ratio(float64(sseBytes), passed),
 		"jobs.job_p95_ms":             quantile(total, 0.95),
 		"nasaic.first_event_ms":       median(first),
 		"jobs.submit_p50_ms":          median(submit),
 		"jobs.submit_p95_ms":          quantile(submit, 0.95),
-		"jobs.samples":                float64(len(total)),
+		"jobs.samples":                passed,
+		"jobs.hw_cache_hit_pct":       pct(float64(work.HWCacheHits), float64(work.HWRequests)),
+		"jobs.layer_hit_pct":          pct(float64(work.LayerCostHits), float64(work.LayerCostRequests)),
+		"jobs.trainings":              ratio(float64(work.Trainings), passed),
 		"journal.fsyncs_per_job":      ratio(float64(st.syncs.Load()), n),
 		"journal.fsync_us":            ratio(float64(st.syncNs.Load())/1e3, float64(st.syncs.Load())),
 		"journal.writes":              ratio(float64(st.writes.Load()), n),
