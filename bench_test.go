@@ -241,18 +241,6 @@ func BenchmarkAblationNoHWSteps(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSeqController swaps the controller's lockstep batched
-// sampling/BPTT for the sequential matrix-vector path. The search outcome is
-// bit-identical to BenchmarkAblationFull (enforced by the internal/rl
-// differential tests and core's determinism suite); the ns/op delta is the
-// batched fast path's wall-clock win on a full exploration.
-func BenchmarkAblationSeqController(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		w := runW3Ablation(b, func(c *core.Config) { c.BatchedController = false })
-		b.ReportMetric(100*w, "best_weighted_pct")
-	}
-}
-
 // BenchmarkAblationNoHWCache disables the hardware-evaluation cache. The
 // search outcome is bit-identical to BenchmarkAblationFull (the cache only
 // memoizes a pure function); the ns/op delta is the cache's wall-clock win

@@ -33,8 +33,6 @@ func main() {
 		csv        = flag.String("csv", "", "optional path for CSV export (table 1 only)")
 		hwcache    = flag.Bool("hwcache", true, "memoize hardware evaluations (results are identical either way)")
 		sharedmemo = flag.Bool("sharedmemo", false, "share the layer-cost memo process-wide and the accuracy memo across the table's searches (warm-start; results are identical)")
-		batchrl    = flag.Bool("batchrl", true, "use the controller's batched policy-gradient fast path (results are identical either way)")
-		solverckpt = flag.Bool("solverckpt", true, "use the HAP heuristic's checkpointed move-scan simulator (results are identical either way)")
 		cachedir   = flag.String("cachedir", "", "directory for the persistent cache warm tier; a second run pointed here starts with warm memos (results are identical either way)")
 	)
 	flag.Parse()
@@ -49,8 +47,6 @@ func main() {
 	b.Seed = *seed
 	b.DisableHWCache = !*hwcache
 	b.SharedMemo = *sharedmemo
-	b.SequentialController = !*batchrl
-	b.NoSolverCheckpoint = !*solverckpt
 	b.CacheDir = *cachedir
 
 	printStats := func(stats nasaic.ExperimentStats) {
@@ -62,11 +58,6 @@ func main() {
 		}
 		fmt.Printf("layer-cost memo (%s): %d of %d cost-model queries served (%.1f%%)\n",
 			scope, stats.LayerCostHits, stats.LayerCostRequests, stats.LayerCostHitPct())
-		mode := "batched (lockstep matrix-matrix)"
-		if !*batchrl {
-			mode = "sequential (matrix-vector)"
-		}
-		fmt.Printf("controller: %s policy-gradient path\n", mode)
 	}
 
 	switch *table {

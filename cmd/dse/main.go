@@ -29,10 +29,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed")
 		out        = flag.String("out", "", "optional directory for CSV export")
 		hwcache    = flag.Bool("hwcache", true, "memoize hardware evaluations (results are identical either way)")
-		layermemo  = flag.Bool("layermemo", true, "memoize per-layer cost-model queries (results are identical either way)")
 		sharedmemo = flag.Bool("sharedmemo", false, "share the layer-cost and accuracy memos across the figure's searches (warm-start; results are identical)")
-		batchrl    = flag.Bool("batchrl", true, "use the controller's batched policy-gradient fast path (results are identical either way)")
-		solverckpt = flag.Bool("solverckpt", true, "use the HAP heuristic's checkpointed move-scan simulator (results are identical either way)")
 		cachedir   = flag.String("cachedir", "", "directory for the persistent cache warm tier; a second run pointed here starts with warm memos (results are identical either way)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the regeneration to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -62,10 +59,7 @@ func main() {
 	}
 	b.Seed = *seed
 	b.DisableHWCache = !*hwcache
-	b.DisableLayerMemo = !*layermemo
 	b.SharedMemo = *sharedmemo
-	b.SequentialController = !*batchrl
-	b.NoSolverCheckpoint = !*solverckpt
 	b.CacheDir = *cachedir
 
 	switch *fig {

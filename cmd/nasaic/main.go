@@ -29,7 +29,7 @@ func main() {
 	var (
 		wName      = flag.String("workload", "W1", "workload to explore: W1 (CIFAR-10+Nuclei), W2 (CIFAR-10+STL-10), W3 (CIFAR-10 x2)")
 		episodes   = flag.Int("episodes", 500, "exploration episodes (beta in the paper)")
-		hwSteps    = flag.Int("hw-steps", 10, "hardware-only steps per episode (phi)")
+		hwSteps    = flag.Int("hw-steps", 10, "hardware-only steps per episode (phi, at most 1024)")
 		seed       = flag.Int64("seed", 1, "random seed (runs are deterministic per seed)")
 		top        = flag.Int("top", 5, "how many explored solutions to print")
 		quiet      = flag.Bool("quiet", false, "print only the best solution line")
@@ -37,10 +37,6 @@ func main() {
 		optim      = flag.String("optimizer", "rl", "search strategy: rl (the paper's RNN controller) or ea (evolutionary)")
 		trace      = flag.Bool("trace", false, "print the best solution's layer-to-sub-accelerator schedule")
 		hwcache    = flag.Bool("hwcache", true, "memoize hardware evaluations (results are identical either way)")
-		layermemo  = flag.Bool("layermemo", true, "memoize per-layer cost-model queries (results are identical either way)")
-		sharedmemo = flag.Bool("sharedmemo", false, "use the process-wide layer-cost memo instead of a per-run one (results are identical either way)")
-		batchrl    = flag.Bool("batchrl", true, "use the controller's batched policy-gradient fast path (results are identical either way)")
-		solverckpt = flag.Bool("solverckpt", true, "use the HAP heuristic's checkpointed move-scan simulator (results are identical either way)")
 		cachedir   = flag.String("cachedir", "", "directory for the persistent cache warm tier; a second run pointed here starts with warm memos (results are identical either way)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the search to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -73,10 +69,6 @@ func main() {
 		nasaic.WithSeed(*seed),
 		nasaic.WithOptimizer(nasaic.Optimizer(*optim)),
 		nasaic.WithHWCache(*hwcache),
-		nasaic.WithLayerCostMemo(*layermemo),
-		nasaic.WithProcessSharedLayerMemo(*sharedmemo),
-		nasaic.WithBatchedController(*batchrl),
-		nasaic.WithSolverCheckpoints(*solverckpt),
 		nasaic.WithCacheDir(*cachedir),
 	}
 	if *progress {
@@ -131,13 +123,6 @@ func main() {
 		st.HWCacheHits, st.HWRequests, st.HWCacheHitPct(), st.HWDeduped)
 	fmt.Printf("layer-cost memo: %d of %d cost-model queries served from memo (%.1f%%)\n",
 		st.LayerCostHits, st.LayerCostRequests, st.LayerCostHitPct())
-	if *optim == "rl" {
-		mode := "batched (lockstep batch of 1+phi episodes)"
-		if !*batchrl {
-			mode = "sequential (one episode at a time)"
-		}
-		fmt.Printf("controller: %s policy-gradient path\n", mode)
-	}
 	n := *top
 	if n > len(res.Explored) {
 		n = len(res.Explored)

@@ -63,25 +63,12 @@ type Config struct {
 	// bit-identical with the cache on or off (the evaluation is a pure
 	// function of its inputs); only wall clock and evaluation counts change.
 	HWCache bool
-	// HWCacheCapacity bounds the total resident cache entries (rounded up
-	// to a multiple of the shard count); <=0 selects the evalcache default.
-	HWCacheCapacity int
-	// HWCacheShards sets the cache's lock-sharding factor; <=0 selects the
-	// evalcache default.
-	HWCacheShards int
-	// LayerCostMemo memoizes the MAESTRO cost model per ⟨layer shape,
-	// dataflow style, PEs, BW⟩ under the HWCache layer, so designs that
-	// reuse a sub-accelerator configuration skip the cost model even when
-	// the full design fingerprint is new. The memoized function is pure, so
-	// results are bit-identical either way; the key space is bounded by the
-	// workload's layer shapes times the hardware option grid.
-	LayerCostMemo bool
-	// ShareLayerMemo promotes the layer-cost memo from per-evaluator to the
-	// process-wide memo of maestro.SharedCostMemo (keyed by the full
-	// cost-model configuration), so fresh evaluators — the Table I/II
-	// baselines build one per approach — start warm. It implies the
-	// LayerCostMemo behavior; results are bit-identical either way, only
-	// the per-evaluator hit counters and wall clock change.
+	// ShareLayerMemo promotes the evaluator's layer-cost memo (see
+	// Evaluator) from per-evaluator to the process-wide memo of
+	// maestro.SharedCostMemo (keyed by the full cost-model configuration),
+	// so fresh evaluators — the Table I/II baselines build one per approach
+	// — start warm. Results are bit-identical either way; only the
+	// per-evaluator hit counters and wall clock change.
 	ShareLayerMemo bool
 	// AccMemo, when non-nil, is a shared accuracy-predictor memo: every
 	// evaluator handed the same memo reuses each other's
@@ -95,7 +82,7 @@ type Config struct {
 	// explorers (e.g. the concurrent jobs of one nasaicd process) reuse each
 	// other's mapping-and-scheduling results. The cached evaluation is a
 	// pure function of its inputs, so sharing is bit-identical; it overrides
-	// HWCache/HWCacheCapacity/HWCacheShards.
+	// HWCache.
 	SharedHWCache *evalcache.Cache[HWMetrics]
 	// CacheDir, when non-empty, backs the layer-cost memo and the (private)
 	// hardware-evaluation cache with a persistent on-disk warm tier: the
@@ -111,59 +98,37 @@ type Config struct {
 	// loaded or saved here; its owner persists the bundle (see
 	// pkg/nasaic.SharedMemos).
 	CacheDir string
-	// SolverMoveScanMin, SolverExhaustSplitMin and SolverMaxWorkers expose
-	// internal/sched's parallel-scan thresholds (minimum candidate moves per
-	// heuristic refinement round, minimum enumeration size per exhaustive
-	// solve, and the per-solve worker-pool bound) instead of the package's
-	// single-core-tuned constants. 0 selects the sched defaults; results are
-	// bit-identical for any setting (the parallel scans reduce in a
-	// deterministic order) — only wall clock changes.
-	SolverMoveScanMin     int
-	SolverExhaustSplitMin int
-	SolverMaxWorkers      int
-	// SolverNoCheckpoint disables the HAP heuristic's checkpointed move-scan
-	// simulator, making every candidate move replay the whole schedule
-	// instead of resuming from the moved layer's snapshot. The checkpointed
-	// path is bit-identical (enforced by internal/sched's differential
-	// tests) and roughly 2x faster per refinement round; the zero value
-	// keeps it on.
-	SolverNoCheckpoint bool
-	// BatchedController routes each episode's φ hardware-only rollouts and
-	// their policy-gradient accumulation through the controller's lockstep
-	// SampleBatch/AccumulateBatch fast path (matrix-matrix nn kernels).
-	// The batched path performs the same floating-point operations in the
-	// same order as φ sequential rollouts — results are bit-identical
-	// either way (enforced by internal/rl's differential tests); only wall
-	// clock changes.
-	BatchedController bool
 
 	Cost maestro.Config
 	HW   accel.Space
 }
 
+// maxHWSteps caps φ. Every episode allocates and evaluates 1+φ hardware
+// rollouts up front, so an unbounded φ from a job spec or flag would exhaust
+// memory before the first episode ends; the paper uses 10.
+const maxHWSteps = 1024
+
 // DefaultConfig returns the paper's settings (§V-A).
 func DefaultConfig() Config {
 	return Config{
-		Episodes:          500,
-		HWSteps:           10,
-		Rho:               10,
-		Gamma:             1.0,
-		Hidden:            48,
-		Seed:              1,
-		Workers:           0,
-		TrainEpochs:       30,
-		LR:                0.03,
-		LRDecay:           0.5,
-		LRDecaySteps:      40,
-		Batch:             5,
-		EntropyCoef:       0.015,
-		ReplayCoef:        0.3,
-		Refine:            true,
-		HWCache:           true,
-		LayerCostMemo:     true,
-		BatchedController: true,
-		Cost:              maestro.DefaultConfig(),
-		HW:                accel.DefaultSpace(),
+		Episodes:     500,
+		HWSteps:      10,
+		Rho:          10,
+		Gamma:        1.0,
+		Hidden:       48,
+		Seed:         1,
+		Workers:      0,
+		TrainEpochs:  30,
+		LR:           0.03,
+		LRDecay:      0.5,
+		LRDecaySteps: 40,
+		Batch:        5,
+		EntropyCoef:  0.015,
+		ReplayCoef:   0.3,
+		Refine:       true,
+		HWCache:      true,
+		Cost:         maestro.DefaultConfig(),
+		HW:           accel.DefaultSpace(),
 	}
 }
 
@@ -172,8 +137,8 @@ func (c Config) Validate() error {
 	if c.Episodes <= 0 {
 		return fmt.Errorf("core: Episodes must be positive")
 	}
-	if c.HWSteps < 0 {
-		return fmt.Errorf("core: HWSteps must be non-negative")
+	if c.HWSteps < 0 || c.HWSteps > maxHWSteps {
+		return fmt.Errorf("core: HWSteps must be in [0,%d]", maxHWSteps)
 	}
 	if c.Rho <= 0 {
 		return fmt.Errorf("core: Rho must be positive")

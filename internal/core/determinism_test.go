@@ -118,37 +118,6 @@ func TestHWCacheReducesWork(t *testing.T) {
 		episodes, off.HWEvals, on.HWEvals, on.HWCacheHitPct(), on.HWDeduped, dOff, dOn)
 }
 
-// The batched controller fast path must not change a single bit of the
-// search outcome: the lockstep sampler consumes the RNG stream in the
-// sequential order and the batched BPTT replays its gradient adds in the
-// sequential order, so an entire exploration — episode rewards, explored
-// set, best solution — is bit-identical with batching on or off.
-func TestRunDeterministicAcrossControllerBatching(t *testing.T) {
-	episodes := 16
-	if testing.Short() {
-		episodes = 6
-	}
-	run := func(batched bool) string {
-		cfg := DefaultConfig()
-		cfg.Episodes = episodes
-		cfg.Seed = 11
-		cfg.BatchedController = batched
-		x, err := New(workload.W3(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outcomeFingerprint(x.Run())
-	}
-	seq := run(false)
-	bat := run(true)
-	if seq == "" {
-		t.Fatal("empty sequential fingerprint")
-	}
-	if bat != seq {
-		t.Errorf("batched controller changed the search outcome:\n--- sequential ---\n%s--- batched ---\n%s", seq, bat)
-	}
-}
-
 // Sharing the layer-cost memo process-wide and the accuracy memo across
 // evaluators must leave outcomes bit-identical — both memoize pure
 // functions — while the warm evaluator reports a (near-)perfect hit rate.

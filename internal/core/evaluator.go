@@ -71,12 +71,15 @@ type Evaluator struct {
 	hwComputes stats.Counter // cost-model + HAP computations actually run
 	hwHits     stats.Counter // requests served from cache or in-flight dedup
 
-	// layerMemo memoizes the MAESTRO cost model per maestro.CostKey: this
-	// evaluator's private memo with Cfg.LayerCostMemo, the process-wide
-	// maestro.SharedCostMemo with Cfg.ShareLayerMemo (warm-starting fresh
-	// evaluators), nil when both are off. The counters are per-evaluator
-	// either way, so a shared memo shows up as a near-100% hit rate on
-	// evaluators built after the first.
+	// layerMemo memoizes the MAESTRO cost model per maestro.CostKey under
+	// the hardware cache, so designs that reuse a sub-accelerator
+	// configuration skip the cost model even when the full design
+	// fingerprint is new; the key space is bounded by the workload's layer
+	// shapes times the hardware option grid. It is this evaluator's private
+	// memo, or the process-wide maestro.SharedCostMemo with
+	// Cfg.ShareLayerMemo (warm-starting fresh evaluators). The counters are
+	// per-evaluator either way, so a shared memo shows up as a near-100% hit
+	// rate on evaluators built after the first.
 	layerReqs stats.Counter // requests observed by the layer-cost memo
 	layerHits stats.Counter // requests served from the memo
 	layerMemo *maestro.CostMemo
@@ -131,8 +134,7 @@ type EvalStats struct {
 	HWCacheHits int
 	// LayerCostRequests counts cost-model queries seen by the per-layer
 	// memo under buildProblem; LayerCostHits counts the queries it served
-	// without running the MAESTRO model. Zero when Config.LayerCostMemo is
-	// off (uncounted queries go straight to the model).
+	// without running the MAESTRO model.
 	LayerCostRequests int
 	LayerCostHits     int
 }
@@ -160,20 +162,16 @@ func NewEvaluator(w workload.Workload, cfg Config) (*Evaluator, error) {
 	if e.accMemo == nil {
 		e.accMemo = NewAccuracyMemo()
 	}
-	switch {
-	case cfg.ShareLayerMemo:
+	if cfg.ShareLayerMemo {
 		e.layerMemo = maestro.SharedCostMemo(cfg.Cost)
-	case cfg.LayerCostMemo:
+	} else {
 		e.layerMemo = maestro.NewCostMemo(cfg.Cost)
 	}
 	switch {
 	case cfg.SharedHWCache != nil:
 		e.hwCache = cfg.SharedHWCache
 	case cfg.HWCache:
-		e.hwCache = evalcache.New[HWMetrics](evalcache.Options{
-			Capacity: cfg.HWCacheCapacity,
-			Shards:   cfg.HWCacheShards,
-		})
+		e.hwCache = evalcache.New[HWMetrics](evalcache.Options{})
 	}
 	// Warm-load before computing bounds: the bound sampling already runs
 	// through both memo tiers, so a warm start skips its evaluations too.
@@ -361,9 +359,6 @@ func (e *Evaluator) hwCompute(ctx context.Context, nets []*dnn.Network, d accel.
 // designs skip the MAESTRO model entirely. LayerCost is pure, so memoized
 // results are bit-identical to recomputation.
 func (e *Evaluator) layerCost(l dnn.Layer, sub accel.SubAccel) maestro.LayerCost {
-	if e.layerMemo == nil {
-		return e.Cfg.Cost.LayerCost(l, sub.DF, sub.PEs, sub.BW)
-	}
 	e.layerReqs.Inc()
 	lc, hit := e.layerMemo.LayerCost(l, sub.DF, sub.PEs, sub.BW)
 	if hit {
@@ -373,12 +368,8 @@ func (e *Evaluator) layerCost(l dnn.Layer, sub accel.SubAccel) maestro.LayerCost
 }
 
 // LayerMemoEntries reports the resident size of the evaluator's layer-cost
-// memo (the process-wide memo's size under Config.ShareLayerMemo; zero when
-// memoization is off).
+// memo (the process-wide memo's size under Config.ShareLayerMemo).
 func (e *Evaluator) LayerMemoEntries() int {
-	if e.layerMemo == nil {
-		return 0
-	}
 	return e.layerMemo.Size()
 }
 
@@ -388,12 +379,6 @@ func (e *Evaluator) buildProblem(nets []*dnn.Network, d accel.Design, active []i
 	problem := sched.Problem{
 		NumAccels: len(active),
 		Deadline:  e.W.Specs.LatencyCycles,
-		Tuning: sched.Tuning{
-			ParallelMoveMin:    e.Cfg.SolverMoveScanMin,
-			ParallelExhaustMin: e.Cfg.SolverExhaustSplitMin,
-			MaxWorkers:         e.Cfg.SolverMaxWorkers,
-			DisableCheckpoints: e.Cfg.SolverNoCheckpoint,
-		},
 	}
 	for ni, n := range nets {
 		ch := sched.Chain{Name: fmt.Sprintf("net%d", ni)}

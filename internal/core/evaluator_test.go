@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"nasaic/internal/accel"
 	"nasaic/internal/dataflow"
 	"nasaic/internal/dnn"
+	"nasaic/internal/maestro"
 	"nasaic/internal/sched"
 	"nasaic/internal/workload"
 )
@@ -254,25 +257,54 @@ func TestScheduleUsesHeterogeneousSubAccelerators(t *testing.T) {
 	}
 }
 
+// referenceHWEval is the memo-free mapping-and-scheduling path: every
+// cost-model query runs the MAESTRO model directly and the HAP instance is
+// solved from scratch. It also returns the memo key of every query, in
+// order, so callers can predict the memo's hits.
+func referenceHWEval(t *testing.T, e *Evaluator, nets []*dnn.Network, d accel.Design) (HWMetrics, []maestro.CostKey) {
+	t.Helper()
+	active := d.Active()
+	p := sched.Problem{NumAccels: len(active), Deadline: e.W.Specs.LatencyCycles}
+	var keys []maestro.CostKey
+	for ni, n := range nets {
+		ch := sched.Chain{Name: fmt.Sprintf("net%d", ni)}
+		for _, l := range n.ComputeLayers() {
+			sl := sched.Layer{Name: l.Name, Options: make([]sched.Option, len(active))}
+			for ai, di := range active {
+				sub := d.Subs[di]
+				lc := e.Cfg.Cost.LayerCost(l, sub.DF, sub.PEs, sub.BW)
+				keys = append(keys, maestro.NewCostKey(l, sub.DF, sub.PEs, sub.BW))
+				sl.Options[ai] = sched.Option{Cycles: lc.Cycles, EnergyNJ: lc.EnergyNJ, BufferBytes: lc.BufferBytes}
+			}
+			ch.Layers = append(ch.Layers, sl)
+		}
+		p.Chains = append(p.Chains, ch)
+	}
+	_, res, err := sched.HAP(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]int64, len(d.Subs))
+	for ai, di := range active {
+		buf[di] = res.BufferDemand[ai]
+	}
+	return HWMetrics{
+		Latency:   res.Makespan,
+		EnergyNJ:  res.EnergyNJ,
+		AreaUM2:   d.Area(e.Cfg.Cost, buf),
+		BufDemand: buf,
+		Assign:    res.Assign,
+	}, keys
+}
+
 // TestLayerCostMemoBitIdentical: the per-layer cost memo must not change any
-// hardware metric — it memoizes a pure function — and its hit counters must
-// reflect the reuse across designs that share sub-accelerator configs.
+// hardware metric — it memoizes a pure function — and its counters must see
+// every cost-model query and serve at least every repeat of a sub-accelerator
+// config across designs.
 func TestLayerCostMemoBitIdentical(t *testing.T) {
 	w := workload.W1()
 	nets := midNetworks(t, w)
-
-	cfgOn := DefaultConfig()
-	cfgOn.Seed = 3
-	cfgOff := cfgOn
-	cfgOff.LayerCostMemo = false
-	on, err := NewEvaluator(w, cfgOn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := NewEvaluator(w, cfgOff)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := testEvaluator(t, w)
 
 	designs := []accel.Design{
 		accel.NewDesign(
@@ -287,26 +319,37 @@ func TestLayerCostMemoBitIdentical(t *testing.T) {
 			accel.SubAccel{DF: dataflow.Shidiannao, PEs: 512, BW: 16},
 			accel.SubAccel{DF: dataflow.RowStationary, PEs: 256, BW: 8}),
 	}
+	seen := map[maestro.CostKey]bool{}
 	for i, d := range designs {
-		a := on.HWEval(nets, d)
-		b := off.HWEval(nets, d)
-		if a.Latency != b.Latency || a.EnergyNJ != b.EnergyNJ || a.AreaUM2 != b.AreaUM2 {
-			t.Fatalf("design %d: memoized metrics (%d, %g, %g) != unmemoized (%d, %g, %g)",
-				i, a.Latency, a.EnergyNJ, a.AreaUM2, b.Latency, b.EnergyNJ, b.AreaUM2)
+		want, keys := referenceHWEval(t, e, nets, d)
+		repeats := 0
+		for _, k := range keys {
+			if seen[k] {
+				repeats++
+			}
+			seen[k] = true
+		}
+
+		before := e.EvalStats()
+		got := e.HWEval(nets, d)
+		after := e.EvalStats()
+		if got.Latency != want.Latency || got.EnergyNJ != want.EnergyNJ || got.AreaUM2 != want.AreaUM2 {
+			t.Fatalf("design %d: memoized metrics (%d, %g, %g) != reference (%d, %g, %g)",
+				i, got.Latency, got.EnergyNJ, got.AreaUM2, want.Latency, want.EnergyNJ, want.AreaUM2)
+		}
+		if !reflect.DeepEqual(got.BufDemand, want.BufDemand) || !reflect.DeepEqual(got.Assign, want.Assign) {
+			t.Fatalf("design %d: memoized buffers/assignment differ from the reference", i)
+		}
+		reqs := after.LayerCostRequests - before.LayerCostRequests
+		hits := after.LayerCostHits - before.LayerCostHits
+		if reqs != len(keys) {
+			t.Errorf("design %d: memo saw %d queries, reference made %d", i, reqs, len(keys))
+		}
+		if hits < repeats || hits > reqs {
+			t.Errorf("design %d: memo hits %d, want between %d repeats and %d queries", i, hits, repeats, reqs)
 		}
 	}
-
-	sOn, sOff := on.EvalStats(), off.EvalStats()
-	if sOn.LayerCostRequests == 0 || sOn.LayerCostHits == 0 {
-		t.Errorf("memo saw no traffic: %+v", sOn)
-	}
-	if sOn.LayerCostHits >= sOn.LayerCostRequests {
-		t.Errorf("memo hits %d should be below requests %d", sOn.LayerCostHits, sOn.LayerCostRequests)
-	}
-	if sOff.LayerCostRequests != 0 || sOff.LayerCostHits != 0 {
-		t.Errorf("disabled memo must not count traffic: %+v", sOff)
-	}
-	if sOn.LayerHitPct() <= 0 {
-		t.Errorf("LayerHitPct = %f, want > 0", sOn.LayerHitPct())
+	if s := e.EvalStats(); s.LayerHitPct() <= 0 {
+		t.Errorf("LayerHitPct = %f, want > 0", s.LayerHitPct())
 	}
 }

@@ -87,7 +87,7 @@ type Result struct {
 	HWDeduped   int
 	// LayerCostRequests counts cost-model queries seen by the evaluator's
 	// per-layer memo; LayerCostHits the queries it served without running
-	// the MAESTRO model (see Config.LayerCostMemo).
+	// the MAESTRO model.
 	LayerCostRequests int
 	LayerCostHits     int
 }
@@ -267,19 +267,11 @@ func (x *Explorer) RunContext(ctx context.Context) (*Result, error) {
 		// ② SA=0, SH=1 for φ steps: explore hardware for this architecture.
 		// All 1+φ hardware evaluations run in parallel (the paper's
 		// non-blocking scheme). The φ forced rollouts share one lockstep
-		// batch through the controller's matrix-matrix fast path; the
-		// batched sampler consumes the RNG stream and computes every logit
-		// bit-identically to φ sequential SampleForced calls.
+		// batch through the controller's matrix-matrix fast path.
 		hwEps := make([]*rl.Episode, 0, 1+x.Cfg.HWSteps)
 		hwEps = append(hwEps, combined)
 		if x.Cfg.HWSteps > 0 {
-			if x.Cfg.BatchedController {
-				hwEps = append(hwEps, x.ctrl.SampleForcedBatch(archActs, x.Cfg.HWSteps)...)
-			} else {
-				for i := 0; i < x.Cfg.HWSteps; i++ {
-					hwEps = append(hwEps, x.ctrl.SampleForced(archActs))
-				}
-			}
+			hwEps = append(hwEps, x.ctrl.SampleForcedBatch(archActs, x.Cfg.HWSteps)...)
 		}
 		preEval := x.eval.EvalStats()
 		preDedup := x.hwDeduped
@@ -338,15 +330,8 @@ func (x *Explorer) RunContext(ctx context.Context) (*Result, error) {
 			r := -x.Cfg.Rho * x.eval.Penalty(metrics[i])
 			hwAdvs[i] = trHW.Advantage(r)
 		}
-		if x.Cfg.BatchedController {
-			// One lockstep BPTT over the whole hardware batch; the gradient
-			// adds replay in episode order, bit-identical to the loop below.
-			x.ctrl.AccumulateMaskedBatch(hwEps, hwAdvs, x.Cfg.Gamma, hwScale, mask)
-		} else {
-			for i, he := range hwEps {
-				x.ctrl.AccumulateMasked(he, hwAdvs[i], x.Cfg.Gamma, hwScale, mask)
-			}
-		}
+		// One lockstep BPTT over the whole hardware batch.
+		x.ctrl.AccumulateMaskedBatch(hwEps, hwAdvs, x.Cfg.Gamma, hwScale, mask)
 		// Self-imitation replay: reinforce the best complete sample so far.
 		// The best candidate's hardware actions may come from a hardware-
 		// only step; replay the episode that contains them.

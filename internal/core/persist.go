@@ -40,9 +40,7 @@ func (e *Evaluator) loadCaches() {
 	if dir == "" {
 		return
 	}
-	if e.layerMemo != nil {
-		_, _ = e.layerMemo.LoadFile(e.layerMemo.CacheFile(dir))
-	}
+	_, _ = e.layerMemo.LoadFile(e.layerMemo.CacheFile(dir))
 	if e.hwCache != nil && e.Cfg.SharedHWCache == nil {
 		_, _ = evalcache.LoadFile(e.hwCache, e.hwCacheFile(), e.hwCacheKey())
 	}
@@ -58,10 +56,7 @@ func (e *Evaluator) SaveCaches() error {
 	if dir == "" {
 		return nil
 	}
-	var errs []error
-	if e.layerMemo != nil {
-		errs = append(errs, e.layerMemo.SaveFile(e.layerMemo.CacheFile(dir)))
-	}
+	errs := []error{e.layerMemo.SaveFile(e.layerMemo.CacheFile(dir))}
 	if e.hwCache != nil && e.Cfg.SharedHWCache == nil {
 		errs = append(errs, evalcache.SaveFile(e.hwCache, e.hwCacheFile(), e.hwCacheKey()))
 	}

@@ -33,10 +33,6 @@ type Budget struct {
 	// value keeps it on). Results are bit-identical either way; only wall
 	// clock and the reported evaluation counts change.
 	DisableHWCache bool
-	// DisableLayerMemo turns off the evaluator's per-layer cost-model memo
-	// (the zero value keeps it on). As with the cache, results are
-	// bit-identical either way.
-	DisableLayerMemo bool
 	// SharedMemo promotes the layer-cost memo to the process-wide
 	// maestro.SharedCostMemo and shares one accuracy-predictor memo across
 	// all of an experiment's searches, so the Table I/II baselines — which
@@ -44,15 +40,6 @@ type Budget struct {
 	// functions: results are bit-identical, only the reported hit rates,
 	// training counts and wall clock change.
 	SharedMemo bool
-	// SequentialController disables the controller's lockstep batched
-	// sampling/BPTT fast path (the zero value keeps it on). The batched
-	// path is bit-identical to the sequential one; this switch exists for
-	// the speedup control benchmarks.
-	SequentialController bool
-	// NoSolverCheckpoint disables the HAP heuristic's checkpointed
-	// move-scan simulator (the zero value keeps it on). Bit-identical
-	// either way; exists for the solver speedup controls.
-	NoSolverCheckpoint bool
 	// CacheDir backs the layer-cost memo and hardware-evaluation caches of
 	// every search in the experiment with a persistent on-disk warm tier
 	// (see core.Config.CacheDir): snapshots under this directory are loaded
@@ -81,10 +68,7 @@ func (b Budget) config() core.Config {
 	cfg.Episodes = b.Episodes
 	cfg.Seed = b.Seed
 	cfg.HWCache = !b.DisableHWCache
-	cfg.LayerCostMemo = !b.DisableLayerMemo
 	cfg.ShareLayerMemo = b.SharedMemo
-	cfg.BatchedController = !b.SequentialController
-	cfg.SolverNoCheckpoint = b.NoSolverCheckpoint
 	cfg.CacheDir = b.CacheDir
 	return cfg
 }

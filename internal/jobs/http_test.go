@@ -366,6 +366,57 @@ func TestHTTPCancelMidRun(t *testing.T) {
 	}
 }
 
+// unboundedHWStepsSpec once killed the daemon: the server accepted it, and
+// the job's first episode asked for a 1+φ rollout slice the runtime cannot
+// allocate, a fatal error no recover catches. It is journaled before it
+// runs, so a restart ran it again.
+const unboundedHWStepsSpec = `{"workload":"W3","episodes":1,"hw_steps":1099511627776}`
+
+// TestHTTPRejectsUnboundedHWSteps: a spec the engine cannot run gets a 400
+// before it is journaled or queued, and the daemon keeps serving. The status
+// check does not stop the test, so a daemon that accepts the spec runs it
+// while the follow-up job is in flight.
+func TestHTTPRejectsUnboundedHWSteps(t *testing.T) {
+	m := NewManager(Options{})
+	defer m.Close()
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(unboundedHWStepsSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var apiErr apiError
+	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+		t.Error(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, "HWSteps") {
+		t.Errorf("unbounded hw_steps: status %d (%q), want 400 naming HWSteps", resp.StatusCode, apiErr.Error)
+	}
+
+	resp, err = http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the rejected spec: status %d", resp.StatusCode)
+	}
+	hw := 1
+	snap := postJob(t, srv.URL, Spec{Workload: "W3", Episodes: 2, HWSteps: &hw, Seed: 1, Workers: 1})
+	j, err := m.Get(snap.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, j, 60*time.Second); st.Status != StatusSucceeded {
+		t.Fatalf("job after the rejected spec: %+v", st)
+	}
+	if n := len(m.List()); n != 1 {
+		t.Fatalf("%d jobs registered, want only the valid one", n)
+	}
+}
+
 // TestHTTPErrors covers the JSON error envelope.
 func TestHTTPErrors(t *testing.T) {
 	m := NewManager(Options{})

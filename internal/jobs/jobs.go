@@ -87,6 +87,21 @@ func (sp Spec) options() ([]nasaic.Option, error) {
 	return opts, nil
 }
 
+// validate applies the checks the engine makes before it explores — option
+// values, a known workload, a valid configuration — so a spec the engine
+// would refuse (or could not survive, like an unbounded φ) is rejected
+// before it is journaled or queued.
+func (sp Spec) validate() error {
+	opts, err := sp.options()
+	if err != nil {
+		return err
+	}
+	if err := nasaic.Validate(opts...); err != nil {
+		return fmt.Errorf("jobs: %w", err)
+	}
+	return nil
+}
+
 // Executor runs one granted job to completion. The default (nil) executor
 // runs the exploration in-process through pkg/nasaic; internal/cluster's
 // coordinator implements the same interface by dispatching the job to a
@@ -391,6 +406,7 @@ func (m *Manager) recover(states []*journal.JobState) {
 			jn:      m.jn,
 			logf:    m.logf,
 		}
+		specErr := spec.validate()
 		switch {
 		case st.Terminal():
 			j.restoreTerminal(st, Status(st.Status))
@@ -405,6 +421,19 @@ func (m *Manager) recover(states []*journal.JobState) {
 				Time:   j.finished,
 				Status: string(StatusCancelled),
 				Error:  j.err.Error(),
+			}})
+		case specErr != nil:
+			// A spec admitted before the engine's checks tightened (an
+			// unbounded φ, say) must not re-execute: running it could be
+			// what killed the previous process. Settle it failed instead.
+			j.restoreTerminal(st, StatusFailed)
+			j.err = specErr
+			settles = append(settles, settlement{j, journal.Record{
+				Type:   journal.TypeFinished,
+				Job:    j.ID,
+				Time:   j.finished,
+				Status: string(StatusFailed),
+				Error:  specErr.Error(),
 			}})
 		default:
 			// Pending or running at crash time: re-execute from the spec
@@ -487,7 +516,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 // under errors.Is; HTTP 429 with a Retry-After hint). A nil tenant is the
 // anonymous tenant.
 func (m *Manager) SubmitAs(tn *tenant.Tenant, spec Spec) (*Job, error) {
-	if _, err := spec.options(); err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	if tn == nil {

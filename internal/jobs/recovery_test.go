@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -321,6 +323,42 @@ func TestRecoveryDropsUndecodableSpec(t *testing.T) {
 	snap := j2.Snapshot()
 	if snap.Status != StatusFailed || snap.Error != "boom" {
 		t.Fatalf("job-2: %+v", snap)
+	}
+}
+
+// TestRecoverySettlesInvalidSpec: a journaled pending spec the engine
+// refuses, here the φ that used to kill the daemon, settles failed on
+// restart instead of executing, and the settlement is durable.
+func TestRecoverySettlesInvalidSpec(t *testing.T) {
+	mem := faultfs.NewMem(faultfs.Faults{})
+	jn, err := journal.Open("/data/journal", journal.Options{FS: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := journal.Record{Type: journal.TypeSubmitted, Job: "job-1", Spec: json.RawMessage(unboundedHWStepsSpec)}
+	if err := jn.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	jn.Close()
+
+	var runs atomic.Int32
+	run := func(context.Context, *Job) (*nasaic.Result, error) {
+		runs.Add(1)
+		return nil, nil
+	}
+	for restart := 1; restart <= 2; restart++ {
+		m := NewManager(Options{DataDir: "/data", FS: mem, Logf: t.Logf, RunJob: run})
+		j, err := m.Get("job-1")
+		if err != nil {
+			t.Fatalf("restart %d: %v", restart, err)
+		}
+		if snap := j.Snapshot(); snap.Status != StatusFailed || !strings.Contains(snap.Error, "HWSteps") {
+			t.Fatalf("restart %d: status %s (%q), want failed naming HWSteps", restart, snap.Status, snap.Error)
+		}
+		m.Close()
+	}
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("invalid spec executed %d times", n)
 	}
 }
 

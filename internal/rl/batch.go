@@ -34,7 +34,8 @@ func (c *Controller) SampleBatch(b int) []*Episode {
 
 // SampleForcedBatch draws b rollouts whose first len(prefix) actions are all
 // forced to the given values (the optimizer selector's SA=0, SH=1 mode),
-// bit-identical to b sequential SampleForced calls.
+// bit-identical to b sequential forced rollouts (the reference in
+// reference_test.go).
 func (c *Controller) SampleForcedBatch(prefix []int, b int) []*Episode {
 	if len(prefix) > len(c.specs) {
 		panic("rl: forced prefix longer than rollout")
@@ -113,7 +114,7 @@ func (c *Controller) AccumulateBatch(eps []*Episode, advs []float64, gamma, batc
 
 // AccumulateMaskedBatch is AccumulateBatch with the per-step credit mask of
 // AccumulateMasked applied to every episode. The episodes may come from any
-// mix of Sample, SampleForced and the batched samplers.
+// mix of Sample and the batched samplers.
 func (c *Controller) AccumulateMaskedBatch(eps []*Episode, advs []float64, gamma, batchScale float64, active []bool) {
 	b := len(eps)
 	if b == 0 {

@@ -119,45 +119,6 @@ func (c *Controller) Sample() *Episode {
 	return ep
 }
 
-// SampleForced draws a rollout whose first len(prefix) actions are forced to
-// the given values while the remaining steps are sampled from the policy.
-// This implements the optimizer selector's SA=0, SH=1 mode (§IV-②): the
-// architecture segment is pinned to a previously identified architecture and
-// only the hardware segment is explored.
-func (c *Controller) SampleForced(prefix []int) *Episode {
-	if len(prefix) > len(c.specs) {
-		panic("rl: forced prefix longer than rollout")
-	}
-	ep := &Episode{
-		Actions: make([]int, len(c.specs)),
-		Logits:  make([][]float64, len(c.specs)),
-		caches:  make([]*nn.LSTMCache, len(c.specs)),
-		hs:      make([][]float64, len(c.specs)),
-	}
-	state := c.lstm.ZeroState()
-	x := c.start.Val.Col(0)
-	for t := range c.specs {
-		var cache *nn.LSTMCache
-		state, cache = c.lstm.Forward(x, state)
-		logits := c.heads[t].Forward(state.H)
-		var a int
-		if t < len(prefix) {
-			a = prefix[t]
-			if a < 0 || a >= c.specs[t].NumOptions {
-				panic(fmt.Sprintf("rl: forced action %d out of range for %s", a, c.specs[t].Name))
-			}
-		} else {
-			a = c.rng.Categorical(nn.Softmax(logits))
-		}
-		ep.Actions[t] = a
-		ep.Logits[t] = logits
-		ep.caches[t] = cache
-		ep.hs[t] = state.H
-		x = c.embeds[t].Val.Col(a)
-	}
-	return ep
-}
-
 // Greedy returns the argmax rollout under the current policy (no sampling).
 func (c *Controller) Greedy() []int {
 	actions := make([]int, len(c.specs))

@@ -220,8 +220,7 @@ func TestDiscountingScalesEarlySteps(t *testing.T) {
 func TestSampleForcedPinsPrefix(t *testing.T) {
 	c := NewController(testSpecs(), 16, stats.NewRNG(21))
 	prefix := []int{3, 2}
-	for trial := 0; trial < 20; trial++ {
-		ep := c.SampleForced(prefix)
+	for _, ep := range c.SampleForcedBatch(prefix, 20) {
 		if ep.Actions[0] != 3 || ep.Actions[1] != 2 {
 			t.Fatalf("forced prefix not respected: %v", ep.Actions)
 		}
@@ -241,7 +240,7 @@ func TestSampleForcedPanics(t *testing.T) {
 				t.Error("expected panic for over-long prefix")
 			}
 		}()
-		c.SampleForced([]int{0, 0, 0, 0, 0})
+		c.SampleForcedBatch([]int{0, 0, 0, 0, 0}, 1)
 	}()
 	func() {
 		defer func() {
@@ -249,7 +248,7 @@ func TestSampleForcedPanics(t *testing.T) {
 				t.Error("expected panic for out-of-range forced action")
 			}
 		}()
-		c.SampleForced([]int{99})
+		c.SampleForcedBatch([]int{99}, 1)
 	}()
 }
 

@@ -122,7 +122,7 @@ func TestSampleForcedBatchBitIdenticalToSequential(t *testing.T) {
 			seq, bat := twinControllers(t, 7+int64(b), 20)
 			seqEps := make([]*Episode, b)
 			for e := range seqEps {
-				seqEps[e] = seq.SampleForced(prefix)
+				seqEps[e] = seq.sampleForced(prefix)
 			}
 			batEps := bat.SampleForcedBatch(prefix, b)
 			requireEpisodesEqual(t, seqEps, batEps, "forced sample")
@@ -210,7 +210,7 @@ func TestTrainingLoopBitIdenticalAcrossRounds(t *testing.T) {
 		prefixBat := combinedBat.Actions[:2]
 		seqEps := []*Episode{combinedSeq}
 		for i := 0; i < phi; i++ {
-			seqEps = append(seqEps, seq.SampleForced(prefixSeq))
+			seqEps = append(seqEps, seq.sampleForced(prefixSeq))
 		}
 		batEps := append([]*Episode{combinedBat}, bat.SampleForcedBatch(prefixBat, phi)...)
 		requireEpisodesEqual(t, seqEps, batEps, fmt.Sprintf("round %d sample", round))

@@ -83,7 +83,7 @@ func BenchmarkHeuristicLarge(b *testing.B)  { benchSolver(b, benchLarge(), Heuri
 // path's speedup; CI's bench smoke records it and fails if the checkpointed
 // path regresses more than 10% against the >=1.5x acceptance bar.
 func benchNoCheckpoint(p Problem) Problem {
-	p.Tuning.DisableCheckpoints = true
+	p.tuning.disableCheckpoints = true
 	return p
 }
 

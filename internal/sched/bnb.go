@@ -100,7 +100,7 @@ func BranchAndBoundCtx(ctx context.Context, p Problem, nodeBudget int) (Result, 
 	if nodeBudget < eff {
 		eff = nodeBudget
 	}
-	if nw := solverWorkers(eff, p.Tuning.maxWorkers()); eff >= p.Tuning.exhaustMin() && nw >= 2 {
+	if nw := solverWorkers(eff, p.tuning.workers()); eff >= p.tuning.exhaustMin() && nw >= 2 {
 		best, have, err := exhaustParallel(ctx, &p, pre, nw, budget)
 		if err != nil {
 			return Result{}, false, err

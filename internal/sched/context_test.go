@@ -63,10 +63,10 @@ func TestExhaustiveCtxDeadline(t *testing.T) {
 }
 
 // TestExhaustiveCtxParallelCancelled drives the parallel enumeration split
-// with a cancelled context (forced via Tuning thresholds).
+// with a cancelled context (forced via tuning thresholds).
 func TestExhaustiveCtxParallelCancelled(t *testing.T) {
 	p := cancelProblem(10, 4)
-	p.Tuning = Tuning{ParallelExhaustMin: 2, MaxWorkers: 4}
+	p.tuning = tuning{parallelExhaustMin: 2, maxWorkers: 4}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := ExhaustiveCtx(ctx, p)
@@ -111,20 +111,20 @@ func TestHeuristicCtxCancelMidScanPartialBest(t *testing.T) {
 	// one poll per site of the first 40-site scan), so every count below
 	// that is guaranteed to cancel mid-solve — most of them mid-scan.
 	for _, polls := range []int64{1, 3, 10, 25, 39} {
-		for _, tuning := range []Tuning{
+		for _, tn := range []tuning{
 			{},                                  // sequential checkpointed scan
-			{DisableCheckpoints: true},          // sequential full-sim scan
-			{ParallelMoveMin: 1, MaxWorkers: 4}, // parallel scan, per-worker arenas
+			{disableCheckpoints: true},          // sequential full-sim scan
+			{parallelMoveMin: 1, maxWorkers: 4}, // parallel scan, per-worker arenas
 		} {
 			pc := p
-			pc.Tuning = tuning
+			pc.tuning = tn
 			ctx := newErrAfterCtx(polls)
 			res, err := HeuristicCtx(ctx, pc)
 			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("polls=%d tuning=%+v: err = %v, want context.Canceled", polls, tuning, err)
+				t.Fatalf("polls=%d tuning=%+v: err = %v, want context.Canceled", polls, tn, err)
 			}
 			if res.Assign == nil {
-				t.Fatalf("polls=%d tuning=%+v: cancelled solve lost the partial best", polls, tuning)
+				t.Fatalf("polls=%d tuning=%+v: cancelled solve lost the partial best", polls, tn)
 			}
 			// The partial best must be exactly what a fresh evaluation of
 			// its assignment reports — not a half-updated scan artifact.
@@ -134,7 +134,7 @@ func TestHeuristicCtxCancelMidScanPartialBest(t *testing.T) {
 			}
 			if check.Makespan != res.Makespan || check.EnergyNJ != res.EnergyNJ || check.Feasible != res.Feasible {
 				t.Fatalf("polls=%d tuning=%+v: partial best (%d %v %v) inconsistent with its assignment (%d %v %v)",
-					polls, tuning, res.Makespan, res.EnergyNJ, res.Feasible,
+					polls, tn, res.Makespan, res.EnergyNJ, res.Feasible,
 					check.Makespan, check.EnergyNJ, check.Feasible)
 			}
 
@@ -149,7 +149,7 @@ func TestHeuristicCtxCancelMidScanPartialBest(t *testing.T) {
 			}
 			if want.Makespan != again.Makespan || want.EnergyNJ != again.EnergyNJ {
 				t.Fatalf("polls=%d tuning=%+v: solve after a cancelled one diverged: (%d %v) vs (%d %v)",
-					polls, tuning, want.Makespan, want.EnergyNJ, again.Makespan, again.EnergyNJ)
+					polls, tn, want.Makespan, want.EnergyNJ, again.Makespan, again.EnergyNJ)
 			}
 		}
 	}
@@ -173,7 +173,7 @@ func TestBranchAndBoundCtxCancelled(t *testing.T) {
 		t.Fatalf("sequential BranchAndBoundCtx: err = %v, want context.Canceled", err)
 	}
 	p := cancelProblem(10, 4)
-	p.Tuning = Tuning{ParallelExhaustMin: 2, MaxWorkers: 4}
+	p.tuning = tuning{parallelExhaustMin: 2, maxWorkers: 4}
 	if _, _, err := BranchAndBoundCtx(ctx, p, 1<<30); !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel BranchAndBoundCtx: err = %v, want context.Canceled", err)
 	}
@@ -194,7 +194,7 @@ func TestHAPCtxUncancelledMatchesHAP(t *testing.T) {
 	}
 }
 
-// TestTuningOverridesMatchDefaults verifies the exposed thresholds are
+// TestTuningOverridesMatchDefaults verifies the tuning thresholds are
 // outcome-preserving: forcing the parallel paths on instances the defaults
 // keep sequential must not change the result.
 func TestTuningOverridesMatchDefaults(t *testing.T) {
@@ -204,7 +204,7 @@ func TestTuningOverridesMatchDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	forced := p
-	forced.Tuning = Tuning{ParallelMoveMin: 1, MaxWorkers: 4}
+	forced.tuning = tuning{parallelMoveMin: 1, maxWorkers: 4}
 	got, err := Heuristic(forced)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestTuningOverridesMatchDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	forcedE := pe
-	forcedE.Tuning = Tuning{ParallelExhaustMin: 2, MaxWorkers: 4}
+	forcedE.tuning = tuning{parallelExhaustMin: 2, maxWorkers: 4}
 	gotE, err := Exhaustive(forcedE)
 	if err != nil {
 		t.Fatal(err)

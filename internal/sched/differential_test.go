@@ -332,7 +332,7 @@ func TestDifferentialCheckpointIncremental(t *testing.T) {
 	}
 }
 
-// TestDifferentialHeuristicNoCheckpoint pins the DisableCheckpoints knob:
+// TestDifferentialHeuristicNoCheckpoint pins tuning.disableCheckpoints:
 // the full-resimulation path must stay bit-identical to the reference (and
 // hence to the default checkpointed path, which TestDifferentialHeuristic
 // pins).
@@ -340,7 +340,7 @@ func TestDifferentialHeuristicNoCheckpoint(t *testing.T) {
 	rng := stats.NewRNG(909)
 	for trial := 0; trial < 60; trial++ {
 		p := randomProblem(rng, 3, 7, 1+rng.Intn(3), 1e8)
-		p.Tuning.DisableCheckpoints = true
+		p.tuning.disableCheckpoints = true
 		got, err := Heuristic(p)
 		if err != nil {
 			t.Fatal(err)
@@ -399,7 +399,7 @@ func TestDifferentialBranchAndBoundParallel(t *testing.T) {
 		if trial%5 == 0 {
 			p.Deadline = 1
 		}
-		p.Tuning = Tuning{ParallelExhaustMin: 2, MaxWorkers: 4}
+		p.tuning = tuning{parallelExhaustMin: 2, maxWorkers: 4}
 		got, gotComplete, err := BranchAndBound(p, 1<<22)
 		if err != nil {
 			t.Fatal(err)

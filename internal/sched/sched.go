@@ -38,8 +38,8 @@
 //
 // The resumed replay performs the exact floating-point operations of a full
 // simulation in the same order, so results — and the whole refinement
-// trajectory — stay bit-identical (pinned by differential_test.go);
-// Tuning.DisableCheckpoints selects full per-move re-simulation.
+// trajectory — stay bit-identical (pinned by differential_test.go, which
+// also runs the full per-move re-simulation the checkpoints replace).
 //
 // BranchAndBound shares the exhaustive enumeration's machinery (suffix
 // min-energy/min-cycle bounds, bounded leaf simulation, shared best-energy
@@ -83,51 +83,51 @@ type Problem struct {
 	NumAccels int
 	// Deadline is the latency spec LS in cycles.
 	Deadline int64
-	// Tuning overrides the solver parallelism thresholds; the zero value
-	// selects the package defaults. Tuning never changes results, only which
-	// scans fan out across workers.
-	Tuning Tuning
+	// tuning overrides the solver's parallel-scan thresholds and move-scan
+	// simulation strategy; only the package's tests and benchmarks set it.
+	tuning tuning
 }
 
-// Tuning exposes the solver's parallel-scan thresholds and the move-scan
+// tuning holds the solver's parallel-scan thresholds and the move-scan
 // simulation strategy. Each field's zero value selects the package default;
 // results are bit-identical for any setting because every parallel scan
 // reduces in a deterministic order and the checkpointed simulator replays
-// the exact floating-point operations of a full simulation.
-type Tuning struct {
-	// ParallelMoveMin is the minimum number of candidate moves per
+// the exact floating-point operations of a full simulation. Tests force the
+// parallel paths on small instances through it, and the checkpoint
+// differentials and the CI before/after gate time the full-resimulation
+// control against the checkpointed scan.
+type tuning struct {
+	// parallelMoveMin is the minimum number of candidate moves per
 	// refinement round before Heuristic parallelizes the move scan.
-	ParallelMoveMin int
-	// ParallelExhaustMin is the minimum enumeration size before Exhaustive
+	parallelMoveMin int
+	// parallelExhaustMin is the minimum enumeration size before Exhaustive
 	// (and BranchAndBound) split the assignment space across workers.
-	ParallelExhaustMin int
-	// MaxWorkers bounds the worker pool of one solve.
-	MaxWorkers int
-	// DisableCheckpoints turns off the checkpointed move-scan simulator, so
+	parallelExhaustMin int
+	// maxWorkers bounds the worker pool of one solve.
+	maxWorkers int
+	// disableCheckpoints turns off the checkpointed move-scan simulator, so
 	// every candidate move replays the whole schedule instead of resuming
-	// from the moved layer's snapshot. The checkpointed path is bit-identical
-	// (enforced by differential_test.go) and ~2x faster per round; this knob
-	// exists for benchmarks, regression triage and the CI before/after gate.
-	DisableCheckpoints bool
+	// from the moved layer's snapshot.
+	disableCheckpoints bool
 }
 
-func (t Tuning) moveMin() int {
-	if t.ParallelMoveMin > 0 {
-		return t.ParallelMoveMin
+func (t tuning) moveMin() int {
+	if t.parallelMoveMin > 0 {
+		return t.parallelMoveMin
 	}
 	return parallelMoveMin
 }
 
-func (t Tuning) exhaustMin() int {
-	if t.ParallelExhaustMin > 0 {
-		return t.ParallelExhaustMin
+func (t tuning) exhaustMin() int {
+	if t.parallelExhaustMin > 0 {
+		return t.parallelExhaustMin
 	}
 	return parallelExhaustMin
 }
 
-func (t Tuning) maxWorkers() int {
-	if t.MaxWorkers > 0 {
-		return t.MaxWorkers
+func (t tuning) workers() int {
+	if t.maxWorkers > 0 {
+		return t.maxWorkers
 	}
 	return maxSolverWorkers
 }
@@ -236,7 +236,7 @@ func minLatencyAssignment(p Problem) Assignment {
 	return a
 }
 
-// Default solver parallelism bounds (overridable per Problem via Tuning).
+// Default solver parallelism bounds (overridable per Problem via tuning).
 // Small instances (the ones inside the RL search loop, which already fans
 // episodes out across core's worker pool) stay sequential; only scans big
 // enough to amortize goroutine startup fan out.
@@ -467,8 +467,8 @@ func incClamp(x int64) int64 {
 // worker per round, amortized across its chunk of resumed moves.
 func (s *hsolver) scan(phase1 bool) move {
 	nSites := len(s.sites)
-	nw := solverWorkers(nSites, s.p.Tuning.maxWorkers())
-	if nSites*(s.p.NumAccels-1) < s.p.Tuning.moveMin() || nw < 2 {
+	nw := solverWorkers(nSites, s.p.tuning.workers())
+	if nSites*(s.p.NumAccels-1) < s.p.tuning.moveMin() || nw < 2 {
 		return s.scanRange(phase1, 0, nSites, s.a, s.ev, s.ck)
 	}
 	if s.workers == nil {
@@ -555,7 +555,7 @@ func HeuristicCtx(ctx context.Context, p Problem) (Result, error) {
 		return Result{}, err
 	}
 	s := &hsolver{p: &p, ctx: ctx, ev: newEvaluator(&p), a: minLatencyAssignment(p), lastMove: -1}
-	if !p.Tuning.DisableCheckpoints {
+	if !p.tuning.disableCheckpoints {
 		s.ck = newCkpts(&p)
 	}
 	for ci, c := range p.Chains {
@@ -947,7 +947,7 @@ func ExhaustiveCtx(ctx context.Context, p Problem) (Result, error) {
 		}
 	}
 	pre := newExhaustPre(&p)
-	if nw := solverWorkers(total, p.Tuning.maxWorkers()); total >= p.Tuning.exhaustMin() && nw >= 2 {
+	if nw := solverWorkers(total, p.tuning.workers()); total >= p.tuning.exhaustMin() && nw >= 2 {
 		res, _, err := exhaustParallel(ctx, &p, pre, nw, nil)
 		if err != nil {
 			return Result{}, err

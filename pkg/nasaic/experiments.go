@@ -14,9 +14,10 @@ import (
 )
 
 // Budget scales the search effort of the paper-evaluation wrappers (Table1,
-// Table2, Fig1, Fig6). The zero value of the toggle fields keeps every
-// acceleration on; all of them are bit-identical switches that only change
-// wall clock and reported counters.
+// Table2, Fig1, Fig6). The zero value of the cache fields keeps the
+// hardware-evaluation cache on and every memo private to its search; they
+// are bit-identical switches that only change wall clock and reported
+// counters.
 type Budget struct {
 	// Episodes is NASAIC's β (paper: 500); MCRuns the Monte Carlo sample
 	// count (paper: 10,000); NASSamples and HWSamples bound the baselines'
@@ -28,16 +29,9 @@ type Budget struct {
 	Seed       int64 `json:"seed"`
 	// DisableHWCache turns off the hardware-evaluation cache.
 	DisableHWCache bool `json:"disable_hw_cache,omitempty"`
-	// DisableLayerMemo turns off the per-layer cost-model memo.
-	DisableLayerMemo bool `json:"disable_layer_memo,omitempty"`
 	// SharedMemo shares the layer-cost memo process-wide and one accuracy
 	// memo across the experiment's searches (warm-start).
 	SharedMemo bool `json:"shared_memo,omitempty"`
-	// SequentialController disables the controller's batched fast path.
-	SequentialController bool `json:"sequential_controller,omitempty"`
-	// NoSolverCheckpoint disables the HAP heuristic's checkpointed
-	// move-scan simulator.
-	NoSolverCheckpoint bool `json:"no_solver_checkpoint,omitempty"`
 	// CacheDir backs every search's memo tiers with the persistent on-disk
 	// warm tier under this directory (see WithCacheDir); empty keeps the
 	// warm tier off.
@@ -60,17 +54,14 @@ func budgetFrom(b experiments.Budget) Budget {
 
 func (b Budget) internal() experiments.Budget {
 	return experiments.Budget{
-		Episodes:             b.Episodes,
-		MCRuns:               b.MCRuns,
-		NASSamples:           b.NASSamples,
-		HWSamples:            b.HWSamples,
-		Seed:                 b.Seed,
-		DisableHWCache:       b.DisableHWCache,
-		DisableLayerMemo:     b.DisableLayerMemo,
-		SharedMemo:           b.SharedMemo,
-		SequentialController: b.SequentialController,
-		NoSolverCheckpoint:   b.NoSolverCheckpoint,
-		CacheDir:             b.CacheDir,
+		Episodes:       b.Episodes,
+		MCRuns:         b.MCRuns,
+		NASSamples:     b.NASSamples,
+		HWSamples:      b.HWSamples,
+		Seed:           b.Seed,
+		DisableHWCache: b.DisableHWCache,
+		SharedMemo:     b.SharedMemo,
+		CacheDir:       b.CacheDir,
 	}
 }
 

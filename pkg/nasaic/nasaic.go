@@ -24,14 +24,7 @@ import (
 // context's error; callers that only care about complete runs can ignore the
 // Result whenever err != nil.
 func Run(ctx context.Context, opts ...Option) (*Result, error) {
-	s := defaultSettings()
-	for _, o := range opts {
-		o(&s)
-	}
-	if len(s.errs) > 0 {
-		return nil, errors.Join(s.errs...)
-	}
-	w, err := workload.ByName(s.workload)
+	s, w, err := resolve(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -91,6 +84,32 @@ func Run(ctx context.Context, opts ...Option) (*Result, error) {
 		}
 	}
 	return convertResult(w, x, cres), runErr
+}
+
+// Validate reports the error Run would return for opts before searching —
+// an option error, an unknown workload or an invalid configuration — without
+// running anything. A service calls it to reject a request before accepting
+// it.
+func Validate(opts ...Option) error {
+	_, _, err := resolve(opts)
+	return err
+}
+
+// resolve applies opts over the defaults and checks the outcome the way
+// core.New will.
+func resolve(opts []Option) (settings, workload.Workload, error) {
+	s := defaultSettings()
+	for _, o := range opts {
+		o(&s)
+	}
+	if len(s.errs) > 0 {
+		return s, workload.Workload{}, errors.Join(s.errs...)
+	}
+	w, err := workload.ByName(s.workload)
+	if err != nil {
+		return s, w, err
+	}
+	return s, w, s.cfg.Validate()
 }
 
 // WorkloadInfo describes one selectable workload.

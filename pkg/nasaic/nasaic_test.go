@@ -198,39 +198,6 @@ func TestSharedMemosWarmStart(t *testing.T) {
 	}
 }
 
-// TestSolverTuningBitIdentical: forcing the solver's parallel paths on must
-// not change any result.
-func TestSolverTuningBitIdentical(t *testing.T) {
-	a, err := Run(context.Background(), quickOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(context.Background(), quickOpts(WithSolverTuning(1, 2, 4))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fingerprint(a) != fingerprint(b) {
-		t.Fatalf("solver tuning changed results:\n%s\nvs\n%s", fingerprint(a), fingerprint(b))
-	}
-}
-
-// TestSolverCheckpointsBitIdentical: the checkpointed move-scan simulator
-// (default on) and full per-move re-simulation must produce identical
-// explorations end to end.
-func TestSolverCheckpointsBitIdentical(t *testing.T) {
-	a, err := Run(context.Background(), quickOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(context.Background(), quickOpts(WithSolverCheckpoints(false))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fingerprint(a) != fingerprint(b) {
-		t.Fatalf("disabling solver checkpoints changed results:\n%s\nvs\n%s", fingerprint(a), fingerprint(b))
-	}
-}
-
 // TestEvolutionOptimizer drives the EA path through the facade.
 func TestEvolutionOptimizer(t *testing.T) {
 	res, err := Run(context.Background(), quickOpts(WithOptimizer(OptimizerEA))...)

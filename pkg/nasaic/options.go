@@ -97,19 +97,6 @@ func WithHWCache(on bool) Option {
 	return func(s *settings) { s.cfg.HWCache = on }
 }
 
-// WithLayerCostMemo toggles the per-layer cost-model memo (default on).
-// Results are bit-identical either way.
-func WithLayerCostMemo(on bool) Option {
-	return func(s *settings) { s.cfg.LayerCostMemo = on }
-}
-
-// WithProcessSharedLayerMemo promotes the layer-cost memo to the
-// process-wide one, warm-starting repeat runs (default off). Results are
-// bit-identical either way.
-func WithProcessSharedLayerMemo(on bool) Option {
-	return func(s *settings) { s.cfg.ShareLayerMemo = on }
-}
-
 // WithCacheDir points the run's layer-cost memo and hardware-evaluation
 // cache at a persistent on-disk warm tier: matching snapshots under dir are
 // loaded before the search and written back (atomically) when Run returns,
@@ -123,35 +110,6 @@ func WithProcessSharedLayerMemo(on bool) Option {
 // and saved back after each run.
 func WithCacheDir(dir string) Option {
 	return func(s *settings) { s.cfg.CacheDir = dir }
-}
-
-// WithBatchedController toggles the controller's lockstep batched
-// policy-gradient fast path (default on). The batched path is bit-identical
-// to the sequential one.
-func WithBatchedController(on bool) Option {
-	return func(s *settings) { s.cfg.BatchedController = on }
-}
-
-// WithSolverTuning overrides the HAP solver's parallel-scan thresholds: the
-// minimum candidate moves per heuristic refinement round and the minimum
-// enumeration size per exhaustive solve before the scan fans out across
-// workers, plus the per-solve worker-pool bound. Zero keeps the respective
-// built-in default. Results are bit-identical for any setting.
-func WithSolverTuning(moveScanMin, exhaustSplitMin, maxWorkers int) Option {
-	return func(s *settings) {
-		s.cfg.SolverMoveScanMin = moveScanMin
-		s.cfg.SolverExhaustSplitMin = exhaustSplitMin
-		s.cfg.SolverMaxWorkers = maxWorkers
-	}
-}
-
-// WithSolverCheckpoints toggles the HAP heuristic's checkpointed move-scan
-// simulator, which resumes each candidate move from the moved layer's
-// snapshot instead of replaying the whole schedule (default on). The
-// checkpointed path is bit-identical to full re-simulation; only wall clock
-// changes.
-func WithSolverCheckpoints(on bool) Option {
-	return func(s *settings) { s.cfg.SolverNoCheckpoint = !on }
 }
 
 // WithEventHandler subscribes fn to per-episode progress events. Handlers
