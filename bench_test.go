@@ -35,16 +35,16 @@ var (
 	printFig6   [3]sync.Once
 )
 
-// reportSearchStats attaches the hardware-evaluation cache metrics of a
+// reportEvalStats attaches the hardware-evaluation cache metrics of a
 // table/figure regeneration: how many cost-model + HAP computations actually
 // ran (hw_evals), what share of requests the evalcache layer absorbed
 // (hw_cache_hit_pct), and what share of the remaining cost-model traffic the
 // evaluator's per-layer memo served (layer_cost_hit_pct). See EXPERIMENTS.md
 // for how to read them.
-func reportSearchStats(b *testing.B, st experiments.SearchStats) {
+func reportEvalStats(b *testing.B, st core.EvalStats) {
 	b.ReportMetric(float64(st.HWEvals), "hw_evals")
-	b.ReportMetric(st.HitPct(), "hw_cache_hit_pct")
-	b.ReportMetric(st.LayerHitPct(), "layer_cost_hit_pct")
+	b.ReportMetric(st.HWCacheHitPct(), "hw_cache_hit_pct")
+	b.ReportMetric(st.LayerCostHitPct(), "layer_cost_hit_pct")
 }
 
 // BenchmarkTable1 regenerates Table I: NAS→ASIC vs ASIC→HW-NAS vs NASAIC on
@@ -68,7 +68,7 @@ func BenchmarkTable1(b *testing.B) {
 			}
 		}
 		b.ReportMetric(100*nasaicW1, "W1_nasaic_avg_acc_pct")
-		reportSearchStats(b, stats)
+		reportEvalStats(b, stats)
 	}
 }
 
@@ -83,7 +83,7 @@ func BenchmarkTable1NoCache(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		reportSearchStats(b, stats)
+		reportEvalStats(b, stats)
 	}
 }
 
@@ -100,7 +100,7 @@ func BenchmarkTable1SharedMemo(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		reportSearchStats(b, stats)
+		reportEvalStats(b, stats)
 	}
 }
 
@@ -117,7 +117,7 @@ func BenchmarkTable2(b *testing.B) {
 			experiments.RenderTable2(os.Stdout, rows)
 		})
 		b.ReportMetric(100*rows[len(rows)-1].Rows[0].Accuracy, "hetero_best_acc_pct")
-		reportSearchStats(b, stats)
+		reportEvalStats(b, stats)
 	}
 }
 
@@ -130,7 +130,7 @@ func BenchmarkTable2NoCache(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		reportSearchStats(b, stats)
+		reportEvalStats(b, stats)
 	}
 }
 
@@ -168,7 +168,7 @@ func benchFig6(b *testing.B, idx int, w workload.Workload) {
 		})
 		b.ReportMetric(100*d.Best.Weighted, "best_weighted_pct")
 		b.ReportMetric(float64(len(d.Explored)), "explored_solutions")
-		reportSearchStats(b, d.Stats)
+		reportEvalStats(b, d.Stats)
 	}
 }
 

@@ -49,7 +49,7 @@ func main() {
 	b.SharedMemo = *sharedmemo
 	b.CacheDir = *cachedir
 
-	printStats := func(stats nasaic.ExperimentStats) {
+	printStats := func(stats nasaic.Stats) {
 		fmt.Printf("\nNASAIC evaluator work: %d hardware evaluations for %d requests (%.1f%% cache hits, %d in-batch dedups), %d trainings\n",
 			stats.HWEvals, stats.HWRequests, stats.HWCacheHitPct(), stats.HWDeduped, stats.Trainings)
 		scope := "per-run"

@@ -33,7 +33,7 @@ func main() {
 	}
 	experiments.RenderTable2(os.Stdout, rows)
 	fmt.Printf("\nevaluator work: %d hardware evaluations for %d requests (%.1f%% cache hits, %d in-batch dedups)\n",
-		stats.HWEvals, stats.HWRequests, stats.HitPct(), stats.HWDeduped)
+		stats.HWEvals, stats.HWRequests, stats.HWCacheHitPct(), stats.HWDeduped)
 
 	fmt.Println()
 	fmt.Println("Reading the table bottom-up: spec-blind NAS reaches the highest")

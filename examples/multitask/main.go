@@ -54,7 +54,7 @@ func main() {
 	b := res.Best
 	printOutcome(w, b.Design.String(), b.Accuracies, b.Latency, b.EnergyNJ, b.AreaUM2, true)
 	fmt.Printf("\n   explored %d feasible co-designs, pruned %d episodes without\n",
-		len(res.Explored), res.Pruned)
+		len(res.Explored), res.PrunedEpisodes)
 	fmt.Printf("   feasible hardware before training (early pruning, §IV-2)\n")
 
 	if !nas.Feasible {

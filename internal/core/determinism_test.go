@@ -16,7 +16,7 @@ import (
 // the search outcome must not.
 func outcomeFingerprint(res *Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "trainings=%d pruned=%d\n", res.Trainings, res.Pruned)
+	fmt.Fprintf(&b, "trainings=%d pruned=%d\n", res.Trainings, res.PrunedEpisodes)
 	for _, h := range res.History {
 		fmt.Fprintf(&b, "ep%d r=%.17g p=%.17g pruned=%v feasible=%v\n",
 			h.Episode, h.Reward, h.BestPenalty, h.Pruned, h.Feasible)
@@ -160,8 +160,8 @@ func TestSharedMemosWarmStartWithoutChangingResults(t *testing.T) {
 	if got := searchOutcome(warm); got != ref {
 		t.Errorf("shared memos changed the outcome (warm):\n--- ref ---\n%s--- got ---\n%s", ref, got)
 	}
-	if cold.Pruned != refRes.Pruned || warm.Pruned != refRes.Pruned {
-		t.Errorf("pruning diverged: ref %d, cold %d, warm %d", refRes.Pruned, cold.Pruned, warm.Pruned)
+	if cold.PrunedEpisodes != refRes.PrunedEpisodes || warm.PrunedEpisodes != refRes.PrunedEpisodes {
+		t.Errorf("pruning diverged: ref %d, cold %d, warm %d", refRes.PrunedEpisodes, cold.PrunedEpisodes, warm.PrunedEpisodes)
 	}
 	if cold.LayerCostRequests == 0 || warm.LayerCostRequests == 0 {
 		t.Fatal("layer-cost memo saw no traffic")

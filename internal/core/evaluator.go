@@ -119,34 +119,54 @@ func (am *AccuracyMemo) store(key string, q float64) {
 	am.m[key] = q
 }
 
-// EvalStats is a snapshot of the evaluator's work counters.
+// EvalStats is the evaluator's work counters: one evaluator's snapshot, one
+// search's total (Result embeds it) or an experiment's sum (Add). Its JSON is
+// the public `stats` wire object, so field order and tags must not change.
 type EvalStats struct {
 	// Trainings counts accuracy-predictor trainings (memoized networks are
 	// never retrained).
-	Trainings int
-	// HWRequests counts hardware evaluation requests.
-	HWRequests int
-	// HWEvals counts the cost-model + HAP computations actually performed;
-	// with the cache enabled this is HWRequests minus HWCacheHits minus the
-	// cheap resource-violation short-circuits.
-	HWEvals int
-	// HWCacheHits counts requests served without recomputation.
-	HWCacheHits int
+	Trainings int `json:"trainings"`
+	// HWRequests counts hardware evaluation requests; HWEvals the cost-model
+	// + HAP computations actually performed (with the cache enabled,
+	// HWRequests minus HWCacheHits minus the cheap resource-violation
+	// short-circuits); HWCacheHits the requests served without
+	// recomputation; HWDeduped the identical in-batch candidates a search
+	// collapsed before worker fan-out.
+	HWRequests  int `json:"hw_requests"`
+	HWEvals     int `json:"hw_evals"`
+	HWCacheHits int `json:"hw_cache_hits"`
+	HWDeduped   int `json:"hw_deduped"`
 	// LayerCostRequests counts cost-model queries seen by the per-layer
 	// memo under buildProblem; LayerCostHits counts the queries it served
 	// without running the MAESTRO model.
-	LayerCostRequests int
-	LayerCostHits     int
+	LayerCostRequests int `json:"layer_cost_requests"`
+	LayerCostHits     int `json:"layer_cost_hits"`
+	// PrunedEpisodes counts a search's episodes (generations in EA mode)
+	// whose training was skipped because no explored hardware was feasible.
+	PrunedEpisodes int `json:"pruned_episodes"`
 }
 
-// HitPct returns the percentage of hardware requests served from cache.
-func (s EvalStats) HitPct() float64 {
+// Add folds o's counters into s.
+func (s *EvalStats) Add(o EvalStats) {
+	s.Trainings += o.Trainings
+	s.HWRequests += o.HWRequests
+	s.HWEvals += o.HWEvals
+	s.HWCacheHits += o.HWCacheHits
+	s.HWDeduped += o.HWDeduped
+	s.LayerCostRequests += o.LayerCostRequests
+	s.LayerCostHits += o.LayerCostHits
+	s.PrunedEpisodes += o.PrunedEpisodes
+}
+
+// HWCacheHitPct returns the percentage of hardware requests served from the
+// evaluation cache.
+func (s EvalStats) HWCacheHitPct() float64 {
 	return stats.Pct(int64(s.HWCacheHits), int64(s.HWRequests))
 }
 
-// LayerHitPct returns the percentage of cost-model queries served by the
+// LayerCostHitPct returns the percentage of cost-model queries served by the
 // per-layer memo.
-func (s EvalStats) LayerHitPct() float64 {
+func (s EvalStats) LayerCostHitPct() float64 {
 	return stats.Pct(int64(s.LayerCostHits), int64(s.LayerCostRequests))
 }
 
@@ -469,15 +489,8 @@ func (e *Evaluator) Reward(weighted, penalty float64) float64 {
 	return weighted - e.Cfg.Rho*penalty
 }
 
-// Stats returns (trainings performed, hardware evaluations performed).
-// Deprecated-style shim kept for existing callers; EvalStats carries the
-// full counter set including cache effectiveness.
-func (e *Evaluator) Stats() (trainings, hwEvals int) {
-	s := e.EvalStats()
-	return s.Trainings, s.HWEvals
-}
-
-// EvalStats snapshots the evaluator's work counters.
+// EvalStats snapshots the evaluator's work counters. HWDeduped and
+// PrunedEpisodes are search counters and stay zero here.
 func (e *Evaluator) EvalStats() EvalStats {
 	e.mu.Lock()
 	tr := e.trainings

@@ -156,9 +156,9 @@ func TestAccuraciesMemoized(t *testing.T) {
 	e := testEvaluator(t, w)
 	nets := midNetworks(t, w)
 	a1 := e.Accuracies(nets)
-	tr1, _ := e.Stats()
+	tr1 := e.EvalStats().Trainings
 	a2 := e.Accuracies(nets)
-	tr2, _ := e.Stats()
+	tr2 := e.EvalStats().Trainings
 	if tr2 != tr1 {
 		t.Errorf("repeated evaluation retrained: %d -> %d trainings", tr1, tr2)
 	}
@@ -349,7 +349,7 @@ func TestLayerCostMemoBitIdentical(t *testing.T) {
 			t.Errorf("design %d: memo hits %d, want between %d repeats and %d queries", i, hits, repeats, reqs)
 		}
 	}
-	if s := e.EvalStats(); s.LayerHitPct() <= 0 {
-		t.Errorf("LayerHitPct = %f, want > 0", s.LayerHitPct())
+	if s := e.EvalStats(); s.LayerCostHitPct() <= 0 {
+		t.Errorf("LayerCostHitPct = %f, want > 0", s.LayerCostHitPct())
 	}
 }

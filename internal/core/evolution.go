@@ -145,6 +145,9 @@ func (x *Explorer) RunEvolutionContext(ctx context.Context, ec EvolutionConfig) 
 		return ind, nil
 	}
 
+	// prev is the work snapshot at the last event; the first generation's
+	// event also carries the initial population's evaluations.
+	prev := x.work()
 	pop := make([]individual, 0, ec.Population)
 	for i := 0; i < ec.Population; i++ {
 		ind, err := evaluate(randGenome())
@@ -239,6 +242,9 @@ genLoop:
 			Feasible:    feasible,
 			Pruned:      !feasible,
 		}
+		cur := x.work()
+		st.setDeltas(prev, cur)
+		prev = cur
 		res.History = append(res.History, st)
 		if x.OnEpisode != nil {
 			x.OnEpisode(EpisodeEvent{Stats: st, Best: res.Best, Explored: len(res.Explored)})

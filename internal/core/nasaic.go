@@ -67,41 +67,23 @@ type EpisodeStats struct {
 	HWDeduped   int
 }
 
+// setDeltas fills the episode's evaluation-cost deltas between two search
+// snapshots (Explorer.work).
+func (st *EpisodeStats) setDeltas(pre, post EvalStats) {
+	st.HWEvals = post.HWEvals - pre.HWEvals
+	st.HWCacheHits = post.HWCacheHits - pre.HWCacheHits
+	st.HWDeduped = post.HWDeduped - pre.HWDeduped
+}
+
 // Result is the outcome of one NASAIC exploration.
 type Result struct {
 	Workload workload.Workload
 	Best     *Solution   // highest weighted accuracy among feasible solutions
 	Explored []*Solution // every feasible solution found (Fig. 6 green diamonds)
 	History  []EpisodeStats
-	// Trainings and HWEvals count evaluator work; Pruned counts episodes the
-	// early-pruning path skipped training for.
-	Trainings int
-	HWEvals   int
-	Pruned    int
-	// HWRequests counts hardware evaluation requests; HWCacheHits the
-	// requests the evalcache layer served without recomputation; HWDeduped
-	// the identical in-batch candidates collapsed before worker fan-out.
-	// HWEvals above is the computations actually performed.
-	HWRequests  int
-	HWCacheHits int
-	HWDeduped   int
-	// LayerCostRequests counts cost-model queries seen by the evaluator's
-	// per-layer memo; LayerCostHits the queries it served without running
-	// the MAESTRO model.
-	LayerCostRequests int
-	LayerCostHits     int
-}
-
-// HWCacheHitPct returns the percentage of hardware requests served from the
-// evaluation cache.
-func (r *Result) HWCacheHitPct() float64 {
-	return stats.Pct(int64(r.HWCacheHits), int64(r.HWRequests))
-}
-
-// LayerCostHitPct returns the percentage of cost-model queries served by the
-// per-layer memo.
-func (r *Result) LayerCostHitPct() float64 {
-	return stats.Pct(int64(r.LayerCostHits), int64(r.LayerCostRequests))
+	// EvalStats is the search's evaluator work, including the episodes
+	// (generations) the early-pruning path skipped training for.
+	EvalStats
 }
 
 // EpisodeEvent is the streaming progress notification delivered to
@@ -273,14 +255,13 @@ func (x *Explorer) RunContext(ctx context.Context) (*Result, error) {
 		if x.Cfg.HWSteps > 0 {
 			hwEps = append(hwEps, x.ctrl.SampleForcedBatch(archActs, x.Cfg.HWSteps)...)
 		}
-		preEval := x.eval.EvalStats()
-		preDedup := x.hwDeduped
+		pre := x.work()
 		metrics, err := x.parallelHWEval(ctx, nets, hwEps)
 		if err != nil {
 			runErr = err
 			break
 		}
-		postEval := x.eval.EvalStats()
+		post := x.work()
 
 		// Pick the best hardware among the explored candidates: feasible
 		// first, then lowest penalty, then lowest energy.
@@ -295,13 +276,8 @@ func (x *Explorer) RunContext(ctx context.Context) (*Result, error) {
 			}
 		}
 
-		st := EpisodeStats{
-			Episode:     ep,
-			BestPenalty: bestPen,
-			HWEvals:     postEval.HWEvals - preEval.HWEvals,
-			HWCacheHits: postEval.HWCacheHits - preEval.HWCacheHits,
-			HWDeduped:   x.hwDeduped - preDedup,
-		}
+		st := EpisodeStats{Episode: ep, BestPenalty: bestPen}
+		st.setDeltas(pre, post)
 
 		// ③ Early pruning: when no explored hardware is feasible, skip the
 		// (expensive) training path entirely.
@@ -313,7 +289,6 @@ func (x *Explorer) RunContext(ctx context.Context) (*Result, error) {
 			st.Feasible = true
 		} else {
 			st.Pruned = true
-			res.Pruned++
 		}
 
 		// Reward and controller updates. The combined step uses Eq. (4)
@@ -415,16 +390,23 @@ func (x *Explorer) RunContext(ctx context.Context) (*Result, error) {
 	return res, runErr
 }
 
-// fillEvalStats copies the evaluator's work counters into the result.
-func (x *Explorer) fillEvalStats(res *Result) {
+// work snapshots the search's evaluator counters, including its in-batch
+// dedups.
+func (x *Explorer) work() EvalStats {
 	s := x.eval.EvalStats()
-	res.Trainings = s.Trainings
-	res.HWEvals = s.HWEvals
-	res.HWRequests = s.HWRequests
-	res.HWCacheHits = s.HWCacheHits
-	res.HWDeduped = x.hwDeduped
-	res.LayerCostRequests = s.LayerCostRequests
-	res.LayerCostHits = s.LayerCostHits
+	s.HWDeduped = x.hwDeduped
+	return s
+}
+
+// fillEvalStats copies the search's work counters into the result and counts
+// its pruned episodes.
+func (x *Explorer) fillEvalStats(res *Result) {
+	res.EvalStats = x.work()
+	for _, st := range res.History {
+		if st.Pruned {
+			res.PrunedEpisodes++
+		}
+	}
 }
 
 // parallelHWEval evaluates the designs of the given episodes concurrently,

@@ -148,7 +148,7 @@ func TestRunDeterministic(t *testing.T) {
 			t.Errorf("same seed produced different bests:\n%s\n%s", a.Best, b.Best)
 		}
 	}
-	if len(a.Explored) != len(b.Explored) || a.Pruned != b.Pruned {
+	if len(a.Explored) != len(b.Explored) || a.PrunedEpisodes != b.PrunedEpisodes {
 		t.Error("exploration trajectory not deterministic")
 	}
 }
@@ -169,8 +169,8 @@ func TestEarlyPruningSkipsTraining(t *testing.T) {
 	if res.Best != nil || len(res.Explored) != 0 {
 		t.Error("impossible specs must yield no feasible solution")
 	}
-	if res.Pruned != 10 {
-		t.Errorf("all 10 episodes should be pruned, got %d", res.Pruned)
+	if res.PrunedEpisodes != 10 {
+		t.Errorf("all 10 episodes should be pruned, got %d", res.PrunedEpisodes)
 	}
 	if res.Trainings != 0 {
 		t.Errorf("early pruning must skip training, got %d trainings", res.Trainings)

@@ -13,7 +13,6 @@ import (
 	"nasaic/internal/dataflow"
 	"nasaic/internal/dnn"
 	"nasaic/internal/predictor"
-	"nasaic/internal/stats"
 	"nasaic/internal/workload"
 )
 
@@ -79,42 +78,6 @@ func (b Budget) accMemo() *core.AccuracyMemo {
 		return nil
 	}
 	return core.NewAccuracyMemo()
-}
-
-// SearchStats aggregates evaluator work across an experiment's NASAIC runs:
-// how many hardware evaluations were requested, how many actually ran, how
-// many the evalcache layer or the in-batch dedup absorbed, and how much of
-// the cost-model traffic the per-layer memo served.
-type SearchStats struct {
-	Trainings         int
-	HWRequests        int
-	HWEvals           int
-	HWCacheHits       int
-	HWDeduped         int
-	LayerCostRequests int
-	LayerCostHits     int
-}
-
-// HitPct returns the percentage of hardware requests served from cache.
-func (s SearchStats) HitPct() float64 {
-	return stats.Pct(int64(s.HWCacheHits), int64(s.HWRequests))
-}
-
-// LayerHitPct returns the percentage of cost-model queries served by the
-// evaluator's per-layer memo.
-func (s SearchStats) LayerHitPct() float64 {
-	return stats.Pct(int64(s.LayerCostHits), int64(s.LayerCostRequests))
-}
-
-// add folds one NASAIC run's counters into the aggregate.
-func (s *SearchStats) add(res *core.Result) {
-	s.Trainings += res.Trainings
-	s.HWRequests += res.HWRequests
-	s.HWEvals += res.HWEvals
-	s.HWCacheHits += res.HWCacheHits
-	s.HWDeduped += res.HWDeduped
-	s.LayerCostRequests += res.LayerCostRequests
-	s.LayerCostHits += res.LayerCostHits
 }
 
 // archString renders the selected hyperparameter values of a choice vector

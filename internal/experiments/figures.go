@@ -125,14 +125,12 @@ type Fig6Data struct {
 	// (blue crosses).
 	LowerBounds []MetricPoint
 	LowerAccs   []float64
-	// Pruned counts episodes whose training was skipped.
-	Pruned int
 	// ParetoIdx indexes the explored solutions that are non-dominated in
 	// (latency, energy, area, −weighted accuracy).
 	ParetoIdx []int
 	// Stats reports the NASAIC run's evaluator work, including hardware-
-	// evaluation cache effectiveness.
-	Stats SearchStats
+	// evaluation cache effectiveness and pruned episodes.
+	Stats core.EvalStats
 }
 
 // Fig6 regenerates one panel of Fig. 6 for the given workload.
@@ -150,8 +148,7 @@ func Fig6(ctx context.Context, w workload.Workload, b Budget) (*Fig6Data, error)
 	if res.Best == nil {
 		return nil, fmt.Errorf("experiments: fig 6 %s: no feasible solution", w.Name)
 	}
-	d := &Fig6Data{Workload: w, Pruned: res.Pruned}
-	d.Stats.add(res)
+	d := &Fig6Data{Workload: w, Stats: res.EvalStats}
 	var pts []pareto.Point
 	for i, s := range res.Explored {
 		d.Explored = append(d.Explored, toPoint(s.Latency, s.EnergyNJ, s.AreaUM2, s.Weighted, true))

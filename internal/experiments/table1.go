@@ -13,11 +13,11 @@ import (
 
 // Table1 reproduces Table I: on W1 and W2, compare successive NAS→ASIC,
 // ASIC→HW-NAS, and NASAIC under the unified design specs. The returned
-// SearchStats aggregate the NASAIC runs' evaluator work (including
-// hardware-evaluation cache effectiveness) across both workloads.
-func Table1(ctx context.Context, b Budget) ([]ApproachResult, SearchStats, error) {
+// stats sum the NASAIC runs' evaluator work (including hardware-evaluation
+// cache effectiveness) across both workloads.
+func Table1(ctx context.Context, b Budget) ([]ApproachResult, core.EvalStats, error) {
 	var out []ApproachResult
-	var stats SearchStats
+	var stats core.EvalStats
 	// With Budget.SharedMemo, one accuracy memo spans both workloads and
 	// every approach (the memo key includes the dataset, so cross-workload
 	// sharing is sound); the layer-cost memo is process-wide via the
@@ -29,7 +29,7 @@ func Table1(ctx context.Context, b Budget) ([]ApproachResult, SearchStats, error
 			return nil, stats, fmt.Errorf("experiments: table 1 on %s: %w", w.Name, err)
 		}
 		out = append(out, rows...)
-		stats.add(st)
+		stats.Add(st.EvalStats)
 	}
 	return out, stats, nil
 }

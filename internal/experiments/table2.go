@@ -24,9 +24,9 @@ import (
 //     PE/bandwidth/area/energy budget, then instantiated twice;
 //   - Hetero. Acc. — full NASAIC on W3 with two sub-accelerators.
 //
-// The returned SearchStats aggregate the three NASAIC runs' evaluator work
-// (including hardware-evaluation cache effectiveness).
-func Table2(ctx context.Context, b Budget) ([]ApproachResult, SearchStats, error) {
+// The returned stats sum the three NASAIC runs' evaluator work (including
+// hardware-evaluation cache effectiveness).
+func Table2(ctx context.Context, b Budget) ([]ApproachResult, core.EvalStats, error) {
 	w3 := workload.W3()
 	sp := w3.Specs
 	cfg := b.config()
@@ -34,7 +34,7 @@ func Table2(ctx context.Context, b Budget) ([]ApproachResult, SearchStats, error
 	cfg.AccMemo = b.accMemo()
 
 	var out []ApproachResult
-	var stats SearchStats
+	var stats core.EvalStats
 
 	// -- NAS with maximum hardware ------------------------------------------
 	nasRow, err := table2NAS(ctx, w3, b, cfg)
@@ -56,7 +56,7 @@ func Table2(ctx context.Context, b Budget) ([]ApproachResult, SearchStats, error
 		return nil, stats, err
 	}
 	out = append(out, single)
-	stats.add(singleRes)
+	stats.Add(singleRes.EvalStats)
 
 	// -- Homogeneous accelerators -------------------------------------------
 	homoW := singleCIFARWorkload("W3-homo", workload.Specs{
@@ -71,7 +71,7 @@ func Table2(ctx context.Context, b Budget) ([]ApproachResult, SearchStats, error
 		return nil, stats, err
 	}
 	out = append(out, homo)
-	stats.add(homoRes)
+	stats.Add(homoRes.EvalStats)
 
 	// -- Heterogeneous accelerators (full NASAIC) ----------------------------
 	x, err := core.New(w3, cfg)
@@ -86,7 +86,7 @@ func Table2(ctx context.Context, b Budget) ([]ApproachResult, SearchStats, error
 	if res.Best == nil {
 		return nil, stats, fmt.Errorf("experiments: NASAIC found no feasible W3 solution")
 	}
-	stats.add(res)
+	stats.Add(res.EvalStats)
 	hetero := ApproachResult{
 		Workload: "W3", Approach: "Hetero. Acc. (NASAIC)",
 		Hardware: res.Best.Design.String(),

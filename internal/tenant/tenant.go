@@ -36,7 +36,8 @@ var (
 )
 
 // Limits are one tenant's quota bounds. Zero values mean unlimited (the
-// manager-wide bounds still apply).
+// manager-wide bounds still apply); negative values are rejected, so a typo
+// cannot silently lift a quota.
 type Limits struct {
 	// MaxPending bounds the tenant's jobs queued for a concurrency slot;
 	// submissions beyond it are rejected (HTTP 429 with a Retry-After hint).
@@ -166,6 +167,8 @@ func build(fts []fileTenant) (*Registry, error) {
 			return nil, fmt.Errorf("tenant %q: empty key", ft.Name)
 		case len(ft.Key) < 8:
 			return nil, fmt.Errorf("tenant %q: key shorter than 8 characters", ft.Name)
+		case ft.MaxPending < 0 || ft.MaxConcurrent < 0 || ft.MaxEventRing < 0:
+			return nil, fmt.Errorf("tenant %q: negative limit (0 means unlimited)", ft.Name)
 		}
 		if _, dup := r.byName[ft.Name]; dup {
 			return nil, fmt.Errorf("tenant %q: duplicate name", ft.Name)

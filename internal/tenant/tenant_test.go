@@ -81,6 +81,9 @@ func TestParseRejectsBadConfigs(t *testing.T) {
 		"short key":     `{"tenants": [{"name": "a", "key": "short"}]}`,
 		"dup name":      `{"tenants": [{"name": "a", "key": "key-number-1"}, {"name": "a", "key": "key-number-2"}]}`,
 		"dup key":       `{"tenants": [{"name": "a", "key": "key-number-1"}, {"name": "b", "key": "key-number-1"}]}`,
+		"neg pending":   `{"tenants": [{"name": "a", "key": "key-number-1", "max_pending": -1}]}`,
+		"neg running":   `{"tenants": [{"name": "a", "key": "key-number-1", "max_concurrent": -1}]}`,
+		"neg ring":      `{"tenants": [{"name": "a", "key": "key-number-1", "max_event_ring": -1}]}`,
 	} {
 		if _, err := Parse([]byte(cfg)); err == nil {
 			t.Errorf("%s: accepted", name)

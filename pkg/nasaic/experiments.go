@@ -9,7 +9,6 @@ import (
 
 	"nasaic/internal/experiments"
 	"nasaic/internal/export"
-	"nasaic/internal/stats"
 	"nasaic/internal/workload"
 )
 
@@ -65,69 +64,33 @@ func (b Budget) internal() experiments.Budget {
 	}
 }
 
-// ExperimentStats aggregates evaluator work across an experiment's NASAIC
-// runs.
-type ExperimentStats struct {
-	Trainings         int `json:"trainings"`
-	HWRequests        int `json:"hw_requests"`
-	HWEvals           int `json:"hw_evals"`
-	HWCacheHits       int `json:"hw_cache_hits"`
-	HWDeduped         int `json:"hw_deduped"`
-	LayerCostRequests int `json:"layer_cost_requests"`
-	LayerCostHits     int `json:"layer_cost_hits"`
-}
-
-// HWCacheHitPct returns the percentage of hardware requests served from
-// cache.
-func (s ExperimentStats) HWCacheHitPct() float64 {
-	return stats.Pct(int64(s.HWCacheHits), int64(s.HWRequests))
-}
-
-// LayerCostHitPct returns the percentage of cost-model queries served by the
-// per-layer memo.
-func (s ExperimentStats) LayerCostHitPct() float64 {
-	return stats.Pct(int64(s.LayerCostHits), int64(s.LayerCostRequests))
-}
-
-func experimentStats(st experiments.SearchStats) ExperimentStats {
-	return ExperimentStats{
-		Trainings:         st.Trainings,
-		HWRequests:        st.HWRequests,
-		HWEvals:           st.HWEvals,
-		HWCacheHits:       st.HWCacheHits,
-		HWDeduped:         st.HWDeduped,
-		LayerCostRequests: st.LayerCostRequests,
-		LayerCostHits:     st.LayerCostHits,
-	}
-}
-
 // Table1 regenerates Table I (NAS→ASIC vs ASIC→HW-NAS vs NASAIC on W1/W2),
 // rendering it to out and, when csv is non-nil, writing the machine-readable
 // rows there. The context aborts the underlying searches promptly.
-func Table1(ctx context.Context, b Budget, out io.Writer, csv io.Writer) (ExperimentStats, error) {
+func Table1(ctx context.Context, b Budget, out io.Writer, csv io.Writer) (Stats, error) {
 	rows, st, err := experiments.Table1(ctx, b.internal())
 	if err != nil {
-		return ExperimentStats{}, err
+		return Stats{}, err
 	}
 	experiments.RenderTable1(out, rows)
 	if csv != nil {
 		header, body := experiments.Table1CSV(rows)
 		if err := export.CSV(csv, header, body); err != nil {
-			return ExperimentStats{}, err
+			return Stats{}, err
 		}
 	}
-	return experimentStats(st), nil
+	return st, nil
 }
 
 // Table2 regenerates Table II (single vs homogeneous vs heterogeneous
 // accelerators on W3), rendering it to out.
-func Table2(ctx context.Context, b Budget, out io.Writer) (ExperimentStats, error) {
+func Table2(ctx context.Context, b Budget, out io.Writer) (Stats, error) {
 	rows, st, err := experiments.Table2(ctx, b.internal())
 	if err != nil {
-		return ExperimentStats{}, err
+		return Stats{}, err
 	}
 	experiments.RenderTable2(out, rows)
-	return experimentStats(st), nil
+	return st, nil
 }
 
 // Fig1 regenerates the motivating design-space exploration, rendering the
@@ -156,26 +119,25 @@ func Fig1(ctx context.Context, b Budget, out io.Writer, csvDir string) error {
 
 // Fig6 regenerates one workload panel of Fig. 6, rendering it to out and,
 // when csvDir is non-empty, writing fig6_<workload>.csv there.
-func Fig6(ctx context.Context, workloadName string, b Budget, out io.Writer, csvDir string) (ExperimentStats, error) {
+func Fig6(ctx context.Context, workloadName string, b Budget, out io.Writer, csvDir string) (Stats, error) {
 	w, err := workload.ByName(workloadName)
 	if err != nil {
-		return ExperimentStats{}, err
+		return Stats{}, err
 	}
 	d, err := experiments.Fig6(ctx, w, b.internal())
 	if err != nil {
-		return ExperimentStats{}, err
+		return Stats{}, err
 	}
 	experiments.RenderFig6(out, d)
-	st := experimentStats(d.Stats)
 	if csvDir == "" {
-		return st, nil
+		return d.Stats, nil
 	}
 	h, rows := experiments.PointsCSV(d.Explored, "explored")
 	_, lbRows := experiments.PointsCSV(d.LowerBounds, "lower_bound")
 	_, bestRows := experiments.PointsCSV([]experiments.MetricPoint{d.Best}, "best")
 	rows = append(rows, lbRows...)
 	rows = append(rows, bestRows...)
-	return st, writeCSV(out, csvDir, fmt.Sprintf("fig6_%s.csv", w.Name), h, rows)
+	return d.Stats, writeCSV(out, csvDir, fmt.Sprintf("fig6_%s.csv", w.Name), h, rows)
 }
 
 // writeCSV writes one CSV export under dir, reporting the path to out.

@@ -230,16 +230,7 @@ func convertResult(w workload.Workload, x *core.Explorer, res *core.Result) *Res
 		Specs:    convertSpecs(w.Specs),
 		Episodes: len(res.History),
 		Best:     convertSolution(w, res.Best),
-		Stats: Stats{
-			Trainings:         res.Trainings,
-			HWRequests:        res.HWRequests,
-			HWEvals:           res.HWEvals,
-			HWCacheHits:       res.HWCacheHits,
-			HWDeduped:         res.HWDeduped,
-			LayerCostRequests: res.LayerCostRequests,
-			LayerCostHits:     res.LayerCostHits,
-			PrunedEpisodes:    res.Pruned,
-		},
+		Stats:    res.EvalStats,
 		explorer: x,
 		core:     res,
 	}

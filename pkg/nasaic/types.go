@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"nasaic/internal/core"
-	"nasaic/internal/stats"
 	"nasaic/internal/workload"
 )
 
@@ -92,38 +91,9 @@ func (s Specs) String() string {
 	return workload.Specs{LatencyCycles: s.LatencyCycles, EnergyNJ: s.EnergyNJ, AreaUM2: s.AreaUM2}.String()
 }
 
-// Stats reports the evaluator work a run performed.
-type Stats struct {
-	// Trainings counts accuracy-predictor trainings (memoized architectures
-	// are never retrained).
-	Trainings int `json:"trainings"`
-	// HWRequests counts hardware evaluation requests; HWEvals the cost-model
-	// + HAP computations actually performed; HWCacheHits the requests served
-	// by the evaluation cache; HWDeduped the identical in-batch candidates
-	// collapsed before worker fan-out.
-	HWRequests  int `json:"hw_requests"`
-	HWEvals     int `json:"hw_evals"`
-	HWCacheHits int `json:"hw_cache_hits"`
-	HWDeduped   int `json:"hw_deduped"`
-	// LayerCostRequests/LayerCostHits report the per-layer cost-model memo.
-	LayerCostRequests int `json:"layer_cost_requests"`
-	LayerCostHits     int `json:"layer_cost_hits"`
-	// PrunedEpisodes counts episodes whose training was skipped because no
-	// explored hardware was feasible.
-	PrunedEpisodes int `json:"pruned_episodes"`
-}
-
-// HWCacheHitPct returns the percentage of hardware requests served from the
-// evaluation cache.
-func (s Stats) HWCacheHitPct() float64 {
-	return stats.Pct(int64(s.HWCacheHits), int64(s.HWRequests))
-}
-
-// LayerCostHitPct returns the percentage of cost-model queries served by the
-// per-layer memo.
-func (s Stats) LayerCostHitPct() float64 {
-	return stats.Pct(int64(s.LayerCostHits), int64(s.LayerCostRequests))
-}
+// Stats reports the evaluator work a run (or an experiment's runs)
+// performed; its JSON is the `stats` object of results and job records.
+type Stats = core.EvalStats
 
 // Result is the outcome of one co-exploration run.
 type Result struct {
