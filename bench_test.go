@@ -23,7 +23,6 @@ import (
 	"nasaic/internal/experiments"
 	"nasaic/internal/maestro"
 	"nasaic/internal/sched"
-	"nasaic/internal/search"
 	"nasaic/internal/stats"
 	"nasaic/internal/workload"
 )
@@ -349,25 +348,6 @@ func BenchmarkHAPExhaustive(b *testing.B) {
 	}
 }
 
-// BenchmarkHAPBranchAndBound times the pruned exact solver, which extends
-// optimality to instances beyond Exhaustive's enumeration limit.
-func BenchmarkHAPBranchAndBound(b *testing.B) {
-	p := hapInstance()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, complete, err := sched.BranchAndBound(p, 1<<22)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(res.EnergyNJ, "energy_nj")
-			if !complete {
-				b.ReportMetric(1, "budget_exhausted")
-			}
-		}
-	}
-}
-
 // --- Microbenchmarks of the hot paths --------------------------------------
 
 // BenchmarkLayerCost times one cost-model query (the innermost operation of
@@ -397,8 +377,10 @@ func BenchmarkHWEval(b *testing.B) {
 	rng := stats.NewRNG(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		des := search.RandomDesign(cfg.HW, rng)
-		_ = e.HWEval(nets, des)
+		des := cfg.HW.Random(rng)
+		if _, err := e.HWEvalCtx(context.Background(), nets, des); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"nasaic/internal/dataflow"
 	"nasaic/internal/maestro"
+	"nasaic/internal/stats"
 )
 
 // Limits are the global hardware resource bounds. The paper's experiments
@@ -219,4 +220,23 @@ func DefaultSpace() Space {
 // limits (a cheap pre-check before full validation).
 func (s Space) Feasible(d Design) bool {
 	return d.Validate(s.Limits) == nil
+}
+
+// Random samples a resource-feasible design uniformly by rejection: each
+// draw picks every sub-accelerator's dataflow, PE allocation and bandwidth
+// share in that order until the design fits the limits.
+func (s Space) Random(rng *stats.RNG) Design {
+	for {
+		subs := make([]SubAccel, s.NumSubs)
+		for i := range subs {
+			subs[i] = SubAccel{
+				DF:  s.Styles[rng.Intn(len(s.Styles))],
+				PEs: s.PEOptions[rng.Intn(len(s.PEOptions))],
+				BW:  s.BWOptions[rng.Intn(len(s.BWOptions))],
+			}
+		}
+		if d := NewDesign(subs...); s.Feasible(d) {
+			return d
+		}
+	}
 }

@@ -35,9 +35,9 @@ func (w *testWorker) kill() {
 	w.srv.CloseClientConnections()
 }
 
-// startWorker boots a worker replica. opts.RunJob, when set, substitutes
-// deterministic fake work for the real engine (scheduling-focused tests);
-// leaving it nil runs real explorations.
+// startWorker boots a worker replica. opts.Executor, when set (fakeRun),
+// substitutes deterministic fake work for the real engine
+// (scheduling-focused tests); leaving it nil runs real explorations.
 func startWorker(t testing.TB, opts jobs.Options) *testWorker {
 	t.Helper()
 	m := jobs.NewManager(opts)
@@ -47,13 +47,20 @@ func startWorker(t testing.TB, opts jobs.Options) *testWorker {
 	return w
 }
 
+// execFunc adapts a plain function to the jobs.Executor interface.
+type execFunc func(ctx context.Context, j *jobs.Job) (*nasaic.Result, error)
+
+func (f execFunc) Execute(ctx context.Context, j *jobs.Job) (*nasaic.Result, error) {
+	return f(ctx, j)
+}
+
 // fakeRun is the deterministic stand-in engine for scheduling and failover
 // tests: it emits one synthetic (seed-derived, bit-reproducible) event per
 // episode at the given pace, honours cancellation, and finishes with a
 // result carrying the episode count. Re-running the same spec anywhere
 // reproduces the identical event and result bytes — the same property the
 // real engine's determinism suite pins.
-func fakeRun(pace time.Duration) func(ctx context.Context, j *jobs.Job) (*nasaic.Result, error) {
+func fakeRun(pace time.Duration) execFunc {
 	return func(ctx context.Context, j *jobs.Job) (*nasaic.Result, error) {
 		for i := 0; i < j.Spec.Episodes; i++ {
 			select {
@@ -279,7 +286,7 @@ func TestClusterDeterminism(t *testing.T) {
 // (401 challenge without a credential, 403 with the wrong one), and the
 // load probe reports the manager's live numbers.
 func TestWorkerHandlerAuth(t *testing.T) {
-	w := startWorker(t, jobs.Options{MaxConcurrent: 3, RunJob: fakeRun(time.Millisecond)})
+	w := startWorker(t, jobs.Options{MaxConcurrent: 3, Executor: fakeRun(time.Millisecond)})
 
 	resp, err := http.Get(w.srv.URL + "/healthz")
 	if err != nil || resp.StatusCode != http.StatusOK {
@@ -333,7 +340,7 @@ func TestWorkerHandlerAuth(t *testing.T) {
 // TestWorkerHandlerNoKey pins the trusted-network mode: an empty cluster key
 // turns the gate off entirely.
 func TestWorkerHandlerNoKey(t *testing.T) {
-	m := jobs.NewManager(jobs.Options{RunJob: fakeRun(time.Millisecond)})
+	m := jobs.NewManager(jobs.Options{Executor: fakeRun(time.Millisecond)})
 	defer m.Close()
 	srv := httptest.NewServer(NewWorkerHandler(m, ""))
 	defer srv.Close()
@@ -351,8 +358,8 @@ func TestWorkerHandlerNoKey(t *testing.T) {
 // report naming every worker with health and load, replacing the bare-200
 // body only on the coordinator.
 func TestCoordinatorHealthz(t *testing.T) {
-	w1 := startWorker(t, jobs.Options{MaxConcurrent: 2, RunJob: fakeRun(time.Millisecond)})
-	w2 := startWorker(t, jobs.Options{MaxConcurrent: 2, RunJob: fakeRun(time.Millisecond)})
+	w1 := startWorker(t, jobs.Options{MaxConcurrent: 2, Executor: fakeRun(time.Millisecond)})
+	w2 := startWorker(t, jobs.Options{MaxConcurrent: 2, Executor: fakeRun(time.Millisecond)})
 	coord, _, srv := testCoordinator(t, []*testWorker{w1, w2}, jobs.Options{MaxConcurrent: 4})
 	waitHealthy(t, coord, 2)
 

@@ -45,8 +45,8 @@ func TestFailoverRedispatch(t *testing.T) {
 	const episodes, ring = 60, 16
 	pace := 5 * time.Millisecond
 
-	w1 := startWorker(t, jobs.Options{MaxConcurrent: 1, RunJob: fakeRun(pace)})
-	w2 := startWorker(t, jobs.Options{MaxConcurrent: 1, RunJob: fakeRun(pace)})
+	w1 := startWorker(t, jobs.Options{MaxConcurrent: 1, Executor: fakeRun(pace)})
+	w2 := startWorker(t, jobs.Options{MaxConcurrent: 1, Executor: fakeRun(pace)})
 	workers := []*testWorker{w1, w2}
 	coord, cm, srv := testCoordinator(t, workers, jobs.Options{MaxConcurrent: 2, EventBuffer: ring})
 	waitHealthy(t, coord, 2)
@@ -152,7 +152,7 @@ func TestCoordinatorReattach(t *testing.T) {
 	const episodes = 150
 	pace := 5 * time.Millisecond
 
-	w := startWorker(t, jobs.Options{MaxConcurrent: 1, RunJob: fakeRun(pace)})
+	w := startWorker(t, jobs.Options{MaxConcurrent: 1, Executor: fakeRun(pace)})
 	dir1 := t.TempDir()
 	coord1, m1, srv1 := testCoordinator(t, []*testWorker{w}, jobs.Options{MaxConcurrent: 1, DataDir: dir1})
 	waitHealthy(t, coord1, 1)

@@ -26,7 +26,7 @@ func TestOversizedDoneFrame(t *testing.T) {
 			Explored: []*nasaic.Solution{{Tasks: []nasaic.TaskResult{{Architecture: big}}}},
 		}, nil
 	}
-	w := startWorker(t, jobs.Options{MaxConcurrent: 1, RunJob: run})
+	w := startWorker(t, jobs.Options{MaxConcurrent: 1, Executor: execFunc(run)})
 	coord, cm, srv := testCoordinator(t, []*testWorker{w}, jobs.Options{MaxConcurrent: 1})
 	waitHealthy(t, coord, 1)
 

@@ -42,8 +42,8 @@ func clusterSoak(tb testing.TB, heavyJobs, lightJobs, submitters int) []time.Dur
 		tb.Fatal(err)
 	}
 
-	w1 := startWorker(tb, jobs.Options{MaxConcurrent: 2, RunJob: fakeRun(time.Millisecond)})
-	w2 := startWorker(tb, jobs.Options{MaxConcurrent: 2, RunJob: fakeRun(time.Millisecond)})
+	w1 := startWorker(tb, jobs.Options{MaxConcurrent: 2, Executor: fakeRun(time.Millisecond)})
+	w2 := startWorker(tb, jobs.Options{MaxConcurrent: 2, Executor: fakeRun(time.Millisecond)})
 	urls := []string{w1.srv.URL, w2.srv.URL}
 	coord, err := New(Config{
 		Workers:       urls,

@@ -187,6 +187,66 @@ func TestRunEvolutionContextCancelled(t *testing.T) {
 	}
 }
 
+// TestCancelDuringRefine cancels from the last episode's (RL) or
+// generation's (EA) OnEpisode, so the context is done just as the exploit
+// phase begins. Both optimizers must return ctx's error with the exploration
+// outcome intact and run no refine step after the cancel: no hardware
+// evaluation is requested and no refined solution is recorded.
+func TestCancelDuringRefine(t *testing.T) {
+	cases := []struct {
+		name string
+		w    workload.Workload
+		cfg  Config
+		run  func(*Explorer, context.Context) (*Result, error)
+		last int
+	}{
+		{"RL", workload.W3(), fastConfig(3),
+			func(x *Explorer, ctx context.Context) (*Result, error) { return x.RunContext(ctx) }, 59},
+		{"EA", workload.W1(), fastConfig(3),
+			func(x *Explorer, ctx context.Context) (*Result, error) {
+				ec := DefaultEvolutionConfig()
+				ec.Population, ec.Generations, ec.Elite = 10, 4, 2
+				return x.RunEvolutionContext(ctx, ec)
+			}, 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if !tc.cfg.Refine {
+				t.Fatal("test config must enable refine")
+			}
+			x, err := New(tc.w, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var atCancel EpisodeEvent
+			var requests int
+			x.OnEpisode = func(ev EpisodeEvent) {
+				if ev.Stats.Episode == tc.last {
+					atCancel = ev
+					requests = x.Evaluator().EvalStats().HWRequests
+					cancel()
+				}
+			}
+			res, err := tc.run(x, ctx)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if atCancel.Best == nil {
+				t.Fatal("no feasible solution before the cancel: refine would not run")
+			}
+			if res.HWRequests != requests {
+				t.Fatalf("%d hardware evaluations ran after the cancel", res.HWRequests-requests)
+			}
+			if res.Best != atCancel.Best || len(res.Explored) != atCancel.Explored {
+				t.Fatalf("refine recorded solutions after the cancel: %d explored (was %d)",
+					len(res.Explored), atCancel.Explored)
+			}
+		})
+	}
+}
+
 // TestOnEpisodeEvents verifies the streaming hook: one event per episode, in
 // order, with the best-so-far solution monotonically improving.
 func TestOnEpisodeEvents(t *testing.T) {

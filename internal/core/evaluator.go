@@ -67,7 +67,7 @@ type Evaluator struct {
 	// and must be treated as immutable.
 	hwCache *evalcache.Cache[HWMetrics]
 
-	hwRequests stats.Counter // HWEval calls observed (counted requests only)
+	hwRequests stats.Counter // HWEvalCtx calls observed (counted requests only)
 	hwComputes stats.Counter // cost-model + HAP computations actually run
 	hwHits     stats.Counter // requests served from cache or in-flight dedup
 
@@ -230,7 +230,7 @@ func (e *Evaluator) computeBounds() Bounds {
 	first := true
 	const samples = 60
 	for s := 0; s < samples; s++ {
-		d := e.randomDesign(rng)
+		d := e.Cfg.HW.Random(rng)
 		m, _ := e.hwEval(context.Background(), nets, d, false) //lint:allow ctxplumb bounds sampling is small fixed work on the non-ctx construction path
 		if !m.ResourceOK {
 			continue
@@ -263,37 +263,11 @@ func (e *Evaluator) computeBounds() Bounds {
 	return b
 }
 
-// randomDesign samples a resource-feasible design uniformly (rejection).
-func (e *Evaluator) randomDesign(rng *stats.RNG) accel.Design {
-	hw := e.Cfg.HW
-	for {
-		subs := make([]accel.SubAccel, hw.NumSubs)
-		for i := range subs {
-			subs[i] = accel.SubAccel{
-				DF:  hw.Styles[rng.Intn(len(hw.Styles))],
-				PEs: hw.PEOptions[rng.Intn(len(hw.PEOptions))],
-				BW:  hw.BWOptions[rng.Intn(len(hw.BWOptions))],
-			}
-		}
-		d := accel.NewDesign(subs...)
-		if d.Validate(hw.Limits) == nil {
-			return d
-		}
-	}
-}
-
-// HWEval evaluates the hardware metrics of running the given networks on
-// design d (mapping and scheduling via HAP under the latency spec).
-func (e *Evaluator) HWEval(nets []*dnn.Network, d accel.Design) HWMetrics {
-	m, _ := e.hwEval(context.Background(), nets, d, true) //lint:allow ctxplumb compat shim: non-ctx public API delegates to HWEvalCtx
-	return m
-}
-
-// HWEvalCtx is HWEval with cooperative cancellation: the context is checked
-// on entry and threaded into the HAP solver's worker pools, so a cancelled or
-// expired context aborts the evaluation promptly with ctx's error. Aborted
-// computations are never cached; uncancelled evaluations are bit-identical to
-// HWEval.
+// HWEvalCtx evaluates the hardware metrics of running the given networks on
+// design d (mapping and scheduling via HAP under the latency spec). The
+// context is checked on entry and threaded into the HAP solver's worker
+// pools, so a cancelled or expired context aborts the evaluation promptly
+// with ctx's error. Aborted computations are never cached.
 func (e *Evaluator) HWEvalCtx(ctx context.Context, nets []*dnn.Network, d accel.Design) (HWMetrics, error) {
 	return e.hwEval(ctx, nets, d, true)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -22,6 +23,17 @@ func testEvaluator(t *testing.T, w workload.Workload) *Evaluator {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// mustHWEval evaluates d for nets under a background context, failing the
+// test on error.
+func mustHWEval(t *testing.T, e *Evaluator, nets []*dnn.Network, d accel.Design) HWMetrics {
+	t.Helper()
+	m, err := e.HWEvalCtx(context.Background(), nets, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func midNetworks(t *testing.T, w workload.Workload) []*dnn.Network {
@@ -117,7 +129,7 @@ func TestHWEvalFeasibilityConsistent(t *testing.T) {
 		accel.SubAccel{DF: dataflow.NVDLA, PEs: 2048, BW: 32},
 		accel.SubAccel{DF: dataflow.Shidiannao, PEs: 1024, BW: 32},
 	)
-	m := e.HWEval(nets, d)
+	m := mustHWEval(t, e, nets, d)
 	if !m.ResourceOK {
 		t.Fatal("valid design flagged as resource-violating")
 	}
@@ -142,7 +154,7 @@ func TestHWEvalResourceViolation(t *testing.T) {
 		accel.SubAccel{DF: dataflow.NVDLA, PEs: 4096, BW: 64},
 		accel.SubAccel{DF: dataflow.Shidiannao, PEs: 4096, BW: 64},
 	)
-	m := e.HWEval(nets, d)
+	m := mustHWEval(t, e, nets, d)
 	if m.ResourceOK || m.Feasible {
 		t.Error("over-budget design must be resource-violating and infeasible")
 	}
@@ -211,10 +223,10 @@ func TestScheduleInspectable(t *testing.T) {
 	if err := sched.ValidateTimeline(problem, placements); err != nil {
 		t.Fatalf("invalid schedule timeline: %v", err)
 	}
-	// The schedule's makespan must agree with HWEval's latency.
-	m := e.HWEval(nets, d)
+	// The schedule's makespan must agree with HWEvalCtx's latency.
+	m := mustHWEval(t, e, nets, d)
 	if res.Makespan != m.Latency {
-		t.Errorf("Schedule makespan %d != HWEval latency %d", res.Makespan, m.Latency)
+		t.Errorf("Schedule makespan %d != HWEvalCtx latency %d", res.Makespan, m.Latency)
 	}
 	// One chain per network, every compute layer placed.
 	wantLayers := 0
@@ -331,7 +343,7 @@ func TestLayerCostMemoBitIdentical(t *testing.T) {
 		}
 
 		before := e.EvalStats()
-		got := e.HWEval(nets, d)
+		got := mustHWEval(t, e, nets, d)
 		after := e.EvalStats()
 		if got.Latency != want.Latency || got.EnergyNJ != want.EnergyNJ || got.AreaUM2 != want.AreaUM2 {
 			t.Fatalf("design %d: memoized metrics (%d, %g, %g) != reference (%d, %g, %g)",

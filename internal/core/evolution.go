@@ -85,14 +85,17 @@ func (x *Explorer) RunEvolution(ec EvolutionConfig) *Result {
 // RunEvolutionContext is RunEvolution with cooperative cancellation: the
 // context is checked per individual evaluation, so cancellation or a deadline
 // aborts the search promptly. On cancellation it returns the partial result
-// (completed generations) together with ctx's error; the refinement phase is
-// skipped. Uncancelled runs are bit-identical to RunEvolution.
+// (completed generations) together with ctx's error. Cancellation during
+// refinement follows RunContext's rule: completed refine starts are kept and
+// nothing more is refined. Uncancelled runs are bit-identical to
+// RunEvolution.
 func (x *Explorer) RunEvolutionContext(ctx context.Context, ec EvolutionConfig) (*Result, error) {
 	if err := ec.Validate(); err != nil {
 		panic(err)
 	}
 	var runErr error
 	rng := stats.NewRNG(x.Cfg.Seed ^ 0xea)
+	hopSeed := x.Cfg.Seed ^ 0xea40b
 	specs := x.ctrl.Specs()
 	res := &Result{Workload: x.W}
 
@@ -104,9 +107,10 @@ func (x *Explorer) RunEvolutionContext(ctx context.Context, ec EvolutionConfig) 
 		return g
 	}
 
-	// evaluate scores one genome; a done context aborts the underlying HAP
-	// solve promptly and returns ctx's error (the individual is discarded).
-	evaluate := func(g []int) (individual, error) {
+	// evaluate scores one genome of generation gen, recording it when it is
+	// feasible; a done context aborts the underlying HAP solve promptly and
+	// returns ctx's error (the individual is discarded).
+	evaluate := func(gen int, g []int) (individual, error) {
 		ind := individual{genome: append([]int(nil), g...)}
 		choices, nets, err := x.decodeArch(g[:x.archLen])
 		if err != nil {
@@ -126,22 +130,9 @@ func (x *Explorer) RunEvolutionContext(ctx context.Context, ec EvolutionConfig) 
 			ind.reward = x.eval.Reward(0, pen)
 			return ind, nil
 		}
-		accs := x.eval.Accuracies(nets)
-		weighted := x.W.Weighted(accs)
-		ind.reward = x.eval.Reward(weighted, 0)
-		ind.sol = &Solution{
-			ArchChoices: choices,
-			Networks:    nets,
-			Design:      d,
-			Accuracies:  accs,
-			Weighted:    weighted,
-			Latency:     m.Latency,
-			EnergyNJ:    m.EnergyNJ,
-			AreaUM2:     m.AreaUM2,
-			Reward:      ind.reward,
-			Feasible:    true,
-			actions:     append([]int(nil), g...),
-		}
+		ind.sol = x.solution(gen, g, choices, nets, m)
+		ind.reward = ind.sol.Reward
+		res.explored(ind.sol)
 		return ind, nil
 	}
 
@@ -150,27 +141,11 @@ func (x *Explorer) RunEvolutionContext(ctx context.Context, ec EvolutionConfig) 
 	prev := x.work()
 	pop := make([]individual, 0, ec.Population)
 	for i := 0; i < ec.Population; i++ {
-		ind, err := evaluate(randGenome())
+		ind, err := evaluate(0, randGenome())
 		if err != nil {
-			x.fillEvalStats(res)
-			return res, err
+			return x.finish(ctx, res, err, hopSeed)
 		}
 		pop = append(pop, ind)
-	}
-
-	record := func(gen int, ind individual) {
-		if ind.sol == nil {
-			return
-		}
-		s := *ind.sol
-		s.Episode = gen
-		res.Explored = append(res.Explored, &s)
-		if res.Best == nil || s.Weighted > res.Best.Weighted {
-			res.Best = &s
-		}
-	}
-	for _, ind := range pop {
-		record(0, ind)
 	}
 
 	tournament := func() individual {
@@ -211,12 +186,11 @@ genLoop:
 					child[i] = rng.Intn(s.NumOptions)
 				}
 			}
-			ind, err := evaluate(child)
+			ind, err := evaluate(gen, child)
 			if err != nil {
 				runErr = err
 				break genLoop
 			}
-			record(gen, ind)
 			next = append(next, ind)
 		}
 		pop = next
@@ -245,30 +219,7 @@ genLoop:
 		cur := x.work()
 		st.setDeltas(prev, cur)
 		prev = cur
-		res.History = append(res.History, st)
-		if x.OnEpisode != nil {
-			x.OnEpisode(EpisodeEvent{Stats: st, Best: res.Best, Explored: len(res.Explored)})
-		}
+		x.endEpisode(res, st)
 	}
-
-	if runErr == nil && x.Cfg.Refine && res.Best != nil {
-		sort.Slice(res.Explored, func(i, j int) bool {
-			return res.Explored[i].Weighted > res.Explored[j].Weighted
-		})
-		hopRNG := stats.NewRNG(x.Cfg.Seed ^ 0xea40b)
-		top := len(res.Explored)
-		for i := 0; i < 3 && i < top; i++ {
-			refined := x.refineFrom(res.Explored[i], specs, hopRNG)
-			if refined.Weighted > res.Best.Weighted {
-				res.Best = refined
-				res.Explored = append(res.Explored, refined)
-			}
-		}
-	}
-
-	x.fillEvalStats(res)
-	sort.Slice(res.Explored, func(i, j int) bool {
-		return res.Explored[i].Weighted > res.Explored[j].Weighted
-	})
-	return res, runErr
+	return x.finish(ctx, res, runErr, hopSeed)
 }

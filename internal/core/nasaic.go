@@ -212,8 +212,10 @@ func (x *Explorer) Run() *Result {
 // the HAP solver, so cancellation or a deadline aborts the search promptly
 // and leaves no goroutines behind. On cancellation it returns the partial
 // result accumulated so far (completed episodes, best-so-far solution,
-// evaluator counters) together with ctx's error; the refinement phase is
-// skipped. Uncancelled runs are bit-identical to Run for the same seed.
+// evaluator counters) together with ctx's error. A cancellation during
+// exploration skips the refinement phase; one during refinement stops it:
+// the refine starts completed before it are kept and nothing more is
+// refined. Uncancelled runs are bit-identical to Run for the same seed.
 func (x *Explorer) RunContext(ctx context.Context) (*Result, error) {
 	res := &Result{Workload: x.W}
 	var runErr error
@@ -280,12 +282,13 @@ func (x *Explorer) RunContext(ctx context.Context) (*Result, error) {
 		st.setDeltas(pre, post)
 
 		// ③ Early pruning: when no explored hardware is feasible, skip the
-		// (expensive) training path entirely.
+		// (expensive) training path entirely. Otherwise the episode's best
+		// candidate is trained and becomes an explored solution.
 		var weighted float64
-		var accs []float64
+		var sol *Solution
 		if bestPen == 0 {
-			accs = x.eval.Accuracies(nets)
-			weighted = x.W.Weighted(accs)
+			sol = x.solution(ep, hwEps[bestIdx].Actions, choices, nets, metrics[bestIdx])
+			weighted = sol.Weighted
 			st.Feasible = true
 		} else {
 			st.Pruned = true
@@ -328,66 +331,97 @@ func (x *Explorer) RunContext(ctx context.Context) (*Result, error) {
 		}
 
 		st.Reward = combinedReward
-		res.History = append(res.History, st)
-
-		// Record the episode's best candidate as an explored solution.
-		if bestPen == 0 {
-			m := metrics[bestIdx]
-			sol := &Solution{
-				Episode:     ep,
-				ArchChoices: choices,
-				Networks:    nets,
-				Design:      x.decodeDesign(hwEps[bestIdx].Actions),
-				Accuracies:  accs,
-				Weighted:    weighted,
-				Latency:     m.Latency,
-				EnergyNJ:    m.EnergyNJ,
-				AreaUM2:     m.AreaUM2,
-				Penalty:     0,
-				Reward:      x.eval.Reward(weighted, 0),
-				Feasible:    true,
-				actions:     append([]int(nil), hwEps[bestIdx].Actions...),
-			}
-			res.Explored = append(res.Explored, sol)
-			if res.Best == nil || sol.Weighted > res.Best.Weighted {
-				res.Best = sol
-			}
+		if sol != nil {
+			res.explored(sol)
 		}
-
-		if x.OnEpisode != nil {
-			x.OnEpisode(EpisodeEvent{Stats: st, Best: res.Best, Explored: len(res.Explored)})
-		}
+		x.endEpisode(res, st)
 	}
+	return x.finish(ctx, res, runErr, x.Cfg.Seed^0x40b)
+}
 
-	// Exploit phase: multi-start coordinate-descent refinement of the top
-	// explored solutions. Skipped on cancellation — the partial result keeps
-	// the raw exploration outcome.
+// solution builds the explored solution of a feasible action vector whose
+// networks were decoded into choices and nets and whose hardware evaluated
+// to m; building it runs the training path (Accuracies).
+func (x *Explorer) solution(ep int, actions []int, choices [][]int, nets []*dnn.Network, m HWMetrics) *Solution {
+	accs := x.eval.Accuracies(nets)
+	weighted := x.W.Weighted(accs)
+	return &Solution{
+		Episode:     ep,
+		ArchChoices: choices,
+		Networks:    nets,
+		Design:      x.decodeDesign(actions),
+		Accuracies:  accs,
+		Weighted:    weighted,
+		Latency:     m.Latency,
+		EnergyNJ:    m.EnergyNJ,
+		AreaUM2:     m.AreaUM2,
+		Reward:      x.eval.Reward(weighted, 0),
+		Feasible:    true,
+		actions:     append([]int(nil), actions...),
+	}
+}
+
+// explored records a feasible solution, promoting it to Best when it has
+// the highest weighted accuracy so far.
+func (res *Result) explored(sol *Solution) {
+	res.Explored = append(res.Explored, sol)
+	if res.Best == nil || sol.Weighted > res.Best.Weighted {
+		res.Best = sol
+	}
+}
+
+// endEpisode appends a finished episode (RL) or generation (EA) to the
+// history and streams it to OnEpisode.
+func (x *Explorer) endEpisode(res *Result, st EpisodeStats) {
+	res.History = append(res.History, st)
+	if x.OnEpisode != nil {
+		x.OnEpisode(EpisodeEvent{Stats: st, Best: res.Best, Explored: len(res.Explored)})
+	}
+}
+
+// refineStarts is the number of top explored solutions the exploit phase
+// refines.
+const refineStarts = 3
+
+// finish is the epilogue both optimizers share. Unless the search already
+// failed, it runs the exploit phase: multi-start coordinate-descent
+// refinement of the top explored solutions, with basin hops drawn from
+// hopSeed. A done context stops refinement; the starts completed before it
+// are kept and ctx's error is returned. finish then fills the result's work
+// counters and sorts the explored solutions by weighted accuracy.
+func (x *Explorer) finish(ctx context.Context, res *Result, runErr error, hopSeed int64) (*Result, error) {
 	if runErr == nil && x.Cfg.Refine && res.Best != nil {
-		sort.Slice(res.Explored, func(i, j int) bool {
-			return res.Explored[i].Weighted > res.Explored[j].Weighted
-		})
-		const starts = 3
+		sortExplored(res)
 		specs := x.ctrl.Specs()
-		hopRNG := stats.NewRNG(x.Cfg.Seed ^ 0x40b)
+		hopRNG := stats.NewRNG(hopSeed)
 		top := len(res.Explored)
-		for i := 0; i < starts && i < top; i++ {
-			if err := ctx.Err(); err != nil {
+		for i := 0; i < refineStarts && i < top; i++ {
+			refined, err := x.refineFrom(ctx, res.Explored[i], specs, hopRNG)
+			if err != nil {
 				runErr = err
 				break
 			}
-			refined := x.refineFrom(res.Explored[i], specs, hopRNG)
 			if refined.Weighted > res.Best.Weighted {
 				res.Best = refined
 				res.Explored = append(res.Explored, refined)
 			}
 		}
 	}
+	res.EvalStats = x.work()
+	for _, st := range res.History {
+		if st.Pruned {
+			res.PrunedEpisodes++
+		}
+	}
+	sortExplored(res)
+	return res, runErr
+}
 
-	x.fillEvalStats(res)
+// sortExplored orders the explored solutions by decreasing weighted accuracy.
+func sortExplored(res *Result) {
 	sort.Slice(res.Explored, func(i, j int) bool {
 		return res.Explored[i].Weighted > res.Explored[j].Weighted
 	})
-	return res, runErr
 }
 
 // work snapshots the search's evaluator counters, including its in-batch
@@ -396,17 +430,6 @@ func (x *Explorer) work() EvalStats {
 	s := x.eval.EvalStats()
 	s.HWDeduped = x.hwDeduped
 	return s
-}
-
-// fillEvalStats copies the search's work counters into the result and counts
-// its pruned episodes.
-func (x *Explorer) fillEvalStats(res *Result) {
-	res.EvalStats = x.work()
-	for _, st := range res.History {
-		if st.Pruned {
-			res.PrunedEpisodes++
-		}
-	}
 }
 
 // parallelHWEval evaluates the designs of the given episodes concurrently,

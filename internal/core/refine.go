@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"nasaic/internal/rl"
 	"nasaic/internal/stats"
 )
@@ -24,9 +26,13 @@ const (
 // it converts the controller's good co-design region into that region's
 // local optimum, which the successive baselines cannot reach because they
 // freeze one side of the space. Its contribution is measured by the
-// refinement ablation benchmark.
-func (x *Explorer) refineFrom(sol *Solution, specs []rl.DecisionSpec, rng *stats.RNG) *Solution {
-	best := x.descend(sol, specs, refinePasses)
+// refinement ablation benchmark. A done context abandons the descent and
+// returns ctx's error.
+func (x *Explorer) refineFrom(ctx context.Context, sol *Solution, specs []rl.DecisionSpec, rng *stats.RNG) (*Solution, error) {
+	best, err := x.descend(ctx, sol, specs, refinePasses)
+	if err != nil {
+		return nil, err
+	}
 	for r := 0; r < hopRounds; r++ {
 		a := append([]int(nil), best.actions...)
 		k := 2 + rng.Intn(2)
@@ -34,23 +40,28 @@ func (x *Explorer) refineFrom(sol *Solution, specs []rl.DecisionSpec, rng *stats
 			t := rng.Intn(len(specs))
 			a[t] = rng.Intn(specs[t].NumOptions)
 		}
-		cand := x.evalActions(a, best.Episode)
+		cand, err := x.evalActions(ctx, a, best.Episode)
+		if err != nil {
+			return nil, err
+		}
 		if cand == nil {
 			continue
 		}
-		cand = x.descend(cand, specs, 2)
+		if cand, err = x.descend(ctx, cand, specs, 2); err != nil {
+			return nil, err
+		}
 		if cand.Weighted > best.Weighted+1e-9 {
 			best = cand
 		}
 	}
-	return best
+	return best, nil
 }
 
 // descend runs coordinate descent from sol, sweeping each decision over its
 // options (windowed to ±refineWindow around the current index for very wide
 // option lists) and keeping the feasible change that most improves weighted
 // accuracy.
-func (x *Explorer) descend(sol *Solution, specs []rl.DecisionSpec, maxPasses int) *Solution {
+func (x *Explorer) descend(ctx context.Context, sol *Solution, specs []rl.DecisionSpec, maxPasses int) (*Solution, error) {
 	best := sol
 	cur := append([]int(nil), sol.actions...)
 	for pass := 0; pass < maxPasses; pass++ {
@@ -73,7 +84,11 @@ func (x *Explorer) descend(sol *Solution, specs []rl.DecisionSpec, maxPasses int
 					continue
 				}
 				cur[t] = opt
-				if cand := x.evalActions(cur, sol.Episode); cand != nil && cand.Weighted > best.Weighted+1e-9 {
+				cand, err := x.evalActions(ctx, cur, sol.Episode)
+				if err != nil {
+					return nil, err
+				}
+				if cand != nil && cand.Weighted > best.Weighted+1e-9 {
 					best = cand
 					bestOpt = opt
 				}
@@ -87,35 +102,19 @@ func (x *Explorer) descend(sol *Solution, specs []rl.DecisionSpec, maxPasses int
 			break
 		}
 	}
-	return best
+	return best, nil
 }
 
 // evalActions evaluates a full action vector, returning nil when the decoded
-// pair is infeasible.
-func (x *Explorer) evalActions(a []int, episode int) *Solution {
+// pair is infeasible and ctx's error once ctx is done.
+func (x *Explorer) evalActions(ctx context.Context, a []int, episode int) (*Solution, error) {
 	choices, nets, err := x.decodeArch(a[:x.archLen])
 	if err != nil {
-		return nil
+		return nil, nil
 	}
-	d := x.decodeDesign(a)
-	m := x.eval.HWEval(nets, d)
-	if !m.Feasible {
-		return nil
+	m, err := x.eval.HWEvalCtx(ctx, nets, x.decodeDesign(a))
+	if err != nil || !m.Feasible {
+		return nil, err
 	}
-	accs := x.eval.Accuracies(nets)
-	weighted := x.W.Weighted(accs)
-	return &Solution{
-		Episode:     episode,
-		ArchChoices: choices,
-		Networks:    nets,
-		Design:      d,
-		Accuracies:  accs,
-		Weighted:    weighted,
-		Latency:     m.Latency,
-		EnergyNJ:    m.EnergyNJ,
-		AreaUM2:     m.AreaUM2,
-		Reward:      x.eval.Reward(weighted, 0),
-		Feasible:    true,
-		actions:     append([]int(nil), a...),
-	}
+	return x.solution(episode, a, choices, nets, m), nil
 }

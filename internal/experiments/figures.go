@@ -76,7 +76,7 @@ func Fig1(ctx context.Context, b Budget) (*Fig1Data, error) {
 	accs := e.Accuracies([]*dnn.Network{nasNet})
 	d.NASAcc = accs[0]
 	for s := 0; s < b.HWSamples; s++ {
-		des := search.RandomDesign(cfg.HW, rng)
+		des := cfg.HW.Random(rng)
 		m, err := e.HWEvalCtx(ctx, []*dnn.Network{nasNet}, des)
 		if err != nil {
 			return nil, err
@@ -176,7 +176,7 @@ func Fig6(ctx context.Context, w workload.Workload, b Budget) (*Fig6Data, error)
 		n = 30
 	}
 	for s := 0; s < n; s++ {
-		des := search.RandomDesign(cfg.HW, rng)
+		des := cfg.HW.Random(rng)
 		m, err := e.HWEvalCtx(ctx, nets, des)
 		if err != nil {
 			return nil, err

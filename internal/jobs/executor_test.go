@@ -8,6 +8,12 @@ import (
 	"nasaic/pkg/nasaic"
 )
 
+// execFunc adapts a plain function to the Executor interface, so tests can
+// substitute controllable fake work for the engine.
+type execFunc func(ctx context.Context, j *Job) (*nasaic.Result, error)
+
+func (f execFunc) Execute(ctx context.Context, j *Job) (*nasaic.Result, error) { return f(ctx, j) }
+
 // fakeExecutor is a controllable Executor: Execute emits scripted events and
 // blocks until released (or ctx is done), and the DrainEstimate is whatever
 // the test says the "cluster" looks like.

@@ -60,7 +60,7 @@ func FuzzSubmitSpec(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	m := NewManager(Options{RunJob: func(context.Context, *Job) (*nasaic.Result, error) { return nil, nil }})
+	m := NewManager(Options{Executor: execFunc(func(context.Context, *Job) (*nasaic.Result, error) { return nil, nil })})
 	f.Cleanup(m.Close)
 	h := NewHandler(m)
 	f.Fuzz(func(t *testing.T, body []byte) {

@@ -186,11 +186,6 @@ type Options struct {
 	// worker replicas). Nil selects the local runner — the standalone and
 	// worker behavior.
 	Executor Executor
-	// RunJob is a test seam: when set it replaces the engine for every job
-	// (and takes precedence over Executor), so scheduling-focused harnesses
-	// — fairness, soak, cluster soak — can substitute controllable fake work
-	// without paying for real explorations.
-	RunJob func(ctx context.Context, j *Job) (*nasaic.Result, error)
 }
 
 func (o Options) maxConcurrent() int {
@@ -287,10 +282,6 @@ type Manager struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	// testRun, when set (in-package tests only), replaces nasaic.Run for
-	// every job: fairness and soak tests substitute controllable fake work.
-	testRun func(ctx context.Context, j *Job) (*nasaic.Result, error)
-
 	// mu guards the job table and dispatcher state. It is hot — every
 	// Submit/Get/List/SSE wakeup takes it — so nothing slow may run under
 	// it: PR 8 fixed a group-commit fsync performed while holding it, and
@@ -323,13 +314,12 @@ type Manager struct {
 func NewManager(opts Options) *Manager {
 	ctx, cancel := context.WithCancel(context.Background()) //lint:allow ctxplumb manager lifecycle root: jobs outlive any caller; Close cancels it
 	m := &Manager{
-		opts:    opts,
-		logf:    opts.logf(),
-		ctx:     ctx,
-		cancel:  cancel,
-		jobs:    make(map[string]*Job),
-		sched:   make(map[string]*tenantState),
-		testRun: opts.RunJob,
+		opts:   opts,
+		logf:   opts.logf(),
+		ctx:    ctx,
+		cancel: cancel,
+		jobs:   make(map[string]*Job),
+		sched:  make(map[string]*tenantState),
 	}
 	if opts.ShareMemos {
 		m.shared = nasaic.NewSharedMemos()
@@ -772,13 +762,6 @@ func (m *Manager) run(j *Job, ctx context.Context) {
 		return
 	}
 
-	if m.testRun != nil {
-		j.setRunning()
-		res, err := m.testRun(ctx, j)
-		j.finish(res, err)
-		return
-	}
-
 	j.setRunning()
 	res, err := m.executor().Execute(ctx, j)
 	j.finish(res, err)
@@ -1168,18 +1151,7 @@ func (j *Job) EmitEvent(seq int, e nasaic.Event) {
 	if seq > next {
 		j.skipToLocked(seq)
 	}
-	if j.jn != nil {
-		if raw, err := nasaic.EncodeEvent(e); err == nil {
-			j.journal(journal.Record{Type: journal.TypeEvent, Job: j.ID, Seq: seq, Event: raw})
-		}
-	}
-	j.events = append(j.events, e)
-	if len(j.events) > j.maxEv {
-		drop := len(j.events) - j.maxEv
-		j.events = append(j.events[:0], j.events[drop:]...)
-		j.firstSeq += drop
-	}
-	j.notifyLocked()
+	j.emitLocked(e)
 }
 
 // SkipTo acknowledges a gap announced by a worker's reset frame: events
@@ -1253,39 +1225,38 @@ func (j *Job) restoreEvents(st *journal.JobState) {
 				j.ID, j.firstSeq+len(j.events), err)
 			break
 		}
-		j.events = append(j.events, ev)
-	}
-	if len(j.events) > j.maxEv {
-		drop := len(j.events) - j.maxEv
-		j.events = append(j.events[:0], j.events[drop:]...)
-		j.firstSeq += drop
+		j.pushEventLocked(ev)
 	}
 }
 
-// appendEvent records one episode event, dropping the oldest past the ring
-// bound, and wakes subscribers. The event journals (canonical encoding,
-// shared with the SSE wire format) before any subscriber can observe it.
+// appendEvent records one locally produced episode event.
 func (j *Job) appendEvent(e nasaic.Event) {
 	j.mu.Lock()
-	seq := j.firstSeq + len(j.events)
+	defer j.mu.Unlock()
+	j.emitLocked(e)
+}
+
+// emitLocked records one live event under the next sequence number and
+// wakes subscribers. The event journals (canonical encoding, shared with the
+// SSE wire format) before any subscriber can observe it. Callers hold j.mu.
+func (j *Job) emitLocked(e nasaic.Event) {
 	if j.jn != nil {
 		if raw, err := nasaic.EncodeEvent(e); err == nil {
-			j.journal(journal.Record{
-				Type:  journal.TypeEvent,
-				Job:   j.ID,
-				Seq:   seq,
-				Event: raw,
-			})
+			j.journal(journal.Record{Type: journal.TypeEvent, Job: j.ID, Seq: j.firstSeq + len(j.events), Event: raw})
 		}
 	}
+	j.pushEventLocked(e)
+	j.notifyLocked()
+}
+
+// pushEventLocked appends e to the ring and drops the oldest event past the
+// ring bound. Callers hold j.mu, or own j exclusively during recovery.
+func (j *Job) pushEventLocked(e nasaic.Event) {
 	j.events = append(j.events, e)
 	if len(j.events) > j.maxEv {
-		drop := len(j.events) - j.maxEv
-		j.events = append(j.events[:0], j.events[drop:]...)
-		j.firstSeq += drop
+		j.events = append(j.events[:0], j.events[1:]...)
+		j.firstSeq++
 	}
-	j.notifyLocked()
-	j.mu.Unlock()
 }
 
 func (j *Job) setRunning() {

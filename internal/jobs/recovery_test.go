@@ -347,7 +347,7 @@ func TestRecoverySettlesInvalidSpec(t *testing.T) {
 		return nil, nil
 	}
 	for restart := 1; restart <= 2; restart++ {
-		m := NewManager(Options{DataDir: "/data", FS: mem, Logf: t.Logf, RunJob: run})
+		m := NewManager(Options{DataDir: "/data", FS: mem, Logf: t.Logf, Executor: execFunc(run)})
 		j, err := m.Get("job-1")
 		if err != nil {
 			t.Fatalf("restart %d: %v", restart, err)

@@ -57,14 +57,14 @@ func TestMultiTenantSoak(t *testing.T) {
 	defer m.Close()
 	// Fake work: a millisecond of "exploration" that honours cancellation,
 	// so the soak exercises scheduling, not the engine.
-	m.testRun = func(ctx context.Context, j *Job) (*nasaic.Result, error) {
+	m.opts.Executor = execFunc(func(ctx context.Context, j *Job) (*nasaic.Result, error) {
 		select {
 		case <-time.After(time.Millisecond):
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 		return &nasaic.Result{Episodes: j.Spec.Episodes}, nil
-	}
+	})
 	srv := httptest.NewServer(NewAuthHandler(m, reg))
 	defer srv.Close()
 	client := srv.Client()

@@ -48,7 +48,7 @@ func TestFairShareDispatchOrder(t *testing.T) {
 		order []string
 	)
 	step := make(chan struct{})
-	m.testRun = func(ctx context.Context, j *Job) (*nasaic.Result, error) {
+	m.opts.Executor = execFunc(func(ctx context.Context, j *Job) (*nasaic.Result, error) {
 		mu.Lock()
 		order = append(order, j.ID+"/"+j.Tenant)
 		mu.Unlock()
@@ -57,7 +57,7 @@ func TestFairShareDispatchOrder(t *testing.T) {
 		case <-ctx.Done():
 		}
 		return &nasaic.Result{}, nil
-	}
+	})
 
 	alpha, beta := reg.ByName("alpha"), reg.ByName("beta")
 	// alpha floods first and grabs the only slot; beta's jobs queue behind.
@@ -107,13 +107,13 @@ func TestTenantConcurrencyQuota(t *testing.T) {
 	defer m.Close()
 
 	step := make(chan struct{})
-	m.testRun = func(ctx context.Context, j *Job) (*nasaic.Result, error) {
+	m.opts.Executor = execFunc(func(ctx context.Context, j *Job) (*nasaic.Result, error) {
 		select {
 		case <-step:
 		case <-ctx.Done():
 		}
 		return &nasaic.Result{}, nil
-	}
+	})
 
 	alpha, beta := reg.ByName("alpha"), reg.ByName("beta")
 	a1, err := m.SubmitAs(alpha, quickSpec(1))
@@ -152,13 +152,13 @@ func TestTenantPendingQuota(t *testing.T) {
 
 	step := make(chan struct{})
 	defer close(step)
-	m.testRun = func(ctx context.Context, j *Job) (*nasaic.Result, error) {
+	m.opts.Executor = execFunc(func(ctx context.Context, j *Job) (*nasaic.Result, error) {
 		select {
 		case <-step:
 		case <-ctx.Done():
 		}
 		return &nasaic.Result{}, nil
-	}
+	})
 
 	alpha, beta := reg.ByName("alpha"), reg.ByName("beta")
 	a1, err := m.SubmitAs(alpha, quickSpec(1))
@@ -310,13 +310,13 @@ func TestHTTPQuotaRetryAfter(t *testing.T) {
 
 	step := make(chan struct{})
 	defer close(step)
-	m.testRun = func(ctx context.Context, j *Job) (*nasaic.Result, error) {
+	m.opts.Executor = execFunc(func(ctx context.Context, j *Job) (*nasaic.Result, error) {
 		select {
 		case <-step:
 		case <-ctx.Done():
 		}
 		return &nasaic.Result{}, nil
-	}
+	})
 	srv := httptest.NewServer(NewAuthHandler(m, reg))
 	defer srv.Close()
 

@@ -123,40 +123,6 @@ func BenchmarkExhaustiveReferenceLarge(b *testing.B) {
 	benchSolver(b, benchProblem(4, 2, 7, 2), referenceExhaustive)
 }
 
-// benchBnBProblem is a nodeBudget-scale instance (3^24 assignments, beyond
-// Exhaustive's guard) with a deadline loose enough that the search completes.
-func benchBnBProblem() Problem {
-	p := benchProblem(5, 2, 12, 3)
-	p.Deadline = p.Deadline * 3
-	return p
-}
-
-// BenchmarkBranchAndBound times the unified solver (exhaustPre suffix
-// bounds, bounded leaf simulation, shared-bound parallel split) against the
-// retained pre-unification reference on the same instance; both report the
-// schedule energy so the smoke can check the results agree.
-func BenchmarkBranchAndBound(b *testing.B) {
-	p := benchBnBProblem()
-	benchSolver(b, p, func(p Problem) (Result, error) {
-		res, complete, err := BranchAndBound(p, 4<<20)
-		if err == nil && !complete {
-			b.Fatal("search did not complete within budget")
-		}
-		return res, err
-	})
-}
-
-func BenchmarkBranchAndBoundReference(b *testing.B) {
-	p := benchBnBProblem()
-	benchSolver(b, p, func(p Problem) (Result, error) {
-		res, complete, err := referenceBranchAndBound(p, 4<<20)
-		if err == nil && !complete {
-			b.Fatal("search did not complete within budget")
-		}
-		return res, err
-	})
-}
-
 func benchHAP(b *testing.B, p Problem) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

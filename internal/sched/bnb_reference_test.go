@@ -1,11 +1,13 @@
 package sched
 
-// This file retains the pre-unification BranchAndBound verbatim (modulo the
-// rename) as the reference semantics for the differential tests: its own
-// bound bookkeeping, a full unbounded simulation per leaf, no suffix-bound
-// sharing with Exhaustive and no parallel split. The unified solver in
-// bnb.go must match it bit for bit on every search that completes within
-// budget — same assignment, makespan, energy and completeness flag.
+// This file holds the exact oracle for HAP instances beyond Exhaustive's
+// size guard: a depth-first branch and bound over layer assignments, branched
+// in decreasing energy-spread order and pruned with admissible energy and
+// makespan bounds, running a full simulation per leaf. nodeBudget bounds the
+// explored nodes; the second return reports whether the search completed
+// within it (true ⇒ the result is optimal). bnb_test.go checks it against
+// Exhaustive on small instances and uses it to bound the heuristic on a
+// medium one.
 
 import (
 	"fmt"

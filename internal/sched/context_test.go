@@ -164,21 +164,6 @@ func TestHeuristicCtxCancelMidScanPartialBest(t *testing.T) {
 	}
 }
 
-// TestBranchAndBoundCtxCancelled covers the unified B&B's cancellation on
-// both the sequential and the parallel path.
-func TestBranchAndBoundCtxCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := BranchAndBoundCtx(ctx, cancelProblem(10, 4), 1<<30); !errors.Is(err, context.Canceled) {
-		t.Fatalf("sequential BranchAndBoundCtx: err = %v, want context.Canceled", err)
-	}
-	p := cancelProblem(10, 4)
-	p.tuning = tuning{parallelExhaustMin: 2, maxWorkers: 4}
-	if _, _, err := BranchAndBoundCtx(ctx, p, 1<<30); !errors.Is(err, context.Canceled) {
-		t.Fatalf("parallel BranchAndBoundCtx: err = %v, want context.Canceled", err)
-	}
-}
-
 func TestHAPCtxUncancelledMatchesHAP(t *testing.T) {
 	p := cancelProblem(8, 3)
 	e1, r1, err := HAP(p)

@@ -353,68 +353,6 @@ func TestDifferentialHeuristicNoCheckpoint(t *testing.T) {
 	}
 }
 
-// TestDifferentialBranchAndBound drives the unified B&B (exhaustPre suffix
-// bounds, bounded leaf simulation, shared best-energy bound) against the
-// retained pre-unification solver on random instances. Every search
-// completes within budget, so results must be bit-identical, fallback
-// (infeasible) cases included.
-func TestDifferentialBranchAndBound(t *testing.T) {
-	rng := stats.NewRNG(1010)
-	for trial := 0; trial < 120; trial++ {
-		scale := 1.0
-		if trial%3 == 0 {
-			scale = 1e8
-		}
-		p := randomProblem(rng, 2, 5, 1+rng.Intn(3), scale)
-		if trial%5 == 0 {
-			p.Deadline = 1 // unmeetable: pins the min-makespan fallback path
-		}
-		got, gotComplete, err := BranchAndBound(p, 1<<22)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantComplete, err := referenceBranchAndBound(p, 1<<22)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotComplete != wantComplete {
-			t.Fatalf("trial %d: complete %v != reference %v", trial, gotComplete, wantComplete)
-		}
-		mustEqualResults(t, fmt.Sprintf("trial %d", trial), got, want)
-	}
-}
-
-// TestDifferentialBranchAndBoundParallel forces the shared-bound parallel
-// split (threshold 2, four workers) and requires the fold to reproduce the
-// reference solver exactly — the same straddle the exhaustive differential
-// does for Exhaustive.
-func TestDifferentialBranchAndBoundParallel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("parallel enumerations")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	rng := stats.NewRNG(1111)
-	for trial := 0; trial < 30; trial++ {
-		p := randomProblem(rng, 2, 6, 2+rng.Intn(2), 1e7)
-		if trial%5 == 0 {
-			p.Deadline = 1
-		}
-		p.tuning = tuning{parallelExhaustMin: 2, maxWorkers: 4}
-		got, gotComplete, err := BranchAndBound(p, 1<<22)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantComplete, err := referenceBranchAndBound(p, 1<<22)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !gotComplete || !wantComplete {
-			t.Fatalf("trial %d: search did not complete (%v %v)", trial, gotComplete, wantComplete)
-		}
-		mustEqualResults(t, fmt.Sprintf("trial %d", trial), got, want)
-	}
-}
-
 // TestHeuristicNeverBeatsExhaustive: on every exhaustible instance where both
 // find a feasible schedule, the heuristic's energy must be >= the optimum —
 // anything else means the exact solver is broken.

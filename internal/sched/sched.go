@@ -6,9 +6,11 @@
 //
 //	specs (LS, ES) are satisfiable  ⇔  HAP(D, AIC, LS) ≤ ES.
 //
-// The package provides the heuristic solver the paper uses (a Shao-style
-// ratio-greedy refinement [29]) and an exhaustive solver for small instances
-// that serves as the ILP-optimal reference in tests and ablations.
+// The package provides the two solvers HAP dispatches to: the heuristic the
+// paper uses (a Shao-style ratio-greedy refinement [29]) and an exhaustive
+// solver for small instances that stands in for the paper's ILP. Beyond
+// Exhaustive's range, the test-only branch-and-bound in bnb_reference_test.go
+// is the exact oracle the heuristic is checked against.
 //
 // The solvers are incremental: the problem is validated once per solve, every
 // candidate assignment is simulated by the allocation-free min-heap engine in
@@ -40,11 +42,6 @@
 // simulation in the same order, so results — and the whole refinement
 // trajectory — stay bit-identical (pinned by differential_test.go, which
 // also runs the full per-move re-simulation the checkpoints replace).
-//
-// BranchAndBound shares the exhaustive enumeration's machinery (suffix
-// min-energy/min-cycle bounds, bounded leaf simulation, shared best-energy
-// bound, parallel prefix split) over its energy-spread branch order, with a
-// node budget shared across workers.
 package sched
 
 import (
@@ -101,7 +98,7 @@ type tuning struct {
 	// refinement round before Heuristic parallelizes the move scan.
 	parallelMoveMin int
 	// parallelExhaustMin is the minimum enumeration size before Exhaustive
-	// (and BranchAndBound) split the assignment space across workers.
+	// splits the assignment space across workers.
 	parallelExhaustMin int
 	// maxWorkers bounds the worker pool of one solve.
 	maxWorkers int
@@ -612,12 +609,10 @@ func HeuristicCtx(ctx context.Context, p Problem) (Result, error) {
 const MaxExhaustiveSize = 1 << 20
 
 // exhaustPre holds the per-position precomputation shared by every
-// enumeration worker: the (chain, layer) of each branch position and the
-// admissible remainder bounds (minimum energy / per-chain minimum cycles
-// over all positions below k). Positions are branched from n-1 down, so
-// position order determines both the enumeration order of the leaves and
-// which layers the suffix bounds cover; Exhaustive uses the chain-major flat
-// order, BranchAndBound its spread-sorted branch order.
+// enumeration worker: the (chain, layer) of each branch position, in
+// chain-major flat order, and the admissible remainder bounds (minimum
+// energy / per-chain minimum cycles over all positions below k). Positions
+// are branched from n-1 down.
 type exhaustPre struct {
 	n       int
 	chainOf []int
@@ -641,13 +636,6 @@ func newExhaustPre(p *Problem) *exhaustPre {
 			k++
 		}
 	}
-	return newExhaustPreFrom(p, chainOf, layerOf)
-}
-
-// newExhaustPreFrom builds the suffix bounds for an arbitrary position
-// permutation (chainOf[k], layerOf[k] is the layer branched at position k).
-func newExhaustPreFrom(p *Problem, chainOf, layerOf []int) *exhaustPre {
-	n := len(chainOf)
 	pre := &exhaustPre{
 		n:       n,
 		chainOf: chainOf,
@@ -679,37 +667,6 @@ func newExhaustPreFrom(p *Problem, chainOf, layerOf []int) *exhaustPre {
 		pre.chainRem[k+1][pre.chainOf[k]] += minC
 	}
 	return pre
-}
-
-// nodeBudget is the shared node allowance of one budgeted (BranchAndBound)
-// search. Workers claim allowance in chunks, so the total nodes explored
-// never exceed the budget for any worker count; hit latches the first failed
-// claim — the search wanted more nodes than the budget allowed.
-type nodeBudget struct {
-	remaining atomic.Int64
-	hit       atomic.Bool
-}
-
-func newNodeBudget(n int64) *nodeBudget {
-	b := &nodeBudget{}
-	b.remaining.Store(n)
-	return b
-}
-
-func (b *nodeBudget) claim(n int64) int64 {
-	for {
-		r := b.remaining.Load()
-		if r <= 0 {
-			b.hit.Store(true)
-			return 0
-		}
-		if n > r {
-			n = r
-		}
-		if b.remaining.CompareAndSwap(r, r-n) {
-			return n
-		}
-	}
 }
 
 // exhaustShared is the cross-worker pruning state: whether any feasible leaf
@@ -768,14 +725,6 @@ type exhaustState struct {
 	// polled and aborted is latched, unwinding the recursion promptly.
 	nodes   int
 	aborted bool
-
-	// budget, when non-nil, bounds the dfs entries across every worker of
-	// the search (BranchAndBound); quota is this worker's locally claimed
-	// allowance and budgetHit latches exhaustion, unwinding the recursion.
-	budget     *nodeBudget
-	quota      int64
-	claimChunk int64
-	budgetHit  bool
 }
 
 func newExhaustState(ctx context.Context, p *Problem, pre *exhaustPre, shared *exhaustShared) *exhaustState {
@@ -856,10 +805,7 @@ func (s *exhaustState) leaf() {
 //   - before one exists, subtrees that are provably infeasible and cannot
 //     improve the running minimum-makespan fallback (integer-exact).
 func (s *exhaustState) dfs(pos int, eSoFar float64) {
-	if s.aborted || s.budgetHit {
-		return
-	}
-	if s.budget != nil && !s.takeNode() {
+	if s.aborted {
 		return
 	}
 	s.nodes++
@@ -901,21 +847,6 @@ func (s *exhaustState) dfs(pos int, eSoFar float64) {
 	}
 }
 
-// takeNode consumes one node of the shared budget, claiming allowance in
-// chunks to keep the shared counter off the hot path; false latches
-// budgetHit.
-func (s *exhaustState) takeNode() bool {
-	if s.quota == 0 {
-		s.quota = s.budget.claim(s.claimChunk)
-		if s.quota == 0 {
-			s.budgetHit = true
-			return false
-		}
-	}
-	s.quota--
-	return true
-}
-
 // Exhaustive enumerates every assignment and returns the minimum-energy
 // schedule meeting the deadline, or — when none is feasible — the schedule
 // with the smallest makespan. It is the optimal reference standing in for
@@ -948,11 +879,7 @@ func ExhaustiveCtx(ctx context.Context, p Problem) (Result, error) {
 	}
 	pre := newExhaustPre(&p)
 	if nw := solverWorkers(total, p.tuning.workers()); total >= p.tuning.exhaustMin() && nw >= 2 {
-		res, _, err := exhaustParallel(ctx, &p, pre, nw, nil)
-		if err != nil {
-			return Result{}, err
-		}
-		return res, nil
+		return exhaustParallel(ctx, &p, pre, nw)
 	}
 	st := newExhaustState(ctx, &p, pre, newExhaustShared())
 	st.dfs(n-1, 0)
@@ -964,13 +891,10 @@ func ExhaustiveCtx(ctx context.Context, p Problem) (Result, error) {
 
 // exhaustParallel splits the enumeration over the top assignment digits and
 // folds the per-prefix results in prefix (= enumeration) order, reproducing
-// the sequential running-minimum selection exactly. A non-nil budget bounds
-// the dfs nodes across all workers (BranchAndBound); once it is exhausted the
-// workers record whatever their prefixes found so far and unwind. On
-// cancellation every worker stops claiming prefixes, unwinds, and the call
-// returns ctx's error with no goroutines left behind. The second return
-// reports whether any leaf was evaluated.
-func exhaustParallel(ctx context.Context, p *Problem, pre *exhaustPre, nw int, budget *nodeBudget) (Result, bool, error) {
+// the sequential running-minimum selection exactly. On cancellation every
+// worker stops claiming prefixes, unwinds, and the call returns ctx's error
+// with no goroutines left behind.
+func exhaustParallel(ctx context.Context, p *Problem, pre *exhaustPre, nw int) (Result, error) {
 	k := p.NumAccels
 	pd, prefixes := 0, 1
 	for prefixes < 4*nw && pd < pre.n {
@@ -992,8 +916,6 @@ func exhaustParallel(ctx context.Context, p *Problem, pre *exhaustPre, nw int, b
 		go func() {
 			defer wg.Done()
 			st := newExhaustState(ctx, p, pre, shared)
-			st.budget = budget
-			st.claimChunk = parallelBudgetChunk
 			for {
 				pi := int(next.Add(1) - 1)
 				if pi >= prefixes {
@@ -1001,9 +923,6 @@ func exhaustParallel(ctx context.Context, p *Problem, pre *exhaustPre, nw int, b
 				}
 				if ctx.Err() != nil {
 					aborted.Store(true)
-					return
-				}
-				if st.budgetHit {
 					return
 				}
 				st.reset()
@@ -1022,15 +941,13 @@ func exhaustParallel(ctx context.Context, p *Problem, pre *exhaustPre, nw int, b
 					aborted.Store(true)
 					return
 				}
-				// Recorded even when the budget ran out mid-prefix: the
-				// truncated search still returns its best leaf found.
 				sums[pi] = summary{best: st.best, haveFeasible: st.haveFeasible, have: st.have}
 			}
 		}()
 	}
 	wg.Wait()
 	if aborted.Load() {
-		return Result{}, false, ctx.Err()
+		return Result{}, ctx.Err()
 	}
 
 	var best Result
@@ -1048,14 +965,8 @@ func exhaustParallel(ctx context.Context, p *Problem, pre *exhaustPre, nw int, b
 		}
 		have = true
 	}
-	return best, have, nil
+	return best, nil
 }
-
-// parallelBudgetChunk is the node allowance a budgeted parallel worker claims
-// from the shared budget at a time: large enough to keep the shared atomic
-// off the per-node path, small enough that the budget still bounds the total
-// within a fraction of a percent of typical nodeBudget values.
-const parallelBudgetChunk = 1 << 10
 
 // HAP is the paper's solver function re = HAP(D, AIC, LS): it returns the
 // minimum energy achievable under deadline p.Deadline, +Inf when no feasible

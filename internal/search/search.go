@@ -20,6 +20,7 @@ import (
 	"nasaic/internal/accel"
 	"nasaic/internal/core"
 	"nasaic/internal/dnn"
+	"nasaic/internal/predictor"
 	"nasaic/internal/stats"
 	"nasaic/internal/workload"
 )
@@ -71,11 +72,11 @@ func nasArchitectures(w workload.Workload, samples int, rng *stats.RNG) ([][]int
 	for ti, t := range w.Tasks {
 		best := t.Space.Largest()
 		bestNet := t.Space.MustDecode(best)
-		bestAcc := taskAccuracy(t, bestNet)
+		bestAcc := predictor.Accuracy(t.Dataset, bestNet)
 		for s := 0; s < samples; s++ {
 			c := t.Space.Random(rng)
 			n := t.Space.MustDecode(c)
-			if a := taskAccuracy(t, n); a > bestAcc {
+			if a := predictor.Accuracy(t.Dataset, n); a > bestAcc {
 				best, bestNet, bestAcc = c, n, a
 			}
 		}
@@ -83,28 +84,6 @@ func nasArchitectures(w workload.Workload, samples int, rng *stats.RNG) ([][]int
 		nets[ti] = bestNet
 	}
 	return choices, nets
-}
-
-func taskAccuracy(t workload.TaskSpec, n *dnn.Network) float64 {
-	return predictorAccuracy(t, n)
-}
-
-// RandomDesign samples a resource-feasible design from the hardware space.
-func RandomDesign(hw accel.Space, rng *stats.RNG) accel.Design {
-	for {
-		subs := make([]accel.SubAccel, hw.NumSubs)
-		for i := range subs {
-			subs[i] = accel.SubAccel{
-				DF:  hw.Styles[rng.Intn(len(hw.Styles))],
-				PEs: hw.PEOptions[rng.Intn(len(hw.PEOptions))],
-				BW:  hw.BWOptions[rng.Intn(len(hw.BWOptions))],
-			}
-		}
-		d := accel.NewDesign(subs...)
-		if d.Validate(hw.Limits) == nil {
-			return d
-		}
-	}
 }
 
 // NASToASIC runs the successive baseline: NAS ignores hardware, then
@@ -124,7 +103,7 @@ func NASToASIC(ctx context.Context, w workload.Workload, cfg core.Config, archSa
 	best := Candidate{}
 	bestPen := math.Inf(1)
 	for s := 0; s < hwSamples; s++ {
-		d := RandomDesign(cfg.HW, rng)
+		d := cfg.HW.Random(rng)
 		m, err := e.HWEvalCtx(ctx, nets, d)
 		if err != nil {
 			return Candidate{}, err
@@ -154,11 +133,11 @@ func NASToASIC(ctx context.Context, w workload.Workload, cfg core.Config, archSa
 func ClosestToSpecDesign(ctx context.Context, w workload.Workload, e *core.Evaluator, cfg core.Config,
 	nets []*dnn.Network, mcRuns int, rng *stats.RNG) (accel.Design, error) {
 	sp := w.Specs
-	best := RandomDesign(cfg.HW, rng)
+	best := cfg.HW.Random(rng)
 	bestDist := math.Inf(1)
 	bestWithinArea := false
 	for s := 0; s < mcRuns; s++ {
-		d := RandomDesign(cfg.HW, rng)
+		d := cfg.HW.Random(rng)
 		m, err := e.HWEvalCtx(ctx, nets, d)
 		if err != nil {
 			return accel.Design{}, err
@@ -273,7 +252,7 @@ func MonteCarlo(ctx context.Context, w workload.Workload, cfg core.Config, runs 
 			choices[ti] = t.Space.Random(rng)
 			nets[ti] = t.Space.MustDecode(choices[ti])
 		}
-		d := RandomDesign(cfg.HW, rng)
+		d := cfg.HW.Random(rng)
 		c, err := evalCandidate(ctx, e, w, nets, choices, d)
 		if err != nil {
 			return nil, err

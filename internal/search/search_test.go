@@ -96,9 +96,9 @@ func TestRandomDesignAlwaysValid(t *testing.T) {
 	hw := core.DefaultConfig().HW
 	rng := stats.NewRNG(1)
 	for i := 0; i < 200; i++ {
-		d := RandomDesign(hw, rng)
+		d := hw.Random(rng)
 		if err := d.Validate(hw.Limits); err != nil {
-			t.Fatalf("RandomDesign produced invalid design: %v", err)
+			t.Fatalf("Space.Random produced invalid design: %v", err)
 		}
 	}
 }
