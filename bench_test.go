@@ -71,21 +71,6 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// BenchmarkTable1NoCache is the cache-disabled control for BenchmarkTable1:
-// identical rows, higher hw_evals, and the wall-clock delta quantifies the
-// evalcache layer's win on the full Table I pipeline.
-func BenchmarkTable1NoCache(b *testing.B) {
-	budget := experiments.QuickBudget()
-	budget.DisableHWCache = true
-	for i := 0; i < b.N; i++ {
-		_, stats, err := experiments.Table1(context.Background(), budget)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportEvalStats(b, stats)
-	}
-}
-
 // BenchmarkTable1SharedMemo is the warm-start variant of BenchmarkTable1:
 // the layer-cost memo is process-wide and the accuracy memo spans every
 // approach, so all searches after the first start warm. Rows are identical;
@@ -116,19 +101,6 @@ func BenchmarkTable2(b *testing.B) {
 			experiments.RenderTable2(os.Stdout, rows)
 		})
 		b.ReportMetric(100*rows[len(rows)-1].Rows[0].Accuracy, "hetero_best_acc_pct")
-		reportEvalStats(b, stats)
-	}
-}
-
-// BenchmarkTable2NoCache is the cache-disabled control for BenchmarkTable2.
-func BenchmarkTable2NoCache(b *testing.B) {
-	budget := experiments.QuickBudget()
-	budget.DisableHWCache = true
-	for i := 0; i < b.N; i++ {
-		_, stats, err := experiments.Table2(context.Background(), budget)
-		if err != nil {
-			b.Fatal(err)
-		}
 		reportEvalStats(b, stats)
 	}
 }
@@ -236,17 +208,6 @@ func BenchmarkAblationNoEntropy(b *testing.B) {
 func BenchmarkAblationNoHWSteps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := runW3Ablation(b, func(c *core.Config) { c.HWSteps = 0 })
-		b.ReportMetric(100*w, "best_weighted_pct")
-	}
-}
-
-// BenchmarkAblationNoHWCache disables the hardware-evaluation cache. The
-// search outcome is bit-identical to BenchmarkAblationFull (the cache only
-// memoizes a pure function); the ns/op delta is the cache's wall-clock win
-// and hw_evals shows the computations it avoided.
-func BenchmarkAblationNoHWCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		w := runW3Ablation(b, func(c *core.Config) { c.HWCache = false })
 		b.ReportMetric(100*w, "best_weighted_pct")
 	}
 }

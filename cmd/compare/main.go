@@ -31,7 +31,6 @@ func main() {
 		paper      = flag.Bool("paper", false, "use the paper's full search budget")
 		seed       = flag.Int64("seed", 1, "random seed")
 		csv        = flag.String("csv", "", "optional path for CSV export (table 1 only)")
-		hwcache    = flag.Bool("hwcache", true, "memoize hardware evaluations (results are identical either way)")
 		sharedmemo = flag.Bool("sharedmemo", false, "share the layer-cost memo process-wide and the accuracy memo across the table's searches (warm-start; results are identical)")
 		cachedir   = flag.String("cachedir", "", "directory for the persistent cache warm tier; a second run pointed here starts with warm memos (results are identical either way)")
 	)
@@ -45,7 +44,6 @@ func main() {
 		b = nasaic.PaperBudget()
 	}
 	b.Seed = *seed
-	b.DisableHWCache = !*hwcache
 	b.SharedMemo = *sharedmemo
 	b.CacheDir = *cachedir
 

@@ -36,7 +36,6 @@ func main() {
 		progress   = flag.Bool("progress", false, "stream per-episode progress lines to stderr")
 		optim      = flag.String("optimizer", "rl", "search strategy: rl (the paper's RNN controller) or ea (evolutionary)")
 		trace      = flag.Bool("trace", false, "print the best solution's layer-to-sub-accelerator schedule")
-		hwcache    = flag.Bool("hwcache", true, "memoize hardware evaluations (results are identical either way)")
 		cachedir   = flag.String("cachedir", "", "directory for the persistent cache warm tier; a second run pointed here starts with warm memos (results are identical either way)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the search to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -68,7 +67,6 @@ func main() {
 		nasaic.WithHWSteps(*hwSteps),
 		nasaic.WithSeed(*seed),
 		nasaic.WithOptimizer(nasaic.Optimizer(*optim)),
-		nasaic.WithHWCache(*hwcache),
 		nasaic.WithCacheDir(*cachedir),
 	}
 	if *progress {

@@ -56,13 +56,6 @@ type Config struct {
 	// Refine enables the feasibility-preserving coordinate-descent exploit
 	// phase after the RL loop (see refine.go); ablated in bench_test.go.
 	Refine bool
-	// HWCache routes hardware evaluations (cost model + HAP scheduling)
-	// through the sharded internal/evalcache LRU, extending the paper's
-	// "never re-evaluate what you already know" insight from the accuracy
-	// path to the much hotter mapping-and-scheduling path. Results are
-	// bit-identical with the cache on or off (the evaluation is a pure
-	// function of its inputs); only wall clock and evaluation counts change.
-	HWCache bool
 	// ShareLayerMemo promotes the evaluator's layer-cost memo (see
 	// Evaluator) from per-evaluator to the process-wide memo of
 	// maestro.SharedCostMemo (keyed by the full cost-model configuration),
@@ -81,8 +74,8 @@ type Config struct {
 	// hardware-evaluation cache with a caller-owned one, so several
 	// explorers (e.g. the concurrent jobs of one nasaicd process) reuse each
 	// other's mapping-and-scheduling results. The cached evaluation is a
-	// pure function of its inputs, so sharing is bit-identical; it overrides
-	// HWCache.
+	// pure function of its inputs, so sharing is bit-identical. Without it,
+	// every evaluator builds a private cache.
 	SharedHWCache *evalcache.Cache[HWMetrics]
 	// CacheDir, when non-empty, backs the layer-cost memo and the (private)
 	// hardware-evaluation cache with a persistent on-disk warm tier: the
@@ -126,7 +119,6 @@ func DefaultConfig() Config {
 		EntropyCoef:  0.015,
 		ReplayCoef:   0.3,
 		Refine:       true,
-		HWCache:      true,
 		Cost:         maestro.DefaultConfig(),
 		HW:           accel.DefaultSpace(),
 	}

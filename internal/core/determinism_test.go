@@ -37,10 +37,12 @@ func runExplorer(t *testing.T, w workload.Workload, workers int, cache bool, epi
 	cfg.Episodes = episodes
 	cfg.Seed = 7
 	cfg.Workers = workers
-	cfg.HWCache = cache
 	x, err := New(w, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !cache {
+		x.eval.hwCache = nil // the uncached reference path
 	}
 	return x.Run()
 }
@@ -189,7 +191,6 @@ func TestBatchDedupCollapsesIdenticalCandidates(t *testing.T) {
 	cfg.HWSteps = 6
 	cfg.Seed = 3
 	cfg.Refine = false
-	cfg.HWCache = false
 	cfg.HW.Styles = cfg.HW.Styles[:1]
 	cfg.HW.PEOptions = []int{512}
 	cfg.HW.BWOptions = []int{16}
@@ -197,6 +198,7 @@ func TestBatchDedupCollapsesIdenticalCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	x.eval.hwCache = nil
 	res := x.Run()
 	// Every episode samples 1+HWSteps candidates of the single possible
 	// design: all but the first per batch must be deduped.

@@ -44,9 +44,13 @@ type HWMetrics struct {
 // Evaluator implements component ③: the mapping-and-scheduling path via the
 // cost model and HAP solver, and the training-and-validating path via the
 // accuracy predictor with memoization (a trained network is never retrained,
-// matching the paper's non-blocking trainer). With Config.HWCache set, the
-// mapping-and-scheduling path is memoized the same way through a sharded
-// LRU keyed by ⟨network signatures, design fingerprint⟩.
+// matching the paper's non-blocking trainer). The mapping-and-scheduling
+// path is memoized the same way through a sharded LRU keyed by ⟨network
+// signatures, design fingerprint⟩, extending the paper's "never re-evaluate
+// what you already know" from the accuracy path to the much hotter
+// mapping-and-scheduling path. The evaluation is a pure function of its
+// inputs, so the cache changes wall clock and evaluation counts, never a
+// result.
 type Evaluator struct {
 	W      workload.Workload
 	Cfg    Config
@@ -62,9 +66,10 @@ type Evaluator struct {
 	// the process.
 	accMemo *AccuracyMemo
 
-	// hwCache memoizes the expensive valid-design evaluations; nil when
-	// Config.HWCache is off. Cached HWMetrics are shared between callers
-	// and must be treated as immutable.
+	// hwCache memoizes the expensive valid-design evaluations: a private
+	// cache, or Config.SharedHWCache. Cached HWMetrics are shared between
+	// callers and must be treated as immutable. Tests set it to nil after
+	// construction to get the uncached reference path.
 	hwCache *evalcache.Cache[HWMetrics]
 
 	hwRequests stats.Counter // HWEvalCtx calls observed (counted requests only)
@@ -187,10 +192,8 @@ func NewEvaluator(w workload.Workload, cfg Config) (*Evaluator, error) {
 	} else {
 		e.layerMemo = maestro.NewCostMemo(cfg.Cost)
 	}
-	switch {
-	case cfg.SharedHWCache != nil:
-		e.hwCache = cfg.SharedHWCache
-	case cfg.HWCache:
+	e.hwCache = cfg.SharedHWCache
+	if e.hwCache == nil {
 		e.hwCache = evalcache.New[HWMetrics](evalcache.Options{})
 	}
 	// Warm-load before computing bounds: the bound sampling already runs
@@ -479,8 +482,8 @@ func (e *Evaluator) EvalStats() EvalStats {
 	}
 }
 
-// CacheStats snapshots the hardware-evaluation cache counters (zero when the
-// cache is disabled). Unlike EvalStats, these include the uncounted
+// CacheStats snapshots the hardware-evaluation cache counters (zero without
+// a cache). Unlike EvalStats, these include the uncounted
 // bound-computation traffic and in-flight dedups.
 func (e *Evaluator) CacheStats() evalcache.Stats {
 	if e.hwCache == nil {

@@ -240,22 +240,16 @@ func (x *Explorer) RunContext(ctx context.Context) (*Result, error) {
 			runErr = err
 			break
 		}
-		// ① SA=SH=1: one combined architecture+hardware step.
-		combined := x.ctrl.Sample()
-		archActs := combined.Actions[:x.archLen]
-		choices, nets, err := x.decodeArch(archActs)
+		// ① SA=SH=1: one combined architecture+hardware rollout, and
+		// ② SA=0, SH=1 for φ steps: φ hardware-only rollouts forced to its
+		// architecture. All 1+φ rollouts step through the controller as one
+		// lockstep batch, and all 1+φ hardware evaluations run in parallel
+		// (the paper's non-blocking scheme).
+		hwEps := x.ctrl.SampleRound(x.archLen, x.Cfg.HWSteps)
+		combined := hwEps[0]
+		choices, nets, err := x.decodeArch(combined.Actions[:x.archLen])
 		if err != nil {
 			panic(fmt.Sprintf("core: controller produced undecodable architecture: %v", err))
-		}
-
-		// ② SA=0, SH=1 for φ steps: explore hardware for this architecture.
-		// All 1+φ hardware evaluations run in parallel (the paper's
-		// non-blocking scheme). The φ forced rollouts share one lockstep
-		// batch through the controller's matrix-matrix fast path.
-		hwEps := make([]*rl.Episode, 0, 1+x.Cfg.HWSteps)
-		hwEps = append(hwEps, combined)
-		if x.Cfg.HWSteps > 0 {
-			hwEps = append(hwEps, x.ctrl.SampleForcedBatch(archActs, x.Cfg.HWSteps)...)
 		}
 		pre := x.work()
 		metrics, err := x.parallelHWEval(ctx, nets, hwEps)
@@ -294,22 +288,25 @@ func (x *Explorer) RunContext(ctx context.Context) (*Result, error) {
 			st.Pruned = true
 		}
 
-		// Reward and controller updates. The combined step uses Eq. (4)
-		// with its own hardware sample; hardware-only steps use the
-		// accuracy-free reward (−ρ·P), masked to the hardware segment.
+		// Reward and controller updates, in one lockstep BPTT over the
+		// combined rollout, the 1+φ hardware rollouts and the replay. The
+		// combined step uses Eq. (4) with its own hardware sample;
+		// hardware-only steps use the accuracy-free reward (−ρ·P), masked
+		// to the hardware segment.
 		batchScale := 1.0 / float64(x.Cfg.Batch)
 		combinedPen := x.eval.Penalty(metrics[0])
 		combinedReward := x.eval.Reward(weighted, combinedPen)
-		x.ctrl.Accumulate(combined, trMain.Advantage(combinedReward), x.Cfg.Gamma, batchScale)
+		trainEps := make([]*rl.Episode, 0, len(hwEps)+2)
+		credits := make([]rl.Credit, 0, len(hwEps)+2)
+		trainEps = append(trainEps, combined)
+		credits = append(credits, rl.Credit{Adv: trMain.Advantage(combinedReward), Scale: batchScale})
 
 		hwScale := batchScale / float64(len(hwEps))
-		hwAdvs := make([]float64, len(hwEps))
-		for i := range hwEps {
+		for i, e := range hwEps {
 			r := -x.Cfg.Rho * x.eval.Penalty(metrics[i])
-			hwAdvs[i] = trHW.Advantage(r)
+			trainEps = append(trainEps, e)
+			credits = append(credits, rl.Credit{Adv: trHW.Advantage(r), Scale: hwScale, Mask: mask})
 		}
-		// One lockstep BPTT over the whole hardware batch.
-		x.ctrl.AccumulateMaskedBatch(hwEps, hwAdvs, x.Cfg.Gamma, hwScale, mask)
 		// Self-imitation replay: reinforce the best complete sample so far.
 		// The best candidate's hardware actions may come from a hardware-
 		// only step; replay the episode that contains them.
@@ -318,11 +315,12 @@ func (x *Explorer) RunContext(ctx context.Context) (*Result, error) {
 			bestEpisode, bestReward = hwEps[bestIdx], solReward
 		}
 		if x.Cfg.ReplayCoef > 0 && bestEpisode != nil {
-			adv := bestReward - trMain.Baseline()
-			if adv > 0 {
-				x.ctrl.Accumulate(bestEpisode, x.Cfg.ReplayCoef*adv, x.Cfg.Gamma, batchScale)
+			if adv := bestReward - trMain.Baseline(); adv > 0 {
+				trainEps = append(trainEps, bestEpisode)
+				credits = append(credits, rl.Credit{Adv: x.Cfg.ReplayCoef * adv, Scale: batchScale})
 			}
 		}
+		x.ctrl.AccumulateRound(trainEps, credits, x.Cfg.Gamma)
 
 		pending++
 		if pending >= x.Cfg.Batch || ep == x.Cfg.Episodes-1 {

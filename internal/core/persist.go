@@ -41,7 +41,7 @@ func (e *Evaluator) loadCaches() {
 		return
 	}
 	_, _ = e.layerMemo.LoadFile(e.layerMemo.CacheFile(dir))
-	if e.hwCache != nil && e.Cfg.SharedHWCache == nil {
+	if e.Cfg.SharedHWCache == nil {
 		_, _ = evalcache.LoadFile(e.hwCache, e.hwCacheFile(), e.hwCacheKey())
 	}
 }
@@ -57,7 +57,7 @@ func (e *Evaluator) SaveCaches() error {
 		return nil
 	}
 	errs := []error{e.layerMemo.SaveFile(e.layerMemo.CacheFile(dir))}
-	if e.hwCache != nil && e.Cfg.SharedHWCache == nil {
+	if e.Cfg.SharedHWCache == nil {
 		errs = append(errs, evalcache.SaveFile(e.hwCache, e.hwCacheFile(), e.hwCacheKey()))
 	}
 	return errors.Join(errs...)

@@ -169,61 +169,14 @@ func (c *Cache[V]) putLocked(s *shard[V], key string, val V) {
 	}
 }
 
-// GetOrCompute returns the value for key, running compute on a miss. The
+// GetOrComputeErr returns the value for key, running compute on a miss. The
 // returned flag reports whether this call avoided the computation: true for
 // a resident hit or a wait on another caller's in-flight compute, false when
 // this call ran compute itself. Concurrent callers that miss on the same key
-// share a single computation (singleflight); if compute panics, the panic
-// propagates to the computing caller and waiters retry.
-func (c *Cache[V]) GetOrCompute(key string, compute func() V) (V, bool) {
-	s := c.shardFor(key)
-	for {
-		s.mu.Lock()
-		if el, ok := s.items[key]; ok {
-			s.ll.MoveToFront(el)
-			c.hits.Inc()
-			v := el.Value.(*entry[V]).val
-			s.mu.Unlock()
-			return v, true
-		}
-		if cl, ok := s.inflight[key]; ok {
-			c.dedups.Inc()
-			s.mu.Unlock()
-			cl.wg.Wait()
-			if cl.ok {
-				return cl.val, true
-			}
-			// The computing caller panicked; race to recompute.
-			continue
-		}
-		cl := &call[V]{}
-		cl.wg.Add(1)
-		s.inflight[key] = cl
-		c.misses.Inc()
-		s.mu.Unlock()
-
-		func() {
-			defer func() {
-				s.mu.Lock()
-				if cl.ok {
-					c.putLocked(s, key, cl.val)
-				}
-				delete(s.inflight, key)
-				s.mu.Unlock()
-				cl.wg.Done()
-			}()
-			cl.val = compute()
-			cl.ok = true
-		}()
-		return cl.val, false
-	}
-}
-
-// GetOrComputeErr is GetOrCompute for fallible computations (typically ones
-// that honour a context): when compute returns an error, nothing is cached,
-// the error is returned to the computing caller, and waiters retry with their
-// own compute function — mirroring the panic semantics of GetOrCompute. The
-// flag reports whether this call avoided running compute itself.
+// share a single computation (singleflight). When compute returns an error
+// (typically one that honours a context) or panics, nothing is cached, the
+// error or panic goes to the computing caller, and waiters retry with their
+// own compute function.
 func (c *Cache[V]) GetOrComputeErr(key string, compute func() (V, error)) (V, bool, error) {
 	s := c.shardFor(key)
 	for {

@@ -1,6 +1,7 @@
 package evalcache
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -92,7 +93,7 @@ func TestLRUEvictionAtCapacity(t *testing.T) {
 	}
 }
 
-// Concurrent mixed get/put/GetOrCompute over a shared key range; correctness
+// Concurrent mixed get/put/GetOrComputeErr over a shared key range; correctness
 // is checked by -race plus value integrity (a key always maps to its own
 // deterministic value).
 func TestConcurrentMixedAccess(t *testing.T) {
@@ -119,9 +120,9 @@ func TestConcurrentMixedAccess(t *testing.T) {
 						return
 					}
 				default:
-					v, _ := c.GetOrCompute(key, func() int { return k })
-					if v != k {
-						t.Errorf("GetOrCompute(%s) = %d, want %d", key, v, k)
+					v, _, err := c.GetOrComputeErr(key, func() (int, error) { return k, nil })
+					if err != nil || v != k {
+						t.Errorf("GetOrComputeErr(%s) = %d, %v, want %d", key, v, err, k)
 						return
 					}
 				}
@@ -151,11 +152,11 @@ func TestInflightDedup(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		results[0], _ = c.GetOrCompute("k", func() int {
+		results[0], _, _ = c.GetOrComputeErr("k", func() (int, error) {
 			computes.Add(1)
 			close(started)
 			<-release
-			return 42
+			return 42, nil
 		})
 	}()
 	<-started // the computing caller is now inside compute()
@@ -163,9 +164,9 @@ func TestInflightDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, avoided := c.GetOrCompute("k", func() int {
+			v, avoided, _ := c.GetOrComputeErr("k", func() (int, error) {
 				computes.Add(1)
-				return 42
+				return 42, nil
 			})
 			if !avoided {
 				t.Errorf("waiter %d recomputed instead of deduplicating", i)
@@ -193,7 +194,8 @@ func TestInflightDedup(t *testing.T) {
 	}
 }
 
-// A panicking compute must not wedge waiters or leave the key poisoned.
+// A panicking or failing compute must not wedge waiters or leave the key
+// poisoned: nothing is cached, and the next caller computes afresh.
 func TestComputePanicRecovers(t *testing.T) {
 	c := New[int](Options{Capacity: 8, Shards: 1})
 	func() {
@@ -202,11 +204,52 @@ func TestComputePanicRecovers(t *testing.T) {
 				t.Fatal("panic did not propagate to the computing caller")
 			}
 		}()
-		c.GetOrCompute("k", func() int { panic("boom") })
+		c.GetOrComputeErr("k", func() (int, error) { panic("boom") })
 	}()
-	v, avoided := c.GetOrCompute("k", func() int { return 7 })
-	if v != 7 || avoided {
-		t.Fatalf("retry after panic = (%d, %v), want (7, false)", v, avoided)
+	v, avoided, err := c.GetOrComputeErr("k", func() (int, error) { return 7, nil })
+	if v != 7 || avoided || err != nil {
+		t.Fatalf("retry after panic = (%d, %v, %v), want (7, false, nil)", v, avoided, err)
+	}
+
+	boom := errors.New("boom")
+	if _, avoided, err := c.GetOrComputeErr("e", func() (int, error) { return 0, boom }); err != boom || avoided {
+		t.Fatalf("failing compute = (%v, %v), want (false, %v)", avoided, err, boom)
+	}
+	if _, ok := c.Get("e"); ok {
+		t.Fatal("a failed compute was cached")
+	}
+	v, avoided, err = c.GetOrComputeErr("e", func() (int, error) { return 9, nil })
+	if v != 9 || avoided || err != nil {
+		t.Fatalf("retry after error = (%d, %v, %v), want (9, false, nil)", v, avoided, err)
+	}
+
+	// A waiter parked on a compute that fails retries with its own compute.
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.GetOrComputeErr("w", func() (int, error) {
+			close(started)
+			<-release
+			return 0, boom
+		})
+	}()
+	<-started
+	type outcome struct {
+		v       int
+		avoided bool
+	}
+	waiter := make(chan outcome)
+	go func() {
+		v, avoided, _ := c.GetOrComputeErr("w", func() (int, error) { return 5, nil })
+		waiter <- outcome{v, avoided}
+	}()
+	for c.Stats().Dedups < 1 {
+	}
+	close(release)
+	<-done
+	if got := <-waiter; got != (outcome{5, false}) {
+		t.Fatalf("waiter after a failed compute = %+v, want {v:5 avoided:false}", got)
 	}
 }
 
@@ -214,14 +257,14 @@ func TestComputePanicRecovers(t *testing.T) {
 func TestCounterAccuracy(t *testing.T) {
 	c := New[string](Options{Capacity: 2, Shards: 1})
 
-	c.Get("a")                                        // miss
-	c.Put("a", "v")                                   //
-	c.Get("a")                                        // hit
-	c.GetOrCompute("a", func() string { return "x" }) // hit (no recompute)
-	c.GetOrCompute("b", func() string { return "w" }) // miss + compute
-	c.Get("b")                                        // hit
-	c.Put("c", "u")                                   // evicts "a" (LRU)
-	c.Get("a")                                        // miss
+	c.Get("a")                                                         // miss
+	c.Put("a", "v")                                                    //
+	c.Get("a")                                                         // hit
+	c.GetOrComputeErr("a", func() (string, error) { return "x", nil }) // hit (no recompute)
+	c.GetOrComputeErr("b", func() (string, error) { return "w", nil }) // miss + compute
+	c.Get("b")                                                         // hit
+	c.Put("c", "u")                                                    // evicts "a" (LRU)
+	c.Get("a")                                                         // miss
 
 	st := c.Stats()
 	want := Stats{Hits: 3, Misses: 3, Dedups: 0, Evictions: 1, Size: 2}

@@ -180,7 +180,7 @@ func TestLenCounterMatchesScan(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		c.Put(fmt.Sprintf("k%d", i%10), float64(i)) // overwrites
 		c.Get(fmt.Sprintf("k%d", i))
-		c.GetOrCompute(fmt.Sprintf("g%d", i%7), func() float64 { return 1 })
+		c.GetOrComputeErr(fmt.Sprintf("g%d", i%7), func() (float64, error) { return 1, nil })
 	}
 	check("after mixed traffic")
 	if c.Len() > 64 {

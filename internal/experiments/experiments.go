@@ -28,10 +28,6 @@ type Budget struct {
 	HWSamples int
 	// Seed drives every deterministic RNG.
 	Seed int64
-	// DisableHWCache turns off the hardware-evaluation cache (the zero
-	// value keeps it on). Results are bit-identical either way; only wall
-	// clock and the reported evaluation counts change.
-	DisableHWCache bool
 	// SharedMemo promotes the layer-cost memo to the process-wide
 	// maestro.SharedCostMemo and shares one accuracy-predictor memo across
 	// all of an experiment's searches, so the Table I/II baselines — which
@@ -66,7 +62,6 @@ func (b Budget) config() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Episodes = b.Episodes
 	cfg.Seed = b.Seed
-	cfg.HWCache = !b.DisableHWCache
 	cfg.ShareLayerMemo = b.SharedMemo
 	cfg.CacheDir = b.CacheDir
 	return cfg

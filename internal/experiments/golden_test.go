@@ -72,21 +72,3 @@ func TestTable2GoldenQuickBudget(t *testing.T) {
 		return buf.Bytes(), nil
 	})
 }
-
-// The cache must not leak into reported numbers: a cache-disabled QuickBudget
-// Table II render has to match the same golden file byte for byte. (Table II
-// is the cheaper of the two tables; Table I's cross-mode equality is covered
-// at unit level by internal/core's determinism tests.)
-func TestTable2GoldenCacheOff(t *testing.T) {
-	testTableGolden(t, "table2_quickbudget.golden", func() ([]byte, error) {
-		b := QuickBudget()
-		b.DisableHWCache = true
-		rows, _, err := Table2(context.Background(), b)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		RenderTable2(&buf, rows)
-		return buf.Bytes(), nil
-	})
-}

@@ -2,12 +2,12 @@ package nn
 
 import "math"
 
-// This file is the batched (matrix-matrix) execution path: B sequences step
-// in lockstep, one column per sequence. Column b of every batched operation
-// is bit-identical to the corresponding matrix-vector operation on column b
-// — same accumulation order, same per-element expressions — which is what
-// lets internal/rl swap B sequential rollouts for one lockstep batch without
-// changing a single bit of the training trajectory.
+// This file is the LSTM's execution path: B sequences step in lockstep, one
+// column per sequence. Column b of every operation is bit-identical to the
+// matrix-vector reference (reference_test.go) on column b — same
+// accumulation order, same per-element expressions — so internal/rl can put
+// any set of episodes into one batch without changing a single bit of the
+// training trajectory.
 
 // LSTMBatchState is the recurrent state of B lockstep sequences; H and C are
 // HiddenSize×B matrices, one column per sequence.
@@ -32,9 +32,9 @@ type LSTMBatchCache struct {
 
 // SeqCaches splits the batch cache into per-sequence LSTMCaches, copying
 // each column out into one shared arena (a single allocation for all B
-// caches). The resulting caches are self-contained — exactly what a
-// sequential Forward would have produced for that sequence — so episodes
-// sampled in a batch can later be backpropagated individually.
+// caches). The resulting caches are self-contained — exactly what the
+// one-sequence reference Forward produces for that sequence — so an episode
+// sampled in one batch can be backpropagated in another.
 func (bc *LSTMBatchCache) SeqCaches() []*LSTMCache {
 	b := bc.H.C
 	in := bc.X.R
@@ -76,8 +76,8 @@ func (l *LSTM) batchScratch(b int) (zx, zh *Mat) {
 }
 
 // ForwardBatch runs one lockstep time step for B sequences: (x I×B, prev) →
-// (next state, cache). Column b of every output is bit-identical to a
-// sequential Forward of column b.
+// (next state, cache). Column b of every output is bit-identical to the
+// reference Forward of column b.
 func (l *LSTM) ForwardBatch(x *Mat, prev LSTMBatchState) (LSTMBatchState, *LSTMBatchCache) {
 	H := l.HiddenSize
 	b := x.C
@@ -112,7 +112,7 @@ func (l *LSTM) ForwardBatch(x *Mat, prev LSTMBatchState) (LSTMBatchState, *LSTMB
 		oc := cache.C.W[i*b : (i+1)*b]
 		oh := cache.H.W[i*b : (i+1)*b]
 		for e := 0; e < b; e++ {
-			// Mirrors the sequential step exactly: z = (Wx·x + Wh·h) + b,
+			// Mirrors the reference step exactly: z = (Wx·x + Wh·h) + b,
 			// then the gate nonlinearities and state update in Forward's
 			// expression order.
 			vi := sigmoid(zxi[e] + zhi[e] + bi)
@@ -130,15 +130,15 @@ func (l *LSTM) ForwardBatch(x *Mat, prev LSTMBatchState) (LSTMBatchState, *LSTMB
 
 // BackwardBatch backpropagates one lockstep time step for B sequences. dH
 // (H×B) is the gradient flowing into this step's output state; dC may be nil
-// on the first backward step, mirroring the sequential API. caches holds the
-// per-sequence forward caches of this step (column order). It returns the
+// on the first backward step. caches holds the per-sequence forward caches
+// of this step (column order). It returns the
 // pre-activation gate gradients dz (4H×B), the input gradient dx (I×B), and
 // the gradient w.r.t. the previous state.
 //
-// Parameter gradients are NOT accumulated here: callers replay
-// (*LSTM).AccumStepGrads per (sequence, step) in the sequential order, so
-// the floating-point accumulation into the gradient buffers is bit-identical
-// to B sequential Backward calls.
+// Parameter gradients are NOT accumulated here: callers pass every step's dz
+// to AccumBPTTGrads, which adds them in the per-sequence order, so the
+// floating-point accumulation into the gradient buffers is bit-identical to
+// B reference Backward passes.
 func (l *LSTM) BackwardBatch(dH, dC *Mat, caches []*LSTMCache) (dz, dx *Mat, dPrev LSTMBatchState) {
 	H := l.HiddenSize
 	b := dH.C
@@ -182,11 +182,11 @@ func (l *LSTM) BackwardBatch(dH, dC *Mat, caches []*LSTMCache) (dz, dx *Mat, dPr
 // at once: dzs[t] is the 4H×B gate pre-activation gradient of step t, and
 // xs[k], hps[k] are the cached X and HPrev vectors indexed by
 // k = e·T + (T−1−t) — sequence-major with t descending, the order in which
-// B sequential Accumulate passes would apply their AddOuter calls.
+// B reference Backward passes apply their per-step AddOuter calls.
 //
 // Each gradient element's additions happen in exactly that k order into a
-// register accumulator, so the result is bit-identical to the sequential
-// AddOuter sequence — but every gradient matrix is walked once instead of
+// register accumulator, so the result is bit-identical to that AddOuter
+// sequence — but every gradient matrix is walked once instead of
 // B·T times, with eight independent column accumulators per pass.
 func (l *LSTM) AccumBPTTGrads(dzs []*Mat, xs, hps [][]float64) {
 	T := len(dzs)
@@ -272,7 +272,7 @@ func accumRowOuter(grow, dzrow, xflat []float64, cols int) {
 }
 
 // ForwardBatch computes Y = W·X + b over a column batch (X in×B), allocating
-// Y. Column b is bit-identical to Forward of column b.
+// Y. Column b is bit-identical to the reference Forward of column b.
 func (l *Linear) ForwardBatch(x *Mat) *Mat {
 	y := NewMat(l.W.Val.R, x.C)
 	l.W.Val.MulMatInto(y, x)

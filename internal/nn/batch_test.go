@@ -62,11 +62,23 @@ func TestMulTMatColumnsMatchMulTVec(t *testing.T) {
 	}
 }
 
+// batchWidths are the column counts the controller runs: a single episode,
+// a small batch, and the widths of one NASAIC round at φ=10 (11 rollouts
+// sampled; 13 episodes trained with the combined rollout and a replay).
+// Together they cover the 8-, 4- and scalar-column kernel blocks.
+var batchWidths = []int{1, 4, 11, 13}
+
 func TestLSTMForwardBatchColumnsMatchForward(t *testing.T) {
-	rng := stats.NewRNG(7)
+	for _, B := range batchWidths {
+		t.Run(fmt.Sprintf("B=%d", B), func(t *testing.T) { lstmForwardColumns(t, B) })
+	}
+}
+
+func lstmForwardColumns(t *testing.T, B int) {
+	rng := stats.NewRNG(7 + int64(B))
 	init := func(p *Param) { p.InitXavier(rng) }
 	l := NewLSTM(5, 6, init)
-	const B, T = 4, 3
+	const T = 3
 
 	// Sequential reference: B independent rollouts of the same cell.
 	seqStates := make([]LSTMState, B)
@@ -115,9 +127,17 @@ func TestLSTMForwardBatchColumnsMatchForward(t *testing.T) {
 }
 
 // TestLSTMBackwardBatchMatchesSequential drives a full two-step BPTT through
-// both paths — batched flows plus the episode-major AccumStepGrads replay —
-// and requires bit-identical parameter gradients and input gradients.
+// both paths — the reference Backward per sequence, and the batched flows
+// plus AccumBPTTGrads and the episode-major head replay the controller
+// runs — and requires bit-identical parameter gradients and input
+// gradients.
 func TestLSTMBackwardBatchMatchesSequential(t *testing.T) {
+	for _, B := range batchWidths {
+		t.Run(fmt.Sprintf("B=%d", B), func(t *testing.T) { lstmBackwardColumns(t, B) })
+	}
+}
+
+func lstmBackwardColumns(t *testing.T, B int) {
 	build := func() (*LSTM, []*Linear) {
 		rng := stats.NewRNG(11)
 		init := func(p *Param) { p.InitXavier(rng) }
@@ -128,8 +148,8 @@ func TestLSTMBackwardBatchMatchesSequential(t *testing.T) {
 	lSeq, headsSeq := build()
 	lBat, headsBat := build()
 
-	const B, T = 5, 2
-	rng := stats.NewRNG(13)
+	const T = 2
+	rng := stats.NewRNG(13 + int64(B))
 	xs := make([]*Mat, T)
 	for i := range xs {
 		xs[i] = randMat(rng, 4, B)
@@ -186,14 +206,15 @@ func TestLSTMBackwardBatchMatchesSequential(t *testing.T) {
 		dzs[i], dxs[i], dPrev = lBat.BackwardBatch(dh, dC, batCaches[i])
 		dH, dC = dPrev.H, dPrev.C
 	}
-	dzcol := make([]float64, 4*6)
+	var xsK, hpsK [][]float64
 	for e := 0; e < B; e++ {
 		for i := T - 1; i >= 0; i-- {
 			headsBat[i].AccumStepGrads(dys[i].Col(e), batCaches[i][e].H)
-			dzs[i].ColInto(dzcol, e)
-			lBat.AccumStepGrads(dzcol, batCaches[i][e].X, batCaches[i][e].HPrev)
+			xsK = append(xsK, batCaches[i][e].X)
+			hpsK = append(hpsK, batCaches[i][e].HPrev)
 		}
 	}
+	lBat.AccumBPTTGrads(dzs, xsK, hpsK)
 
 	// Input gradients, column by column.
 	for e := 0; e < B; e++ {
@@ -229,17 +250,85 @@ func TestLinearForwardBatchMatchesForward(t *testing.T) {
 	rng := stats.NewRNG(17)
 	init := func(p *Param) { p.InitXavier(rng) }
 	lin := NewLinear("l", 6, 4, init)
-	x := randMat(rng, 6, 5)
-	y := lin.ForwardBatch(x)
-	for e := 0; e < 5; e++ {
-		want := lin.Forward(x.Col(e))
-		got := y.Col(e)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("col %d elem %d: %.17g vs %.17g", e, i, got[i], want[i])
+	for _, B := range batchWidths {
+		x := randMat(rng, 6, B)
+		y := lin.ForwardBatch(x)
+		dy := randMat(rng, 4, B)
+		dx := lin.BackwardBatchFlows(dy)
+		for e := 0; e < B; e++ {
+			want := lin.Forward(x.Col(e))
+			got := y.Col(e)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("B=%d col %d elem %d: %.17g vs %.17g", B, e, i, got[i], want[i])
+				}
+			}
+			wantDX := lin.Backward(dy.Col(e), x.Col(e))
+			gotDX := dx.Col(e)
+			for i := range wantDX {
+				if gotDX[i] != wantDX[i] {
+					t.Fatalf("B=%d col %d dX[%d]: %.17g vs %.17g", B, e, i, gotDX[i], wantDX[i])
+				}
 			}
 		}
 	}
+}
+
+// TestAccumBPTTGradsMatchesAccumStepGrads pins the whole-batch gradient
+// accumulation to its definition: one reference AccumStepGrads call per
+// (sequence, step), sequence-major with t descending, into gradients that
+// already hold values. Shapes put 8-, 4- and scalar-column blocks in each
+// gradient row, and exact zeros in dz exercise the reference's skipped rows.
+func TestAccumBPTTGradsMatchesAccumStepGrads(t *testing.T) {
+	for _, sh := range []struct{ in, hidden, B, T int }{
+		{1, 1, 1, 1}, {5, 6, 4, 3}, {13, 12, 11, 4}, {20, 7, 13, 2},
+	} {
+		rng := stats.NewRNG(int64(31 + sh.in + sh.B))
+		init := func(p *Param) { p.InitXavier(rng) }
+		ref := NewLSTM(sh.in, sh.hidden, init)
+		got := NewLSTM(sh.in, sh.hidden, init)
+		for pi, p := range ref.Params() {
+			for i := range p.Grad.W {
+				v := rng.NormFloat64()
+				p.Grad.W[i] = v
+				got.Params()[pi].Grad.W[i] = v
+			}
+		}
+		dzs := make([]*Mat, sh.T)
+		for i := range dzs {
+			dzs[i] = randMat(rng, 4*sh.hidden, sh.B)
+			for j := 0; j < len(dzs[i].W); j += 5 {
+				dzs[i].W[j] = 0
+			}
+		}
+		var xs, hps [][]float64
+		dz := make([]float64, 4*sh.hidden)
+		for e := 0; e < sh.B; e++ {
+			for i := sh.T - 1; i >= 0; i-- {
+				x, hp := randVec(rng, sh.in), randVec(rng, sh.hidden)
+				xs, hps = append(xs, x), append(hps, hp)
+				ref.AccumStepGrads(dzs[i].ColInto(dz, e), x, hp)
+			}
+		}
+		got.AccumBPTTGrads(dzs, xs, hps)
+		for pi, p := range ref.Params() {
+			for i, want := range p.Grad.W {
+				if g := got.Params()[pi].Grad.W[i]; g != want {
+					t.Fatalf("in=%d h=%d B=%d T=%d %s[%d]: %.17g vs reference %.17g",
+						sh.in, sh.hidden, sh.B, sh.T, p.Name, i, g, want)
+				}
+			}
+		}
+	}
+	// No steps is a no-op; a cache count that disagrees with dz panics.
+	l := NewLSTM(2, 2, func(*Param) {})
+	l.AccumBPTTGrads(nil, nil, nil)
+	defer func() {
+		if recover() == nil {
+			t.Error("AccumBPTTGrads: expected panic on cache count mismatch")
+		}
+	}()
+	l.AccumBPTTGrads([]*Mat{NewMat(8, 2)}, make([][]float64, 1), make([][]float64, 2))
 }
 
 func TestTransposeRoundTrip(t *testing.T) {
@@ -260,7 +349,7 @@ func TestTransposeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestKernelsPureGoFallback re-runs the kernel and BPTT differential suites
+// TestKernelsPureGoFallback re-runs the kernel, BPTT and gradient suites
 // with the SIMD fast path disabled, so the pure-Go register-blocked kernels
 // stay verified on machines where AVX would otherwise mask them.
 func TestKernelsPureGoFallback(t *testing.T) {
@@ -273,6 +362,8 @@ func TestKernelsPureGoFallback(t *testing.T) {
 	t.Run("MulTMat", TestMulTMatColumnsMatchMulTVec)
 	t.Run("ForwardBatch", TestLSTMForwardBatchColumnsMatchForward)
 	t.Run("BackwardBatch", TestLSTMBackwardBatchMatchesSequential)
+	t.Run("AccumBPTTGrads", TestAccumBPTTGradsMatchesAccumStepGrads)
+	t.Run("BatchGradCheck", TestBatchBPTTGradCheck)
 }
 
 // TestSIMDMatchesPureGo compares the two kernel implementations against each

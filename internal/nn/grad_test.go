@@ -131,6 +131,92 @@ func TestLSTMBackwardGradCheckShapes(t *testing.T) {
 	}
 }
 
+// TestBatchBPTTGradCheck central-differences the path the controller
+// trains through: ForwardBatch over B columns and T steps with a linear
+// head per step, then the head flows, BackwardBatch and AccumBPTTGrads for
+// the LSTM weights (heads replay AccumStepGrads). Every LSTM and head
+// weight and every input is checked.
+func TestBatchBPTTGradCheck(t *testing.T) {
+	const in, hidden, opts, B, T = 3, 4, 3, 5, 3
+	rng := stats.NewRNG(41)
+	init := func(p *Param) { p.InitXavier(rng) }
+	l := NewLSTM(in, hidden, init)
+	heads := make([]*Linear, T)
+	for i := range heads {
+		heads[i] = NewLinear(fmt.Sprintf("head%d", i), hidden, opts, init)
+	}
+	xs := make([]*Mat, T)
+	lossW := make([]*Mat, T)
+	for i := range xs {
+		xs[i] = randMat(rng, in, B)
+		lossW[i] = randMat(rng, opts, B)
+	}
+
+	loss := func() float64 {
+		st := l.ZeroBatchState(B)
+		var s float64
+		for i := 0; i < T; i++ {
+			st, _ = l.ForwardBatch(xs[i], st)
+			y := heads[i].ForwardBatch(st.H)
+			for j, v := range y.W {
+				s += lossW[i].W[j] * v
+			}
+		}
+		return s
+	}
+
+	// Analytic pass, the controller's order: flows t descending, then the
+	// parameter gradients episode-major with t descending.
+	caches := make([][]*LSTMCache, T)
+	st := l.ZeroBatchState(B)
+	for i := 0; i < T; i++ {
+		var bc *LSTMBatchCache
+		st, bc = l.ForwardBatch(xs[i], st)
+		caches[i] = bc.SeqCaches()
+	}
+	dzs := make([]*Mat, T)
+	dxs := make([]*Mat, T)
+	dH := NewMat(hidden, B)
+	var dC *Mat
+	for i := T - 1; i >= 0; i-- {
+		dh := heads[i].BackwardBatchFlows(lossW[i])
+		dh.Add(dH)
+		var dPrev LSTMBatchState
+		dzs[i], dxs[i], dPrev = l.BackwardBatch(dh, dC, caches[i])
+		dH, dC = dPrev.H, dPrev.C
+	}
+	var cx, chp [][]float64
+	for e := 0; e < B; e++ {
+		for i := T - 1; i >= 0; i-- {
+			heads[i].AccumStepGrads(lossW[i].Col(e), caches[i][e].H)
+			cx = append(cx, caches[i][e].X)
+			chp = append(chp, caches[i][e].HPrev)
+		}
+	}
+	l.AccumBPTTGrads(dzs, cx, chp)
+
+	params := l.Params()
+	for _, h := range heads {
+		params = append(params, h.Params()...)
+	}
+	checkParamGrads(t, params, loss)
+	for i := range xs {
+		for j := range xs[i].W {
+			orig := xs[i].W[j]
+			xs[i].W[j] = orig + fdEps
+			up := loss()
+			xs[i].W[j] = orig - fdEps
+			down := loss()
+			xs[i].W[j] = orig
+			num := (up - down) / (2 * fdEps)
+			if e := relErr(num, dxs[i].W[j]); e > fdTol {
+				t.Fatalf("dX step %d elem %d: analytic %.12g vs numeric %.12g (rel err %.3g)",
+					i, j, dxs[i].W[j], num, e)
+			}
+		}
+	}
+}
+
 // TestLinearBackwardGradCheckShapes checks Linear.Backward across random
 // shapes and seeds, parameters and inputs both.
 func TestLinearBackwardGradCheckShapes(t *testing.T) {

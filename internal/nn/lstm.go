@@ -5,17 +5,16 @@ import "math"
 // LSTM is a single-layer LSTM cell. Gate layout within the stacked 4H
 // dimension is [input; forget; cell candidate; output].
 //
-// Forward and ForwardBatch reuse internal scratch buffers, so concurrent
-// forward passes on the same cell are racy; clone the parameters into a
-// separate cell per goroutine if concurrent rollouts are ever needed.
+// ForwardBatch reuses internal scratch buffers, so concurrent forward passes
+// on the same cell are racy; clone the parameters into a separate cell per
+// goroutine if concurrent rollouts are ever needed.
 type LSTM struct {
 	InputSize, HiddenSize int
 	Wx                    *Param // 4H × I
 	Wh                    *Param // 4H × H
 	B                     *Param // 4H × 1
 
-	zx, zh   []float64 // sequential pre-activation scratch (4H)
-	bzx, bzh *Mat      // batched pre-activation scratch (4H × B)
+	bzx, bzh *Mat // pre-activation scratch (4H × B)
 }
 
 // NewLSTM returns an LSTM with Xavier-initialized weights and a forget-gate
@@ -39,16 +38,6 @@ func NewLSTM(inputSize, hiddenSize int, init func(*Param)) *LSTM {
 // Params returns the trainable parameters.
 func (l *LSTM) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }
 
-// LSTMState is the recurrent state (h, c).
-type LSTMState struct {
-	H, C []float64
-}
-
-// ZeroState returns an all-zero initial state.
-func (l *LSTM) ZeroState() LSTMState {
-	return LSTMState{H: make([]float64, l.HiddenSize), C: make([]float64, l.HiddenSize)}
-}
-
 // LSTMCache stores the intermediates of one forward step for backprop.
 type LSTMCache struct {
 	X          []float64
@@ -59,84 +48,6 @@ type LSTMCache struct {
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
-
-// Forward runs one time step: (x, prev) → (next state, cache).
-func (l *LSTM) Forward(x []float64, prev LSTMState) (LSTMState, *LSTMCache) {
-	H := l.HiddenSize
-	if l.zx == nil {
-		l.zx = make([]float64, 4*H)
-		l.zh = make([]float64, 4*H)
-	}
-	z := l.Wx.Val.MulVecInto(l.zx, x)
-	AccumVec(z, l.Wh.Val.MulVecInto(l.zh, prev.H))
-	for i := range z {
-		z[i] += l.B.Val.W[i]
-	}
-
-	cache := &LSTMCache{
-		X:     append([]float64(nil), x...),
-		HPrev: append([]float64(nil), prev.H...),
-		CPrev: append([]float64(nil), prev.C...),
-		I:     make([]float64, H), F: make([]float64, H),
-		G: make([]float64, H), O: make([]float64, H),
-		C: make([]float64, H), H: make([]float64, H),
-	}
-	for i := 0; i < H; i++ {
-		cache.I[i] = sigmoid(z[i])
-		cache.F[i] = sigmoid(z[H+i])
-		cache.G[i] = math.Tanh(z[2*H+i])
-		cache.O[i] = sigmoid(z[3*H+i])
-		cache.C[i] = cache.F[i]*prev.C[i] + cache.I[i]*cache.G[i]
-		cache.H[i] = cache.O[i] * math.Tanh(cache.C[i])
-	}
-	return LSTMState{H: cache.H, C: cache.C}, cache
-}
-
-// Backward backpropagates one time step. dH and dC are the gradients flowing
-// into this step's output state (dC may be nil). It accumulates parameter
-// gradients and returns (dX, gradient w.r.t. the previous state).
-func (l *LSTM) Backward(dH, dC []float64, cache *LSTMCache) (dX []float64, dPrev LSTMState) {
-	H := l.HiddenSize
-	dz := make([]float64, 4*H)
-	dCPrev := make([]float64, H)
-
-	for i := 0; i < H; i++ {
-		tc := math.Tanh(cache.C[i])
-		dOut := dH[i]
-		dCt := dOut * cache.O[i] * (1 - tc*tc)
-		if dC != nil {
-			dCt += dC[i]
-		}
-		dI := dCt * cache.G[i]
-		dF := dCt * cache.CPrev[i]
-		dG := dCt * cache.I[i]
-		dO := dOut * tc
-		dCPrev[i] = dCt * cache.F[i]
-
-		dz[i] = dI * cache.I[i] * (1 - cache.I[i])
-		dz[H+i] = dF * cache.F[i] * (1 - cache.F[i])
-		dz[2*H+i] = dG * (1 - cache.G[i]*cache.G[i])
-		dz[3*H+i] = dO * cache.O[i] * (1 - cache.O[i])
-	}
-
-	l.AccumStepGrads(dz, cache.X, cache.HPrev)
-
-	dX = l.Wx.Val.MulTVec(dz)
-	dHPrev := l.Wh.Val.MulTVec(dz)
-	return dX, LSTMState{H: dHPrev, C: dCPrev}
-}
-
-// AccumStepGrads adds one (sequence, step) contribution to the parameter
-// gradients: Wx += dz·xᵀ, Wh += dz·hPrevᵀ, B += dz, in that order. Backward
-// applies it inline; the batched path replays it per sequence in the
-// sequential order so batched gradient accumulation stays bit-identical.
-func (l *LSTM) AccumStepGrads(dz, x, hPrev []float64) {
-	l.Wx.Grad.AddOuter(dz, x)
-	l.Wh.Grad.AddOuter(dz, hPrev)
-	for i := range dz {
-		l.B.Grad.W[i] += dz[i]
-	}
-}
 
 // Linear is a fully-connected layer y = W·x + b.
 type Linear struct {
@@ -157,30 +68,10 @@ func NewLinear(name string, in, out int, init func(*Param)) *Linear {
 // Params returns the trainable parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
-// Forward computes y = W·x + b, allocating y.
-func (l *Linear) Forward(x []float64) []float64 {
-	return l.ForwardInto(make([]float64, l.W.Val.R), x)
-}
-
-// ForwardInto computes dst = W·x + b into the caller's buffer (no
-// allocation) and returns dst.
-func (l *Linear) ForwardInto(dst, x []float64) []float64 {
-	l.W.Val.MulVecInto(dst, x)
-	for i := range dst {
-		dst[i] += l.B.Val.W[i]
-	}
-	return dst
-}
-
-// Backward accumulates parameter gradients for dY at input x and returns dX.
-func (l *Linear) Backward(dY, x []float64) []float64 {
-	l.AccumStepGrads(dY, x)
-	return l.W.Val.MulTVec(dY)
-}
-
 // AccumStepGrads adds one (sequence, step) contribution to the parameter
-// gradients: W += dY·xᵀ then B += dY — the accumulation half of Backward,
-// replayed per sequence by the batched path.
+// gradients: W += dY·xᵀ then B += dY. BackwardBatchFlows leaves the
+// parameter gradients alone; callers replay this per (sequence, step) in the
+// order the gradient adds must follow.
 func (l *Linear) AccumStepGrads(dY, x []float64) {
 	l.W.Grad.AddOuter(dY, x)
 	for i := range dY {

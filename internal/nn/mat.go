@@ -3,19 +3,19 @@
 // backpropagation-through-time support, linear output heads, softmax
 // sampling, and an RMSProp optimizer matching the paper's training setup.
 //
-// The package has two execution paths. The matrix-vector path (Forward,
-// Backward) steps one sequence at a time. The batched path (ForwardBatch,
-// BackwardBatch, see batch.go) steps B sequences in lockstep through blocked
-// matrix-matrix kernels, one column per sequence, and is the hot path of the
-// policy-gradient training loop: a controller batch of episodes runs as one
-// column block instead of B separate matrix-vector sweeps.
+// The package has one execution path: B sequences step in lockstep through
+// blocked matrix-matrix kernels, one column per sequence (ForwardBatch,
+// BackwardBatch, AccumBPTTGrads, see batch.go). A single sequence is a
+// one-column batch. The matrix-vector formulation of the same math — one
+// sequence, one step, one column at a time — lives only in the tests
+// (reference_test.go), as the reference every batched kernel is checked
+// against.
 //
-// Every batched kernel is bit-identical per column to its matrix-vector
-// counterpart — same accumulation order, same per-element operations — so
-// batched and sequential training produce identical parameters down to the
-// last bit (enforced by differential tests here and in internal/rl).
-// Gradients are accumulated across a batch of episodes before each optimizer
-// step, as in Eq. (1).
+// Every batched kernel is bit-identical per column to that reference — same
+// accumulation order, same per-element operations — so the width of a batch
+// never changes a single bit of a training trajectory (enforced by
+// differential tests here and in internal/rl). Gradients are accumulated
+// across a batch of episodes before each optimizer step, as in Eq. (1).
 package nn
 
 import "fmt"
@@ -54,69 +54,15 @@ func (m *Mat) Clone() *Mat {
 	return out
 }
 
-// MulVec computes y = M·x, allocating y.
-func (m *Mat) MulVec(x []float64) []float64 {
-	return m.MulVecInto(make([]float64, m.R), x)
-}
-
-// MulVecInto computes dst = M·x into the caller's buffer (no allocation) and
-// returns dst.
-func (m *Mat) MulVecInto(dst, x []float64) []float64 {
-	if len(x) != m.C {
-		panic(fmt.Sprintf("nn: MulVec shape mismatch %dx%d · %d", m.R, m.C, len(x)))
-	}
-	if len(dst) != m.R {
-		panic(fmt.Sprintf("nn: MulVec destination length %d, want %d", len(dst), m.R))
-	}
-	for i := 0; i < m.R; i++ {
-		row := m.W[i*m.C : (i+1)*m.C]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		dst[i] = s
-	}
-	return dst
-}
-
-// MulTVec computes x = Mᵀ·y, allocating x.
-func (m *Mat) MulTVec(y []float64) []float64 {
-	return m.MulTVecInto(make([]float64, m.C), y)
-}
-
-// MulTVecInto computes dst = Mᵀ·y into the caller's buffer (no allocation)
-// and returns dst.
-func (m *Mat) MulTVecInto(dst, y []float64) []float64 {
-	if len(y) != m.R {
-		panic(fmt.Sprintf("nn: MulTVec shape mismatch %dx%d ᵀ· %d", m.R, m.C, len(y)))
-	}
-	if len(dst) != m.C {
-		panic(fmt.Sprintf("nn: MulTVec destination length %d, want %d", len(dst), m.C))
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < m.R; i++ {
-		yi := y[i]
-		if yi == 0 {
-			continue
-		}
-		row := m.W[i*m.C : (i+1)*m.C]
-		for j, v := range row {
-			dst[j] += v * yi
-		}
-	}
-	return dst
-}
-
 // MulMatInto computes dst = M·X, where X is C×B and dst is R×B: B
 // matrix-vector products run as one register-blocked kernel. Columns are
 // processed in blocks of eight whose accumulators live in registers across
-// the whole reduction, so the loop runs eight independent fused
-// multiply-add chains per M element load instead of MulVec's single
-// latency-bound chain. Column b of dst is bit-identical to M.MulVec(column
-// b of X): every output element accumulates over j in ascending order into
-// a single sum, exactly as MulVec does. dst must not alias m or x.
+// the whole reduction, so the loop runs eight independent multiply-add
+// chains per M element load instead of a matrix-vector product's single
+// latency-bound chain. Column b of dst is bit-identical to the reference
+// M.MulVec(column b of X) in reference_test.go: every output element
+// accumulates over j in ascending order into a single sum. dst must not
+// alias m or x.
 func (m *Mat) MulMatInto(dst, x *Mat) *Mat {
 	if x.R != m.C {
 		panic(fmt.Sprintf("nn: MulMat shape mismatch %dx%d · %dx%d", m.R, m.C, x.R, x.C))
@@ -180,9 +126,9 @@ func (m *Mat) MulMatInto(dst, x *Mat) *Mat {
 // MulTMatInto computes dst = Mᵀ·Y, where Y is R×B and dst is C×B, with the
 // same register-blocked column scheme as MulMatInto (j outer so the
 // accumulators stay in registers over the i reduction). Column b of dst is
-// bit-identical to M.MulTVec(column b of Y): contributions to each output
-// element accumulate over i in ascending order into a single sum. MulTVec
-// additionally skips zero y rows — an optimization, not a semantic: with
+// bit-identical to the reference M.MulTVec(column b of Y): contributions to
+// each output element accumulate over i in ascending order into a single
+// sum. The reference additionally skips zero y rows — an optimization, not a semantic: with
 // finite inputs (all this package ever produces; CheckFinite guards the
 // parameters) adding the skipped ±0 products to an accumulator that starts
 // at +0 cannot change a single bit, which the kernel fuzz targets verify.
@@ -248,17 +194,6 @@ func (m *Mat) MulTMatInto(dst, y *Mat) *Mat {
 		}
 	}
 	return dst
-}
-
-// Transpose returns a new C×R matrix with Mᵀ's elements.
-func (m *Mat) Transpose() *Mat {
-	out := NewMat(m.C, m.R)
-	for i := 0; i < m.R; i++ {
-		for j := 0; j < m.C; j++ {
-			out.W[j*m.R+i] = m.W[i*m.C+j]
-		}
-	}
-	return out
 }
 
 // Add accumulates M += other elementwise.
@@ -338,37 +273,4 @@ func (m *Mat) AddCol(j int, v []float64) {
 	for i := 0; i < m.R; i++ {
 		m.W[i*m.C+j] += v[i]
 	}
-}
-
-// Vector helpers (allocate-free where a destination is passed).
-
-// AddVec computes a + b, allocating.
-func AddVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("nn: AddVec length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// AccumVec accumulates dst += src.
-func AccumVec(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("nn: AccumVec length mismatch")
-	}
-	for i := range src {
-		dst[i] += src[i]
-	}
-}
-
-// ScaleVec computes s·a, allocating.
-func ScaleVec(a []float64, s float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] * s
-	}
-	return out
 }

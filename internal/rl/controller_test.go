@@ -31,7 +31,11 @@ func TestControllerSampleShape(t *testing.T) {
 			t.Errorf("step %d: %d logits, want %d", tIdx, len(ep.Logits[tIdx]), s.NumOptions)
 		}
 	}
-	if lp := ep.LogProb(); lp >= 0 || math.IsNaN(lp) {
+	var lp float64
+	for tIdx, logits := range ep.Logits {
+		lp += math.Log(nn.Softmax(logits)[ep.Actions[tIdx]])
+	}
+	if lp >= 0 || math.IsNaN(lp) || math.IsInf(lp, 0) {
 		t.Errorf("log prob %f should be negative and finite", lp)
 	}
 }
@@ -42,27 +46,6 @@ func TestControllerDeterministicGivenSeed(t *testing.T) {
 	for i := range a.Actions {
 		if a.Actions[i] != b.Actions[i] {
 			t.Fatal("same seed must reproduce the same rollout")
-		}
-	}
-}
-
-func TestGreedyAndProbsConsistent(t *testing.T) {
-	c := NewController(testSpecs(), 16, stats.NewRNG(3))
-	g := c.Greedy()
-	probs := c.Probs()
-	if len(g) != 4 || len(probs) != 4 {
-		t.Fatal("wrong lengths")
-	}
-	for tIdx := range g {
-		if g[tIdx] != stats.ArgMax(probs[tIdx]) {
-			t.Errorf("step %d: greedy %d != argmax of probs", tIdx, g[tIdx])
-		}
-		var sum float64
-		for _, p := range probs[tIdx] {
-			sum += p
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Errorf("step %d: probs sum to %f", tIdx, sum)
 		}
 	}
 }
@@ -94,7 +77,7 @@ func TestControllerLearnsTargetTuple(t *testing.T) {
 		c.Accumulate(e, adv, tr.Gamma, 1.0)
 		c.Update(opt)
 	}
-	g := c.Greedy()
+	g := c.greedy().Actions
 	match := 0
 	for i := range g {
 		if g[i] == target[i] {
@@ -257,7 +240,7 @@ func TestAccumulateMaskedZerosInactiveSteps(t *testing.T) {
 	c := NewController(testSpecs(), 16, stats.NewRNG(23))
 	ep := c.Sample()
 	mask := []bool{false, false, true, true}
-	c.AccumulateMasked(ep, 1.0, 1.0, 1.0, mask)
+	c.AccumulateMaskedBatch([]*Episode{ep}, []float64{1.0}, 1.0, 1.0, mask)
 	if n := c.heads[0].W.GradNorm(); n != 0 {
 		t.Errorf("masked step 0 head received gradient %f", n)
 	}
@@ -276,7 +259,7 @@ func TestAccumulateMaskedZerosInactiveSteps(t *testing.T) {
 				t.Error("expected panic for wrong mask length")
 			}
 		}()
-		c.AccumulateMasked(ep, 1.0, 1.0, 1.0, []bool{true})
+		c.AccumulateMaskedBatch([]*Episode{ep}, []float64{1.0}, 1.0, 1.0, []bool{true})
 	}()
 }
 
@@ -301,8 +284,8 @@ func TestEntropyRegularizationKeepsExploring(t *testing.T) {
 			c.Accumulate(e, adv, 1.0, 1.0)
 			c.Update(opt)
 		}
-		p := c.Probs()[0]
-		return nn.Entropy(p)
+		// Step 0's distribution does not depend on any earlier action.
+		return nn.Entropy(nn.Softmax(c.greedy().Logits[0]))
 	}
 	plain := train(0)
 	regularized := train(0.1)

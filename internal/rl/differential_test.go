@@ -9,13 +9,15 @@ import (
 	"nasaic/internal/stats"
 )
 
-// The batched controller path promises bit-identity with the sequential
-// path: same actions, same logits, same RNG stream consumption, and — after
-// AccumulateBatch/Update — the same parameters down to the last bit.
+// The controller's engine promises that batching never changes a bit: the
+// rollouts of a lockstep batch equal one-episode reference rollouts (same
+// actions, same logits, same RNG stream consumption), and one accumulate
+// call over a set of episodes leaves the same gradients — and, after Update,
+// the same parameters — as one reference pass per episode in order.
 // Floating-point addition is not associative, so this is a real contract
-// (the batched implementation replays its gradient adds in the sequential
-// order); these differential tests enforce it across batch sizes, forced
-// prefixes, masks, entropy regularization and multi-round training.
+// (the engine replays its gradient adds in the per-episode order); these
+// differential tests enforce it across batch widths, forced prefixes,
+// masks, entropy regularization, replays and multi-round training.
 
 func wideSpecs() []DecisionSpec {
 	return []DecisionSpec{
@@ -81,8 +83,13 @@ func requireEpisodesEqual(t *testing.T, seqEps, batEps []*Episode, stage string)
 				}
 			}
 		}
-		if lpa, lpb := a.LogProb(), b.LogProb(); lpa != lpb {
-			t.Fatalf("%s: episode %d log prob %.17g vs %.17g", stage, e, lpa, lpb)
+		for tt := range a.hs {
+			for i := range a.hs[tt] {
+				if a.hs[tt][i] != b.hs[tt][i] {
+					t.Fatalf("%s: episode %d step %d h[%d] %.17g vs %.17g",
+						stage, e, tt, i, a.hs[tt][i], b.hs[tt][i])
+				}
+			}
 		}
 	}
 }
@@ -103,9 +110,10 @@ func TestSampleBatchBitIdenticalToSequential(t *testing.T) {
 			seq, bat := twinControllers(t, 42+int64(b), 20)
 			seqEps := make([]*Episode, b)
 			for e := range seqEps {
-				seqEps[e] = seq.Sample()
+				seqEps[e] = seq.refSample(nil)
 			}
-			batEps := bat.SampleBatch(b)
+			// A round with no forced prefix is b free rollouts.
+			batEps := bat.SampleRound(0, b-1)
 			requireEpisodesEqual(t, seqEps, batEps, "sample")
 			// Both paths must have consumed the RNG stream identically.
 			if us, ub := seq.rng.Float64(), bat.rng.Float64(); us != ub {
@@ -122,7 +130,7 @@ func TestSampleForcedBatchBitIdenticalToSequential(t *testing.T) {
 			seq, bat := twinControllers(t, 7+int64(b), 20)
 			seqEps := make([]*Episode, b)
 			for e := range seqEps {
-				seqEps[e] = seq.sampleForced(prefix)
+				seqEps[e] = seq.refSample(prefix)
 			}
 			batEps := bat.SampleForcedBatch(prefix, b)
 			requireEpisodesEqual(t, seqEps, batEps, "forced sample")
@@ -167,15 +175,15 @@ func TestAccumulateBatchBitIdenticalToSequential(t *testing.T) {
 
 				seqEps := make([]*Episode, b)
 				for e := range seqEps {
-					seqEps[e] = seq.Sample()
+					seqEps[e] = seq.refSample(nil)
 				}
-				batEps := bat.SampleBatch(b)
+				batEps := bat.SampleRound(0, b-1)
 				requireEpisodesEqual(t, seqEps, batEps, "sample")
 
 				advs := advsFor(b, 0)
 				scale := 1.0 / float64(b)
 				for e := range seqEps {
-					seq.AccumulateMasked(seqEps[e], advs[e], 0.97, scale, active)
+					seq.refAccumulate(seqEps[e], Credit{Adv: advs[e], Scale: scale, Mask: active}, 0.97)
 				}
 				bat.AccumulateMaskedBatch(batEps, advs, 0.97, scale, active)
 				requireParamsEqual(t, seq, bat, "post-accumulate")
@@ -188,46 +196,48 @@ func TestAccumulateBatchBitIdenticalToSequential(t *testing.T) {
 	}
 }
 
-// Multi-round differential mimicking core.Run's structure: a sequential
-// combined sample, a forced lockstep batch, a joint accumulation of the
-// heterogeneous episode set, a replay accumulation of a retained episode
-// from an earlier round, and periodic updates — over several rounds with a
-// shared optimizer, so divergence anywhere would compound and be caught.
+// Multi-round differential mimicking core.RunContext's structure: each
+// round is one SampleRound (a combined rollout plus φ rollouts forced to its
+// architecture prefix) and one AccumulateRound over the combined rollout,
+// the masked hardware rollouts and a replay of an episode retained from an
+// earlier round, with periodic updates — over several rounds with a shared
+// optimizer, so divergence anywhere would compound and be caught. The
+// reference side steps every episode on its own.
 func TestTrainingLoopBitIdenticalAcrossRounds(t *testing.T) {
 	seq, bat := twinControllers(t, 77, 24)
 	seq.EntropyCoef, bat.EntropyCoef = 0.015, 0.015
 	optSeq, optBat := nn.NewRMSProp(), nn.NewRMSProp()
 	optSeq.LR, optBat.LR = 0.03, 0.03
 	mask := []bool{false, false, true, true, true, true}
-	const phi = 5
+	const phi, p = 5, 2
 
 	var replaySeq, replayBat *Episode
 	for round := 0; round < 6; round++ {
-		combinedSeq := seq.Sample()
-		combinedBat := bat.Sample()
-
-		prefixSeq := combinedSeq.Actions[:2]
-		prefixBat := combinedBat.Actions[:2]
+		combinedSeq := seq.refSample(nil)
 		seqEps := []*Episode{combinedSeq}
 		for i := 0; i < phi; i++ {
-			seqEps = append(seqEps, seq.sampleForced(prefixSeq))
+			seqEps = append(seqEps, seq.refSample(combinedSeq.Actions[:p]))
 		}
-		batEps := append([]*Episode{combinedBat}, bat.SampleForcedBatch(prefixBat, phi)...)
+		batEps := bat.SampleRound(p, phi)
 		requireEpisodesEqual(t, seqEps, batEps, fmt.Sprintf("round %d sample", round))
 
-		advs := advsFor(len(seqEps), round)
+		advs := advsFor(1+len(seqEps), round)
 		scale := 0.2 / float64(len(seqEps))
+		credits := []Credit{{Adv: advs[0], Scale: 0.2}}
 		for e := range seqEps {
-			seq.AccumulateMasked(seqEps[e], advs[e], 1.0, scale, mask)
+			credits = append(credits, Credit{Adv: advs[1+e], Scale: scale, Mask: mask})
 		}
-		bat.AccumulateMaskedBatch(batEps, advs, 1.0, scale, mask)
-
-		// Self-imitation replay of an episode retained from a prior round,
-		// accumulated sequentially on both sides (as core.Run does).
+		seqTrain := append([]*Episode{combinedSeq}, seqEps...)
+		batTrain := append([]*Episode{batEps[0]}, batEps...)
 		if replaySeq != nil {
-			seq.Accumulate(replaySeq, 0.4, 1.0, 0.2)
-			bat.Accumulate(replayBat, 0.4, 1.0, 0.2)
+			credits = append(credits, Credit{Adv: 0.4, Scale: 0.2})
+			seqTrain = append(seqTrain, replaySeq)
+			batTrain = append(batTrain, replayBat)
 		}
+		for e, ep := range seqTrain {
+			seq.refAccumulate(ep, credits[e], 1.0)
+		}
+		bat.AccumulateRound(batTrain, credits, 1.0)
 		replaySeq, replayBat = seqEps[1+round%phi], batEps[1+round%phi]
 
 		if round%2 == 1 {
@@ -235,6 +245,72 @@ func TestTrainingLoopBitIdenticalAcrossRounds(t *testing.T) {
 			bat.Update(optBat)
 		}
 		requireParamsEqual(t, seq, bat, fmt.Sprintf("round %d", round))
+	}
+}
+
+// TestRoundMatchesEntryPoints checks the merged round against the four
+// separate entry points: SampleRound(p, φ) must equal Sample followed by
+// SampleForcedBatch(its first p actions, φ) — actions, logits and the RNG
+// state afterwards — and one AccumulateRound over the combined rollout, the
+// masked hardware rollouts and an optional replay must leave the same
+// gradients bit for bit as Accumulate + AccumulateMaskedBatch + Accumulate.
+// The replay is absent, an episode of a past round, or an episode of the
+// same round.
+func TestRoundMatchesEntryPoints(t *testing.T) {
+	mask := []bool{false, false, false, true, true, true}
+	const p = 3
+	for _, phi := range []int{0, 3, 10} {
+		for _, replay := range []string{"none", "past", "same"} {
+			t.Run(fmt.Sprintf("phi=%d/replay=%s", phi, replay), func(t *testing.T) {
+				sep, mer := twinControllers(t, 300+int64(phi), 16)
+				sep.EntropyCoef, mer.EntropyCoef = 0.01, 0.01
+				optSep, optMer := nn.NewRMSProp(), nn.NewRMSProp()
+				var pastSep, pastMer *Episode
+				for round := 0; round < 3; round++ {
+					combined := sep.Sample()
+					sepEps := []*Episode{combined}
+					if phi > 0 {
+						sepEps = append(sepEps, sep.SampleForcedBatch(combined.Actions[:p], phi)...)
+					}
+					merEps := mer.SampleRound(p, phi)
+					requireEpisodesEqual(t, sepEps, merEps, fmt.Sprintf("round %d sample", round))
+					if us, um := sep.rng.Float64(), mer.rng.Float64(); us != um {
+						t.Fatalf("round %d: post-sample RNG streams diverged: %.17g vs %.17g", round, us, um)
+					}
+
+					advs := advsFor(1+len(sepEps), round)
+					const batchScale = 0.5
+					hwScale := batchScale / float64(len(sepEps))
+					sep.Accumulate(sepEps[0], advs[0], 0.9, batchScale)
+					sep.AccumulateMaskedBatch(sepEps, advs[1:], 0.9, hwScale, mask)
+
+					merTrain := append([]*Episode{merEps[0]}, merEps...)
+					credits := []Credit{{Adv: advs[0], Scale: batchScale}}
+					for _, adv := range advs[1:] {
+						credits = append(credits, Credit{Adv: adv, Scale: hwScale, Mask: mask})
+					}
+					var replaySep, replayMer *Episode
+					switch replay {
+					case "past":
+						replaySep, replayMer = pastSep, pastMer
+					case "same":
+						replaySep, replayMer = sepEps[len(sepEps)-1], merEps[len(merEps)-1]
+					}
+					if replaySep != nil {
+						sep.Accumulate(replaySep, 0.7, 0.9, batchScale)
+						merTrain = append(merTrain, replayMer)
+						credits = append(credits, Credit{Adv: 0.7, Scale: batchScale})
+					}
+					mer.AccumulateRound(merTrain, credits, 0.9)
+					requireParamsEqual(t, sep, mer, fmt.Sprintf("round %d accumulate", round))
+
+					pastSep, pastMer = sepEps[round%len(sepEps)], merEps[round%len(merEps)]
+					sep.Update(optSep)
+					mer.Update(optMer)
+					requireParamsEqual(t, sep, mer, fmt.Sprintf("round %d update", round))
+				}
+			})
+		}
 	}
 }
 
@@ -249,16 +325,21 @@ func TestBatchAPIValidation(t *testing.T) {
 		}()
 		f()
 	}
-	expectPanic("zero batch", func() { c.SampleBatch(0) })
-	expectPanic("negative batch", func() { c.SampleBatch(-3) })
+	expectPanic("zero batch", func() { c.SampleForcedBatch(nil, 0) })
+	expectPanic("negative batch", func() { c.SampleForcedBatch([]int{1}, -3) })
+	expectPanic("negative phi", func() { c.SampleRound(2, -1) })
 	expectPanic("long prefix", func() { c.SampleForcedBatch(make([]int, 7), 2) })
+	expectPanic("long round prefix", func() { c.SampleRound(7, 2) })
 	expectPanic("bad forced action", func() { c.SampleForcedBatch([]int{99}, 2) })
-	eps := c.SampleBatch(3)
-	expectPanic("advantage count", func() { c.AccumulateBatch(eps, []float64{1}, 1, 1) })
+	eps := c.SampleRound(0, 2)
+	expectPanic("advantage count", func() { c.AccumulateMaskedBatch(eps, []float64{1}, 1, 1, nil) })
+	expectPanic("credit count", func() { c.AccumulateRound(eps, []Credit{{Adv: 1, Scale: 1}}, 1) })
 	expectPanic("mask length", func() { c.AccumulateMaskedBatch(eps, []float64{1, 1, 1}, 1, 1, []bool{true}) })
+	expectPanic("episode length", func() { c.Accumulate(&Episode{Actions: []int{0}}, 1, 1, 1) })
 
-	// Empty batch accumulation is a no-op, matching a zero-iteration loop.
-	c.AccumulateBatch(nil, nil, 1, 1)
+	// Empty accumulation is a no-op, matching a zero-iteration loop.
+	c.AccumulateRound(nil, nil, 1)
+	c.AccumulateMaskedBatch(nil, nil, 1, 1, nil)
 	for _, p := range c.Params() {
 		if n := p.GradNorm(); n != 0 {
 			t.Errorf("empty-batch accumulate touched %s (grad norm %g)", p.Name, n)

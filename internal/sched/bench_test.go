@@ -109,8 +109,8 @@ func BenchmarkHeuristicReferenceLarge(b *testing.B) {
 
 func BenchmarkExhaustiveSmall(b *testing.B) { benchSolver(b, benchSmall(), Exhaustive) }
 
-// BenchmarkExhaustiveLarge enumerates 2^14 assignments, crossing the
-// parallel-enumeration threshold.
+// BenchmarkExhaustiveLarge enumerates 2^14 assignments, four times the
+// largest instance HAP hands to Exhaustive.
 func BenchmarkExhaustiveLarge(b *testing.B) {
 	benchSolver(b, benchProblem(4, 2, 7, 2), Exhaustive)
 }

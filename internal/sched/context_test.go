@@ -62,19 +62,6 @@ func TestExhaustiveCtxDeadline(t *testing.T) {
 	}
 }
 
-// TestExhaustiveCtxParallelCancelled drives the parallel enumeration split
-// with a cancelled context (forced via tuning thresholds).
-func TestExhaustiveCtxParallelCancelled(t *testing.T) {
-	p := cancelProblem(10, 4)
-	p.tuning = tuning{parallelExhaustMin: 2, maxWorkers: 4}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := ExhaustiveCtx(ctx, p)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("parallel ExhaustiveCtx on cancelled ctx: err = %v, want context.Canceled", err)
-	}
-}
-
 // errAfterCtx reports no error for the first n Err() polls, then a cancel:
 // it lands the cancellation at a deterministic point inside the solver's
 // move scan, where a timer could not.
@@ -180,8 +167,8 @@ func TestHAPCtxUncancelledMatchesHAP(t *testing.T) {
 }
 
 // TestTuningOverridesMatchDefaults verifies the tuning thresholds are
-// outcome-preserving: forcing the parallel paths on instances the defaults
-// keep sequential must not change the result.
+// outcome-preserving: forcing the parallel move scan on an instance the
+// defaults keep sequential must not change the result.
 func TestTuningOverridesMatchDefaults(t *testing.T) {
 	p := cancelProblem(30, 3)
 	base, err := Heuristic(p)
@@ -197,21 +184,5 @@ func TestTuningOverridesMatchDefaults(t *testing.T) {
 	if base.Makespan != got.Makespan || base.EnergyNJ != got.EnergyNJ {
 		t.Fatalf("forced-parallel Heuristic diverged: (%d %v) vs (%d %v)",
 			base.Makespan, base.EnergyNJ, got.Makespan, got.EnergyNJ)
-	}
-
-	pe := cancelProblem(8, 3) // 3^8 = 6561 leaves
-	baseE, err := Exhaustive(pe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forcedE := pe
-	forcedE.tuning = tuning{parallelExhaustMin: 2, maxWorkers: 4}
-	gotE, err := Exhaustive(forcedE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if baseE.Makespan != gotE.Makespan || baseE.EnergyNJ != gotE.EnergyNJ {
-		t.Fatalf("forced-parallel Exhaustive diverged: (%d %v) vs (%d %v)",
-			baseE.Makespan, baseE.EnergyNJ, gotE.Makespan, gotE.EnergyNJ)
 	}
 }

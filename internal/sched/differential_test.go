@@ -168,14 +168,13 @@ func TestDifferentialExhaustive(t *testing.T) {
 	}
 }
 
-// TestDifferentialExhaustiveParallel crosses the parallel enumeration
-// threshold (2^14 assignments) so the prefix split, the shared pruning bound
-// and the prefix-ordered fold are exercised against the plain enumeration.
+// TestDifferentialExhaustiveParallel checks the pruned enumeration against
+// the plain one on 2^14-assignment instances, four times the largest that
+// HAP hands to Exhaustive, so pruning runs deep and long.
 func TestDifferentialExhaustiveParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2^14-leaf enumerations")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := stats.NewRNG(505)
 	for trial := 0; trial < 3; trial++ {
 		p := Problem{NumAccels: 2}
@@ -196,9 +195,6 @@ func TestDifferentialExhaustiveParallel(t *testing.T) {
 		}
 		// One unmeetable, one tight, one loose deadline.
 		p.Deadline = []int64{3, 250, 100000}[trial]
-		if total := 1 << p.Size(); total < parallelExhaustMin {
-			t.Fatalf("instance too small to cross the parallel threshold: %d", total)
-		}
 		got, err := Exhaustive(p)
 		if err != nil {
 			t.Fatal(err)

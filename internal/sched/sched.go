@@ -16,8 +16,8 @@
 // candidate assignment is simulated by the allocation-free min-heap engine in
 // eval.go, energy-losing moves are screened out by an O(1) per-move option
 // delta before any simulation runs, the exhaustive enumeration prunes with
-// admissible energy/makespan bounds, and large scans fan out across a bounded
-// worker pool with a deterministic reduction order. Results are bit-identical
+// admissible energy/makespan bounds, and large move scans fan out across a
+// bounded worker pool with a deterministic reduction order. Results are bit-identical
 // to the pre-rewrite solver (see differential_test.go).
 //
 // # Checkpointed move scans
@@ -90,16 +90,13 @@ type Problem struct {
 // results are bit-identical for any setting because every parallel scan
 // reduces in a deterministic order and the checkpointed simulator replays
 // the exact floating-point operations of a full simulation. Tests force the
-// parallel paths on small instances through it, and the checkpoint
+// parallel move scan on small instances through it, and the checkpoint
 // differentials and the CI before/after gate time the full-resimulation
 // control against the checkpointed scan.
 type tuning struct {
 	// parallelMoveMin is the minimum number of candidate moves per
 	// refinement round before Heuristic parallelizes the move scan.
 	parallelMoveMin int
-	// parallelExhaustMin is the minimum enumeration size before Exhaustive
-	// splits the assignment space across workers.
-	parallelExhaustMin int
 	// maxWorkers bounds the worker pool of one solve.
 	maxWorkers int
 	// disableCheckpoints turns off the checkpointed move-scan simulator, so
@@ -113,13 +110,6 @@ func (t tuning) moveMin() int {
 		return t.parallelMoveMin
 	}
 	return parallelMoveMin
-}
-
-func (t tuning) exhaustMin() int {
-	if t.parallelExhaustMin > 0 {
-		return t.parallelExhaustMin
-	}
-	return parallelExhaustMin
 }
 
 func (t tuning) workers() int {
@@ -249,9 +239,6 @@ const (
 	// benchmark instance (72 moves/round) now fans out on multi-core hosts
 	// instead of staying sequential.
 	parallelMoveMin = 48
-	// parallelExhaustMin is the default minimum enumeration size before
-	// Exhaustive splits the assignment space across workers.
-	parallelExhaustMin = 1 << 14
 	// maxSolverWorkers is the default bound on the worker pool of one solve.
 	maxSolverWorkers = 8
 )
@@ -608,11 +595,10 @@ func HeuristicCtx(ctx context.Context, p Problem) (Result, error) {
 // (NumAccels^Size assignments are enumerated).
 const MaxExhaustiveSize = 1 << 20
 
-// exhaustPre holds the per-position precomputation shared by every
-// enumeration worker: the (chain, layer) of each branch position, in
-// chain-major flat order, and the admissible remainder bounds (minimum
-// energy / per-chain minimum cycles over all positions below k). Positions
-// are branched from n-1 down.
+// exhaustPre holds the per-position precomputation of the enumeration: the
+// (chain, layer) of each branch position, in chain-major flat order, and the
+// admissible remainder bounds (minimum energy / per-chain minimum cycles over
+// all positions below k). Positions are branched from n-1 down.
 type exhaustPre struct {
 	n       int
 	chainOf []int
@@ -669,43 +655,7 @@ func newExhaustPre(p *Problem) *exhaustPre {
 	return pre
 }
 
-// exhaustShared is the cross-worker pruning state: whether any feasible leaf
-// exists yet and the best feasible energy published so far. Reading a stale
-// value only weakens pruning; the admissible bounds plus the energySlack
-// margin guarantee no would-be winner is ever pruned, so the final fold is
-// deterministic for any worker count.
-type exhaustShared struct {
-	feasible atomic.Bool
-	bestBits atomic.Uint64 // math.Float64bits of the best feasible energy
-}
-
-func newExhaustShared() *exhaustShared {
-	s := &exhaustShared{}
-	s.bestBits.Store(math.Float64bits(math.Inf(1)))
-	return s
-}
-
-func (s *exhaustShared) publish(e float64) {
-	for {
-		old := s.bestBits.Load()
-		if math.Float64frombits(old) <= e {
-			break
-		}
-		if s.bestBits.CompareAndSwap(old, math.Float64bits(e)) {
-			break
-		}
-	}
-	s.feasible.Store(true)
-}
-
-func (s *exhaustShared) snapshot() (bool, float64) {
-	if !s.feasible.Load() {
-		return false, 0
-	}
-	return true, math.Float64frombits(s.bestBits.Load())
-}
-
-// exhaustState is one worker's depth-first enumeration state.
+// exhaustState is the depth-first enumeration state.
 type exhaustState struct {
 	ctx       context.Context
 	p         *Problem
@@ -717,9 +667,8 @@ type exhaustState struct {
 	accelLoad []int64
 
 	best         Result
-	haveFeasible bool
+	haveFeasible bool // best is feasible; best.EnergyNJ then bounds pruning
 	have         bool
-	shared       *exhaustShared
 
 	// nodes counts dfs entries; every ctxCheckNodes of them the ctx is
 	// polled and aborted is latched, unwinding the recursion promptly.
@@ -727,7 +676,7 @@ type exhaustState struct {
 	aborted bool
 }
 
-func newExhaustState(ctx context.Context, p *Problem, pre *exhaustPre, shared *exhaustShared) *exhaustState {
+func newExhaustState(ctx context.Context, p *Problem, pre *exhaustPre) *exhaustState {
 	st := &exhaustState{
 		ctx:       ctx,
 		p:         p,
@@ -737,7 +686,6 @@ func newExhaustState(ctx context.Context, p *Problem, pre *exhaustPre, shared *e
 		a:         make(Assignment, len(p.Chains)),
 		chainLoad: make([]int64, len(p.Chains)),
 		accelLoad: make([]int64, p.NumAccels),
-		shared:    shared,
 	}
 	k := 0
 	for ci, c := range p.Chains {
@@ -745,18 +693,6 @@ func newExhaustState(ctx context.Context, p *Problem, pre *exhaustPre, shared *e
 		k += len(c.Layers)
 	}
 	return st
-}
-
-func (s *exhaustState) reset() {
-	for i := range s.chainLoad {
-		s.chainLoad[i] = 0
-	}
-	for i := range s.accelLoad {
-		s.accelLoad[i] = 0
-	}
-	s.best = Result{}
-	s.haveFeasible = false
-	s.have = false
 }
 
 // leaf evaluates the completed assignment with the original running-minimum
@@ -787,7 +723,6 @@ func (s *exhaustState) leaf() {
 	case mk <= s.p.Deadline && (!s.haveFeasible || en < s.best.EnergyNJ):
 		s.best = s.ev.result(s.a)
 		s.haveFeasible = true
-		s.shared.publish(en)
 	case !s.haveFeasible && (!s.have || mk < s.best.Makespan):
 		s.best = s.ev.result(s.a)
 	}
@@ -828,7 +763,8 @@ func (s *exhaustState) dfs(pos int, eSoFar float64) {
 		if al := s.accelLoad[j] + o.Cycles; al > lb {
 			lb = al
 		}
-		if feasible, bestE := s.shared.snapshot(); feasible {
+		if s.haveFeasible {
+			bestE := s.best.EnergyNJ
 			if lb > s.p.Deadline {
 				continue
 			}
@@ -852,15 +788,15 @@ func (s *exhaustState) dfs(pos int, eSoFar float64) {
 // with the smallest makespan. It is the optimal reference standing in for
 // the paper's ILP formulation; it returns an error when the instance is too
 // large (NumAccels^layers > MaxExhaustiveSize). Enumeration prunes with
-// admissible bounds and fans out across workers on large instances; both are
-// outcome-preserving, so the result is identical to the plain enumeration.
+// admissible bounds, which is outcome-preserving, so the result is identical
+// to the plain enumeration.
 func Exhaustive(p Problem) (Result, error) {
 	return ExhaustiveCtx(context.Background(), p) //lint:allow ctxplumb compat shim: non-ctx public API delegates to the ctx variant
 }
 
-// ExhaustiveCtx is Exhaustive with cooperative cancellation: workers poll ctx
-// every ctxCheckNodes dfs entries (and before claiming each enumeration
-// prefix) and the call returns ctx's error once it is done. Uncancelled
+// ExhaustiveCtx is Exhaustive with cooperative cancellation: the enumeration
+// polls ctx every ctxCheckNodes dfs entries and the call returns ctx's error
+// once it is done. Uncancelled
 // solves are bit-identical to Exhaustive.
 func ExhaustiveCtx(ctx context.Context, p Problem) (Result, error) {
 	if err := p.Validate(); err != nil {
@@ -877,95 +813,12 @@ func ExhaustiveCtx(ctx context.Context, p Problem) (Result, error) {
 			return Result{}, fmt.Errorf("sched: instance too large for exhaustive search (%d layers, %d accelerators)", n, p.NumAccels)
 		}
 	}
-	pre := newExhaustPre(&p)
-	if nw := solverWorkers(total, p.tuning.workers()); total >= p.tuning.exhaustMin() && nw >= 2 {
-		return exhaustParallel(ctx, &p, pre, nw)
-	}
-	st := newExhaustState(ctx, &p, pre, newExhaustShared())
+	st := newExhaustState(ctx, &p, newExhaustPre(&p))
 	st.dfs(n-1, 0)
 	if st.aborted {
 		return Result{}, ctx.Err()
 	}
 	return st.best, nil
-}
-
-// exhaustParallel splits the enumeration over the top assignment digits and
-// folds the per-prefix results in prefix (= enumeration) order, reproducing
-// the sequential running-minimum selection exactly. On cancellation every
-// worker stops claiming prefixes, unwinds, and the call returns ctx's error
-// with no goroutines left behind.
-func exhaustParallel(ctx context.Context, p *Problem, pre *exhaustPre, nw int) (Result, error) {
-	k := p.NumAccels
-	pd, prefixes := 0, 1
-	for prefixes < 4*nw && pd < pre.n {
-		pd++
-		prefixes *= k
-	}
-	type summary struct {
-		best         Result
-		haveFeasible bool
-		have         bool
-	}
-	sums := make([]summary, prefixes)
-	shared := newExhaustShared()
-	var next atomic.Int64
-	var aborted atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st := newExhaustState(ctx, p, pre, shared)
-			for {
-				pi := int(next.Add(1) - 1)
-				if pi >= prefixes {
-					return
-				}
-				if ctx.Err() != nil {
-					aborted.Store(true)
-					return
-				}
-				st.reset()
-				eSoFar := 0.0
-				for t, v := 0, pi; t < pd; t, v = t+1, v/k {
-					pos := pre.n - pd + t
-					j := v % k
-					o := &st.ev.opts[pre.chainOf[pos]][pre.layerOf[pos]][j]
-					st.a[pre.chainOf[pos]][pre.layerOf[pos]] = j
-					st.chainLoad[pre.chainOf[pos]] += o.Cycles
-					st.accelLoad[j] += o.Cycles
-					eSoFar += o.EnergyNJ
-				}
-				st.dfs(pre.n-pd-1, eSoFar)
-				if st.aborted {
-					aborted.Store(true)
-					return
-				}
-				sums[pi] = summary{best: st.best, haveFeasible: st.haveFeasible, have: st.have}
-			}
-		}()
-	}
-	wg.Wait()
-	if aborted.Load() {
-		return Result{}, ctx.Err()
-	}
-
-	var best Result
-	haveFeasible, have := false, false
-	for _, s := range sums {
-		if !s.have {
-			continue
-		}
-		switch {
-		case s.haveFeasible && (!haveFeasible || s.best.EnergyNJ < best.EnergyNJ):
-			best = s.best
-			haveFeasible = true
-		case !s.haveFeasible && !haveFeasible && (!have || s.best.Makespan < best.Makespan):
-			best = s.best
-		}
-		have = true
-	}
-	return best, nil
 }
 
 // HAP is the paper's solver function re = HAP(D, AIC, LS): it returns the

@@ -26,8 +26,6 @@ type Budget struct {
 	NASSamples int   `json:"nas_samples"`
 	HWSamples  int   `json:"hw_samples"`
 	Seed       int64 `json:"seed"`
-	// DisableHWCache turns off the hardware-evaluation cache.
-	DisableHWCache bool `json:"disable_hw_cache,omitempty"`
 	// SharedMemo shares the layer-cost memo process-wide and one accuracy
 	// memo across the experiment's searches (warm-start).
 	SharedMemo bool `json:"shared_memo,omitempty"`
@@ -53,14 +51,13 @@ func budgetFrom(b experiments.Budget) Budget {
 
 func (b Budget) internal() experiments.Budget {
 	return experiments.Budget{
-		Episodes:       b.Episodes,
-		MCRuns:         b.MCRuns,
-		NASSamples:     b.NASSamples,
-		HWSamples:      b.HWSamples,
-		Seed:           b.Seed,
-		DisableHWCache: b.DisableHWCache,
-		SharedMemo:     b.SharedMemo,
-		CacheDir:       b.CacheDir,
+		Episodes:   b.Episodes,
+		MCRuns:     b.MCRuns,
+		NASSamples: b.NASSamples,
+		HWSamples:  b.HWSamples,
+		Seed:       b.Seed,
+		SharedMemo: b.SharedMemo,
+		CacheDir:   b.CacheDir,
 	}
 }
 

@@ -91,12 +91,6 @@ func WithRefine(on bool) Option {
 	return func(s *settings) { s.cfg.Refine = on }
 }
 
-// WithHWCache toggles the sharded hardware-evaluation cache (default on).
-// Results are bit-identical either way; only wall clock changes.
-func WithHWCache(on bool) Option {
-	return func(s *settings) { s.cfg.HWCache = on }
-}
-
 // WithCacheDir points the run's layer-cost memo and hardware-evaluation
 // cache at a persistent on-disk warm tier: matching snapshots under dir are
 // loaded before the search and written back (atomically) when Run returns,

@@ -1,0 +1,179 @@
+#!/usr/bin/env bash
+# benchab.sh — an interleaved before/after of the repository benchmark.
+#
+# Usage: scripts/benchab.sh [-n pairs] [-s secs] [-w workload]... [--trace 1] <base-rev>
+#
+# Compares the working tree (the change, uncommitted edits included) with
+# <base-rev>, which is checked out with `git worktree add` into a temporary
+# directory that is removed on exit. For each seed 1..n and each workload
+# (default: every workload in BENCHMARK.json), it runs nasaicbench/run.sh
+# once in each tree for -s seconds (default 20), alternating which tree runs
+# first, so slow drift of the host hits both sides alike.
+#
+# For each workload and each end-to-end metric of BENCHMARK.json it prints
+# the base and change medians, the change/base ratio, how many of the n
+# pairs the change won (by the metric's `better` direction; ties win for
+# neither), and the interquartile range of the base runs. With --trace 1,
+# each pair also runs the traced benchmark, whose per-layer `count.exact`
+# metrics must be equal between the trees.
+#
+# Exit status: 0 when every run reported correct:true, the change failed no
+# larger share of operations than the base on any workload, and (with
+# --trace 1) no count.exact metric differs; 1 otherwise; 2 on bad usage.
+# It needs bash, git, jq and awk.
+set -euo pipefail
+
+usage() {
+	sed -n '4s/^# //p' "${BASH_SOURCE[0]}"
+}
+
+pairs=5
+secs=20
+trace=0
+workloads=()
+while (($#)); do
+	case $1 in
+	-n) pairs=${2:?}; shift 2 ;;
+	-s) secs=${2:?}; shift 2 ;;
+	-w) workloads+=("${2:?}"); shift 2 ;;
+	--trace) trace=${2:?}; shift 2 ;;
+	-h | --help) usage; exit 0 ;;
+	-*) usage >&2; exit 2 ;;
+	*) break ;;
+	esac
+done
+if (($# != 1)) || ! [[ $pairs =~ ^[1-9][0-9]*$ && $secs =~ ^[1-9][0-9]*$ && $trace =~ ^[01]$ ]]; then
+	usage >&2
+	exit 2
+fi
+base_rev=$1
+
+root=$(git rev-parse --show-toplevel)
+spec="$root/BENCHMARK.json"
+if ((${#workloads[@]} == 0)); then
+	mapfile -t workloads < <(jq -r '.workloads[].name' "$spec")
+fi
+
+tmp=$(mktemp -d "${TMPDIR:-/tmp}/benchab.XXXXXX")
+cleanup() {
+	git -C "$root" worktree remove --force "$tmp/base" >/dev/null 2>&1 || true
+	git -C "$root" worktree prune
+	rm -rf "$tmp"
+}
+trap cleanup EXIT
+git -C "$root" worktree add --quiet --detach "$tmp/base" "$base_rev"
+declare -A tree=([change]=$root [base]=$tmp/base)
+
+# bench SIDE WORKLOAD SEED TRACE runs one benchmark and appends its result
+# as "side workload seed trace <result json>" to $tmp/results.
+bench() {
+	local side=$1 wl=$2 seed=$3 tr=$4 log="$tmp/$1.$2.$3.$4.log" line
+	echo "benchab: $side $wl seed $seed trace $tr" >&2
+	if ! (cd "${tree[$side]}" && bash nasaicbench/run.sh --workload "$wl" --seed "$seed" \
+		--seconds "$secs" --trace "$tr") >"$log" 2>&1; then
+		echo "benchab: $side $wl seed $seed trace $tr exited non-zero; its output:" >&2
+		tail -n 20 "$log" >&2
+	fi
+	line=$(tail -n 1 "$log")
+	if ! jq -e 'has("metrics")' <<<"$line" >/dev/null 2>&1; then
+		line='{"correct":false,"attempted":0,"failed":0,"metrics":{}}'
+	fi
+	printf '%s\t%s\t%s\t%s\t%s\n' "$side" "$wl" "$seed" "$tr" "$(jq -c . <<<"$line")" >>"$tmp/results"
+}
+
+: >"$tmp/results"
+for ((seed = 1; seed <= pairs; seed++)); do
+	order=(change base)
+	if ((seed % 2 == 0)); then
+		order=(base change)
+	fi
+	for wl in "${workloads[@]}"; do
+		for side in "${order[@]}"; do
+			bench "$side" "$wl" "$seed" 0
+			if ((trace == 1)); then
+				bench "$side" "$wl" "$seed" 1
+			fi
+		done
+	done
+done
+
+# One row per (side, workload, seed, trace, metric, value) plus the
+# per-run correct/attempted/failed fields, as tab-separated text for awk.
+jq -r --slurpfile spec "$spec" '
+	$spec[0] as $s
+	| split("\t") as [$side, $wl, $seed, $tr, $raw]
+	| ($raw | fromjson) as $r
+	| ["run", $side, $wl, $seed, $tr, ($r.correct | tostring), $r.attempted, $r.failed],
+	  (if $tr == "0" then
+	     $s.end_to_end[] | select($r.metrics[.name] != null)
+	     | ["metric", $side, $wl, $seed, $tr, .name, $r.metrics[.name].value, .better]
+	   else
+	     $s.per_layer[] | select(.unit == "count.exact" and $r.metrics[.name] != null)
+	     | ["metric", $side, $wl, $seed, $tr, .name, $r.metrics[.name].value, "exact"]
+	   end)
+	| @tsv' -R "$tmp/results" >"$tmp/rows.tsv"
+
+awk -F '\t' -v pairs="$pairs" '
+	function sort(a, n,    i, j, v) {
+		for (i = 2; i <= n; i++) {
+			v = a[i]
+			for (j = i - 1; j >= 1 && a[j] > v; j--) a[j + 1] = a[j]
+			a[j + 1] = v
+		}
+	}
+	# quantile of the sorted a[1..n] by linear interpolation
+	function q(a, n, p,    h, lo) {
+		h = (n - 1) * p + 1
+		lo = int(h)
+		return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
+	}
+	$1 == "run" {
+		if ($6 != "true") { printf "FAIL: %s %s seed %s (trace %s) reported correct:false\n", $2, $3, $4, $5; bad = 1 }
+		att[$2, $3] += $7; fl[$2, $3] += $8
+		wls[$3] = 1
+		next
+	}
+	$1 == "metric" && $5 == "1" {
+		ex[$2, $3, $4, $6] = $7; exn[$3, $4, $6] = 1
+		next
+	}
+	$1 == "metric" {
+		v[$2, $3, $4, $6] = $7; better[$6] = $8
+		if (!(($3, $6) in seen)) { seen[$3, $6] = 1; order[++nm] = $3 SUBSEP $6 }
+	}
+	END {
+		printf "%-18s %-11s %12s %12s %7s %6s %10s\n", "workload", "metric", "base_med", "change_med", "ratio", "wins", "base_iqr"
+		for (i = 1; i <= nm; i++) {
+			split(order[i], k, SUBSEP); wl = k[1]; m = k[2]
+			nb = nc = w = np = 0
+			delete b; delete c
+			for (s = 1; s <= pairs; s++) {
+				hb = (("base", wl, s, m) in v); hc = (("change", wl, s, m) in v)
+				if (hb) b[++nb] = v["base", wl, s, m] + 0
+				if (hc) c[++nc] = v["change", wl, s, m] + 0
+				if (hb && hc) {
+					np++
+					x = v["change", wl, s, m] + 0; y = v["base", wl, s, m] + 0
+					if ((better[m] == "lower" && x < y) || (better[m] == "higher" && x > y)) w++
+				}
+			}
+			if (nb == 0 || nc == 0) { printf "%-18s %-11s %12s\n", wl, m, "n/a"; continue }
+			sort(b, nb); sort(c, nc)
+			mb = q(b, nb, 0.5); mc = q(c, nc, 0.5)
+			ratio = mb != 0 ? sprintf("%.3f", mc / mb) : "n/a"
+			printf "%-18s %-11s %12.6g %12.6g %7s %6s %10.4g\n", wl, m, mb, mc, ratio, w "/" np, q(b, nb, 0.75) - q(b, nb, 0.25)
+		}
+		for (wl in wls) {
+			sb = att["base", wl] ? fl["base", wl] / att["base", wl] : 0
+			sc = att["change", wl] ? fl["change", wl] / att["change", wl] : 0
+			if (sc > sb) { printf "FAIL: %s: the change failed %d of %d operations, the base %d of %d\n", wl, fl["change", wl], att["change", wl], fl["base", wl], att["base", wl]; bad = 1 }
+		}
+		for (key in exn) {
+			split(key, k, SUBSEP)
+			if (ex["base", k[1], k[2], k[3]] != ex["change", k[1], k[2], k[3]]) {
+				printf "FAIL: %s seed %s: count.exact metric %s is %s at the base, %s in the change\n", k[1], k[2], k[3], ex["base", k[1], k[2], k[3]], ex["change", k[1], k[2], k[3]]
+				bad = 1
+			}
+		}
+		exit bad
+	}' "$tmp/rows.tsv"
