@@ -71,23 +71,6 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// BenchmarkTable1SharedMemo is the warm-start variant of BenchmarkTable1:
-// the layer-cost memo is process-wide and the accuracy memo spans every
-// approach, so all searches after the first start warm. Rows are identical;
-// layer_cost_hit_pct is the warm-start rate the shared memo achieves and
-// the ns/op delta against BenchmarkTable1 is its wall-clock win.
-func BenchmarkTable1SharedMemo(b *testing.B) {
-	budget := experiments.QuickBudget()
-	budget.SharedMemo = true
-	for i := 0; i < b.N; i++ {
-		_, stats, err := experiments.Table1(context.Background(), budget)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportEvalStats(b, stats)
-	}
-}
-
 // BenchmarkTable2 regenerates Table II: single vs homogeneous vs
 // heterogeneous accelerator configurations on W3.
 func BenchmarkTable2(b *testing.B) {

@@ -27,12 +27,11 @@ import (
 
 func main() {
 	var (
-		table      = flag.Int("table", 1, "table to regenerate: 1 or 2")
-		paper      = flag.Bool("paper", false, "use the paper's full search budget")
-		seed       = flag.Int64("seed", 1, "random seed")
-		csv        = flag.String("csv", "", "optional path for CSV export (table 1 only)")
-		sharedmemo = flag.Bool("sharedmemo", false, "share the layer-cost memo process-wide and the accuracy memo across the table's searches (warm-start; results are identical)")
-		cachedir   = flag.String("cachedir", "", "directory for the persistent cache warm tier; a second run pointed here starts with warm memos (results are identical either way)")
+		table    = flag.Int("table", 1, "table to regenerate: 1 or 2")
+		paper    = flag.Bool("paper", false, "use the paper's full search budget")
+		seed     = flag.Int64("seed", 1, "random seed")
+		csv      = flag.String("csv", "", "optional path for CSV export (table 1 only)")
+		cachedir = flag.String("cachedir", "", "directory for the persistent cache warm tier; a second run pointed here starts with warm memos (results are identical either way)")
 	)
 	flag.Parse()
 
@@ -44,18 +43,13 @@ func main() {
 		b = nasaic.PaperBudget()
 	}
 	b.Seed = *seed
-	b.SharedMemo = *sharedmemo
 	b.CacheDir = *cachedir
 
 	printStats := func(stats nasaic.Stats) {
 		fmt.Printf("\nNASAIC evaluator work: %d hardware evaluations for %d requests (%.1f%% cache hits, %d in-batch dedups), %d trainings\n",
 			stats.HWEvals, stats.HWRequests, stats.HWCacheHitPct(), stats.HWDeduped, stats.Trainings)
-		scope := "per-run"
-		if *sharedmemo {
-			scope = "shared process-wide, warm-start"
-		}
-		fmt.Printf("layer-cost memo (%s): %d of %d cost-model queries served (%.1f%%)\n",
-			scope, stats.LayerCostHits, stats.LayerCostRequests, stats.LayerCostHitPct())
+		fmt.Printf("layer-cost memo (shared by the table's searches): %d of %d cost-model queries served (%.1f%%)\n",
+			stats.LayerCostHits, stats.LayerCostRequests, stats.LayerCostHitPct())
 	}
 
 	switch *table {

@@ -28,7 +28,6 @@ func main() {
 		paper      = flag.Bool("paper", false, "use the paper's full search budget")
 		seed       = flag.Int64("seed", 1, "random seed")
 		out        = flag.String("out", "", "optional directory for CSV export")
-		sharedmemo = flag.Bool("sharedmemo", false, "share the layer-cost and accuracy memos across the figure's searches (warm-start; results are identical)")
 		cachedir   = flag.String("cachedir", "", "directory for the persistent cache warm tier; a second run pointed here starts with warm memos (results are identical either way)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the regeneration to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -57,7 +56,6 @@ func main() {
 		b = nasaic.PaperBudget()
 	}
 	b.Seed = *seed
-	b.SharedMemo = *sharedmemo
 	b.CacheDir = *cachedir
 
 	switch *fig {

@@ -1,12 +1,12 @@
 // Command nasaicd serves NASAIC co-explorations over HTTP: clients submit
 // jobs, stream per-episode progress as Server-Sent Events, and cancel
-// mid-run. All jobs share one process, and with -sharedmemo one evaluation
-// cache, so repeat explorations warm-start each other.
+// mid-run. All jobs share one process and one memo bundle, so repeat
+// explorations warm-start each other.
 //
 // Usage:
 //
 //	nasaicd [-addr :8080] [-max-jobs 2] [-max-pending 0] [-history 64]
-//	        [-sharedmemo] [-cachedir DIR] [-cacheflush 5m] [-datadir DIR]
+//	        [-cachedir DIR] [-cacheflush 5m] [-datadir DIR]
 //	        [-tenants FILE] [-role standalone|coordinator|worker]
 //	        [-workers URL,URL,...] [-cluster-key KEY]
 //
@@ -101,7 +101,6 @@ func main() {
 		maxJobs    = flag.Int("max-jobs", 2, "jobs exploring concurrently; further submissions queue (coordinator default: 4x worker count)")
 		maxPending = flag.Int("max-pending", 0, "jobs queued for a slot before submissions are rejected with 429; 0 = unbounded")
 		history    = flag.Int("history", 64, "finished jobs retained for inspection")
-		sharedmemo = flag.Bool("sharedmemo", true, "share the evaluation cache and memos across jobs (results are identical either way)")
 		cachedir   = flag.String("cachedir", "", "directory for the persistent cache warm tier, loaded at startup and flushed periodically and at shutdown (results are identical either way)")
 		cacheflush = flag.Duration("cacheflush", 5*time.Minute, "interval between periodic warm-tier flushes (with -cachedir)")
 		datadir    = flag.String("datadir", "", "directory for the durable job journal; jobs survive restarts (finished ones are restored, interrupted ones re-executed)")
@@ -168,7 +167,7 @@ func main() {
 		MaxConcurrent: *maxJobs,
 		MaxPending:    *maxPending,
 		MaxHistory:    *history,
-		ShareMemos:    *sharedmemo,
+		ShareMemos:    true,
 		CacheDir:      *cachedir,
 		DataDir:       *datadir,
 		Logf:          logf,
@@ -209,7 +208,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	fmt.Printf("nasaicd listening on %s (role=%s, max-jobs=%d, sharedmemo=%v)\n", *addr, *role, *maxJobs, *sharedmemo)
+	fmt.Printf("nasaicd listening on %s (role=%s, max-jobs=%d)\n", *addr, *role, *maxJobs)
 	if coord != nil {
 		fmt.Printf("nasaicd: coordinating %d workers: %s\n", len(coord.Status()), *workersCSV)
 	}

@@ -9,7 +9,6 @@ import (
 	"runtime"
 
 	"nasaic/internal/accel"
-	"nasaic/internal/evalcache"
 	"nasaic/internal/maestro"
 )
 
@@ -56,41 +55,15 @@ type Config struct {
 	// Refine enables the feasibility-preserving coordinate-descent exploit
 	// phase after the RL loop (see refine.go); ablated in bench_test.go.
 	Refine bool
-	// ShareLayerMemo promotes the evaluator's layer-cost memo (see
-	// Evaluator) from per-evaluator to the process-wide memo of
-	// maestro.SharedCostMemo (keyed by the full cost-model configuration),
-	// so fresh evaluators — the Table I/II baselines build one per approach
-	// — start warm. Results are bit-identical either way; only the
-	// per-evaluator hit counters and wall clock change.
-	ShareLayerMemo bool
-	// AccMemo, when non-nil, is a shared accuracy-predictor memo: every
-	// evaluator handed the same memo reuses each other's
-	// training-and-validating results (the predictor is a pure function of
-	// ⟨dataset, architecture⟩, so sharing is bit-identical). Experiments
-	// use one memo across the runs of one table so later searches start
-	// warm; nil keeps the seed behavior of one private memo per evaluator.
-	AccMemo *AccuracyMemo
-	// SharedHWCache, when non-nil, replaces the evaluator's private
-	// hardware-evaluation cache with a caller-owned one, so several
-	// explorers (e.g. the concurrent jobs of one nasaicd process) reuse each
-	// other's mapping-and-scheduling results. The cached evaluation is a
-	// pure function of its inputs, so sharing is bit-identical. Without it,
-	// every evaluator builds a private cache.
-	SharedHWCache *evalcache.Cache[HWMetrics]
-	// CacheDir, when non-empty, backs the layer-cost memo and the (private)
-	// hardware-evaluation cache with a persistent on-disk warm tier: the
-	// evaluator loads matching snapshots from this directory at construction
-	// and Evaluator.SaveCaches writes them back, so a fresh process starts
-	// with ~100% memo hit rates from the first episode. The files are
-	// versioned and checksummed, keyed by the cost-model calibration (and,
-	// for the hardware cache, the workload and hardware space), and every
-	// load failure — missing, torn, corrupt, stale version, different
-	// calibration — silently degrades to a cold start. Both tiers memoize
-	// pure functions and gob round-trips float64s bit-exactly, so a warm
-	// start changes work counters, never results. A SharedHWCache is not
-	// loaded or saved here; its owner persists the bundle (see
-	// pkg/nasaic.SharedMemos).
-	CacheDir string
+	// Memos is the memo bundle the evaluator reads and fills: the accuracy
+	// memo, the layer-cost memo and the hardware-evaluation cache. Evaluators
+	// handed one bundle reuse each other's work; every tier memoizes a pure
+	// function, so sharing changes work counters and wall clock, never a
+	// result. Nil gives the evaluator a private bundle. A shared bundle must
+	// be bound to Cost (see NewMemos). The bundle's owner loads and saves its
+	// persistent warm tier (Memos.LoadDir/SaveDir); the evaluator does no
+	// file IO.
+	Memos *Memos
 
 	Cost maestro.Config
 	HW   accel.Space

@@ -7,13 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"nasaic/internal/evalcache"
 	"nasaic/internal/workload"
 )
-
-func newSharedCacheForTest() *evalcache.Cache[HWMetrics] {
-	return evalcache.New[HWMetrics](evalcache.Options{})
-}
 
 func ctxTestConfig(episodes int) Config {
 	cfg := DefaultConfig()
@@ -283,10 +278,11 @@ func TestOnEpisodeEvents(t *testing.T) {
 	}
 }
 
-// TestSharedHWCacheAcrossExplorers: two explorers sharing one cache must
+// TestSharedMemosAcrossExplorers: two explorers sharing one bundle must
 // produce bit-identical results to private caches, with the second run
-// served largely from the first run's entries.
-func TestSharedHWCacheAcrossExplorers(t *testing.T) {
+// served largely from the first run's entries (and, the accuracy memo
+// being shared too, retraining nothing).
+func TestSharedMemosAcrossExplorers(t *testing.T) {
 	cfg := ctxTestConfig(15)
 	run := func(cfg Config) *Result {
 		x, err := New(workload.W3(), cfg)
@@ -298,14 +294,17 @@ func TestSharedHWCacheAcrossExplorers(t *testing.T) {
 	private := run(cfg)
 
 	shared := cfg
-	shared.SharedHWCache = newSharedCacheForTest()
+	shared.Memos = NewMemos(cfg.Cost)
 	first := run(shared)
 	second := run(shared)
 	if fa, fb := outcomeFingerprint(private), outcomeFingerprint(first); fa != fb {
 		t.Fatalf("shared-cache first run diverged from private-cache run")
 	}
-	if fa, fb := outcomeFingerprint(first), outcomeFingerprint(second); fa != fb {
+	if fa, fb := searchOutcome(first), searchOutcome(second); fa != fb {
 		t.Fatalf("second shared-cache run diverged")
+	}
+	if second.Trainings != 0 {
+		t.Fatalf("second run retrained %d architectures despite the shared accuracy memo", second.Trainings)
 	}
 	if second.HWCacheHits <= first.HWCacheHits {
 		t.Fatalf("second run not warm-started: hits %d vs %d", second.HWCacheHits, first.HWCacheHits)

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"nasaic/internal/maestro"
+	"nasaic/internal/evalcache"
 	"nasaic/internal/workload"
 )
 
@@ -120,37 +120,40 @@ func TestHWCacheReducesWork(t *testing.T) {
 		episodes, off.HWEvals, on.HWEvals, on.HWCacheHitPct(), on.HWDeduped, dOff, dOn)
 }
 
-// Sharing the layer-cost memo process-wide and the accuracy memo across
-// evaluators must leave outcomes bit-identical — both memoize pure
-// functions — while the warm evaluator reports a (near-)perfect hit rate.
+// searchOutcome is outcomeFingerprint without its counter line. Trainings
+// is evaluation-cost telemetry: with a shared accuracy memo a warm run
+// legitimately performs zero predictor computations, so comparisons across
+// shared runs drop it and keep every search-outcome field.
+func searchOutcome(res *Result) string {
+	fp := outcomeFingerprint(res)
+	return fp[strings.Index(fp, "\n")+1:]
+}
+
+// Sharing the layer-cost and accuracy memos of one bundle across evaluators
+// must leave outcomes bit-identical — both memoize pure functions — while
+// the warm evaluator reports a (near-)perfect hit rate.
 func TestSharedMemosWarmStartWithoutChangingResults(t *testing.T) {
-	maestro.ResetSharedCostMemos()
 	episodes := 10
 	if testing.Short() {
 		episodes = 5
 	}
-	acc := NewAccuracyMemo()
+	memos := NewMemos(DefaultConfig().Cost)
 	run := func(shared bool) *Result {
 		cfg := DefaultConfig()
 		cfg.Episodes = episodes
 		cfg.Seed = 13
 		if shared {
-			cfg.ShareLayerMemo = true
-			cfg.AccMemo = acc
+			// A fresh hardware tier per run, so the warm run's requests
+			// reach the layer-cost memo instead of being answered whole
+			// (TestSharedMemosAcrossExplorers covers that tier).
+			cfg.Memos = &Memos{cost: memos.cost, acc: memos.acc, layer: memos.layer,
+				hw: evalcache.New[HWMetrics](evalcache.Options{})}
 		}
 		x, err := New(workload.W3(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return x.Run()
-	}
-	// Trainings is evaluation-cost telemetry: with a shared accuracy memo
-	// the warm run legitimately performs zero predictor computations, so
-	// the comparison drops the counter line and keeps every search-outcome
-	// field.
-	searchOutcome := func(res *Result) string {
-		fp := outcomeFingerprint(res)
-		return fp[strings.Index(fp, "\n")+1:]
 	}
 	refRes := run(false)
 	ref := searchOutcome(refRes)
@@ -179,7 +182,6 @@ func TestSharedMemosWarmStartWithoutChangingResults(t *testing.T) {
 	if warm.Trainings != 0 {
 		t.Errorf("warm run retrained %d architectures despite the shared accuracy memo", warm.Trainings)
 	}
-	maestro.ResetSharedCostMemos()
 }
 
 // The in-batch dedup must collapse identical pending candidates even with

@@ -45,10 +45,10 @@ type HWMetrics struct {
 // cost model and HAP solver, and the training-and-validating path via the
 // accuracy predictor with memoization (a trained network is never retrained,
 // matching the paper's non-blocking trainer). The mapping-and-scheduling
-// path is memoized the same way through a sharded LRU keyed by ⟨network
-// signatures, design fingerprint⟩, extending the paper's "never re-evaluate
-// what you already know" from the accuracy path to the much hotter
-// mapping-and-scheduling path. The evaluation is a pure function of its
+// path is memoized the same way through a sharded LRU keyed by ⟨specs,
+// design fingerprint, network signatures⟩, extending the paper's "never
+// re-evaluate what you already know" from the accuracy path to the much
+// hotter mapping-and-scheduling path. The evaluation is a pure function of its
 // inputs, so the cache changes wall clock and evaluation counts, never a
 // result.
 type Evaluator struct {
@@ -59,18 +59,17 @@ type Evaluator struct {
 	mu        sync.Mutex
 	trainings int
 
-	// accMemo memoizes the training-and-validating path per ⟨dataset,
-	// architecture signature⟩. It is either this evaluator's private memo
-	// or, via Config.AccMemo, a memo shared across the evaluators of one
-	// experiment so repeat architectures are never "retrained" anywhere in
-	// the process.
-	accMemo *AccuracyMemo
-
-	// hwCache memoizes the expensive valid-design evaluations: a private
-	// cache, or Config.SharedHWCache. Cached HWMetrics are shared between
-	// callers and must be treated as immutable. Tests set it to nil after
-	// construction to get the uncached reference path.
-	hwCache *evalcache.Cache[HWMetrics]
+	// accMemo, hwCache and layerMemo are the tiers of the Config.Memos
+	// bundle (a private one when nil). accMemo memoizes the
+	// training-and-validating path per ⟨dataset, architecture signature⟩.
+	// hwCache memoizes the valid-design evaluations under hwPrefix (the
+	// workload specs, which set the HAP deadline and the Feasible flag)
+	// plus hwKey; cached HWMetrics are shared between callers and must be
+	// treated as immutable. Tests set hwCache to nil after construction to
+	// get the uncached reference path.
+	accMemo  *accuracyMemo
+	hwCache  *evalcache.Cache[HWMetrics]
+	hwPrefix string
 
 	hwRequests stats.Counter // HWEvalCtx calls observed (counted requests only)
 	hwComputes stats.Counter // cost-model + HAP computations actually run
@@ -80,48 +79,12 @@ type Evaluator struct {
 	// the hardware cache, so designs that reuse a sub-accelerator
 	// configuration skip the cost model even when the full design
 	// fingerprint is new; the key space is bounded by the workload's layer
-	// shapes times the hardware option grid. It is this evaluator's private
-	// memo, or the process-wide maestro.SharedCostMemo with
-	// Cfg.ShareLayerMemo (warm-starting fresh evaluators). The counters are
-	// per-evaluator either way, so a shared memo shows up as a near-100% hit
-	// rate on evaluators built after the first.
+	// shapes times the hardware option grid. The counters are per-evaluator,
+	// so a shared memo shows up as a near-100% hit rate on evaluators built
+	// after the first.
 	layerReqs stats.Counter // requests observed by the layer-cost memo
 	layerHits stats.Counter // requests served from the memo
 	layerMemo *maestro.CostMemo
-}
-
-// AccuracyMemo is a concurrency-safe accuracy-predictor memo, shareable
-// between evaluators via Config.AccMemo. The predictor is a pure function of
-// ⟨dataset, architecture⟩, so a shared memo changes which evaluator pays for
-// a computation but never its result.
-type AccuracyMemo struct {
-	mu sync.Mutex
-	m  map[string]float64
-}
-
-// NewAccuracyMemo returns an empty memo.
-func NewAccuracyMemo() *AccuracyMemo {
-	return &AccuracyMemo{m: map[string]float64{}}
-}
-
-// Size returns the number of memoized architectures.
-func (am *AccuracyMemo) Size() int {
-	am.mu.Lock()
-	defer am.mu.Unlock()
-	return len(am.m)
-}
-
-func (am *AccuracyMemo) lookup(key string) (float64, bool) {
-	am.mu.Lock()
-	defer am.mu.Unlock()
-	q, ok := am.m[key]
-	return q, ok
-}
-
-func (am *AccuracyMemo) store(key string, q float64) {
-	am.mu.Lock()
-	defer am.mu.Unlock()
-	am.m[key] = q
 }
 
 // EvalStats is the evaluator's work counters: one evaluator's snapshot, one
@@ -183,31 +146,27 @@ func NewEvaluator(w workload.Workload, cfg Config) (*Evaluator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Evaluator{W: w, Cfg: cfg, accMemo: cfg.AccMemo}
-	if e.accMemo == nil {
-		e.accMemo = NewAccuracyMemo()
+	m := cfg.Memos
+	if m == nil {
+		m = NewMemos(cfg.Cost)
+	} else if m.cost != cfg.Cost {
+		return nil, fmt.Errorf("core: memo bundle is bound to a different cost-model calibration")
 	}
-	if cfg.ShareLayerMemo {
-		e.layerMemo = maestro.SharedCostMemo(cfg.Cost)
-	} else {
-		e.layerMemo = maestro.NewCostMemo(cfg.Cost)
+	e := &Evaluator{
+		W: w, Cfg: cfg,
+		accMemo: m.acc, hwCache: m.hw, layerMemo: m.layer,
+		hwPrefix: fmt.Sprintf("%d,%g,%g|", w.Specs.LatencyCycles, w.Specs.EnergyNJ, w.Specs.AreaUM2),
 	}
-	e.hwCache = cfg.SharedHWCache
-	if e.hwCache == nil {
-		e.hwCache = evalcache.New[HWMetrics](evalcache.Options{})
-	}
-	// Warm-load before computing bounds: the bound sampling already runs
-	// through both memo tiers, so a warm start skips its evaluations too.
-	e.loadCaches()
 	e.Bounds = e.computeBounds()
 	return e, nil
 }
 
 // hwKey builds the canonical cache key of one hardware evaluation: the
-// design fingerprint plus every network's memoization signature (the same
-// identity the accuracy path keys on).
-func hwKey(nets []*dnn.Network, d accel.Design) string {
+// evaluator's specs prefix, the design fingerprint and every network's
+// memoization signature (the same identity the accuracy path keys on).
+func hwKey(prefix string, nets []*dnn.Network, d accel.Design) string {
 	var b strings.Builder
+	b.WriteString(prefix)
 	b.WriteString(d.Fingerprint())
 	for _, n := range nets {
 		b.WriteByte('|')
@@ -299,7 +258,7 @@ func (e *Evaluator) hwEval(ctx context.Context, nets []*dnn.Network, d accel.Des
 		}
 		return e.hwCompute(ctx, nets, d)
 	}
-	m, avoided, err := e.hwCache.GetOrComputeErr(hwKey(nets, d), func() (HWMetrics, error) {
+	m, avoided, err := e.hwCache.GetOrComputeErr(hwKey(e.hwPrefix, nets, d), func() (HWMetrics, error) {
 		if count {
 			e.hwComputes.Inc()
 		}
@@ -362,12 +321,6 @@ func (e *Evaluator) layerCost(l dnn.Layer, sub accel.SubAccel) maestro.LayerCost
 		e.layerHits.Inc()
 	}
 	return lc
-}
-
-// LayerMemoEntries reports the resident size of the evaluator's layer-cost
-// memo (the process-wide memo's size under Config.ShareLayerMemo).
-func (e *Evaluator) LayerMemoEntries() int {
-	return e.layerMemo.Size()
 }
 
 // buildProblem assembles the HAP cost table for the given networks on the
@@ -480,16 +433,6 @@ func (e *Evaluator) EvalStats() EvalStats {
 		LayerCostRequests: int(e.layerReqs.Value()),
 		LayerCostHits:     int(e.layerHits.Value()),
 	}
-}
-
-// CacheStats snapshots the hardware-evaluation cache counters (zero without
-// a cache). Unlike EvalStats, these include the uncounted
-// bound-computation traffic and in-flight dedups.
-func (e *Evaluator) CacheStats() evalcache.Stats {
-	if e.hwCache == nil {
-		return evalcache.Stats{}
-	}
-	return e.hwCache.Stats()
 }
 
 func maxI64(a, b int64) int64 {

@@ -3,9 +3,13 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"nasaic/internal/dnn"
+	"nasaic/internal/predictor"
+	"nasaic/internal/stats"
 	"nasaic/internal/workload"
 )
 
@@ -15,17 +19,18 @@ func runWithCacheDir(t *testing.T, w workload.Workload, dir string, episodes int
 	cfg.Episodes = episodes
 	cfg.Seed = 7
 	cfg.Workers = 4
-	cfg.CacheDir = dir
 	if mutate != nil {
 		mutate(&cfg)
 	}
+	cfg.Memos = NewMemos(cfg.Cost)
+	cfg.Memos.LoadDir(dir)
 	x, err := New(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := x.Run()
-	if err := x.SaveCaches(); err != nil {
-		t.Fatalf("SaveCaches: %v", err)
+	if err := cfg.Memos.SaveDir(dir); err != nil {
+		t.Fatalf("SaveDir: %v", err)
 	}
 	return res, x.Evaluator().EvalStats()
 }
@@ -51,8 +56,8 @@ func TestWarmStartBitIdenticalAndSkipsRecomputation(t *testing.T) {
 		t.Fatal("cold run reports zero hardware evaluations; test is vacuous")
 	}
 
-	// A fresh explorer simulates the second process: nothing shared
-	// in-process (private memo, private cache), only the files under dir.
+	// A fresh bundle simulates the second process: nothing shared
+	// in-process, only the files under dir.
 	warmRes, warmStats := runWithCacheDir(t, w, dir, episodes, nil)
 	if got := outcomeFingerprint(warmRes); got != ref {
 		t.Errorf("warm run diverged from cold run:\n--- cold ---\n%s--- warm ---\n%s", ref, got)
@@ -142,5 +147,76 @@ func TestWarmTierFileNaming(t *testing.T) {
 	joined := strings.Join(kinds, " ")
 	if !strings.Contains(joined, "layercost-") || !strings.Contains(joined, "hweval-") {
 		t.Fatalf("snapshot files %v miss the layercost-/hweval- prefixes", kinds)
+	}
+}
+
+// Two single-CIFAR workloads that differ only in their specs (Table II's
+// Single and Homo. rows) may share one bundle: the specs set the HAP
+// deadline and the Feasible flag, so they lead every hardware-cache key, and
+// each evaluator must see exactly the metrics a private evaluator computes.
+func TestSharedMemosKeyHardwareEntriesBySpecs(t *testing.T) {
+	w3 := workload.W3().Specs
+	single := workload.Specs{LatencyCycles: w3.LatencyCycles / 2, EnergyNJ: w3.EnergyNJ / 2, AreaUM2: w3.AreaUM2}
+	homo := workload.Specs{LatencyCycles: w3.LatencyCycles, EnergyNJ: w3.EnergyNJ / 2, AreaUM2: w3.AreaUM2 / 2}
+	cifar := func(specs workload.Specs) workload.Workload {
+		return workload.Workload{
+			Name:  "cifar",
+			Tasks: []workload.TaskSpec{{Name: "cifar", Dataset: predictor.CIFAR10, Space: dnn.CIFARResNetSpace(), Weight: 1}},
+			Specs: specs,
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Seed = 5
+	evaluator := func(w workload.Workload, memos *Memos) *Evaluator {
+		c := cfg
+		c.Memos = memos
+		e, err := NewEvaluator(w, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	memos := NewMemos(cfg.Cost)
+	sharedSingle, sharedHomo := evaluator(cifar(single), memos), evaluator(cifar(homo), memos)
+	privSingle, privHomo := evaluator(cifar(single), nil), evaluator(cifar(homo), nil)
+
+	sp := dnn.CIFARResNetSpace()
+	rng := stats.NewRNG(11)
+	differ := 0
+	for i := 0; i < 40; i++ {
+		nets := []*dnn.Network{sp.MustDecode(sp.Random(rng))}
+		d := cfg.HW.Random(rng)
+		a := mustHWEval(t, sharedSingle, nets, d)
+		b := mustHWEval(t, sharedHomo, nets, d)
+		wantA := mustHWEval(t, privSingle, nets, d)
+		wantB := mustHWEval(t, privHomo, nets, d)
+		if !reflect.DeepEqual(a, wantA) {
+			t.Fatalf("sample %d: single-spec evaluator got %+v from the shared bundle, private %+v", i, a, wantA)
+		}
+		if !reflect.DeepEqual(b, wantB) {
+			t.Fatalf("sample %d: homo-spec evaluator got %+v from the shared bundle, private %+v", i, b, wantB)
+		}
+		if !reflect.DeepEqual(wantA, wantB) {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Fatal("the two specs never led to different metrics; the test is vacuous")
+	}
+}
+
+// A bundle caches layer costs and areas of one cost-model calibration, so
+// an evaluator calibrated differently must refuse it.
+func TestNewEvaluatorRejectsMemosOfOtherCalibration(t *testing.T) {
+	cfg := DefaultConfig()
+	other := cfg.Cost
+	other.EnergyScale *= 2
+	cfg.Memos = NewMemos(other)
+	if _, err := NewEvaluator(workload.W3(), cfg); err == nil {
+		t.Fatal("NewEvaluator accepted a bundle bound to a different maestro.Config")
+	}
+	cfg.Memos = NewMemos(cfg.Cost)
+	if _, err := NewEvaluator(workload.W3(), cfg); err != nil {
+		t.Fatalf("NewEvaluator rejected a bundle bound to its own calibration: %v", err)
 	}
 }

@@ -28,21 +28,14 @@ type Budget struct {
 	HWSamples int
 	// Seed drives every deterministic RNG.
 	Seed int64
-	// SharedMemo promotes the layer-cost memo to the process-wide
-	// maestro.SharedCostMemo and shares one accuracy-predictor memo across
-	// all of an experiment's searches, so the Table I/II baselines — which
-	// build a fresh evaluator per approach — start warm. Both memoize pure
-	// functions: results are bit-identical, only the reported hit rates,
-	// training counts and wall clock change.
-	SharedMemo bool
-	// CacheDir backs the layer-cost memo and hardware-evaluation caches of
-	// every search in the experiment with a persistent on-disk warm tier
-	// (see core.Config.CacheDir): snapshots under this directory are loaded
-	// when each evaluator is built and written back after each search, so a
-	// second process pointed at the same directory replays the experiment
-	// with ~100% memo hit rates. Empty (the zero value) keeps the warm tier
-	// off. Results are bit-identical either way; only the reported hit
-	// rates and wall clock change.
+	// CacheDir backs the memo bundle each experiment call shares across its
+	// searches with a persistent on-disk warm tier: the bundle is loaded
+	// from this directory before the first search and saved back when the
+	// call returns (core.Memos.LoadDir/SaveDir), so a second process pointed
+	// at the same directory replays the experiment with ~100% memo hit
+	// rates. Empty (the zero value) keeps the warm tier off. Results are
+	// bit-identical either way; only the reported hit rates and wall clock
+	// change.
 	CacheDir string
 }
 
@@ -58,22 +51,22 @@ func QuickBudget() Budget {
 	return Budget{Episodes: 150, MCRuns: 1200, NASSamples: 120, HWSamples: 300, Seed: 1}
 }
 
+// config returns the search configuration of one experiment call. Every
+// search of the call shares its memo bundle (see core.Memos), so the
+// baselines — which each build a fresh evaluator — start warm; the bundle
+// is warm-loaded from CacheDir, and the call saves it with save.
 func (b Budget) config() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Episodes = b.Episodes
 	cfg.Seed = b.Seed
-	cfg.ShareLayerMemo = b.SharedMemo
-	cfg.CacheDir = b.CacheDir
+	cfg.Memos = core.NewMemos(cfg.Cost)
+	cfg.Memos.LoadDir(b.CacheDir)
 	return cfg
 }
 
-// accMemo returns the experiment-wide accuracy memo (nil unless SharedMemo).
-func (b Budget) accMemo() *core.AccuracyMemo {
-	if !b.SharedMemo {
-		return nil
-	}
-	return core.NewAccuracyMemo()
-}
+// save snapshots a call's memo bundle into CacheDir (a no-op without one).
+// A failed save never fails the experiment: the tier only saves work.
+func (b Budget) save(cfg core.Config) { _ = cfg.Memos.SaveDir(b.CacheDir) }
 
 // archString renders the selected hyperparameter values of a choice vector
 // in the paper's tuple notation.

@@ -56,11 +56,10 @@ func Fig1Workload() workload.Workload {
 // Fig1 regenerates the motivating design-space exploration.
 func Fig1(ctx context.Context, b Budget) (*Fig1Data, error) {
 	w := Fig1Workload()
+	// The NAS→ASIC sweep, the HW-NAS baseline and the Monte Carlo search
+	// each build their own evaluator over one memo bundle.
 	cfg := b.config()
-	// With Budget.SharedMemo, the NAS→ASIC sweep, the HW-NAS baseline and
-	// the Monte Carlo search (each building its own evaluator) share one
-	// accuracy memo.
-	cfg.AccMemo = b.accMemo()
+	defer b.save(cfg)
 	e, err := core.NewEvaluator(w, cfg)
 	if err != nil {
 		return nil, err
@@ -109,7 +108,6 @@ func Fig1(ctx context.Context, b Budget) (*Fig1Data, error) {
 		d.Heuristic = &p
 		d.HeuristicAcc = mc.ClosestToSpec.Weighted
 	}
-	_ = e.SaveCaches() // persist the warm tier; no-op without Budget.CacheDir
 	return d, nil
 }
 
@@ -136,7 +134,7 @@ type Fig6Data struct {
 // Fig6 regenerates one panel of Fig. 6 for the given workload.
 func Fig6(ctx context.Context, w workload.Workload, b Budget) (*Fig6Data, error) {
 	cfg := b.config()
-	cfg.AccMemo = b.accMemo()
+	defer b.save(cfg)
 	x, err := core.New(w, cfg)
 	if err != nil {
 		return nil, err
@@ -184,7 +182,6 @@ func Fig6(ctx context.Context, w workload.Workload, b Budget) (*Fig6Data, error)
 		d.LowerBounds = append(d.LowerBounds,
 			toPoint(m.Latency, m.EnergyNJ, m.AreaUM2, w.Weighted(d.LowerAccs), m.Feasible))
 	}
-	_ = x.SaveCaches() // persist the warm tier; no-op without Budget.CacheDir
 	return d, nil
 }
 

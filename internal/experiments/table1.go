@@ -18,13 +18,13 @@ import (
 func Table1(ctx context.Context, b Budget) ([]ApproachResult, core.EvalStats, error) {
 	var out []ApproachResult
 	var stats core.EvalStats
-	// With Budget.SharedMemo, one accuracy memo spans both workloads and
-	// every approach (the memo key includes the dataset, so cross-workload
-	// sharing is sound); the layer-cost memo is process-wide via the
-	// evaluator configuration.
-	acc := b.accMemo()
+	// One memo bundle spans both workloads and every approach: the
+	// accuracy key includes the dataset and the hardware key the specs, so
+	// cross-workload sharing is sound.
+	cfg := b.config()
+	defer b.save(cfg)
 	for _, w := range []workload.Workload{workload.W1(), workload.W2()} {
-		rows, st, err := table1Workload(ctx, w, b, acc)
+		rows, st, err := table1Workload(ctx, w, b, cfg)
 		if err != nil {
 			return nil, stats, fmt.Errorf("experiments: table 1 on %s: %w", w.Name, err)
 		}
@@ -34,10 +34,7 @@ func Table1(ctx context.Context, b Budget) ([]ApproachResult, core.EvalStats, er
 	return out, stats, nil
 }
 
-func table1Workload(ctx context.Context, w workload.Workload, b Budget, acc *core.AccuracyMemo) ([]ApproachResult, *core.Result, error) {
-	cfg := b.config()
-	cfg.AccMemo = acc
-
+func table1Workload(ctx context.Context, w workload.Workload, b Budget, cfg core.Config) ([]ApproachResult, *core.Result, error) {
 	nas, err := search.NASToASIC(ctx, w, cfg, b.NASSamples, b.HWSamples)
 	if err != nil {
 		return nil, nil, err
@@ -54,9 +51,6 @@ func table1Workload(ctx context.Context, w workload.Workload, b Budget, acc *cor
 	if err != nil {
 		return nil, nil, err
 	}
-	// Snapshot the warm tier (a no-op without Budget.CacheDir) so the next
-	// process replays this workload warm; save failures never fail the table.
-	_ = x.SaveCaches()
 	if res.Best == nil {
 		return nil, nil, fmt.Errorf("NASAIC found no feasible solution in %d episodes", cfg.Episodes)
 	}

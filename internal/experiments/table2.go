@@ -29,9 +29,9 @@ import (
 func Table2(ctx context.Context, b Budget) ([]ApproachResult, core.EvalStats, error) {
 	w3 := workload.W3()
 	sp := w3.Specs
+	// One memo bundle for all four approaches (see Table1).
 	cfg := b.config()
-	// One accuracy memo for all four approaches (see Table1).
-	cfg.AccMemo = b.accMemo()
+	defer b.save(cfg)
 
 	var out []ApproachResult
 	var stats core.EvalStats
@@ -82,7 +82,6 @@ func Table2(ctx context.Context, b Budget) ([]ApproachResult, core.EvalStats, er
 	if err != nil {
 		return nil, stats, err
 	}
-	_ = x.SaveCaches() // persist the warm tier; no-op without Budget.CacheDir
 	if res.Best == nil {
 		return nil, stats, fmt.Errorf("experiments: NASAIC found no feasible W3 solution")
 	}
@@ -129,7 +128,6 @@ func table2NAS(ctx context.Context, w3 workload.Workload, b Budget, cfg core.Con
 	if err != nil {
 		return ApproachResult{}, err
 	}
-	_ = e.SaveCaches() // persist the warm tier; no-op without Budget.CacheDir
 	return ApproachResult{
 		Workload: "W3", Approach: "NAS",
 		Hardware: d.Subs[0].String(),
@@ -153,7 +151,6 @@ func runRestricted(ctx context.Context, name string, w workload.Workload, cfg co
 	if err != nil {
 		return ApproachResult{}, nil, err
 	}
-	_ = x.SaveCaches() // persist the warm tier; no-op without Budget.CacheDir
 	if res.Best == nil {
 		return ApproachResult{}, nil, fmt.Errorf("experiments: %s search found no feasible solution", name)
 	}

@@ -140,20 +140,20 @@ type Options struct {
 	// the oldest events are dropped (subscribers that far behind see a
 	// gap). <=0 selects 4096.
 	EventBuffer int
-	// ShareMemos routes every job through one shared evaluation-cache and
-	// memo bundle (bit-identical; jobs warm-start each other). The zero
-	// value is off; cmd/nasaicd turns it on by default (-sharedmemo=false
-	// opts out).
+	// ShareMemos routes every job through one memo bundle the manager owns
+	// (bit-identical; jobs warm-start each other). cmd/nasaicd always sets
+	// it; false gives every job a private bundle.
 	ShareMemos bool
 	// MaxPending bounds the jobs queued for a concurrency slot; once
 	// reached, Submit rejects further specs with ErrTooManyPending (the
 	// HTTP layer maps it to 429) instead of queueing without bound. <=0
 	// (the zero value) keeps the seed behavior of an unbounded queue.
 	MaxPending int
-	// CacheDir backs every job's memo tiers with the persistent on-disk
-	// warm tier under this directory (see nasaic.WithCacheDir), so a
-	// restarted daemon starts warm. The shared bundle is additionally
-	// snapshotted by FlushCaches (periodic, via cmd/nasaicd) and on Close.
+	// CacheDir backs the memos with the persistent on-disk warm tier under
+	// this directory, so a restarted daemon starts warm. With ShareMemos
+	// the manager loads its bundle from here at startup and saves it in
+	// FlushCaches (periodic, via cmd/nasaicd, and on Close); without it,
+	// every job loads and saves its own bundle (see nasaic.WithCacheDir).
 	// Empty keeps the warm tier off.
 	CacheDir string
 	// DataDir enables the durable job journal under DataDir/journal: every
@@ -322,12 +322,10 @@ func NewManager(opts Options) *Manager {
 		sched:  make(map[string]*tenantState),
 	}
 	if opts.ShareMemos {
+		// Warm the bundle from the persistent tier at startup, so even the
+		// first job benefits from a previous daemon's work.
 		m.shared = nasaic.NewSharedMemos()
-		if opts.CacheDir != "" {
-			// Warm the bundle from the persistent tier at startup, so even
-			// the first job benefits from a previous daemon's work.
-			m.shared.LoadDir(opts.CacheDir)
-		}
+		m.shared.LoadDir(opts.CacheDir)
 	}
 	if opts.DataDir != "" {
 		jn, err := journal.Open(filepath.Join(opts.DataDir, "journal"), journal.Options{
@@ -788,8 +786,7 @@ func (e localExecutor) Execute(ctx context.Context, j *Job) (*nasaic.Result, err
 	}
 	if e.m.shared != nil {
 		opts = append(opts, nasaic.WithSharedMemos(e.m.shared))
-	}
-	if e.m.opts.CacheDir != "" {
+	} else {
 		opts = append(opts, nasaic.WithCacheDir(e.m.opts.CacheDir))
 	}
 	opts = append(opts, nasaic.WithEventHandler(j.appendEvent))
@@ -895,13 +892,13 @@ func (m *Manager) Close() {
 	}
 }
 
-// FlushCaches snapshots the shared memo bundle into Options.CacheDir so a
-// restarted daemon starts warm; a no-op (nil) without both ShareMemos and
+// FlushCaches snapshots the manager's memo bundle into Options.CacheDir so
+// a restarted daemon starts warm; a no-op (nil) without both ShareMemos and
 // CacheDir. cmd/nasaicd calls it periodically and Close calls it at
 // shutdown; each flush atomically replaces the previous snapshot. (Without
-// ShareMemos each job persists its own caches when its run finishes.)
+// ShareMemos each job persists its own bundle when its run finishes.)
 func (m *Manager) FlushCaches() error {
-	if m.shared == nil || m.opts.CacheDir == "" {
+	if m.shared == nil {
 		return nil
 	}
 	return m.shared.SaveDir(m.opts.CacheDir)

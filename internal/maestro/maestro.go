@@ -11,8 +11,8 @@
 // DRAM) that make dataflow choice matter.
 //
 // Because LayerCost is a pure function of ⟨layer shape, dataflow, PEs, BW⟩
-// given a Config, its results are memoized at two tiers: CostMemo (per
-// evaluator or process-wide via SharedCostMemo) in memory, and — through
+// given a Config, its results are memoized at two tiers: CostMemo (one per
+// core.Memos bundle) in memory, and — through
 // CostMemo.SaveFile/LoadFile — a persistent on-disk warm tier keyed by the
 // calibration's Fingerprint, so fresh processes skip recomputation without
 // ever changing a result (see internal/cachefile for the snapshot format).

@@ -64,30 +64,7 @@ func (cm *CostMemo) sizeScan() int {
 	return n
 }
 
-// sharedMemos holds one process-wide CostMemo per cost-model configuration.
-// Keying on the full Config (a comparable struct of calibration constants)
-// makes sharing safe across evaluators that might be calibrated differently:
-// two evaluators share entries only when every constant matches.
-var sharedMemos sync.Map // Config -> *CostMemo
-
-// SharedCostMemo returns the process-wide memo for cfg, creating it on first
-// use. Evaluators opting into core.Config.ShareLayerMemo route their
-// layer-cost queries here, so fresh evaluators — one per approach in the
-// Table I/II baselines — start warm with every entry earlier searches in the
-// same process already computed.
-func SharedCostMemo(cfg Config) *CostMemo {
-	if v, ok := sharedMemos.Load(cfg); ok {
-		return v.(*CostMemo)
-	}
-	v, _ := sharedMemos.LoadOrStore(cfg, NewCostMemo(cfg))
-	return v.(*CostMemo)
-}
-
-// ResetSharedCostMemos drops every process-wide memo. Intended for tests and
-// benchmarks that need a cold start.
-func ResetSharedCostMemos() {
-	sharedMemos.Range(func(k, _ any) bool {
-		sharedMemos.Delete(k)
-		return true
-	})
-}
+// ResetSharedCostMemos does nothing: evaluators share a layer-cost memo only
+// through a core.Memos bundle, so there is no process-wide memo to reset. It
+// is kept only because the frozen nasaicbench harness calls it.
+func ResetSharedCostMemos() {}

@@ -47,35 +47,6 @@ func TestCostMemoServesBitIdenticalResults(t *testing.T) {
 	}
 }
 
-func TestSharedCostMemoKeyedByConfig(t *testing.T) {
-	ResetSharedCostMemos()
-	defer ResetSharedCostMemos()
-
-	cfg := DefaultConfig()
-	a := SharedCostMemo(cfg)
-	b := SharedCostMemo(cfg)
-	if a != b {
-		t.Error("same configuration must share one memo")
-	}
-	other := cfg
-	other.EnergyScale *= 2
-	c := SharedCostMemo(other)
-	if c == a {
-		t.Error("different calibration constants must not share a memo")
-	}
-	// Entries written through one handle are visible through the other.
-	l := memoLayer()
-	if _, hit := a.LayerCost(l, dataflow.Shidiannao, 256, 16); hit {
-		t.Error("cold shared memo reported a hit")
-	}
-	if _, hit := b.LayerCost(l, dataflow.Shidiannao, 256, 16); !hit {
-		t.Error("warm shared memo missed")
-	}
-	if _, hit := c.LayerCost(l, dataflow.Shidiannao, 256, 16); hit {
-		t.Error("differently calibrated memo must not be warmed by the other")
-	}
-}
-
 func TestCostMemoConcurrentAccess(t *testing.T) {
 	cm := NewCostMemo(DefaultConfig())
 	l := memoLayer()

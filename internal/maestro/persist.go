@@ -29,9 +29,9 @@ type memoEntry struct {
 
 // CacheFile returns the warm-tier file path of this memo's calibration under
 // dir. The name embeds a hash of the calibration fingerprint so differently
-// calibrated memos coexist in one cache directory; per-run and process-wide
-// memos of the same calibration share one file, accumulating entries across
-// saves (each save snapshots a memo that was warm-loaded from the same file).
+// calibrated memos coexist in one cache directory; memos of the same
+// calibration share one file, accumulating entries across saves (each save
+// snapshots a memo that was warm-loaded from the same file).
 func (cm *CostMemo) CacheFile(dir string) string {
 	return filepath.Join(dir, cachefile.Name(MemoKind, cm.cfg.Fingerprint()))
 }
@@ -56,8 +56,8 @@ func (cm *CostMemo) SaveFile(path string) error {
 // the number of file entries processed. A missing, torn, corrupt,
 // stale-versioned or differently-calibrated file returns an error and loads
 // nothing — every failure means a cold start, never a crash or a stale cost.
-// Entries already resident (e.g. in the process-wide shared memo) are kept;
-// the stored value is bit-identical anyway since LayerCost is pure.
+// Entries already resident (e.g. in a memo that running searches share) are
+// kept; the stored value is bit-identical anyway since LayerCost is pure.
 func (cm *CostMemo) LoadFile(path string) (int, error) {
 	payload, err := cachefile.ReadFile(path, MemoKind, cm.cfg.Fingerprint())
 	if err != nil {

@@ -119,9 +119,6 @@ func NASToASIC(ctx context.Context, w workload.Workload, cfg core.Config, archSa
 			}
 		}
 	}
-	// Snapshot the warm tier (a no-op without Config.CacheDir); the baseline
-	// hammers the same layer shapes NASAIC does, so later searches start warm.
-	_ = e.SaveCaches()
 	return best, nil
 }
 
@@ -214,7 +211,6 @@ func ASICToHWNAS(ctx context.Context, w workload.Workload, cfg core.Config, mcRu
 			return Candidate{}, err
 		}
 	}
-	_ = e.SaveCaches() // persist the warm tier; no-op without Config.CacheDir
 	return best, nil
 }
 
@@ -275,6 +271,5 @@ func MonteCarlo(ctx context.Context, w workload.Workload, cfg core.Config, runs 
 		}
 	}
 	res.Stats = e.EvalStats()
-	_ = e.SaveCaches() // persist the warm tier; no-op without Config.CacheDir
 	return res, nil
 }

@@ -23,9 +23,9 @@
 // Progress can be streamed per episode through WithEventHandler or
 // WithEventChannel; each Event carries the episode's reward, the best-so-far
 // solution, and the evaluator's cache/memo counters. Several concurrent runs
-// inside one process can share evaluation caches and memos via
-// NewSharedMemos/WithSharedMemos (the cached functions are pure, so sharing
-// never changes results).
+// inside one process can share one memo bundle via
+// NewSharedMemos/WithSharedMemos, and WithCacheDir persists a run's bundle
+// (the cached functions are pure, so neither ever changes results).
 //
 // The same package exposes the paper's evaluation artifacts (Table I/II,
 // Fig. 1/6) as context-aware wrappers used by the cmd/compare and cmd/dse

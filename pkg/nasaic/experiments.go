@@ -13,10 +13,8 @@ import (
 )
 
 // Budget scales the search effort of the paper-evaluation wrappers (Table1,
-// Table2, Fig1, Fig6). The zero value of the cache fields keeps the
-// hardware-evaluation cache on and every memo private to its search; they
-// are bit-identical switches that only change wall clock and reported
-// counters.
+// Table2, Fig1, Fig6). Each wrapper call shares one memo bundle across all
+// of its searches; CacheDir only changes wall clock and reported counters.
 type Budget struct {
 	// Episodes is NASAIC's β (paper: 500); MCRuns the Monte Carlo sample
 	// count (paper: 10,000); NASSamples and HWSamples bound the baselines'
@@ -26,12 +24,10 @@ type Budget struct {
 	NASSamples int   `json:"nas_samples"`
 	HWSamples  int   `json:"hw_samples"`
 	Seed       int64 `json:"seed"`
-	// SharedMemo shares the layer-cost memo process-wide and one accuracy
-	// memo across the experiment's searches (warm-start).
-	SharedMemo bool `json:"shared_memo,omitempty"`
-	// CacheDir backs every search's memo tiers with the persistent on-disk
-	// warm tier under this directory (see WithCacheDir); empty keeps the
-	// warm tier off.
+	// CacheDir backs the call's memo bundle with the persistent on-disk
+	// warm tier under this directory (see WithCacheDir), loaded before the
+	// first search and saved once the call returns; empty keeps the warm
+	// tier off.
 	CacheDir string `json:"cache_dir,omitempty"`
 }
 
@@ -56,7 +52,6 @@ func (b Budget) internal() experiments.Budget {
 		NASSamples: b.NASSamples,
 		HWSamples:  b.HWSamples,
 		Seed:       b.Seed,
-		SharedMemo: b.SharedMemo,
 		CacheDir:   b.CacheDir,
 	}
 }

@@ -28,11 +28,12 @@ func Run(ctx context.Context, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Warm the shared bundle from the persistent tier before the evaluator is
-	// built (once per bundle; later runs are already warm in-process).
-	if s.cfg.CacheDir != "" && s.shared != nil {
-		s.shared.LoadDir(s.cfg.CacheDir)
+	// Warm the bundle from the persistent tier before the evaluator is built:
+	// the penalty-bound sampling already runs through it.
+	if s.cfg.Memos == nil {
+		s.cfg.Memos = core.NewMemos(s.cfg.Cost)
 	}
+	s.cfg.Memos.LoadDir(s.cacheDir)
 	x, err := core.New(w, s.cfg)
 	if err != nil {
 		return nil, err
@@ -77,12 +78,7 @@ func Run(ctx context.Context, opts ...Option) (*Result, error) {
 	// memoizes a pure function, so partial snapshots are as valid as full
 	// ones. Save failures never fail the run — the tier is an accelerator,
 	// not a dependency.
-	if s.cfg.CacheDir != "" {
-		_ = x.SaveCaches()
-		if s.shared != nil {
-			_ = s.shared.SaveDir(s.cfg.CacheDir)
-		}
-	}
+	_ = s.cfg.Memos.SaveDir(s.cacheDir)
 	return convertResult(w, x, cres), runErr
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -195,6 +196,51 @@ func TestSharedMemosWarmStart(t *testing.T) {
 	}
 	if warm2.Stats.Trainings != 0 {
 		t.Fatalf("second run retrained %d architectures despite shared accuracy memo", warm2.Stats.Trainings)
+	}
+}
+
+// TestCacheDirWarmTier drives the one warm-tier path end to end: a run
+// through a shared bundle with WithCacheDir saves that bundle once, one
+// file per persisted tier, and a fresh bundle pointed at the same directory
+// replays the run bit-identically without a single hardware evaluation.
+func TestCacheDirWarmTier(t *testing.T) {
+	dir := t.TempDir()
+	run := func() *Result {
+		res, err := Run(context.Background(), quickOpts(WithSharedMemos(NewSharedMemos()), WithCacheDir(dir))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cold := run()
+	if cold.Stats.HWEvals == 0 {
+		t.Fatal("cold run reports zero hardware evaluations; test is vacuous")
+	}
+	for _, prefix := range []string{"layercost-", "hweval-"} {
+		files, err := filepath.Glob(filepath.Join(dir, prefix+"*"))
+		if err != nil || len(files) != 1 {
+			t.Fatalf("%s snapshots after the cold run: %v (err %v), want exactly one", prefix, files, err)
+		}
+	}
+	warm := run()
+	if warm.Stats.HWEvals != 0 {
+		t.Errorf("warm run computed %d hardware evaluations, want 0", warm.Stats.HWEvals)
+	}
+	for _, field := range []struct {
+		name       string
+		cold, warm any
+	}{{"Best", cold.Best, warm.Best}, {"Explored", cold.Explored, warm.Explored}} {
+		a, err := json.Marshal(field.cold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(field.warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(a) != string(b) {
+			t.Errorf("warm %s differs from cold:\n%s\nvs\n%s", field.name, b, a)
+		}
 	}
 }
 

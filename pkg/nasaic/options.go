@@ -1,15 +1,9 @@
 package nasaic
 
 import (
-	"errors"
 	"fmt"
-	"path/filepath"
-	"sync"
 
-	"nasaic/internal/cachefile"
 	"nasaic/internal/core"
-	"nasaic/internal/evalcache"
-	"nasaic/internal/maestro"
 )
 
 // Optimizer selects the search strategy of one run.
@@ -28,7 +22,7 @@ type settings struct {
 	workload  string
 	cfg       core.Config
 	optimizer Optimizer
-	shared    *SharedMemos
+	cacheDir  string
 	handlers  []func(Event)
 	channels  []chan<- Event
 	errs      []error
@@ -91,19 +85,18 @@ func WithRefine(on bool) Option {
 	return func(s *settings) { s.cfg.Refine = on }
 }
 
-// WithCacheDir points the run's layer-cost memo and hardware-evaluation
-// cache at a persistent on-disk warm tier: matching snapshots under dir are
-// loaded before the search and written back (atomically) when Run returns,
+// WithCacheDir backs the run's memo bundle — its own, or the one from
+// WithSharedMemos — with a persistent on-disk warm tier: the bundle's
+// layer-cost memo and hardware-evaluation cache are loaded from dir before
+// the search and written back (atomically) when Run returns, once per run,
 // so a second process pointed at the same directory starts with ~100% memo
 // hit rates from the first episode. Snapshot files are versioned and
 // checksummed and keyed by the cost-model calibration; any missing, torn,
 // corrupt or mismatched file silently degrades to a cold start. The warm
 // tier memoizes pure functions and round-trips values bit-exactly, so it
-// changes work counters (hits vs computes), never results. When combined
-// with WithSharedMemos, the bundle is warm-loaded from dir once per process
-// and saved back after each run.
+// changes work counters (hits vs computes), never results.
 func WithCacheDir(dir string) Option {
-	return func(s *settings) { s.cfg.CacheDir = dir }
+	return func(s *settings) { s.cacheDir = dir }
 }
 
 // WithEventHandler subscribes fn to per-episode progress events. Handlers
@@ -133,90 +126,27 @@ func WithEventChannel(ch chan<- Event) Option {
 	}
 }
 
-// SharedMemos bundles the caches several runs in one process may share: the
-// hardware-evaluation cache, the accuracy-predictor memo, and (by enabling
-// the process-wide table) the layer-cost memo. All three memoize pure
-// functions, so sharing changes which run pays for a computation but never
-// any result.
-type SharedMemos struct {
-	acc *core.AccuracyMemo
-	hw  *evalcache.Cache[core.HWMetrics]
+// SharedMemos is a memo bundle several runs in one process may share: the
+// accuracy-predictor memo, the layer-cost memo and the hardware-evaluation
+// cache. All three memoize pure functions, so sharing changes which run pays
+// for a computation but never any result. Its LoadDir/SaveDir persist the
+// bundle; WithCacheDir calls them around a run.
+type SharedMemos = core.Memos
 
-	loadOnce sync.Once // warm tier is loaded at most once per bundle
-}
-
-// NewSharedMemos returns an empty shared-memo bundle.
+// NewSharedMemos returns an empty bundle bound to the default cost-model
+// calibration (the only one the facade uses).
 func NewSharedMemos() *SharedMemos {
-	return &SharedMemos{
-		acc: core.NewAccuracyMemo(),
-		hw:  evalcache.New[core.HWMetrics](evalcache.Options{}),
-	}
+	return core.NewMemos(core.DefaultConfig().Cost)
 }
 
-// HWCacheStats snapshots the shared hardware-evaluation cache counters.
-func (m *SharedMemos) HWCacheStats() evalcache.Stats { return m.hw.Stats() }
-
-// AccuracyMemoSize reports the number of memoized architectures.
-func (m *SharedMemos) AccuracyMemoSize() int { return m.acc.Size() }
-
-// WithSharedMemos routes the run's hardware-evaluation cache and accuracy
-// memo through m and enables the process-wide layer-cost memo, so concurrent
-// or consecutive runs warm-start each other.
+// WithSharedMemos routes the run's memos through m, so concurrent or
+// consecutive runs warm-start each other.
 func WithSharedMemos(m *SharedMemos) Option {
 	return func(s *settings) {
 		if m == nil {
 			s.errs = append(s.errs, fmt.Errorf("nasaic: WithSharedMemos(nil)"))
 			return
 		}
-		s.shared = m
-		s.cfg.AccMemo = m.acc
-		s.cfg.SharedHWCache = m.hw
-		s.cfg.ShareLayerMemo = true
+		s.cfg.Memos = m
 	}
-}
-
-// sharedLayerMemo returns the process-wide layer-cost memo a bundle-routed
-// run uses (the facade never varies the calibration, so there is exactly
-// one).
-func sharedLayerMemo() *maestro.CostMemo {
-	return maestro.SharedCostMemo(core.DefaultConfig().Cost)
-}
-
-// sharedHWKey is the invalidation identity of the bundle's cross-workload
-// hardware-evaluation cache. The fixed "shared" scope mirrors the
-// in-process sharing semantics: entries are keyed by the full
-// ⟨design fingerprint, task-signature tuple⟩, which distinguishes workloads.
-func sharedHWKey() string {
-	return core.HWCacheConfigKey(core.DefaultConfig(), "shared")
-}
-
-// LoadDir warms the bundle from the persistent tier under dir: the shared
-// hardware-evaluation cache and the process-wide layer-cost memo. It returns
-// the number of entries loaded into each; every file-level failure —
-// missing, torn, corrupt, stale version, different calibration — loads
-// nothing and returns zero, which is always safe (cold start, identical
-// results). A bundle loads at most once: later calls (including the lazy
-// load a WithCacheDir+WithSharedMemos Run performs) are no-ops returning
-// zero.
-func (m *SharedMemos) LoadDir(dir string) (layerEntries, hwEntries int) {
-	m.loadOnce.Do(func() {
-		cm := sharedLayerMemo()
-		layerEntries, _ = cm.LoadFile(cm.CacheFile(dir))
-		key := sharedHWKey()
-		hwEntries, _ = evalcache.LoadFile(m.hw, filepath.Join(dir, cachefile.Name("hweval", key)), key)
-	})
-	return layerEntries, hwEntries
-}
-
-// SaveDir atomically snapshots the bundle — the shared hardware-evaluation
-// cache and the process-wide layer-cost memo — into dir, so the next process
-// starts warm. Safe to call periodically and at shutdown; each save replaces
-// the previous snapshot via temp file + rename.
-func (m *SharedMemos) SaveDir(dir string) error {
-	cm := sharedLayerMemo()
-	key := sharedHWKey()
-	return errors.Join(
-		cm.SaveFile(cm.CacheFile(dir)),
-		evalcache.SaveFile(m.hw, filepath.Join(dir, cachefile.Name("hweval", key)), key),
-	)
 }
