@@ -165,9 +165,15 @@ func NewEvaluator(w workload.Workload, cfg Config) (*Evaluator, error) {
 // evaluator's specs prefix, the design fingerprint and every network's
 // memoization signature (the same identity the accuracy path keys on).
 func hwKey(prefix string, nets []*dnn.Network, d accel.Design) string {
+	fp := d.Fingerprint()
+	size := len(prefix) + len(fp)
+	for _, n := range nets {
+		size += 1 + len(n.Signature())
+	}
 	var b strings.Builder
+	b.Grow(size)
 	b.WriteString(prefix)
-	b.WriteString(d.Fingerprint())
+	b.WriteString(fp)
 	for _, n := range nets {
 		b.WriteByte('|')
 		b.WriteString(n.Signature())

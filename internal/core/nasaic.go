@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -19,7 +20,10 @@ import (
 type Solution struct {
 	Episode int
 
-	ArchChoices [][]int // per task, option indices into the task space
+	// ArchChoices (per task, option indices into the task space) and
+	// Networks come from the explorer's decode memo and are shared with
+	// every solution of the same architecture: treat them as read-only.
+	ArchChoices [][]int
 	Networks    []*dnn.Network
 	Design      accel.Design
 
@@ -115,6 +119,23 @@ type Explorer struct {
 	taskOffset []int // decision offset of each task segment
 	hwOffset   int   // decision offset of the hardware segments
 	hwDeduped  int   // in-batch duplicate candidates collapsed before fan-out
+
+	// decoded memoizes decodeArch per task decode, keyed by the varints of
+	// the task index and its choice vector, so the search decodes and
+	// fingerprints each distinct architecture once. It grows with the
+	// search's distinct architectures and dies with the explorer. Only the
+	// explorer goroutine touches it (RL episodes, EA evaluations and
+	// refinement all decode there), so it needs no lock; keyBuf is its
+	// reusable key scratch.
+	decoded map[string]decodedArch
+	keyBuf  []byte
+}
+
+// decodedArch is one memoized task decode: the choice vector and its
+// network, both shared read-only by every solution of that architecture.
+type decodedArch struct {
+	choices []int
+	net     *dnn.Network
 }
 
 // New builds an explorer; the controller's decision sequence is the
@@ -150,6 +171,7 @@ func New(w workload.Workload, cfg Config) (*Explorer, error) {
 		W: w, Cfg: cfg,
 		eval: eval, ctrl: ctrl,
 		archLen: archLen, taskOffset: taskOffset, hwOffset: archLen,
+		decoded: make(map[string]decodedArch),
 	}, nil
 }
 
@@ -158,19 +180,30 @@ func New(w workload.Workload, cfg Config) (*Explorer, error) {
 func (x *Explorer) Evaluator() *Evaluator { return x.eval }
 
 // decodeArch splits a rollout's architecture actions per task and builds the
-// networks.
+// networks, through the explorer's decode memo: equal choice vectors return
+// the same (read-only) choice slices and *dnn.Network pointers. Undecodable
+// vectors are not memoized.
 func (x *Explorer) decodeArch(actions []int) ([][]int, []*dnn.Network, error) {
 	choices := make([][]int, len(x.W.Tasks))
 	nets := make([]*dnn.Network, len(x.W.Tasks))
 	for ti, t := range x.W.Tasks {
 		off := x.taskOffset[ti]
-		n := t.Space.NumChoices()
-		choices[ti] = append([]int(nil), actions[off:off+n]...)
-		net, err := t.Space.Decode(choices[ti])
-		if err != nil {
-			return nil, nil, err
+		c := actions[off : off+t.Space.NumChoices()]
+		x.keyBuf = binary.AppendVarint(x.keyBuf[:0], int64(ti))
+		for _, v := range c {
+			x.keyBuf = binary.AppendVarint(x.keyBuf, int64(v))
 		}
-		nets[ti] = net
+		d, ok := x.decoded[string(x.keyBuf)]
+		if !ok {
+			d.choices = append([]int(nil), c...)
+			net, err := t.Space.Decode(d.choices)
+			if err != nil {
+				return nil, nil, err
+			}
+			d.net = net
+			x.decoded[string(x.keyBuf)] = d
+		}
+		choices[ti], nets[ti] = d.choices, d.net
 	}
 	return choices, nets, nil
 }

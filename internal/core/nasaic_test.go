@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"nasaic/internal/stats"
 	"nasaic/internal/workload"
 )
 
@@ -79,6 +80,84 @@ func TestExplorerDecodeRoundtrip(t *testing.T) {
 		t.Error("zero hardware actions should select first options")
 	}
 }
+
+// decodeArch memoizes per explorer: equal architecture actions return the
+// same choice slices and networks, whatever slice they arrive in.
+func TestDecodeArchMemo(t *testing.T) {
+	x, err := New(workload.W1(), fastConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(3)
+	a := make([]int, x.archLen)
+	for i, s := range x.ctrl.Specs()[:x.archLen] {
+		a[i] = rng.Intn(s.NumOptions)
+	}
+	c1, n1, err := x.decodeArch(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := append([]int(nil), a...)
+	a[0] = (a[0] + 1) % x.ctrl.Specs()[0].NumOptions // the memo must not alias its input
+	c2, n2, err := x.decodeArch(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti := range n1 {
+		if n1[ti] != n2[ti] || &c1[ti][0] != &c2[ti][0] {
+			t.Errorf("task %d: equal actions decoded to different networks or choices", ti)
+		}
+		if want := b[x.taskOffset[ti]]; c2[ti][0] != want {
+			t.Errorf("task %d: memoized choices start %d, want %d", ti, c2[ti][0], want)
+		}
+	}
+	_, n3, err := x.decodeArch(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n3[0] == n1[0] || n3[1] != n1[1] {
+		t.Error("changing task 0's actions must re-decode task 0 only")
+	}
+	if want := x.W.Tasks[0].Space.MustDecode(a[:len(c1[0])]).Signature(); n3[0].Signature() != want {
+		t.Errorf("memoized decode signature %q, want %q", n3[0].Signature(), want)
+	}
+
+	bad := append([]int(nil), b...)
+	bad[0] = -1
+	before := len(x.decoded)
+	if _, _, err := x.decodeArch(bad); err == nil {
+		t.Fatal("out-of-range actions decoded")
+	}
+	if len(x.decoded) != before {
+		t.Error("an undecodable vector was memoized")
+	}
+}
+
+// A warm decode plus the hardware cache key allocates only the per-request
+// slices and key strings: no network rebuild and no fmt-built signature.
+func TestWarmDecodeAndKeyAllocs(t *testing.T) {
+	x, err := New(workload.W1(), fastConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := x.W.Tasks[0].Space.Largest()
+	a = append(a, x.W.Tasks[1].Space.Largest()...)
+	d := x.decodeDesign(make([]int, x.ctrl.NumDecisions()))
+	if _, _, err := x.decodeArch(a); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		_, nets, _ := x.decodeArch(a)
+		hwKeySink = hwKey(x.eval.hwPrefix, nets, d)
+	})
+	// decodeArch: the choices and nets slices; hwKey: the design
+	// fingerprint and the key.
+	if allocs > 4 {
+		t.Errorf("warm decodeArch+hwKey allocates %.0f times, want at most 4", allocs)
+	}
+}
+
+var hwKeySink string
 
 func TestHWMask(t *testing.T) {
 	x, err := New(workload.W1(), fastConfig(1))

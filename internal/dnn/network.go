@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -31,10 +32,17 @@ func (t Task) String() string {
 // Network is a DNN architecture: an ordered dependency chain of layers.
 // Layer i consumes the output of layer i-1; this matches the paper's mapper,
 // which schedules chains of layers onto sub-accelerators.
+//
+// A network returned by BuildResNet, BuildUNet or a Space's Decode is
+// read-only: it caches its Signature when built, and searches share one
+// decoded network between every solution and cache key of the same
+// architecture. Build a new network instead of editing one.
 type Network struct {
 	Name   string
 	Task   Task
 	Layers []Layer
+
+	sig string // Signature, cached by the builders
 }
 
 // Validate checks every layer and the shape agreement between consecutive
@@ -124,14 +132,29 @@ func (n *Network) MaxWidth() int {
 
 // Signature returns a stable, human-readable identity string for the
 // architecture, used for memoization and for the predictor's deterministic
-// perturbation.
+// perturbation: the name, then "|op:K:C:R:S:X:Y:Stride" per layer. Built
+// networks return the string cached at build time; a network written as a
+// struct literal computes it on every call.
 func (n *Network) Signature() string {
-	var b strings.Builder
-	b.WriteString(n.Name)
-	for _, l := range n.Layers {
-		fmt.Fprintf(&b, "|%s:%d:%d:%d:%d:%d:%d:%d", l.Op, l.K, l.C, l.R, l.S, l.X, l.Y, l.Stride)
+	if n.sig != "" {
+		return n.sig
 	}
-	return b.String()
+	return n.signature()
+}
+
+// signature computes Signature's bytes.
+func (n *Network) signature() string {
+	b := make([]byte, 0, len(n.Name)+32*len(n.Layers))
+	b = append(b, n.Name...)
+	for _, l := range n.Layers {
+		b = append(b, '|')
+		b = append(b, l.Op.String()...)
+		for _, v := range [...]int{l.K, l.C, l.R, l.S, l.X, l.Y, l.Stride} {
+			b = append(b, ':')
+			b = strconv.AppendInt(b, int64(v), 10)
+		}
+	}
+	return string(b)
 }
 
 // String renders a compact multi-line description.

@@ -65,6 +65,7 @@ func BuildResNet(cfg ResNetConfig) (*Network, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
+	n.sig = n.signature()
 	return n, nil
 }
 

@@ -74,6 +74,7 @@ func BuildUNet(cfg UNetConfig) (*Network, error) {
 			return nil, fmt.Errorf("dnn: unet %s layer %d: %w", cfg.Name, i, err)
 		}
 	}
+	n.sig = n.signature()
 	return n, nil
 }
 

@@ -1,6 +1,8 @@
 package maestro
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"nasaic/internal/dataflow"
@@ -8,22 +10,51 @@ import (
 	"nasaic/internal/stats"
 )
 
+// memoShardBits sets the CostMemo's shard count, 1<<memoShardBits: enough
+// that evaluation workers filling a cold memo rarely share a write lock.
+const memoShardBits = 5
+
 // CostMemo memoizes LayerCost for one cost-model configuration. LayerCost is
 // a pure function of ⟨layer shape, dataflow, PEs, BW⟩ given the
-// configuration, so memoized results are bit-identical to recomputation. A
-// sync.Map fits the access pattern: the key space is small and write-once
-// (bounded by the workload's layer shapes times the hardware option grid),
-// so steady-state lookups are lock-free reads shared by all evaluation
-// workers; duplicate computes during warm-up are harmless.
+// configuration, so memoized results are bit-identical to recomputation.
+//
+// Every hardware evaluation queries the memo once per (compute layer,
+// active sub-accelerator), so the lookup is the hot path. Entries live in a
+// fixed array of shards, each a map keyed by the comparable CostKey under
+// an RWMutex, picked by a multiplicative hash of the key's integer fields:
+// a lookup hashes the typed key and takes one read lock, with no interface
+// boxing or type hashing. The key space is small and write-once (bounded by
+// the workload's layer shapes times the hardware option grid), so steady
+// state is read-locked lookups spread over the shards; duplicate computes of
+// one key during warm-up are harmless, and only the first store counts
+// towards Size.
 type CostMemo struct {
-	cfg  Config
-	m    sync.Map      // CostKey -> LayerCost
-	size stats.Counter // resident entries; kept exact via LoadOrStore
+	cfg    Config
+	shards [1 << memoShardBits]costShard
+	size   stats.Counter // resident entries; kept exact by store
+}
+
+// costShard is one lock-striped slice of a CostMemo.
+type costShard struct {
+	// mu is held only for map access, never across a model evaluation.
+	mu sync.RWMutex //lint:guard journal,io
+	m  map[CostKey]LayerCost
 }
 
 // NewCostMemo returns an empty memo bound to cfg.
 func NewCostMemo(cfg Config) *CostMemo {
 	return &CostMemo{cfg: cfg}
+}
+
+// shard picks key's shard from its integer fields; the layer name is not
+// hashed (NewCostKey clears it).
+func (cm *CostMemo) shard(k *CostKey) *costShard {
+	l := &k.Layer
+	h := uint64(l.Op)
+	for _, v := range [...]int{l.K, l.C, l.R, l.S, l.X, l.Y, l.Stride, int(k.Style), k.PEs, k.BW} {
+		h = (h ^ uint64(v)) * 0x9e3779b97f4a7c15
+	}
+	return &cm.shards[h>>(64-memoShardBits)]
 }
 
 // LayerCost returns the memoized cost of layer l on the given
@@ -32,36 +63,81 @@ func NewCostMemo(cfg Config) *CostMemo {
 // the model.
 func (cm *CostMemo) LayerCost(l dnn.Layer, style dataflow.Style, pes, bwGBs int) (LayerCost, bool) {
 	key := NewCostKey(l, style, pes, bwGBs)
-	if v, ok := cm.m.Load(key); ok {
-		return v.(LayerCost), true
+	s := cm.shard(&key)
+	s.mu.RLock()
+	lc, ok := s.m[key]
+	s.mu.RUnlock()
+	if ok {
+		return lc, true
 	}
-	lc := cm.cfg.LayerCost(l, style, pes, bwGBs)
+	lc = cm.cfg.LayerCost(l, style, pes, bwGBs)
 	cm.store(key, lc)
 	return lc, false
 }
 
-// store inserts one entry, keeping the size counter exact when two callers
-// race to fill the same key (LayerCost is pure, so whichever value lands is
-// bit-identical to the other).
+// store inserts one entry unless its key is resident, keeping the size
+// counter exact when two callers race to fill the same key (LayerCost is
+// pure, so whichever value lands is bit-identical to the other).
 func (cm *CostMemo) store(key CostKey, lc LayerCost) {
-	if _, loaded := cm.m.LoadOrStore(key, lc); !loaded {
-		cm.size.Inc()
+	s := cm.shard(&key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.m[key]; ok {
+		return
 	}
+	if s.m == nil {
+		s.m = make(map[CostKey]LayerCost)
+	}
+	s.m[key] = lc
+	cm.size.Inc()
 }
 
 // Size returns the number of memoized entries. It reads a running atomic
-// counter — O(1), safe on per-episode stats paths — instead of Ranging the
-// whole sync.Map.
+// counter — O(1), safe on per-episode stats paths — instead of locking
+// every shard.
 func (cm *CostMemo) Size() int {
 	return int(cm.size.Value())
 }
 
-// sizeScan counts entries by Ranging the map — the O(n) ground truth the
+// sizeScan counts entries shard by shard — the O(shards) ground truth the
 // Size counter is regression-tested against.
 func (cm *CostMemo) sizeScan() int {
 	n := 0
-	cm.m.Range(func(any, any) bool { n++; return true })
+	for i := range cm.shards {
+		s := &cm.shards[i]
+		s.mu.RLock()
+		n += len(s.m)
+		s.mu.RUnlock()
+	}
 	return n
+}
+
+// entries returns every memoized entry sorted by key, so equal memos
+// snapshot to equal bytes whatever order they were filled in.
+func (cm *CostMemo) entries() []memoEntry {
+	var out []memoEntry
+	for i := range cm.shards {
+		s := &cm.shards[i]
+		s.mu.RLock()
+		for k, v := range s.m {
+			out = append(out, memoEntry{Key: k, Cost: v}) //lint:allow determinism sorted by key after the shard loop
+		}
+		s.mu.RUnlock()
+	}
+	slices.SortFunc(out, func(a, b memoEntry) int { return compareKeys(a.Key, b.Key) })
+	return out
+}
+
+// compareKeys orders cost keys field by field.
+func compareKeys(a, b CostKey) int {
+	x, y := &a.Layer, &b.Layer
+	return cmp.Or(
+		cmp.Compare(x.Op, y.Op), cmp.Compare(x.K, y.K), cmp.Compare(x.C, y.C),
+		cmp.Compare(x.R, y.R), cmp.Compare(x.S, y.S), cmp.Compare(x.X, y.X),
+		cmp.Compare(x.Y, y.Y), cmp.Compare(x.Stride, y.Stride),
+		cmp.Compare(a.Style, b.Style), cmp.Compare(a.PEs, b.PEs), cmp.Compare(a.BW, b.BW),
+		cmp.Compare(x.Name, y.Name),
+	)
 }
 
 // ResetSharedCostMemos does nothing: evaluators share a layer-cost memo only

@@ -68,3 +68,50 @@ func TestCostMemoConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// Many goroutines filling overlapping keys must leave exactly one entry per
+// distinct key, an exact Size, and every value equal to the direct model.
+func TestCostMemoConcurrentFillIsExact(t *testing.T) {
+	cfg := DefaultConfig()
+	cm := NewCostMemo(cfg)
+	type query struct {
+		l         dnn.Layer
+		style     dataflow.Style
+		pes, bwGB int
+	}
+	var qs []query
+	l := memoLayer()
+	for k := 8; k <= 64; k += 8 {
+		l.K = k
+		for _, st := range dataflow.AllStyles {
+			for _, pe := range []int{64, 128, 256, 512} {
+				qs = append(qs, query{l, st, pe, 8 * (1 + pe%3)})
+			}
+		}
+	}
+	const workers = 16
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range qs {
+				q := qs[(i*7+w*13)%len(qs)] // each worker walks every key, from its own start
+				if got, _ := cm.LayerCost(q.l, q.style, q.pes, q.bwGB); got != cfg.LayerCost(q.l, q.style, q.pes, q.bwGB) {
+					t.Errorf("worker %d: memo value diverged from the model for %+v", w, q)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got, scan := cm.Size(), cm.sizeScan(); got != scan || got != len(qs) {
+		t.Fatalf("Size() = %d, scan = %d, want %d distinct keys", got, scan, len(qs))
+	}
+	for _, q := range qs {
+		got, hit := cm.LayerCost(q.l, q.style, q.pes, q.bwGB)
+		if !hit || got != cfg.LayerCost(q.l, q.style, q.pes, q.bwGB) {
+			t.Fatalf("%+v: hit %v, value %+v, want a hit on the model's value", q, hit, got)
+		}
+	}
+}

@@ -36,17 +36,13 @@ func (cm *CostMemo) CacheFile(dir string) string {
 	return filepath.Join(dir, cachefile.Name(MemoKind, cm.cfg.Fingerprint()))
 }
 
-// SaveFile atomically writes the memo's entries to path. Values are
-// gob-encoded (float64s round-trip bit-exactly), the envelope is versioned
-// and checksummed, and the stored calibration fingerprint guards loads.
+// SaveFile atomically writes the memo's entries to path, sorted by key so
+// equal memos write equal files. Values are gob-encoded (float64s
+// round-trip bit-exactly), the envelope is versioned and checksummed, and
+// the stored calibration fingerprint guards loads.
 func (cm *CostMemo) SaveFile(path string) error {
-	var entries []memoEntry
-	cm.m.Range(func(k, v any) bool {
-		entries = append(entries, memoEntry{Key: k.(CostKey), Cost: v.(LayerCost)})
-		return true
-	})
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(entries); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(cm.entries()); err != nil {
 		return fmt.Errorf("maestro: encode memo snapshot: %w", err)
 	}
 	return cachefile.WriteFile(path, MemoKind, cm.cfg.Fingerprint(), buf.Bytes())

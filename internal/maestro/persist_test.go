@@ -1,7 +1,9 @@
 package maestro
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -209,5 +211,50 @@ func TestSizeCounterMatchesScan(t *testing.T) {
 	}
 	if got, want := half.Size(), half.sizeScan(); got != want {
 		t.Fatalf("Size() = %d, scan = %d after overlapping load", got, want)
+	}
+}
+
+// Two memos holding the same entries, filled in different orders, must save
+// byte-equal snapshots.
+func TestMemoSaveIsDeterministic(t *testing.T) {
+	cfg := DefaultConfig()
+	type query struct {
+		l     dnn.Layer
+		style dataflow.Style
+		pes   int
+		bw    int
+	}
+	var qs []query
+	for _, l := range fillMemo(NewCostMemo(cfg)) {
+		for _, pe := range []int{64, 256, 1024} {
+			for _, st := range dataflow.AllStyles {
+				qs = append(qs, query{l, st, pe, 16 + pe/64})
+			}
+		}
+	}
+	fwd, rev := NewCostMemo(cfg), NewCostMemo(cfg)
+	for i := range qs {
+		q, r := qs[i], qs[len(qs)-1-i]
+		fwd.LayerCost(q.l, q.style, q.pes, q.bw)
+		rev.LayerCost(r.l, r.style, r.pes, r.bw)
+	}
+	dir := t.TempDir()
+	var files [2][]byte
+	for i, cm := range []*CostMemo{fwd, rev} {
+		path := filepath.Join(dir, fmt.Sprintf("memo%d", i))
+		if err := cm.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = b
+	}
+	if fwd.Size() != len(qs) || rev.Size() != len(qs) {
+		t.Fatalf("sizes %d and %d, want %d", fwd.Size(), rev.Size(), len(qs))
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatal("equal memos filled in different orders saved different bytes")
 	}
 }

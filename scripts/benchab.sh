@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # benchab.sh — an interleaved before/after of the repository benchmark.
 #
-# Usage: scripts/benchab.sh [-n pairs] [-s secs] [-w workload]... [--trace 1] <base-rev>
+# Usage: scripts/benchab.sh [-n pairs] [-s secs] [-w workload]... [--trace 1] [-o file] <base-rev>
 #
 # Compares the working tree (the change, uncommitted edits included) with
 # <base-rev>, which is checked out with `git worktree add` into a temporary
@@ -15,7 +15,16 @@
 # pairs the change won (by the metric's `better` direction; ties win for
 # neither), and the interquartile range of the base runs. With --trace 1,
 # each pair also runs the traced benchmark, whose per-layer `count.exact`
-# metrics must be equal between the trees.
+# metrics must be equal between the trees. Those metrics are medians over
+# the explorations that fit in the window, so when one tree is much faster
+# the two medians can cover different seeds; compare counts with a window
+# (-s) short enough that both trees run the same number of explorations.
+#
+# With -o FILE it also writes the comparison as JSON (a BENCH_<n>.json
+# record): the host (uname, CPU model, nproc, Go version), the commits and
+# settings compared, every run's result line under "runs", and the printed
+# table's rows under "rows" (ratio null where the base median is 0). The file
+# is written whatever the exit status.
 #
 # Exit status: 0 when every run reported correct:true, the change failed no
 # larger share of operations than the base on any workload, and (with
@@ -30,6 +39,7 @@ usage() {
 pairs=5
 secs=20
 trace=0
+out=
 workloads=()
 while (($#)); do
 	case $1 in
@@ -37,6 +47,7 @@ while (($#)); do
 	-s) secs=${2:?}; shift 2 ;;
 	-w) workloads+=("${2:?}"); shift 2 ;;
 	--trace) trace=${2:?}; shift 2 ;;
+	-o) out=${2:?}; shift 2 ;;
 	-h | --help) usage; exit 0 ;;
 	-*) usage >&2; exit 2 ;;
 	*) break ;;
@@ -113,7 +124,8 @@ jq -r --slurpfile spec "$spec" '
 	   end)
 	| @tsv' -R "$tmp/results" >"$tmp/rows.tsv"
 
-awk -F '\t' -v pairs="$pairs" '
+status=0
+awk -F '\t' -v pairs="$pairs" -v rowsout="$tmp/table.tsv" '
 	function sort(a, n,    i, j, v) {
 		for (i = 2; i <= n; i++) {
 			v = a[i]
@@ -162,6 +174,7 @@ awk -F '\t' -v pairs="$pairs" '
 			mb = q(b, nb, 0.5); mc = q(c, nc, 0.5)
 			ratio = mb != 0 ? sprintf("%.3f", mc / mb) : "n/a"
 			printf "%-18s %-11s %12.6g %12.6g %7s %6s %10.4g\n", wl, m, mb, mc, ratio, w "/" np, q(b, nb, 0.75) - q(b, nb, 0.25)
+			printf "%s\t%s\t%.9g\t%.9g\t%s\t%d\t%d\t%.9g\n", wl, m, mb, mc, ratio, w, np, q(b, nb, 0.75) - q(b, nb, 0.25) >rowsout
 		}
 		for (wl in wls) {
 			sb = att["base", wl] ? fl["base", wl] / att["base", wl] : 0
@@ -176,4 +189,35 @@ awk -F '\t' -v pairs="$pairs" '
 			}
 		}
 		exit bad
-	}' "$tmp/rows.tsv"
+	}' "$tmp/rows.tsv" || status=$?
+
+if [[ -n $out ]]; then
+	: >>"$tmp/table.tsv"
+	cpu=$(awk -F ': ' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)
+	dirty=false
+	git -C "$root" diff --quiet HEAD || dirty=true
+	jq -n \
+		--arg base "$base_rev" \
+		--arg base_commit "$(git -C "$tmp/base" rev-parse HEAD)" \
+		--arg change_commit "$(git -C "$root" rev-parse HEAD)" \
+		--argjson change_dirty "$dirty" \
+		--argjson pairs "$pairs" --argjson seconds "$secs" --argjson trace "$trace" \
+		--arg uname "$(uname -srm)" --arg cpu "$cpu" --argjson nproc "$(nproc)" \
+		--arg go "$(go version)" \
+		--rawfile runs "$tmp/results" --rawfile rows "$tmp/table.tsv" '
+		def lines: split("\n") | map(select(. != "") | split("\t"));
+		{
+			host: {uname: $uname, cpu: $cpu, nproc: $nproc, go: $go},
+			base: $base, base_commit: $base_commit,
+			change_commit: $change_commit, change_dirty: $change_dirty,
+			pairs: $pairs, seconds: $seconds, trace: $trace,
+			runs: ($runs | lines | map({side: .[0], workload: .[1], seed: (.[2] | tonumber),
+				trace: (.[3] | tonumber), result: (.[4] | fromjson)})),
+			rows: ($rows | lines | map({workload: .[0], metric: .[1],
+				base_median: (.[2] | tonumber), change_median: (.[3] | tonumber),
+				ratio: (if .[4] == "n/a" then null else .[4] | tonumber end),
+				wins: (.[5] | tonumber), pairs: (.[6] | tonumber), base_iqr: (.[7] | tonumber)}))
+		}' >"$out"
+	echo "benchab: wrote $out" >&2
+fi
+exit "$status"
