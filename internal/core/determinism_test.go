@@ -217,3 +217,29 @@ func TestBatchDedupCollapsesIdenticalCandidates(t *testing.T) {
 		t.Errorf("HWEvals = %d, want %d (one per episode after dedup)", res.HWEvals, cfg.Episodes)
 	}
 }
+
+// The work counters must be as reproducible as the outcome: two same-seed
+// Workers=4 searches, each on a fresh memo bundle, report equal EvalStats.
+// This pins layer_cost_hits, which two workers missing on one cold cost-memo
+// key used to skew by one from run to run.
+func TestEvalStatsDeterministicAcrossRuns(t *testing.T) {
+	episodes := 20
+	if testing.Short() {
+		episodes = 8
+	}
+	run := func() EvalStats {
+		cfg := DefaultConfig()
+		cfg.Episodes = episodes
+		cfg.Seed = 1
+		cfg.Workers = 4
+		x, err := New(workload.W3(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.Run()
+		return x.Evaluator().EvalStats()
+	}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("same-seed runs reported different work counters:\n%+v\n%+v", a, b)
+	}
+}

@@ -25,9 +25,10 @@ const memoShardBits = 5
 // a lookup hashes the typed key and takes one read lock, with no interface
 // boxing or type hashing. The key space is small and write-once (bounded by
 // the workload's layer shapes times the hardware option grid), so steady
-// state is read-locked lookups spread over the shards; duplicate computes of
-// one key during warm-up are harmless, and only the first store counts
-// towards Size.
+// state is read-locked lookups spread over the shards. A miss re-checks and
+// computes under its shard's write lock, so each distinct key runs the model
+// exactly once and the hit/miss split of a set of queries is the same for
+// any worker interleaving.
 type CostMemo struct {
 	cfg    Config
 	shards [1 << memoShardBits]costShard
@@ -36,7 +37,9 @@ type CostMemo struct {
 
 // costShard is one lock-striped slice of a CostMemo.
 type costShard struct {
-	// mu is held only for map access, never across a model evaluation.
+	// mu is read-held for lookups and write-held across a miss's model
+	// evaluation (pure computation), so concurrent misses on one key
+	// compute it once.
 	mu sync.RWMutex //lint:guard journal,io
 	m  map[CostKey]LayerCost
 }
@@ -70,21 +73,31 @@ func (cm *CostMemo) LayerCost(l dnn.Layer, style dataflow.Style, pes, bwGBs int)
 	if ok {
 		return lc, true
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if lc, ok := s.m[key]; ok {
+		return lc, true // another worker filled it since the read lock
+	}
 	lc = cm.cfg.LayerCost(l, style, pes, bwGBs)
-	cm.store(key, lc)
+	cm.insertLocked(s, key, lc)
 	return lc, false
 }
 
-// store inserts one entry unless its key is resident, keeping the size
-// counter exact when two callers race to fill the same key (LayerCost is
-// pure, so whichever value lands is bit-identical to the other).
+// store inserts one entry unless its key is resident (a loaded snapshot may
+// repeat a key already computed; LayerCost is pure, so both values are
+// bit-identical).
 func (cm *CostMemo) store(key CostKey, lc LayerCost) {
 	s := cm.shard(&key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.m[key]; ok {
-		return
+	if _, ok := s.m[key]; !ok {
+		cm.insertLocked(s, key, lc)
 	}
+}
+
+// insertLocked adds a key absent from shard s, whose write lock the caller
+// holds, and counts it towards Size.
+func (cm *CostMemo) insertLocked(s *costShard, key CostKey, lc LayerCost) {
 	if s.m == nil {
 		s.m = make(map[CostKey]LayerCost)
 	}

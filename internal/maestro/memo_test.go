@@ -2,6 +2,7 @@ package maestro
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"nasaic/internal/dataflow"
@@ -70,7 +71,8 @@ func TestCostMemoConcurrentAccess(t *testing.T) {
 }
 
 // Many goroutines filling overlapping keys must leave exactly one entry per
-// distinct key, an exact Size, and every value equal to the direct model.
+// distinct key, an exact Size, exactly one miss per distinct key, and every
+// value equal to the direct model.
 func TestCostMemoConcurrentFillIsExact(t *testing.T) {
 	cfg := DefaultConfig()
 	cm := NewCostMemo(cfg)
@@ -91,13 +93,18 @@ func TestCostMemoConcurrentFillIsExact(t *testing.T) {
 	}
 	const workers = 16
 	var wg sync.WaitGroup
+	var misses atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := range qs {
 				q := qs[(i*7+w*13)%len(qs)] // each worker walks every key, from its own start
-				if got, _ := cm.LayerCost(q.l, q.style, q.pes, q.bwGB); got != cfg.LayerCost(q.l, q.style, q.pes, q.bwGB) {
+				got, hit := cm.LayerCost(q.l, q.style, q.pes, q.bwGB)
+				if !hit {
+					misses.Add(1)
+				}
+				if got != cfg.LayerCost(q.l, q.style, q.pes, q.bwGB) {
 					t.Errorf("worker %d: memo value diverged from the model for %+v", w, q)
 					return
 				}
@@ -107,6 +114,10 @@ func TestCostMemoConcurrentFillIsExact(t *testing.T) {
 	wg.Wait()
 	if got, scan := cm.Size(), cm.sizeScan(); got != scan || got != len(qs) {
 		t.Fatalf("Size() = %d, scan = %d, want %d distinct keys", got, scan, len(qs))
+	}
+	// Each distinct key runs the model once, however the workers raced.
+	if got := misses.Load(); got != int64(len(qs)) {
+		t.Fatalf("%d misses across %d workers, want exactly one per distinct key (%d)", got, workers, len(qs))
 	}
 	for _, q := range qs {
 		got, hit := cm.LayerCost(q.l, q.style, q.pes, q.bwGB)

@@ -37,9 +37,8 @@ func benchProblem(seed uint64, chains, layers, accels int) Problem {
 	return p
 }
 
-// Instance sizes: small is exhaustible (2^8 assignments), medium is the
-// Heuristic speedup target of the PR (sequential move scan), large crosses
-// the parallel move-scan threshold.
+// Instance sizes: small is exhaustible (2^8 assignments), medium (72 moves
+// per round) and large (288) exercise the heuristic's move scan.
 func benchSmall() Problem  { return benchProblem(1, 2, 4, 2) }
 func benchMedium() Problem { return benchProblem(2, 3, 12, 3) }
 func benchLarge() Problem  { return benchProblem(3, 4, 24, 4) }
@@ -77,21 +76,17 @@ func BenchmarkHeuristicSmall(b *testing.B)  { benchSolver(b, benchSmall(), Heuri
 func BenchmarkHeuristicMedium(b *testing.B) { benchSolver(b, benchMedium(), Heuristic) }
 func BenchmarkHeuristicLarge(b *testing.B)  { benchSolver(b, benchLarge(), Heuristic) }
 
-// The NoCheckpoint benchmarks time the same solver with the checkpointed
-// move-scan simulator disabled (every candidate move replays the whole
-// schedule). The ns/op ratio against BenchmarkHeuristic* is the checkpointed
-// path's speedup; CI's bench smoke records it and fails if the checkpointed
-// path regresses more than 10% against the >=1.5x acceptance bar.
-func benchNoCheckpoint(p Problem) Problem {
-	p.tuning.disableCheckpoints = true
-	return p
+// The FullResim benchmarks time the test-only full-resimulation heuristic
+// (the same screens and bounds, but every candidate move replays the whole
+// schedule) on the same instances. The ns/op ratio against
+// BenchmarkHeuristic* is the checkpointed move scan's speedup; CI's bench
+// smoke records it and fails if it drops more than 10% below the >=1.5x
+// acceptance bar.
+func BenchmarkHeuristicFullResimMedium(b *testing.B) {
+	benchSolver(b, benchMedium(), fullResimHeuristic)
 }
-
-func BenchmarkHeuristicNoCheckpointMedium(b *testing.B) {
-	benchSolver(b, benchNoCheckpoint(benchMedium()), Heuristic)
-}
-func BenchmarkHeuristicNoCheckpointLarge(b *testing.B) {
-	benchSolver(b, benchNoCheckpoint(benchLarge()), Heuristic)
+func BenchmarkHeuristicFullResimLarge(b *testing.B) {
+	benchSolver(b, benchLarge(), fullResimHeuristic)
 }
 
 // The Reference benchmarks time the retained pre-rewrite solver on the same

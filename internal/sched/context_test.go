@@ -86,11 +86,9 @@ func (c *errAfterCtx) Err() error {
 // TestHeuristicCtxCancelMidScanPartialBest cancels HeuristicCtx in the
 // middle of a move scan and requires (a) the partial best returned alongside
 // the error to be a real, self-consistent schedule of the instance, (b) no
-// scan-worker goroutines left behind, and (c) a following solve on the same
-// instance to be untouched by the aborted one — no stale checkpoint reuse
-// across calls.
+// goroutines left behind, and (c) a following solve on the same instance to
+// be untouched by the aborted one — no stale checkpoint reuse across calls.
 func TestHeuristicCtxCancelMidScanPartialBest(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	p := cancelProblem(40, 4)
 	p.Deadline = 170 * 40 / 2 // tight enough that refinement has real work
 	before := runtime.NumGoroutine()
@@ -98,50 +96,42 @@ func TestHeuristicCtxCancelMidScanPartialBest(t *testing.T) {
 	// one poll per site of the first 40-site scan), so every count below
 	// that is guaranteed to cancel mid-solve — most of them mid-scan.
 	for _, polls := range []int64{1, 3, 10, 25, 39} {
-		for _, tn := range []tuning{
-			{},                                  // sequential checkpointed scan
-			{disableCheckpoints: true},          // sequential full-sim scan
-			{parallelMoveMin: 1, maxWorkers: 4}, // parallel scan, per-worker arenas
-		} {
-			pc := p
-			pc.tuning = tn
-			ctx := newErrAfterCtx(polls)
-			res, err := HeuristicCtx(ctx, pc)
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("polls=%d tuning=%+v: err = %v, want context.Canceled", polls, tn, err)
-			}
-			if res.Assign == nil {
-				t.Fatalf("polls=%d tuning=%+v: cancelled solve lost the partial best", polls, tn)
-			}
-			// The partial best must be exactly what a fresh evaluation of
-			// its assignment reports — not a half-updated scan artifact.
-			check, err := Evaluate(pc, res.Assign)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if check.Makespan != res.Makespan || check.EnergyNJ != res.EnergyNJ || check.Feasible != res.Feasible {
-				t.Fatalf("polls=%d tuning=%+v: partial best (%d %v %v) inconsistent with its assignment (%d %v %v)",
-					polls, tn, res.Makespan, res.EnergyNJ, res.Feasible,
-					check.Makespan, check.EnergyNJ, check.Feasible)
-			}
+		ctx := newErrAfterCtx(polls)
+		res, err := HeuristicCtx(ctx, p)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("polls=%d: err = %v, want context.Canceled", polls, err)
+		}
+		if res.Assign == nil {
+			t.Fatalf("polls=%d: cancelled solve lost the partial best", polls)
+		}
+		// The partial best must be exactly what a fresh evaluation of its
+		// assignment reports — not a half-updated scan artifact.
+		check, err := Evaluate(p, res.Assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if check.Makespan != res.Makespan || check.EnergyNJ != res.EnergyNJ || check.Feasible != res.Feasible {
+			t.Fatalf("polls=%d: partial best (%d %v %v) inconsistent with its assignment (%d %v %v)",
+				polls, res.Makespan, res.EnergyNJ, res.Feasible,
+				check.Makespan, check.EnergyNJ, check.Feasible)
+		}
 
-			// A subsequent uncancelled solve must be pristine.
-			want, err := Heuristic(pc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			again, err := HeuristicCtx(context.Background(), pc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want.Makespan != again.Makespan || want.EnergyNJ != again.EnergyNJ {
-				t.Fatalf("polls=%d tuning=%+v: solve after a cancelled one diverged: (%d %v) vs (%d %v)",
-					polls, tn, want.Makespan, want.EnergyNJ, again.Makespan, again.EnergyNJ)
-			}
+		// A subsequent uncancelled solve must be pristine.
+		want, err := Heuristic(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := HeuristicCtx(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Makespan != again.Makespan || want.EnergyNJ != again.EnergyNJ {
+			t.Fatalf("polls=%d: solve after a cancelled one diverged: (%d %v) vs (%d %v)",
+				polls, want.Makespan, want.EnergyNJ, again.Makespan, again.EnergyNJ)
 		}
 	}
-	// Scan workers must all have unwound; allow the runtime a moment to
-	// retire them.
+	// Nothing the solver started may outlive it; allow the runtime a moment
+	// to retire goroutines.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -163,26 +153,5 @@ func TestHAPCtxUncancelledMatchesHAP(t *testing.T) {
 	}
 	if e1 != e2 || r1.Makespan != r2.Makespan || r1.EnergyNJ != r2.EnergyNJ {
 		t.Fatalf("HAPCtx(Background) diverged from HAP: (%v %v) vs (%v %v)", e1, r1, e2, r2)
-	}
-}
-
-// TestTuningOverridesMatchDefaults verifies the tuning thresholds are
-// outcome-preserving: forcing the parallel move scan on an instance the
-// defaults keep sequential must not change the result.
-func TestTuningOverridesMatchDefaults(t *testing.T) {
-	p := cancelProblem(30, 3)
-	base, err := Heuristic(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forced := p
-	forced.tuning = tuning{parallelMoveMin: 1, maxWorkers: 4}
-	got, err := Heuristic(forced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Makespan != got.Makespan || base.EnergyNJ != got.EnergyNJ {
-		t.Fatalf("forced-parallel Heuristic diverged: (%d %v) vs (%d %v)",
-			base.Makespan, base.EnergyNJ, got.Makespan, got.EnergyNJ)
 	}
 }

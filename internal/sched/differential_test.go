@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"nasaic/internal/stats"
@@ -61,7 +60,7 @@ func mustEqualResults(t *testing.T, label string, got, want Result) {
 	}
 }
 
-// TestDifferentialEvaluate drives the heap simulator against the original
+// TestDifferentialEvaluate drives the argmin simulator against the original
 // O(chains) scan on random instances and random assignments.
 func TestDifferentialEvaluate(t *testing.T) {
 	rng := stats.NewRNG(101)
@@ -91,7 +90,7 @@ func TestDifferentialEvaluate(t *testing.T) {
 }
 
 // TestDifferentialHeuristic drives the incremental solver (O(1) move screen,
-// scratch reuse, parallel scan) against the original full-Evaluate-per-move
+// scratch reuse, checkpointed scan) against the original full-Evaluate-per-move
 // refinement.
 func TestDifferentialHeuristic(t *testing.T) {
 	rng := stats.NewRNG(202)
@@ -113,36 +112,36 @@ func TestDifferentialHeuristic(t *testing.T) {
 	}
 }
 
-// TestDifferentialHeuristicParallel uses instances big enough to cross the
-// parallel move-scan threshold, so the worker fan-out and its site-ordered
-// reduction are exercised against the sequential reference.
-func TestDifferentialHeuristicParallel(t *testing.T) {
+// TestDifferentialHeuristicLarge runs the solver and the test-only
+// full-resimulation heuristic on instances of up to four 20-layer chains over
+// four sub-accelerators, each topped up to at least 48 candidate moves per
+// round, against the reference.
+func TestDifferentialHeuristicLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large instances")
 	}
-	// Force a multi-worker pool even on single-CPU machines so the fan-out
-	// and its deterministic reduction are really exercised.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := stats.NewRNG(303)
 	for trial := 0; trial < 6; trial++ {
 		p := randomProblem(rng, 4, 20, 4, 1e6)
-		if p.Size()*(p.NumAccels-1) < parallelMoveMin {
-			// Top the instance up so the parallel path definitely runs.
-			for p.Size()*(p.NumAccels-1) < parallelMoveMin {
-				ci := rng.Intn(len(p.Chains))
-				l := p.Chains[ci].Layers[0]
-				p.Chains[ci].Layers = append(p.Chains[ci].Layers, l)
-			}
-		}
-		got, err := Heuristic(p)
-		if err != nil {
-			t.Fatal(err)
+		for p.Size()*(p.NumAccels-1) < 48 {
+			ci := rng.Intn(len(p.Chains))
+			l := p.Chains[ci].Layers[0]
+			p.Chains[ci].Layers = append(p.Chains[ci].Layers, l)
 		}
 		want, err := referenceHeuristic(p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got, err := Heuristic(p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		mustEqualResults(t, fmt.Sprintf("trial %d", trial), got, want)
+		full, err := fullResimHeuristic(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustEqualResults(t, fmt.Sprintf("trial %d full resimulation", trial), full, want)
 	}
 }
 
@@ -168,10 +167,10 @@ func TestDifferentialExhaustive(t *testing.T) {
 	}
 }
 
-// TestDifferentialExhaustiveParallel checks the pruned enumeration against
-// the plain one on 2^14-assignment instances, four times the largest that
-// HAP hands to Exhaustive, so pruning runs deep and long.
-func TestDifferentialExhaustiveParallel(t *testing.T) {
+// TestDifferentialExhaustiveDeep checks the pruned enumeration against the
+// plain one on 2^14-assignment instances, four times the largest that HAP
+// hands to Exhaustive, so pruning runs deep and long.
+func TestDifferentialExhaustiveDeep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2^14-leaf enumerations")
 	}
@@ -219,7 +218,7 @@ func TestDifferentialCheckpointResume(t *testing.T) {
 		if trial%3 == 0 {
 			scale = 1e8
 		}
-		// maxChains 1 exercises the single-chain fast path's snapshots too.
+		// maxChains 1 exercises single-chain snapshots too.
 		p := randomProblem(rng, 1+rng.Intn(4), 8, 2+rng.Intn(3), scale)
 		a := make(Assignment, len(p.Chains))
 		for ci, c := range p.Chains {
@@ -328,16 +327,14 @@ func TestDifferentialCheckpointIncremental(t *testing.T) {
 	}
 }
 
-// TestDifferentialHeuristicNoCheckpoint pins tuning.disableCheckpoints:
-// the full-resimulation path must stay bit-identical to the reference (and
-// hence to the default checkpointed path, which TestDifferentialHeuristic
-// pins).
+// TestDifferentialHeuristicNoCheckpoint pins the test-only full-resimulation
+// heuristic (the control CI's checkpoint gate times) to the reference, and
+// hence to the checkpointed solver, which TestDifferentialHeuristic pins.
 func TestDifferentialHeuristicNoCheckpoint(t *testing.T) {
 	rng := stats.NewRNG(909)
 	for trial := 0; trial < 60; trial++ {
 		p := randomProblem(rng, 3, 7, 1+rng.Intn(3), 1e8)
-		p.tuning.disableCheckpoints = true
-		got, err := Heuristic(p)
+		got, err := fullResimHeuristic(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,5 +365,25 @@ func TestHeuristicNeverBeatsExhaustive(t *testing.T) {
 			t.Fatalf("trial %d: heuristic energy %f beats exhaustive optimum %f",
 				trial, h.EnergyNJ, opt.EnergyNJ)
 		}
+	}
+}
+
+// TestWarmSimulatorAllocs pins the simulator's inner loop as allocation-free
+// once its evaluator and checkpoint arena are built: every candidate move of
+// a scan runs resumeBounded, and the exhaustive leaves run runBounded.
+func TestWarmSimulatorAllocs(t *testing.T) {
+	p := benchMedium()
+	a := minLatencyAssignment(p)
+	ev := newEvaluator(&p)
+	ck := newCkpts(&p)
+	ev.runCheckpointed(a, ck)
+	si := p.Size() / 2
+	allocs := testing.AllocsPerRun(100, func() {
+		ev.runBounded(a, math.MaxInt64, math.Inf(1), nil)
+		ev.resumeBounded(a, si, ck, math.MaxInt64, math.Inf(1))
+		ev.resumeCheckpointed(a, si, ck)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm simulator allocates %v times per run, want 0", allocs)
 	}
 }

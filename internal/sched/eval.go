@@ -6,10 +6,11 @@ import (
 )
 
 // This file is the incremental evaluation engine under the HAP solvers: a
-// reusable, allocation-free schedule simulator driven by a min-heap of ready
-// layers. The solvers validate the problem once, then run this unchecked
-// core for every candidate they consider; the exported Evaluate/Timeline
-// wrappers keep validating for external callers.
+// reusable, allocation-free schedule simulator that keeps one ready-time key
+// per chain and selects the next layer by a linear argmin over the
+// unfinished chains. The solvers validate the problem once, then run this
+// unchecked core for every candidate they consider; the exported
+// Evaluate/Timeline wrappers keep validating for external callers.
 //
 // Bit-identity contract: the simulator reproduces the original O(chains)
 // ready-layer scan exactly — same scheduling decisions (earliest start, ties
@@ -18,68 +19,8 @@ import (
 // bit. The differential tests in differential_test.go enforce this against
 // a verbatim copy of the pre-rewrite solver.
 
-// event is one pending ready layer in the simulator's priority queue: chain
-// `chain`'s head layer can start no earlier than `start`. Keys can go stale
-// low (a sub-accelerator got busier after insertion); the simulator
-// re-checks on pop and reinserts with the true key, which is sound because
-// chainReady/accelFree only ever increase.
-type event struct {
-	start int64
-	chain int32
-}
-
-func (e event) less(o event) bool {
-	return e.start < o.start || (e.start == o.start && e.chain < o.chain)
-}
-
-// eventHeap is a hand-rolled binary min-heap ordered by (start, chain). The
-// (start, chain) order reproduces the original scan's tie-break: among
-// equally early ready layers the lowest chain index runs first.
-type eventHeap []event
-
-func (h *eventHeap) push(e event) {
-	s := append(*h, e)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s[i].less(s[p]) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-	*h = s
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && s[r].less(s[l]) {
-			m = r
-		}
-		if !s[m].less(s[i]) {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
-	return top
-}
-
 // evaluator holds the reusable scratch state for repeated simulations of one
-// Problem. A single evaluator is not safe for concurrent use; parallel scans
-// give each worker its own.
+// Problem. An evaluator is not safe for concurrent use.
 type evaluator struct {
 	p    *Problem
 	opts [][][]Option // opts[ci][li] aliases Chains[ci].Layers[li].Options
@@ -88,26 +29,32 @@ type evaluator struct {
 	// has flat index siteBase[ci]+li, matching the move scan's site order.
 	siteBase []int
 
+	// next[ci] is chain ci's head layer; len(opts[ci]) marks it finished.
 	next       []int
 	chainReady []int64
 	accelFree  []int64
 	buf        []int64
-	heap       eventHeap
+	// key[ci] is a lower bound on the start of chain ci's head layer. It
+	// can go stale low (a sub-accelerator got busier since it was set); the
+	// loop re-checks a selected chain's key and re-selects with the true
+	// start, which is sound because chainReady/accelFree only increase.
+	key []int64
 
 	makespan int64
 	energy   float64
 }
 
 func newEvaluator(p *Problem) *evaluator {
+	nc := len(p.Chains)
 	e := &evaluator{
 		p:          p,
-		opts:       make([][][]Option, len(p.Chains)),
-		siteBase:   make([]int, len(p.Chains)),
-		next:       make([]int, len(p.Chains)),
-		chainReady: make([]int64, len(p.Chains)),
+		opts:       make([][][]Option, nc),
+		siteBase:   make([]int, nc),
+		next:       make([]int, nc),
+		chainReady: make([]int64, nc),
 		accelFree:  make([]int64, p.NumAccels),
 		buf:        make([]int64, p.NumAccels),
-		heap:       make(eventHeap, 0, len(p.Chains)),
+		key:        make([]int64, nc),
 	}
 	base := 0
 	for ci := range p.Chains {
@@ -123,29 +70,28 @@ func newEvaluator(p *Problem) *evaluator {
 }
 
 // ckpts is a checkpoint arena: one snapshot of the simulator's full state per
-// layer site, taken by runCheckpointed just before that layer's event is
-// popped for the first time. Everything simulated before that pop is
-// independent of the layer's own assignment, so a single-layer move can
-// resume from the snapshot and replay only the schedule's suffix — the shared
-// prefix is reused across the whole move scan of one refinement round. All
-// per-site storage is flat and reused across rounds; one arena belongs to one
+// layer site, taken by runCheckpointed just before that layer is selected for
+// the first time. Everything simulated before that selection is independent
+// of the layer's own assignment, so a single-layer move can resume from the
+// snapshot and replay only the schedule's suffix — the shared prefix is
+// reused across the whole move scan of one refinement round. All per-site
+// storage is flat and reused across rounds; one arena belongs to one
 // evaluator's baseline run at a time.
 type ckpts struct {
 	nc, na   int
 	captured []bool
 	next     []int   // nc per site
-	ready    []int64 // nc per site (single-chain: slot 0 holds t)
+	ready    []int64 // nc per site
+	key      []int64 // nc per site
 	free     []int64 // na per site
 	buf      []int64 // na per site
-	heap     []event // nc per site
-	heapLen  []int
 	energy   []float64
 	makespan []int64
 	// order[si] is the capture sequence number: ascending order equals
-	// ascending first-pop time in the arena's simulation. It lets
+	// ascending first-selection time in the arena's simulation. It lets
 	// resumeCheckpointed invalidate exactly the snapshots taken at or after
-	// a moved layer's first pop — everything captured earlier stays valid,
-	// because nothing simulated before that pop read the moved assignment.
+	// a moved layer's first selection — everything captured earlier stays
+	// valid, because nothing simulated before it read the moved assignment.
 	order []int
 	clock int
 }
@@ -157,10 +103,9 @@ func newCkpts(p *Problem) *ckpts {
 		captured: make([]bool, n),
 		next:     make([]int, n*nc),
 		ready:    make([]int64, n*nc),
+		key:      make([]int64, n*nc),
 		free:     make([]int64, n*na),
 		buf:      make([]int64, n*na),
-		heap:     make([]event, n*nc),
-		heapLen:  make([]int, n),
 		energy:   make([]float64, n),
 		makespan: make([]int64, n),
 		order:    make([]int, n),
@@ -187,13 +132,12 @@ func (c *ckpts) invalidateFrom(si int) {
 
 // capture snapshots the evaluator's live state (plus the running energy and
 // makespan, which the loop keeps in locals) into site si's slot.
-func (c *ckpts) capture(si int, e *evaluator, h eventHeap, energy float64, makespan int64) {
+func (c *ckpts) capture(si int, e *evaluator, energy float64, makespan int64) {
 	copy(c.next[si*c.nc:], e.next)
 	copy(c.ready[si*c.nc:], e.chainReady)
+	copy(c.key[si*c.nc:], e.key)
 	copy(c.free[si*c.na:], e.accelFree)
 	copy(c.buf[si*c.na:], e.buf)
-	copy(c.heap[si*c.nc:], h)
-	c.heapLen[si] = len(h)
 	c.energy[si] = energy
 	c.makespan[si] = makespan
 	c.captured[si] = true
@@ -202,14 +146,14 @@ func (c *ckpts) capture(si int, e *evaluator, h eventHeap, energy float64, makes
 }
 
 // restore loads site si's snapshot back into the evaluator and returns the
-// heap, energy and makespan to resume the loop with.
-func (c *ckpts) restore(si int, e *evaluator) (eventHeap, float64, int64) {
+// energy and makespan to resume the loop with.
+func (c *ckpts) restore(si int, e *evaluator) (float64, int64) {
 	copy(e.next, c.next[si*c.nc:(si+1)*c.nc])
 	copy(e.chainReady, c.ready[si*c.nc:(si+1)*c.nc])
+	copy(e.key, c.key[si*c.nc:(si+1)*c.nc])
 	copy(e.accelFree, c.free[si*c.na:(si+1)*c.na])
 	copy(e.buf, c.buf[si*c.na:(si+1)*c.na])
-	h := append(e.heap[:0], c.heap[si*c.nc:si*c.nc+c.heapLen[si]]...)
-	return h, c.energy[si], c.makespan[si]
+	return c.energy[si], c.makespan[si]
 }
 
 // run simulates the paper's sch() event-driven list schedule of assignment a
@@ -230,11 +174,8 @@ func (e *evaluator) run(a Assignment, placements *[]Placement) {
 // candidate exactly as if they had compared the full simulation's result.
 // On abort the evaluator's makespan/energy/buf are unspecified.
 func (e *evaluator) runBounded(a Assignment, mkBound int64, eBound float64, placements *[]Placement) bool {
-	if len(e.opts) == 1 {
-		return e.runSingleChain(a[0], 0, 0, 0, mkBound, eBound, placements, nil)
-	}
-	h := e.initState()
-	return e.loopBounded(a, h, 0, 0, mkBound, eBound, placements, nil)
+	e.initState()
+	return e.loopBounded(a, 0, 0, mkBound, eBound, placements, nil)
 }
 
 // runCheckpointed is a full (unbounded) run that additionally records one
@@ -242,47 +183,36 @@ func (e *evaluator) runBounded(a Assignment, mkBound int64, eBound float64, plac
 // replay any single-layer move from that layer's snapshot.
 func (e *evaluator) runCheckpointed(a Assignment, ck *ckpts) {
 	ck.reset()
-	if len(e.opts) == 1 {
-		e.runSingleChain(a[0], 0, 0, 0, math.MaxInt64, math.Inf(1), nil, ck)
-		return
-	}
-	h := e.initState()
-	e.loopBounded(a, h, 0, 0, math.MaxInt64, math.Inf(1), nil, ck)
+	e.initState()
+	e.loopBounded(a, 0, 0, math.MaxInt64, math.Inf(1), nil, ck)
 }
 
 // resumeCheckpointed brings an arena captured for a's previous value up to
 // date after the single-layer move at site si was applied to a: snapshots
-// taken before si's first pop are still exact (the prefix never read the
-// moved assignment), so only si's own and every later snapshot are dropped
-// and re-captured by resuming the simulation from si's snapshot. The final
-// makespan/energy/buf left in the evaluator — and every snapshot in the
-// arena — are bit-identical to a fresh runCheckpointed(a, ck). si < 0 (or an
-// empty arena) falls back to the full checkpointed run.
+// taken before si's first selection are still exact (the prefix never read
+// the moved assignment), so only si's own and every later snapshot are
+// dropped and re-captured by resuming the simulation from si's snapshot. The
+// final makespan/energy/buf left in the evaluator — and every snapshot in
+// the arena — are bit-identical to a fresh runCheckpointed(a, ck). si < 0
+// (or an empty arena) falls back to the full checkpointed run.
 func (e *evaluator) resumeCheckpointed(a Assignment, si int, ck *ckpts) {
 	if si < 0 || !ck.captured[si] {
 		e.runCheckpointed(a, ck)
 		return
 	}
 	ck.invalidateFrom(si)
-	if len(e.opts) == 1 {
-		for j := range e.buf {
-			e.buf[j] = ck.buf[si*ck.na+j]
-		}
-		e.runSingleChain(a[0], si, ck.makespan[si], ck.energy[si], math.MaxInt64, math.Inf(1), nil, ck)
-		return
-	}
-	h, energy, makespan := ck.restore(si, e)
-	e.loopBounded(a, h, energy, makespan, math.MaxInt64, math.Inf(1), nil, ck)
+	energy, makespan := ck.restore(si, e)
+	e.loopBounded(a, energy, makespan, math.MaxInt64, math.Inf(1), nil, ck)
 }
 
 // resumeBounded replays assignment a from the checkpoint of site si (flat
 // chain-major index), with the same early-abort bounds as runBounded. It is
 // exact for any a that agrees with the checkpointed baseline on every
-// decision taken before site si's first pop — in particular for the move
-// scan's single-layer reassignments of site si itself: the restored state is
-// bit-identical to what a full simulation of a would have reached, and the
-// suffix replays the same code over the same state, so makespan, energy and
-// buffer demand come out bit-identical to runBounded(a, ...).
+// decision taken before site si's first selection — in particular for the
+// move scan's single-layer reassignments of site si itself: the restored
+// state is bit-identical to what a full simulation of a would have reached,
+// and the suffix replays the same code over the same state, so makespan,
+// energy and buffer demand come out bit-identical to runBounded(a, ...).
 func (e *evaluator) resumeBounded(a Assignment, si int, ck *ckpts, mkBound int64, eBound float64) bool {
 	if !ck.captured[si] {
 		// Defensive: a full run captures every site; never reached.
@@ -298,69 +228,64 @@ func (e *evaluator) resumeBounded(a Assignment, si int, ck *ckpts, mkBound int64
 	if ck.makespan[si] >= mkBound || ck.energy[si] >= eBound {
 		return false
 	}
-	if len(e.opts) == 1 {
-		for j := range e.buf {
-			e.buf[j] = ck.buf[si*ck.na+j]
-		}
-		return e.runSingleChain(a[0], si, ck.makespan[si], ck.energy[si], mkBound, eBound, nil, nil)
-	}
-	h, energy, makespan := ck.restore(si, e)
-	return e.loopBounded(a, h, energy, makespan, mkBound, eBound, nil, nil)
+	energy, makespan := ck.restore(si, e)
+	return e.loopBounded(a, energy, makespan, mkBound, eBound, nil, nil)
 }
 
-// initState resets the per-run scratch and seeds the ready heap with every
-// chain's head layer.
-func (e *evaluator) initState() eventHeap {
+// initState resets the per-run scratch: every chain's head is its first
+// layer, ready at time 0.
+func (e *evaluator) initState() {
 	for ci := range e.next {
 		e.next[ci] = 0
 		e.chainReady[ci] = 0
+		e.key[ci] = 0
 	}
 	for j := range e.accelFree {
 		e.accelFree[j] = 0
 		e.buf[j] = 0
 	}
-	h := e.heap[:0]
-	for ci := range e.opts {
-		// Ascending chain index with equal keys: already heap-ordered.
-		h = append(h, event{start: 0, chain: int32(ci)})
-	}
-	return h
 }
 
-// loopBounded drains the ready heap from the evaluator's current state,
-// carrying the running energy/makespan (zero for a fresh run, the snapshot
-// values for a resume). With ck non-nil it captures a checkpoint before each
-// layer's first pop — before, because with a different assignment for that
-// layer even the pop's stale-key decision can change.
-func (e *evaluator) loopBounded(a Assignment, h eventHeap, energy float64, makespan int64, mkBound int64, eBound float64, placements *[]Placement, ck *ckpts) bool {
-	for len(h) > 0 {
-		if ck != nil {
-			ci := int(h[0].chain)
-			if si := e.siteBase[ci] + e.next[ci]; !ck.captured[si] {
-				ck.capture(si, e, h, energy, makespan)
+// loopBounded runs the schedule to completion from the evaluator's current
+// state, carrying the running energy/makespan (zero for a fresh run, the
+// snapshot values for a resume). Each step selects the unfinished chain with
+// the smallest (key, chain) — ties go to the lower chain index, the original
+// scan's tie-break. With ck non-nil it captures a checkpoint before each
+// layer's first selection — before, because with a different assignment for
+// that layer even the stale-key decision can change.
+func (e *evaluator) loopBounded(a Assignment, energy float64, makespan int64, mkBound int64, eBound float64, placements *[]Placement, ck *ckpts) bool {
+	for {
+		ci := -1
+		for c, k := range e.key {
+			if e.next[c] < len(e.opts[c]) && (ci < 0 || k < e.key[ci]) {
+				ci = c
 			}
 		}
-		ev := h.pop()
-		ci := int(ev.chain)
+		if ci < 0 {
+			break
+		}
 		li := e.next[ci]
+		if ck != nil {
+			if si := e.siteBase[ci] + li; !ck.captured[si] {
+				ck.capture(si, e, energy, makespan)
+			}
+		}
 		j := a[ci][li]
 		start := e.chainReady[ci]
 		if f := e.accelFree[j]; f > start {
 			start = f
 		}
-		if start > ev.start && len(h) > 0 && h[0].less(event{start: start, chain: ev.chain}) {
-			// Stale key: the sub-accelerator got busier since this entry was
-			// inserted, and another chain is now ahead of it. Reinsert with
-			// the true key; keys only increase, so the next up-to-date pop
-			// is the schedule's true argmin. (When the updated key still
-			// precedes the heap top the layer runs immediately instead.)
-			h.push(event{start: start, chain: ev.chain})
+		if start > e.key[ci] {
+			// Stale key: the sub-accelerator got busier since the key was
+			// set. Re-select with the true start; keys only increase, so
+			// the next selection is the schedule's true argmin (this same
+			// chain, at start, unless another chain now precedes it).
+			e.key[ci] = start
 			continue
 		}
 		opt := &e.opts[ci][li][j]
 		finish := start + opt.Cycles
 		if finish >= mkBound {
-			e.heap = h
 			return false
 		}
 		if placements != nil {
@@ -376,70 +301,15 @@ func (e *evaluator) loopBounded(a Assignment, h eventHeap, energy float64, makes
 		}
 		energy += opt.EnergyNJ
 		if energy >= eBound {
-			e.heap = h
 			return false
 		}
 		if opt.BufferBytes > e.buf[j] {
 			e.buf[j] = opt.BufferBytes
 		}
-		if li+1 < len(e.opts[ci]) {
-			e.next[ci] = li + 1
-			h.push(event{start: finish, chain: ev.chain})
-		}
+		e.next[ci] = li + 1
+		e.key[ci] = finish
 	}
-	e.heap = h
 	e.makespan = makespan
-	e.energy = energy
-	return true
-}
-
-// runSingleChain is the degenerate single-DNN case: with one chain there is
-// never contention, every layer starts exactly when its predecessor
-// finishes, and the heap would hold one element — so the simulation is a
-// straight accumulation over the chain, starting at layer startLi with the
-// running finish time t and energy sum carried in (both zero for a fresh
-// run; the snapshot values for a resume, with e.buf restored by the caller).
-// A non-nil ck records the per-layer snapshots of a checkpointed full run.
-func (e *evaluator) runSingleChain(row []int, startLi int, t int64, energy float64, mkBound int64, eBound float64, placements *[]Placement, ck *ckpts) bool {
-	if startLi == 0 {
-		for j := range e.buf {
-			e.buf[j] = 0
-		}
-	}
-	opts := e.opts[0]
-	for li := startLi; li < len(row); li++ {
-		j := row[li]
-		if ck != nil && !ck.captured[li] {
-			// Single-chain snapshot: the running totals plus the buffer
-			// maxima; flat site index == layer index == pop order.
-			copy(ck.buf[li*ck.na:], e.buf)
-			ck.energy[li] = energy
-			ck.makespan[li] = t
-			ck.captured[li] = true
-			ck.order[li] = ck.clock
-			ck.clock++
-		}
-		opt := &opts[li][j]
-		finish := t + opt.Cycles
-		if finish >= mkBound {
-			return false
-		}
-		if placements != nil {
-			*placements = append(*placements, Placement{
-				Chain: 0, Layer: li, Name: e.p.Chains[0].Layers[li].Name,
-				Accel: j, Start: t, End: finish,
-			})
-		}
-		t = finish
-		energy += opt.EnergyNJ
-		if energy >= eBound {
-			return false
-		}
-		if opt.BufferBytes > e.buf[j] {
-			e.buf[j] = opt.BufferBytes
-		}
-	}
-	e.makespan = t
 	e.energy = energy
 	return true
 }

@@ -221,3 +221,83 @@ func referenceExhaustive(p Problem) (Result, error) {
 	}
 	return best, nil
 }
+
+// fullResimHeuristic is the heuristic without checkpoints: the production
+// solver's O(1) energy screen, early-abort bounds and decision rule, but
+// every candidate move re-simulates the whole schedule with runBounded. It
+// is the control the checkpointed move scan replaces:
+// TestDifferentialHeuristicNoCheckpoint pins it to referenceHeuristic, and
+// BenchmarkHeuristicFullResim* time it against Heuristic.
+func fullResimHeuristic(p Problem) (Result, error) {
+	if err := p.Validate(); err != nil {
+		return Result{}, err
+	}
+	a := minLatencyAssignment(p)
+	ev := newEvaluator(&p)
+	ev.run(a, nil)
+	cur := ev.result(a)
+	scan := func(phase1 bool) move {
+		best := move{mk: cur.Makespan}
+		screen := 1e-12 - energySlack(cur.EnergyNJ)
+		deadlineBound := incClamp(p.Deadline)
+		for ci, row := range a {
+			for li, orig := range row {
+				opts := ev.opts[ci][li]
+				for j := 0; j < p.NumAccels; j++ {
+					if j == orig {
+						continue
+					}
+					if phase1 {
+						row[li] = j
+						ok := ev.runBounded(a, best.mk, math.Inf(1), nil)
+						row[li] = orig
+						if ok && ev.makespan < best.mk {
+							best = move{ok: true, ci: ci, li: li, j: j, mk: ev.makespan}
+						}
+						continue
+					}
+					if opts[orig].EnergyNJ-opts[j].EnergyNJ <= screen {
+						continue
+					}
+					row[li] = j
+					ok := ev.runBounded(a, deadlineBound, cur.EnergyNJ, nil)
+					row[li] = orig
+					if !ok || ev.makespan > p.Deadline {
+						continue
+					}
+					dE := cur.EnergyNJ - ev.energy
+					if dE <= 1e-12 {
+						continue
+					}
+					dT := float64(ev.makespan - cur.Makespan)
+					if dT < 1 {
+						dT = 1
+					}
+					if r := dE / dT; !best.ok || r > best.ratio {
+						best = move{ok: true, ci: ci, li: li, j: j, mk: ev.makespan, ratio: r}
+					}
+				}
+			}
+		}
+		return best
+	}
+	apply := func(m move) {
+		a[m.ci][m.li] = m.j
+		ev.run(a, nil)
+		cur = ev.result(a)
+	}
+	for !cur.Feasible {
+		m := scan(true)
+		if !m.ok {
+			return cur, nil
+		}
+		apply(m)
+	}
+	for {
+		m := scan(false)
+		if !m.ok {
+			return cur, nil
+		}
+		apply(m)
+	}
+}

@@ -13,44 +13,45 @@
 // is the exact oracle the heuristic is checked against.
 //
 // The solvers are incremental: the problem is validated once per solve, every
-// candidate assignment is simulated by the allocation-free min-heap engine in
-// eval.go, energy-losing moves are screened out by an O(1) per-move option
-// delta before any simulation runs, the exhaustive enumeration prunes with
-// admissible energy/makespan bounds, and large move scans fan out across a
-// bounded worker pool with a deterministic reduction order. Results are bit-identical
-// to the pre-rewrite solver (see differential_test.go).
+// candidate assignment is simulated by the allocation-free engine in
+// eval.go (one ready-time key per chain, next layer by argmin), energy-losing
+// moves are screened out by an O(1) per-move option delta before any
+// simulation runs, and the exhaustive enumeration prunes with admissible
+// energy/makespan bounds. Every solve is sequential; the search loop in
+// internal/core runs many solves in parallel across its worker pool.
+// Results are bit-identical to the pre-rewrite solver (see
+// differential_test.go).
 //
 // # Checkpointed move scans
 //
-// The heuristic's move scan additionally runs on a checkpointed simulator
-// (eval.go). The lifecycle of one refinement round:
+// The heuristic's move scan runs on a checkpointed simulator (eval.go). The
+// lifecycle of one refinement round:
 //
 //  1. The round's baseline simulation of the current assignment records one
-//     snapshot of the full simulator state (ready heap, per-chain/-accel
-//     clocks, buffer maxima, running energy/makespan) per layer site, taken
-//     just before that layer's event is popped for the first time — at that
-//     point nothing simulated so far has read the layer's own assignment.
+//     snapshot of the full simulator state (per-chain keys and clocks,
+//     per-accelerator clocks, buffer maxima, running energy/makespan) per
+//     layer site, taken just before that layer is selected for the first
+//     time — at that point nothing simulated so far has read the layer's own
+//     assignment.
 //  2. Each candidate move of layer L restores L's snapshot and replays only
 //     the schedule's suffix under the scan's early-abort bounds; the shared
-//     prefix is reused across the entire scan. Parallel scan workers carry
-//     their own arena, rebuilt (incrementally) from their own baseline run.
+//     prefix is reused across the entire scan.
 //  3. Applying the round's winning move updates the arena in place:
-//     snapshots captured before the moved layer's first pop stay valid, the
-//     rest are re-captured by resuming from the moved layer's snapshot.
+//     snapshots captured before the moved layer's first selection stay
+//     valid, the rest are re-captured by resuming from the moved layer's
+//     snapshot.
 //
 // The resumed replay performs the exact floating-point operations of a full
 // simulation in the same order, so results — and the whole refinement
 // trajectory — stay bit-identical (pinned by differential_test.go, which
-// also runs the full per-move re-simulation the checkpoints replace).
+// also runs the test-only full per-move re-simulation the checkpoints
+// replace, from reference_test.go).
 package sched
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // Option is the cost of running one layer on one particular sub-accelerator.
@@ -80,43 +81,6 @@ type Problem struct {
 	NumAccels int
 	// Deadline is the latency spec LS in cycles.
 	Deadline int64
-	// tuning overrides the solver's parallel-scan thresholds and move-scan
-	// simulation strategy; only the package's tests and benchmarks set it.
-	tuning tuning
-}
-
-// tuning holds the solver's parallel-scan thresholds and the move-scan
-// simulation strategy. Each field's zero value selects the package default;
-// results are bit-identical for any setting because every parallel scan
-// reduces in a deterministic order and the checkpointed simulator replays
-// the exact floating-point operations of a full simulation. Tests force the
-// parallel move scan on small instances through it, and the checkpoint
-// differentials and the CI before/after gate time the full-resimulation
-// control against the checkpointed scan.
-type tuning struct {
-	// parallelMoveMin is the minimum number of candidate moves per
-	// refinement round before Heuristic parallelizes the move scan.
-	parallelMoveMin int
-	// maxWorkers bounds the worker pool of one solve.
-	maxWorkers int
-	// disableCheckpoints turns off the checkpointed move-scan simulator, so
-	// every candidate move replays the whole schedule instead of resuming
-	// from the moved layer's snapshot.
-	disableCheckpoints bool
-}
-
-func (t tuning) moveMin() int {
-	if t.parallelMoveMin > 0 {
-		return t.parallelMoveMin
-	}
-	return parallelMoveMin
-}
-
-func (t tuning) workers() int {
-	if t.maxWorkers > 0 {
-		return t.maxWorkers
-	}
-	return maxSolverWorkers
 }
 
 // Validate checks structural consistency.
@@ -165,13 +129,6 @@ func (a Assignment) clone() Assignment {
 		out[i] = append([]int(nil), row...)
 	}
 	return out
-}
-
-// copyFrom copies src's values into a (rows must match in shape).
-func (a Assignment) copyFrom(src Assignment) {
-	for i, row := range src {
-		copy(a[i], row)
-	}
 }
 
 // Result is an evaluated schedule.
@@ -223,42 +180,6 @@ func minLatencyAssignment(p Problem) Assignment {
 	return a
 }
 
-// Default solver parallelism bounds (overridable per Problem via tuning).
-// Small instances (the ones inside the RL search loop, which already fans
-// episodes out across core's worker pool) stay sequential; only scans big
-// enough to amortize goroutine startup fan out.
-const (
-	// parallelMoveMin is the default minimum number of candidate moves per
-	// refinement round before Heuristic parallelizes the move scan. Retuned
-	// from the original single-core value of 128: with the checkpointed
-	// simulator a candidate move costs roughly half a simulation, while a
-	// parallel round costs each worker one goroutine spawn plus one
-	// checkpointed baseline run (~one full simulation). The break-even on the
-	// bench instances is ~3 full simulations of margin per worker, which a
-	// 48-move round clears with the default 4-8 worker pool — so the medium
-	// benchmark instance (72 moves/round) now fans out on multi-core hosts
-	// instead of staying sequential.
-	parallelMoveMin = 48
-	// maxSolverWorkers is the default bound on the worker pool of one solve.
-	maxSolverWorkers = 8
-)
-
-// solverWorkers picks the worker count for a scan of `units` independent
-// work items under the given pool bound.
-func solverWorkers(units, max int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > max {
-		w = max
-	}
-	if w > units {
-		w = units
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // ctxCheckNodes is how many enumeration nodes the exhaustive solver visits
 // between context-cancellation checks.
 const ctxCheckNodes = 1 << 10
@@ -284,23 +205,13 @@ type move struct {
 	ratio     float64
 }
 
-// moveScratch is one scan worker's private state: a scratch assignment, an
-// evaluator, and (when checkpointing is on) the worker's own checkpoint
-// arena, rebuilt from the round's baseline at the start of its chunk.
-type moveScratch struct {
-	a   Assignment
-	ev  *evaluator
-	ck  *ckpts
-	gen int // move generation the arena reflects (-1: never built)
-}
-
 // hsolver carries the scratch state of one Heuristic solve.
 type hsolver struct {
 	p     *Problem
 	ctx   context.Context
 	a     Assignment
 	ev    *evaluator
-	ck    *ckpts // non-nil when the checkpointed move scan is enabled
+	ck    *ckpts
 	sites []site
 	curMk int64
 	curE  float64
@@ -309,33 +220,23 @@ type hsolver struct {
 	// last candidate's state, not the current assignment's).
 	bufDemand []int64
 
-	// gen counts applied moves and lastMove is the flat site index of the
-	// latest one (-1 before any): together they let refresh and the scan
-	// workers update their checkpoint arenas incrementally instead of
-	// re-simulating the whole assignment each round.
-	gen      int
+	// lastMove is the flat site index of the latest applied move (-1
+	// before any): it lets refresh update the checkpoint arena
+	// incrementally instead of re-simulating the whole assignment.
 	lastMove int
 
-	// aborted latches a mid-scan context cancellation; every scan worker
-	// polls it (and ctx) per site, so a cancelled solve unwinds promptly
-	// with the partial best instead of finishing the round.
-	aborted atomic.Bool
-
-	workers []*moveScratch // lazily built for parallel scans
-	chunks  []move
+	// aborted latches a mid-scan context cancellation, polled per site, so
+	// a cancelled solve unwinds promptly with the partial best instead of
+	// finishing the round.
+	aborted bool
 }
 
-// refresh re-simulates the current assignment and caches its metrics; with
-// checkpointing on, the same single simulation also records the per-site
-// snapshots the round's sequential move scan resumes from, and after the
-// first round it resumes from the applied move's own snapshot instead of
-// replaying the whole schedule.
+// refresh re-simulates the current assignment and caches its metrics; the
+// same single simulation also records the per-site snapshots the round's
+// move scan resumes from, and after the first round it resumes from the
+// applied move's own snapshot instead of replaying the whole schedule.
 func (s *hsolver) refresh() {
-	if s.ck != nil {
-		s.ev.resumeCheckpointed(s.a, s.lastMove, s.ck)
-	} else {
-		s.ev.run(s.a, nil)
-	}
+	s.ev.resumeCheckpointed(s.a, s.lastMove, s.ck)
 	s.curMk = s.ev.makespan
 	s.curE = s.ev.energy
 	s.bufDemand = append(s.bufDemand[:0], s.ev.buf...)
@@ -353,15 +254,14 @@ func (s *hsolver) result() Result {
 	}
 }
 
-// scanRange evaluates every single-layer move whose site index lies in
-// [lo, hi) against the current schedule, using the given scratch assignment
-// (a copy of s.a that is mutated and restored in place), evaluator and
-// checkpoint arena (nil for full re-simulation). It returns the range's best
-// move under the phase's decision rule, with ties resolved to the first move
-// in (chain, layer, accelerator) scan order — exactly the original solver's
-// scan semantics. The scan polls ctx once per site; on cancellation it
-// latches s.aborted and returns the partial best of its range.
-func (s *hsolver) scanRange(phase1 bool, lo, hi int, a Assignment, ev *evaluator, ck *ckpts) move {
+// scan evaluates every single-layer move against the current schedule,
+// resuming each candidate from its site's checkpoint (s.a is mutated and
+// restored in place). It returns the best move under the phase's decision
+// rule, with ties resolved to the first move in (chain, layer, accelerator)
+// scan order — exactly the original solver's scan semantics. The scan polls
+// ctx once per site; on cancellation it latches s.aborted and returns the
+// partial best.
+func (s *hsolver) scan(phase1 bool) move {
 	p := s.p
 	best := move{mk: s.curMk} // phase 1: only strictly smaller makespans qualify
 	// O(1) screen threshold: moves whose order-independent option delta
@@ -372,15 +272,13 @@ func (s *hsolver) scanRange(phase1 bool, lo, hi int, a Assignment, ev *evaluator
 	// energy; simulations abort as soon as either is impossible. Both
 	// bounds are exact rejections, not approximations (see runBounded).
 	deadlineBound := incClamp(p.Deadline)
-	for si := lo; si < hi; si++ {
-		if s.aborted.Load() {
-			return best
-		}
+	a, ev, ck := s.a, s.ev, s.ck
+	for si, st := range s.sites {
 		if s.ctx.Err() != nil {
-			s.aborted.Store(true)
+			s.aborted = true
 			return best
 		}
-		ci, li := s.sites[si].ci, s.sites[si].li
+		ci, li := st.ci, st.li
 		row := a[ci]
 		orig := row[li]
 		opts := ev.opts[ci][li]
@@ -390,12 +288,7 @@ func (s *hsolver) scanRange(phase1 bool, lo, hi int, a Assignment, ev *evaluator
 			}
 			if phase1 {
 				row[li] = j
-				var ok bool
-				if ck != nil {
-					ok = ev.resumeBounded(a, si, ck, best.mk, math.Inf(1))
-				} else {
-					ok = ev.runBounded(a, best.mk, math.Inf(1), nil)
-				}
+				ok := ev.resumeBounded(a, si, ck, best.mk, math.Inf(1))
 				row[li] = orig
 				if ok && ev.makespan < best.mk {
 					best = move{ok: true, ci: ci, li: li, j: j, mk: ev.makespan}
@@ -406,12 +299,7 @@ func (s *hsolver) scanRange(phase1 bool, lo, hi int, a Assignment, ev *evaluator
 				continue
 			}
 			row[li] = j
-			var ok bool
-			if ck != nil {
-				ok = ev.resumeBounded(a, si, ck, deadlineBound, s.curE)
-			} else {
-				ok = ev.runBounded(a, deadlineBound, s.curE, nil)
-			}
+			ok := ev.resumeBounded(a, si, ck, deadlineBound, s.curE)
 			row[li] = orig
 			if !ok || ev.makespan > p.Deadline {
 				continue
@@ -443,74 +331,6 @@ func incClamp(x int64) int64 {
 	return x + 1
 }
 
-// scan finds the best move of one refinement round, fanning out across
-// workers when the scan is large enough. The chunk reduction folds in site
-// order, so the selected move is identical for any worker count. With
-// checkpointing on, each worker re-derives the round's checkpoint arena from
-// its own baseline simulation of the current assignment — one full run per
-// worker per round, amortized across its chunk of resumed moves.
-func (s *hsolver) scan(phase1 bool) move {
-	nSites := len(s.sites)
-	nw := solverWorkers(nSites, s.p.tuning.workers())
-	if nSites*(s.p.NumAccels-1) < s.p.tuning.moveMin() || nw < 2 {
-		return s.scanRange(phase1, 0, nSites, s.a, s.ev, s.ck)
-	}
-	if s.workers == nil {
-		s.workers = make([]*moveScratch, nw)
-		for w := range s.workers {
-			ws := &moveScratch{a: s.a.clone(), ev: newEvaluator(s.p), gen: -1}
-			if s.ck != nil {
-				ws.ck = newCkpts(s.p)
-			}
-			s.workers[w] = ws
-		}
-		s.chunks = make([]move, nw)
-	}
-	per := (nSites + nw - 1) / nw
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > nSites {
-			hi = nSites
-		}
-		if lo >= hi {
-			s.chunks[w] = move{}
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			ws := s.workers[w]
-			ws.a.copyFrom(s.a)
-			if ws.ck != nil {
-				switch {
-				case ws.gen == s.gen:
-					// Arena already reflects s.a (round without a move).
-				case ws.gen == s.gen-1 && s.lastMove >= 0:
-					// Exactly one move behind: reuse the shared prefix.
-					ws.ev.resumeCheckpointed(ws.a, s.lastMove, ws.ck)
-				default:
-					ws.ev.runCheckpointed(ws.a, ws.ck)
-				}
-				ws.gen = s.gen
-			}
-			s.chunks[w] = s.scanRange(phase1, lo, hi, ws.a, ws.ev, ws.ck)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	best := move{}
-	for _, m := range s.chunks {
-		if !m.ok {
-			continue
-		}
-		if !best.ok || (phase1 && m.mk < best.mk) || (!phase1 && m.ratio > best.ratio) {
-			best = m
-		}
-	}
-	return best
-}
-
 // Heuristic solves the HAP instance with the paper's accelerated approach
 // [29]: seed with the minimum-latency assignment, then greedily apply the
 // single-layer move with the best energy-saving-per-latency-cost ratio while
@@ -523,8 +343,8 @@ func Heuristic(p Problem) (Result, error) {
 }
 
 // HeuristicCtx is Heuristic with cooperative cancellation: the solver polls
-// ctx between refinement rounds and once per site inside every move scan
-// (parallel scan workers included). Once ctx is done it stops promptly and
+// ctx between refinement rounds and once per site inside every move scan.
+// Once ctx is done it stops promptly and
 // returns the best assignment refined so far — a valid, fully evaluated
 // partial result — together with ctx's error; a cancellation before any
 // refinement started returns the zero Result. Each call builds its own
@@ -538,10 +358,7 @@ func HeuristicCtx(ctx context.Context, p Problem) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	s := &hsolver{p: &p, ctx: ctx, ev: newEvaluator(&p), a: minLatencyAssignment(p), lastMove: -1}
-	if !p.tuning.disableCheckpoints {
-		s.ck = newCkpts(&p)
-	}
+	s := &hsolver{p: &p, ctx: ctx, ev: newEvaluator(&p), ck: newCkpts(&p), a: minLatencyAssignment(p), lastMove: -1}
 	for ci, c := range p.Chains {
 		for li := range c.Layers {
 			s.sites = append(s.sites, site{ci, li})
@@ -551,7 +368,6 @@ func HeuristicCtx(ctx context.Context, p Problem) (Result, error) {
 	apply := func(m move) {
 		s.a[m.ci][m.li] = m.j
 		s.lastMove = s.ev.siteBase[m.ci] + m.li
-		s.gen++
 		s.refresh()
 	}
 
@@ -562,7 +378,7 @@ func HeuristicCtx(ctx context.Context, p Problem) (Result, error) {
 			return s.result(), err
 		}
 		m := s.scan(true)
-		if s.aborted.Load() {
+		if s.aborted {
 			return s.result(), ctx.Err()
 		}
 		if !m.ok {
@@ -580,7 +396,7 @@ func HeuristicCtx(ctx context.Context, p Problem) (Result, error) {
 			return s.result(), err
 		}
 		m := s.scan(false)
-		if s.aborted.Load() {
+		if s.aborted {
 			return s.result(), ctx.Err()
 		}
 		if !m.ok {
