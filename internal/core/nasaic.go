@@ -342,10 +342,12 @@ func (x *Explorer) RunContext(ctx context.Context) (*Result, error) {
 		}
 		// Self-imitation replay: reinforce the best complete sample so far.
 		// The best candidate's hardware actions may come from a hardware-
-		// only step; replay the episode that contains them.
+		// only step; replay the episode that contains them. The round's
+		// episodes are views the next round overwrites, so the kept one is
+		// detached.
 		if solReward := x.eval.Reward(weighted, bestPen); st.Feasible &&
 			(bestEpisode == nil || solReward > bestReward) {
-			bestEpisode, bestReward = hwEps[bestIdx], solReward
+			bestEpisode, bestReward = hwEps[bestIdx].Detach(), solReward
 		}
 		if x.Cfg.ReplayCoef > 0 && bestEpisode != nil {
 			if adv := bestReward - trMain.Baseline(); adv > 0 {

@@ -3,115 +3,73 @@ package nn
 import "math"
 
 // This file is the LSTM's execution path: B sequences step in lockstep, one
-// column per sequence. Column b of every operation is bit-identical to the
-// matrix-vector reference (reference_test.go) on column b — same
+// column per sequence. Column e of every operation is bit-identical to the
+// matrix-vector reference (reference_test.go) on column e — same
 // accumulation order, same per-element expressions — so internal/rl can put
 // any set of episodes into one batch without changing a single bit of the
 // training trajectory.
+//
+// Callers own every buffer. A batch of n sequences runs on matrices
+// PadWidth(n) columns wide: columns 0..n−1 are the real sequences, the rest
+// are pad columns. The kernels run over all columns, so their 8- and
+// 4-column blocks cover the whole width; the element-wise loops run over the
+// n real columns only. Pad columns are zero whenever a matrix enters a
+// kernel, and no real column ever reads one: each kernel output column
+// depends only on the same input column.
 
-// LSTMBatchState is the recurrent state of B lockstep sequences; H and C are
-// HiddenSize×B matrices, one column per sequence.
-type LSTMBatchState struct {
-	H, C *Mat
-}
+// PadWidth returns n rounded up to a multiple of 4: the column count of the
+// matrices n lockstep sequences run on, so no kernel has a scalar column
+// tail.
+func PadWidth(n int) int { return (n + 3) &^ 3 }
 
-// ZeroBatchState returns an all-zero initial state for b sequences.
-func (l *LSTM) ZeroBatchState(b int) LSTMBatchState {
-	return LSTMBatchState{H: NewMat(l.HiddenSize, b), C: NewMat(l.HiddenSize, b)}
-}
-
-// LSTMBatchCache stores the intermediates of one lockstep forward step. X,
-// HPrev and CPrev reference the caller's matrices (valid until the caller
-// reuses those buffers); the gate and state matrices are owned by the cache.
+// LSTMBatchCache is one lockstep step of a forward pass: its input, the
+// state it starts from, and the intermediates its backward pass reads. X and
+// the gate and state matrices are the caller's buffers; HPrev and CPrev are
+// the previous step's H and C, or a zero state at the first step.
 type LSTMBatchCache struct {
-	X            *Mat // I × B (reference)
-	HPrev, CPrev *Mat // H × B (references)
+	X            *Mat // I × B input
+	HPrev, CPrev *Mat // H × B
 	I, F, G, O   *Mat // H × B post-activation gates
-	C, H         *Mat // H × B
+	C, H         *Mat // H × B new state
 }
 
-// SeqCaches splits the batch cache into per-sequence LSTMCaches, copying
-// each column out into one shared arena (a single allocation for all B
-// caches). The resulting caches are self-contained — exactly what the
-// one-sequence reference Forward produces for that sequence — so an episode
-// sampled in one batch can be backpropagated in another.
-func (bc *LSTMBatchCache) SeqCaches() []*LSTMCache {
-	b := bc.H.C
-	in := bc.X.R
-	h := bc.H.R
-	per := in + 8*h
-	arena := make([]float64, b*per)
-	out := make([]*LSTMCache, b)
-	for e := 0; e < b; e++ {
-		buf := arena[e*per : (e+1)*per]
-		take := func(n int) []float64 {
-			s := buf[:n:n]
-			buf = buf[n:]
-			return s
-		}
-		c := &LSTMCache{
-			X:     bc.X.ColInto(take(in), e),
-			HPrev: bc.HPrev.ColInto(take(h), e),
-			CPrev: bc.CPrev.ColInto(take(h), e),
-			I:     bc.I.ColInto(take(h), e),
-			F:     bc.F.ColInto(take(h), e),
-			G:     bc.G.ColInto(take(h), e),
-			O:     bc.O.ColInto(take(h), e),
-			C:     bc.C.ColInto(take(h), e),
-			H:     bc.H.ColInto(take(h), e),
-		}
-		out[e] = c
-	}
-	return out
-}
-
-// batchScratch returns the two 4H×B pre-activation scratch matrices, resized
-// when the batch width changes.
-func (l *LSTM) batchScratch(b int) (zx, zh *Mat) {
-	if l.bzx == nil || l.bzx.C != b {
-		l.bzx = NewMat(4*l.HiddenSize, b)
-		l.bzh = NewMat(4*l.HiddenSize, b)
-	}
-	return l.bzx, l.bzh
-}
-
-// ForwardBatch runs one lockstep time step for B sequences: (x I×B, prev) →
-// (next state, cache). Column b of every output is bit-identical to the
-// reference Forward of column b.
-func (l *LSTM) ForwardBatch(x *Mat, prev LSTMBatchState) (LSTMBatchState, *LSTMBatchCache) {
+// ForwardBatch runs one lockstep step over the first n columns of c: it
+// reads X, HPrev and CPrev and writes the gates and the new state. zx and zh
+// are 4H×B scratch. Column e < n of every output is bit-identical to the
+// reference Forward of column e. It clears the pad columns of X before the
+// kernels and those of H after the gate loop, so HPrev — the previous step's
+// H or a zero state — and every head reading H see zero pads.
+func (l *LSTM) ForwardBatch(c *LSTMBatchCache, n int, zx, zh *Mat) {
 	H := l.HiddenSize
-	b := x.C
-	if x.R != l.InputSize {
-		panic("nn: ForwardBatch input rows mismatch")
+	b := c.H.C
+	if c.X.R != l.InputSize || c.X.C != b {
+		panic("nn: ForwardBatch input shape mismatch")
 	}
-	if prev.H.R != H || prev.H.C != b || prev.C.R != H || prev.C.C != b {
+	if c.HPrev.R != H || c.HPrev.C != b || c.CPrev.R != H || c.CPrev.C != b || c.H.R != H {
 		panic("nn: ForwardBatch state shape mismatch")
 	}
-	zx, zh := l.batchScratch(b)
-	l.Wx.Val.MulMatInto(zx, x)
-	l.Wh.Val.MulMatInto(zh, prev.H)
-
-	cache := &LSTMBatchCache{
-		X: x, HPrev: prev.H, CPrev: prev.C,
-		I: NewMat(H, b), F: NewMat(H, b),
-		G: NewMat(H, b), O: NewMat(H, b),
-		C: NewMat(H, b), H: NewMat(H, b),
+	if n <= 0 || n > b {
+		panic("nn: ForwardBatch column count out of range")
 	}
+	c.X.ZeroPad(n)
+	l.Wx.Val.MulMatInto(zx, c.X)
+	l.Wh.Val.MulMatInto(zh, c.HPrev)
+
 	bias := l.B.Val.W
 	for i := 0; i < H; i++ {
 		bi, bf, bg, bo := bias[i], bias[H+i], bias[2*H+i], bias[3*H+i]
-		zxi, zhi := zx.W[i*b:(i+1)*b], zh.W[i*b:(i+1)*b]
-		zxf, zhf := zx.W[(H+i)*b:(H+i+1)*b], zh.W[(H+i)*b:(H+i+1)*b]
-		zxg, zhg := zx.W[(2*H+i)*b:(2*H+i+1)*b], zh.W[(2*H+i)*b:(2*H+i+1)*b]
-		zxo, zho := zx.W[(3*H+i)*b:(3*H+i+1)*b], zh.W[(3*H+i)*b:(3*H+i+1)*b]
-		cp := prev.C.W[i*b : (i+1)*b]
-		oi := cache.I.W[i*b : (i+1)*b]
-		of := cache.F.W[i*b : (i+1)*b]
-		og := cache.G.W[i*b : (i+1)*b]
-		oo := cache.O.W[i*b : (i+1)*b]
-		oc := cache.C.W[i*b : (i+1)*b]
-		oh := cache.H.W[i*b : (i+1)*b]
-		for e := 0; e < b; e++ {
+		zxi, zhi := zx.W[i*b:i*b+n], zh.W[i*b:i*b+n]
+		zxf, zhf := zx.W[(H+i)*b:(H+i)*b+n], zh.W[(H+i)*b:(H+i)*b+n]
+		zxg, zhg := zx.W[(2*H+i)*b:(2*H+i)*b+n], zh.W[(2*H+i)*b:(2*H+i)*b+n]
+		zxo, zho := zx.W[(3*H+i)*b:(3*H+i)*b+n], zh.W[(3*H+i)*b:(3*H+i)*b+n]
+		cp := c.CPrev.W[i*b : i*b+n]
+		oi := c.I.W[i*b : i*b+n]
+		of := c.F.W[i*b : i*b+n]
+		og := c.G.W[i*b : i*b+n]
+		oo := c.O.W[i*b : i*b+n]
+		oc := c.C.W[i*b : i*b+n]
+		oh := c.H.W[i*b : i*b+n]
+		for e := 0; e < n; e++ {
 			// Mirrors the reference step exactly: z = (Wx·x + Wh·h) + b,
 			// then the gate nonlinearities and state update in Forward's
 			// expression order.
@@ -125,95 +83,117 @@ func (l *LSTM) ForwardBatch(x *Mat, prev LSTMBatchState) (LSTMBatchState, *LSTMB
 			oh[e] = vo * math.Tanh(vc)
 		}
 	}
-	return LSTMBatchState{H: cache.H, C: cache.C}, cache
+	c.H.ZeroPad(n)
 }
 
-// BackwardBatch backpropagates one lockstep time step for B sequences. dH
-// (H×B) is the gradient flowing into this step's output state; dC may be nil
-// on the first backward step. caches holds the per-sequence forward caches
-// of this step (column order). It returns the
-// pre-activation gate gradients dz (4H×B), the input gradient dx (I×B), and
-// the gradient w.r.t. the previous state.
+// SeqRef names one sequence of a lockstep forward pass: column Col of every
+// step cache in Steps. The columns of one backward batch may come from
+// different forward passes, such as a replayed episode next to this round's.
+type SeqRef struct {
+	Steps []LSTMBatchCache
+	Col   int
+}
+
+// BackwardBatch backpropagates step t of the sequences seqs; column e of the
+// gradient matrices belongs to seqs[e], and len(seqs) is the number of real
+// columns. On entry dH holds the gradient flowing into step t's output H and,
+// when carry is true, dC the gradient into its cell state C (carry is false
+// at the last step, where no cell gradient flows in yet). On return dH and dC
+// hold the gradient w.r.t. the previous state, dz (4H×B) the gate
+// pre-activation gradient and dx (I×B) the input gradient. dz's pad columns
+// are cleared before the kernels, so dx and dH are zero there.
 //
 // Parameter gradients are NOT accumulated here: callers pass every step's dz
 // to AccumBPTTGrads, which adds them in the per-sequence order, so the
 // floating-point accumulation into the gradient buffers is bit-identical to
-// B reference Backward passes.
-func (l *LSTM) BackwardBatch(dH, dC *Mat, caches []*LSTMCache) (dz, dx *Mat, dPrev LSTMBatchState) {
+// one reference Backward pass per sequence.
+func (l *LSTM) BackwardBatch(t int, seqs []SeqRef, dz, dx, dH, dC *Mat, carry bool) {
 	H := l.HiddenSize
 	b := dH.C
-	if dH.R != H || len(caches) != b {
+	n := len(seqs)
+	if dH.R != H || dC.R != H || dC.C != b || n == 0 || n > b {
 		panic("nn: BackwardBatch shape mismatch")
 	}
-	if dC != nil && (dC.R != H || dC.C != b) {
-		panic("nn: BackwardBatch dC shape mismatch")
+	if dz.R != 4*H || dz.C != b || dx.R != l.InputSize || dx.C != b {
+		panic("nn: BackwardBatch output shape mismatch")
 	}
-	dz = NewMat(4*H, b)
-	dCPrev := NewMat(H, b)
-	for e := 0; e < b; e++ {
-		cache := caches[e]
+	for e, sq := range seqs {
+		s := &sq.Steps[t]
+		w := s.C.C
 		for i := 0; i < H; i++ {
-			tc := math.Tanh(cache.C[i])
+			o := i*w + sq.Col
+			ci, cf, cg, co := s.I.W[o], s.F.W[o], s.G.W[o], s.O.W[o]
+			tc := math.Tanh(s.C.W[o])
 			dOut := dH.W[i*b+e]
-			dCt := dOut * cache.O[i] * (1 - tc*tc)
-			if dC != nil {
+			dCt := dOut * co * (1 - tc*tc)
+			if carry {
 				dCt += dC.W[i*b+e]
 			}
-			dI := dCt * cache.G[i]
-			dF := dCt * cache.CPrev[i]
-			dG := dCt * cache.I[i]
+			dI := dCt * cg
+			dF := dCt * s.CPrev.W[o]
+			dG := dCt * ci
 			dO := dOut * tc
-			dCPrev.W[i*b+e] = dCt * cache.F[i]
+			dC.W[i*b+e] = dCt * cf
 
-			dz.W[i*b+e] = dI * cache.I[i] * (1 - cache.I[i])
-			dz.W[(H+i)*b+e] = dF * cache.F[i] * (1 - cache.F[i])
-			dz.W[(2*H+i)*b+e] = dG * (1 - cache.G[i]*cache.G[i])
-			dz.W[(3*H+i)*b+e] = dO * cache.O[i] * (1 - cache.O[i])
+			dz.W[i*b+e] = dI * ci * (1 - ci)
+			dz.W[(H+i)*b+e] = dF * cf * (1 - cf)
+			dz.W[(2*H+i)*b+e] = dG * (1 - cg*cg)
+			dz.W[(3*H+i)*b+e] = dO * co * (1 - co)
 		}
 	}
-	dx = NewMat(l.InputSize, b)
+	dz.ZeroPad(n)
 	l.Wx.Val.MulTMatInto(dx, dz)
-	dhPrev := NewMat(H, b)
-	l.Wh.Val.MulTMatInto(dhPrev, dz)
-	return dz, dx, LSTMBatchState{H: dhPrev, C: dCPrev}
+	l.Wh.Val.MulTMatInto(dH, dz)
 }
 
 // AccumBPTTGrads adds a whole batch's LSTM parameter-gradient contributions
-// at once: dzs[t] is the 4H×B gate pre-activation gradient of step t, and
-// xs[k], hps[k] are the cached X and HPrev vectors indexed by
-// k = e·T + (T−1−t) — sequence-major with t descending, the order in which
-// B reference Backward passes apply their per-step AddOuter calls.
+// at once: dzs[t] is the 4H×B gate pre-activation gradient of step t, whose
+// column e belongs to seqs[e]. The X and HPrev columns of seqs are taken in
+// the order k = e·T + (T−1−t) — sequence-major with t descending, the order
+// in which one reference Backward pass per sequence applies its per-step
+// AddOuter calls. Pad columns of dzs never enter that order.
 //
 // Each gradient element's additions happen in exactly that k order into a
 // register accumulator, so the result is bit-identical to that AddOuter
 // sequence — but every gradient matrix is walked once instead of
 // B·T times, with eight independent column accumulators per pass.
-func (l *LSTM) AccumBPTTGrads(dzs []*Mat, xs, hps [][]float64) {
+//
+// buf is scratch for the k-major gathers; AccumBPTTGrads returns it, grown
+// if it was too short, for the caller to pass again.
+func (l *LSTM) AccumBPTTGrads(dzs []*Mat, seqs []SeqRef, buf []float64) []float64 {
 	T := len(dzs)
-	if T == 0 {
-		return
+	if T == 0 || len(seqs) == 0 {
+		return buf
 	}
 	b := dzs[0].C
-	n := b * T
-	if len(xs) != n || len(hps) != n {
-		panic("nn: AccumBPTTGrads cache count mismatch")
+	if len(seqs) > b {
+		panic("nn: AccumBPTTGrads more sequences than columns")
 	}
+	n := len(seqs) * T
 	in, hidden := l.InputSize, l.HiddenSize
-	// Flatten the cached vectors into contiguous k-major buffers: the inner
+	if need := n * (in + hidden + 1); cap(buf) < need {
+		buf = make([]float64, need)
+	}
+	// Gather the cached vectors into contiguous k-major buffers: the inner
 	// loops then stream both operands linearly (and the SIMD kernels can
 	// stride through them directly).
-	xflat := make([]float64, n*in)
-	hflat := make([]float64, n*hidden)
-	for k := 0; k < n; k++ {
-		copy(xflat[k*in:(k+1)*in], xs[k])
-		copy(hflat[k*hidden:(k+1)*hidden], hps[k])
+	xflat := buf[:n*in]
+	hflat := buf[n*in : n*(in+hidden)]
+	dzrow := buf[n*(in+hidden) : n*(in+hidden+1)]
+	k := 0
+	for _, sq := range seqs {
+		for t := T - 1; t >= 0; t-- {
+			s := &sq.Steps[t]
+			s.X.ColInto(xflat[k*in:(k+1)*in], sq.Col)
+			s.HPrev.ColInto(hflat[k*hidden:(k+1)*hidden], sq.Col)
+			k++
+		}
 	}
-	dzrow := make([]float64, n)
 	for i := 0; i < 4*hidden; i++ {
 		// Gather row i of every step's dz in k order once; it is then
 		// streamed contiguously by both outer-product passes and the bias.
 		idx := 0
-		for e := 0; e < b; e++ {
+		for e := range seqs {
 			for t := T - 1; t >= 0; t-- {
 				dzrow[idx] = dzs[t].W[i*b+e]
 				idx++
@@ -227,6 +207,7 @@ func (l *LSTM) AccumBPTTGrads(dzs []*Mat, xs, hps [][]float64) {
 		}
 		l.B.Grad.W[i] = g
 	}
+	return buf
 }
 
 // accumRowOuter adds Σ_k dzrow[k]·xflat[k*cols+j] into one gradient row,
@@ -271,26 +252,23 @@ func accumRowOuter(grow, dzrow, xflat []float64, cols int) {
 	}
 }
 
-// ForwardBatch computes Y = W·X + b over a column batch (X in×B), allocating
-// Y. Column b is bit-identical to the reference Forward of column b.
-func (l *Linear) ForwardBatch(x *Mat) *Mat {
-	y := NewMat(l.W.Val.R, x.C)
+// ForwardBatch computes y = W·x + b over a column batch, adding the bias to
+// the first n columns; y's pad columns hold W·0 = 0. Column e < n is
+// bit-identical to the reference Forward of column e.
+func (l *Linear) ForwardBatch(y, x *Mat, n int) {
 	l.W.Val.MulMatInto(y, x)
 	for i := 0; i < y.R; i++ {
 		bi := l.B.Val.W[i]
-		row := y.W[i*y.C : (i+1)*y.C]
+		row := y.W[i*y.C : i*y.C+n]
 		for e := range row {
 			row[e] += bi
 		}
 	}
-	return y
 }
 
-// BackwardBatchFlows computes dX = Wᵀ·dY over a column batch, without
+// BackwardBatchFlows computes dx = Wᵀ·dY over a column batch, without
 // touching the parameter gradients (callers replay AccumStepGrads per
 // sequence, as with the LSTM).
-func (l *Linear) BackwardBatchFlows(dY *Mat) *Mat {
-	dx := NewMat(l.W.Val.C, dY.C)
+func (l *Linear) BackwardBatchFlows(dx, dY *Mat) {
 	l.W.Val.MulTMatInto(dx, dY)
-	return dx
 }

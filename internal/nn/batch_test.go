@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"nasaic/internal/stats"
@@ -65,16 +66,86 @@ func TestMulTMatColumnsMatchMulTVec(t *testing.T) {
 // batchWidths are the column counts the controller runs: a single episode,
 // a small batch, and the widths of one NASAIC round at φ=10 (11 rollouts
 // sampled; 13 episodes trained with the combined rollout and a replay).
-// Together they cover the 8-, 4- and scalar-column kernel blocks.
+// Each runs both unpadded, which puts the 8-, 4- and scalar-column kernel
+// blocks to work, and padded to PadWidth, the width the controller uses.
 var batchWidths = []int{1, 4, 11, 13}
 
-func TestLSTMForwardBatchColumnsMatchForward(t *testing.T) {
-	for _, B := range batchWidths {
-		t.Run(fmt.Sprintf("B=%d", B), func(t *testing.T) { lstmForwardColumns(t, B) })
+// forEachWidth runs f, as subtest B=n, for every real width n of
+// batchWidths at each matrix width it is run on: n itself and PadWidth(n).
+func forEachWidth(t *testing.T, f func(t *testing.T, n, width int)) {
+	for _, n := range batchWidths {
+		t.Run(fmt.Sprintf("B=%d", n), func(t *testing.T) {
+			widths := []int{n}
+			if p := PadWidth(n); p != n {
+				widths = append(widths, p)
+			}
+			for _, width := range widths {
+				t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) { f(t, n, width) })
+			}
+		})
 	}
 }
 
-func lstmForwardColumns(t *testing.T, B int) {
+// dirtyMat returns an r×c matrix filled with a stale value, as a buffer
+// reused from an earlier round would be: nothing may read it before writing
+// it, and pad columns must be cleared before they enter a kernel.
+func dirtyMat(r, c int) *Mat {
+	m := NewMat(r, c)
+	for i := range m.W {
+		m.W[i] = 1e300
+	}
+	return m
+}
+
+// padded returns x (r×n) copied into the first n columns of an r×width
+// matrix whose pad columns are zero.
+func padded(x *Mat, width int) *Mat {
+	out := NewMat(x.R, width)
+	for e := 0; e < x.C; e++ {
+		out.CopyColFrom(e, x, e)
+	}
+	return out
+}
+
+// forwardRun runs the lockstep forward pass over the columns of xs[t]
+// (I×n each) on matrices width columns wide, in dirty buffers, and returns
+// the step caches.
+func forwardRun(l *LSTM, xs []*Mat, width int) []LSTMBatchCache {
+	n, H := xs[0].C, l.HiddenSize
+	zero := NewMat(H, width)
+	zx, zh := dirtyMat(4*H, width), dirtyMat(4*H, width)
+	steps := make([]LSTMBatchCache, len(xs))
+	hp, cp := zero, zero
+	for t, x := range xs {
+		s := &steps[t]
+		*s = LSTMBatchCache{
+			X: dirtyMat(l.InputSize, width), HPrev: hp, CPrev: cp,
+			I: dirtyMat(H, width), F: dirtyMat(H, width), G: dirtyMat(H, width), O: dirtyMat(H, width),
+			C: dirtyMat(H, width), H: dirtyMat(H, width),
+		}
+		for e := 0; e < n; e++ {
+			s.X.CopyColFrom(e, x, e)
+		}
+		l.ForwardBatch(s, n, zx, zh)
+		hp, cp = s.H, s.C
+	}
+	return steps
+}
+
+// seqRefs names the first n columns of one forward run.
+func seqRefs(steps []LSTMBatchCache, n int) []SeqRef {
+	seqs := make([]SeqRef, n)
+	for e := range seqs {
+		seqs[e] = SeqRef{Steps: steps, Col: e}
+	}
+	return seqs
+}
+
+func TestLSTMForwardBatchColumnsMatchForward(t *testing.T) {
+	forEachWidth(t, lstmForwardColumns)
+}
+
+func lstmForwardColumns(t *testing.T, B, width int) {
 	rng := stats.NewRNG(7 + int64(B))
 	init := func(p *Param) { p.InitXavier(rng) }
 	l := NewLSTM(5, 6, init)
@@ -90,36 +161,41 @@ func lstmForwardColumns(t *testing.T, B int) {
 		xs[i] = randMat(rng, 5, B)
 	}
 
-	batState := l.ZeroBatchState(B)
+	steps := forwardRun(l, xs, width)
 	for step := 0; step < T; step++ {
-		var batCache *LSTMBatchCache
-		batState, batCache = l.ForwardBatch(xs[step], batState)
-		caches := batCache.SeqCaches()
+		bc := &steps[step]
 		for e := 0; e < B; e++ {
 			var seqCache *LSTMCache
 			seqStates[e], seqCache = l.Forward(xs[step].Col(e), seqStates[e])
-			for i := range seqStates[e].H {
-				if h := batState.H.At(i, e); h != seqStates[e].H[i] {
-					t.Fatalf("step %d col %d H[%d]: %.17g vs %.17g", step, e, i, h, seqStates[e].H[i])
-				}
-				if c := batState.C.At(i, e); c != seqStates[e].C[i] {
-					t.Fatalf("step %d col %d C[%d]: %.17g vs %.17g", step, e, i, c, seqStates[e].C[i])
-				}
-			}
-			// The extracted per-sequence cache must equal the sequential one
-			// field by field (it later feeds sequential Backward).
+			// Every cached column must equal the reference cache field by
+			// field (it later feeds the backward pass).
 			pairs := [][2][]float64{
-				{caches[e].X, seqCache.X}, {caches[e].HPrev, seqCache.HPrev},
-				{caches[e].CPrev, seqCache.CPrev}, {caches[e].I, seqCache.I},
-				{caches[e].F, seqCache.F}, {caches[e].G, seqCache.G},
-				{caches[e].O, seqCache.O}, {caches[e].C, seqCache.C},
-				{caches[e].H, seqCache.H},
+				{bc.X.Col(e), seqCache.X}, {bc.HPrev.Col(e), seqCache.HPrev},
+				{bc.CPrev.Col(e), seqCache.CPrev}, {bc.I.Col(e), seqCache.I},
+				{bc.F.Col(e), seqCache.F}, {bc.G.Col(e), seqCache.G},
+				{bc.O.Col(e), seqCache.O}, {bc.C.Col(e), seqCache.C},
+				{bc.H.Col(e), seqCache.H},
 			}
 			for fi, pr := range pairs {
 				for i := range pr[0] {
 					if pr[0][i] != pr[1][i] {
-						t.Fatalf("step %d col %d cache field %d elem %d mismatch", step, e, fi, i)
+						t.Fatalf("step %d col %d cache field %d elem %d: %.17g vs %.17g",
+							step, e, fi, i, pr[0][i], pr[1][i])
 					}
+				}
+			}
+		}
+		// The pad columns of X and H, the matrices that enter kernels, are
+		// zero whatever the buffers held before.
+		for e := B; e < width; e++ {
+			for i := 0; i < bc.H.R; i++ {
+				if bc.H.At(i, e) != 0 {
+					t.Fatalf("step %d: pad column %d of H holds %g", step, e, bc.H.At(i, e))
+				}
+			}
+			for i := 0; i < bc.X.R; i++ {
+				if bc.X.At(i, e) != 0 {
+					t.Fatalf("step %d: pad column %d of X holds %g", step, e, bc.X.At(i, e))
 				}
 			}
 		}
@@ -132,12 +208,10 @@ func lstmForwardColumns(t *testing.T, B int) {
 // runs — and requires bit-identical parameter gradients and input
 // gradients.
 func TestLSTMBackwardBatchMatchesSequential(t *testing.T) {
-	for _, B := range batchWidths {
-		t.Run(fmt.Sprintf("B=%d", B), func(t *testing.T) { lstmBackwardColumns(t, B) })
-	}
+	forEachWidth(t, lstmBackwardColumns)
 }
 
-func lstmBackwardColumns(t *testing.T, B int) {
+func lstmBackwardColumns(t *testing.T, B, width int) {
 	build := func() (*LSTM, []*Linear) {
 		rng := stats.NewRNG(11)
 		init := func(p *Param) { p.InitXavier(rng) }
@@ -186,35 +260,35 @@ func lstmBackwardColumns(t *testing.T, B int) {
 	}
 
 	// Batched: lockstep forward, lockstep flows, episode-major grad replay.
-	batCaches := make([][]*LSTMCache, T)
-	hsMat := make([]*Mat, T)
-	st := lBat.ZeroBatchState(B)
-	for i := 0; i < T; i++ {
-		var bc *LSTMBatchCache
-		st, bc = lBat.ForwardBatch(xs[i], st)
-		batCaches[i] = bc.SeqCaches()
-		hsMat[i] = st.H
-	}
-	dH := NewMat(6, B)
-	var dC *Mat
+	steps := forwardRun(lBat, xs, width)
+	seqs := seqRefs(steps, B)
+	dH, dC, dy := NewMat(6, width), dirtyMat(6, width), dirtyMat(6, width)
 	dzs := make([]*Mat, T)
 	dxs := make([]*Mat, T)
 	for i := T - 1; i >= 0; i-- {
-		dh := headsBat[i].BackwardBatchFlows(dys[i])
-		dh.Add(dH)
-		var dPrev LSTMBatchState
-		dzs[i], dxs[i], dPrev = lBat.BackwardBatch(dh, dC, batCaches[i])
-		dH, dC = dPrev.H, dPrev.C
+		headsBat[i].BackwardBatchFlows(dy, padded(dys[i], width))
+		dH.Add(dy)
+		dzs[i], dxs[i] = dirtyMat(4*6, width), dirtyMat(4, width)
+		lBat.BackwardBatch(i, seqs, dzs[i], dxs[i], dH, dC, i < T-1)
 	}
-	var xsK, hpsK [][]float64
 	for e := 0; e < B; e++ {
 		for i := T - 1; i >= 0; i-- {
-			headsBat[i].AccumStepGrads(dys[i].Col(e), batCaches[i][e].H)
-			xsK = append(xsK, batCaches[i][e].X)
-			hpsK = append(hpsK, batCaches[i][e].HPrev)
+			headsBat[i].AccumStepGrads(dys[i].Col(e), steps[i].H.Col(e))
 		}
 	}
-	lBat.AccumBPTTGrads(dzs, xsK, hpsK)
+	lBat.AccumBPTTGrads(dzs, seqs, nil)
+
+	// The flows out of the kernels are zero in the pad columns, whatever
+	// the buffers held before.
+	for _, m := range append([]*Mat{dH}, dxs...) {
+		for i := 0; i < m.R; i++ {
+			for e := B; e < width; e++ {
+				if m.At(i, e) != 0 {
+					t.Fatalf("pad column %d of a %dx%d flow holds %g", e, m.R, m.C, m.At(i, e))
+				}
+			}
+		}
+	}
 
 	// Input gradients, column by column.
 	for e := 0; e < B; e++ {
@@ -250,11 +324,13 @@ func TestLinearForwardBatchMatchesForward(t *testing.T) {
 	rng := stats.NewRNG(17)
 	init := func(p *Param) { p.InitXavier(rng) }
 	lin := NewLinear("l", 6, 4, init)
-	for _, B := range batchWidths {
+	forEachWidth(t, func(t *testing.T, B, width int) {
 		x := randMat(rng, 6, B)
-		y := lin.ForwardBatch(x)
+		y := dirtyMat(4, width)
+		lin.ForwardBatch(y, padded(x, width), B)
 		dy := randMat(rng, 4, B)
-		dx := lin.BackwardBatchFlows(dy)
+		dx := dirtyMat(6, width)
+		lin.BackwardBatchFlows(dx, padded(dy, width))
 		for e := 0; e < B; e++ {
 			want := lin.Forward(x.Col(e))
 			got := y.Col(e)
@@ -271,7 +347,7 @@ func TestLinearForwardBatchMatchesForward(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestAccumBPTTGradsMatchesAccumStepGrads pins the whole-batch gradient
@@ -279,6 +355,7 @@ func TestLinearForwardBatchMatchesForward(t *testing.T) {
 // (sequence, step), sequence-major with t descending, into gradients that
 // already hold values. Shapes put 8-, 4- and scalar-column blocks in each
 // gradient row, and exact zeros in dz exercise the reference's skipped rows.
+// The dz pad columns hold NaN: they must never enter the k order.
 func TestAccumBPTTGradsMatchesAccumStepGrads(t *testing.T) {
 	for _, sh := range []struct{ in, hidden, B, T int }{
 		{1, 1, 1, 1}, {5, 6, 4, 3}, {13, 12, 11, 4}, {20, 7, 13, 2},
@@ -294,23 +371,32 @@ func TestAccumBPTTGradsMatchesAccumStepGrads(t *testing.T) {
 				got.Params()[pi].Grad.W[i] = v
 			}
 		}
+		width := PadWidth(sh.B)
 		dzs := make([]*Mat, sh.T)
+		steps := make([]LSTMBatchCache, sh.T)
 		for i := range dzs {
-			dzs[i] = randMat(rng, 4*sh.hidden, sh.B)
+			dzs[i] = padded(randMat(rng, 4*sh.hidden, sh.B), width)
+			dzs[i].ZeroPad(sh.B)
+			for r := 0; r < dzs[i].R; r++ {
+				for e := sh.B; e < width; e++ {
+					dzs[i].Set(r, e, math.NaN())
+				}
+			}
 			for j := 0; j < len(dzs[i].W); j += 5 {
 				dzs[i].W[j] = 0
 			}
+			steps[i] = LSTMBatchCache{X: randMat(rng, sh.in, sh.B), HPrev: randMat(rng, sh.hidden, sh.B)}
 		}
-		var xs, hps [][]float64
 		dz := make([]float64, 4*sh.hidden)
 		for e := 0; e < sh.B; e++ {
 			for i := sh.T - 1; i >= 0; i-- {
-				x, hp := randVec(rng, sh.in), randVec(rng, sh.hidden)
-				xs, hps = append(xs, x), append(hps, hp)
-				ref.AccumStepGrads(dzs[i].ColInto(dz, e), x, hp)
+				ref.AccumStepGrads(dzs[i].ColInto(dz, e), steps[i].X.Col(e), steps[i].HPrev.Col(e))
 			}
 		}
-		got.AccumBPTTGrads(dzs, xs, hps)
+		buf := got.AccumBPTTGrads(dzs, seqRefs(steps, sh.B), nil)
+		if len(buf) < sh.B*sh.T*(sh.in+sh.hidden+1) {
+			t.Fatalf("returned scratch holds %d floats, want at least %d", len(buf), sh.B*sh.T*(sh.in+sh.hidden+1))
+		}
 		for pi, p := range ref.Params() {
 			for i, want := range p.Grad.W {
 				if g := got.Params()[pi].Grad.W[i]; g != want {
@@ -320,15 +406,15 @@ func TestAccumBPTTGradsMatchesAccumStepGrads(t *testing.T) {
 			}
 		}
 	}
-	// No steps is a no-op; a cache count that disagrees with dz panics.
+	// No steps is a no-op; more sequences than dz columns panics.
 	l := NewLSTM(2, 2, func(*Param) {})
 	l.AccumBPTTGrads(nil, nil, nil)
 	defer func() {
 		if recover() == nil {
-			t.Error("AccumBPTTGrads: expected panic on cache count mismatch")
+			t.Error("AccumBPTTGrads: expected panic on more sequences than columns")
 		}
 	}()
-	l.AccumBPTTGrads([]*Mat{NewMat(8, 2)}, make([][]float64, 1), make([][]float64, 2))
+	l.AccumBPTTGrads([]*Mat{NewMat(8, 2)}, make([]SeqRef, 3), nil)
 }
 
 func TestTransposeRoundTrip(t *testing.T) {
@@ -401,26 +487,43 @@ func TestSIMDMatchesPureGo(t *testing.T) {
 	}
 }
 
+// stepCache returns a forward step of an LSTM with in inputs and hidden
+// units, width columns wide.
+func stepCache(in, hidden, width int) *LSTMBatchCache {
+	z := NewMat(hidden, width)
+	return &LSTMBatchCache{
+		X: NewMat(in, width), HPrev: z, CPrev: z,
+		I: NewMat(hidden, width), F: NewMat(hidden, width), G: NewMat(hidden, width), O: NewMat(hidden, width),
+		C: NewMat(hidden, width), H: NewMat(hidden, width),
+	}
+}
+
 func TestBatchShapePanics(t *testing.T) {
 	rng := stats.NewRNG(23)
 	init := func(p *Param) { p.InitXavier(rng) }
 	l := NewLSTM(3, 4, init)
 	m := NewMat(2, 3)
 	for name, f := range map[string]func(){
-		"mulmat shape":    func() { m.MulMatInto(NewMat(2, 2), NewMat(4, 2)) },
-		"mulmat dst":      func() { m.MulMatInto(NewMat(3, 2), NewMat(3, 2)) },
-		"multmat shape":   func() { m.MulTMatInto(NewMat(3, 2), NewMat(4, 2)) },
-		"multmat dst":     func() { m.MulTMatInto(NewMat(2, 2), NewMat(2, 2)) },
-		"mulvec dst":      func() { m.MulVecInto(make([]float64, 1), []float64{1, 2, 3}) },
-		"multvec dst":     func() { m.MulTVecInto(make([]float64, 1), []float64{1, 2}) },
-		"setcol":          func() { m.SetCol(0, []float64{1}) },
-		"colinto":         func() { m.ColInto(make([]float64, 1), 0) },
-		"copycol rows":    func() { m.CopyColFrom(0, NewMat(3, 1), 0) },
-		"copycol range":   func() { m.CopyColFrom(5, NewMat(2, 1), 0) },
-		"add shape":       func() { m.Add(NewMat(3, 3)) },
-		"fwdbatch input":  func() { l.ForwardBatch(NewMat(2, 2), l.ZeroBatchState(2)) },
-		"fwdbatch state":  func() { l.ForwardBatch(NewMat(3, 2), l.ZeroBatchState(3)) },
-		"bwdbatch shapes": func() { l.BackwardBatch(NewMat(4, 2), nil, make([]*LSTMCache, 3)) },
+		"mulmat shape":   func() { m.MulMatInto(NewMat(2, 2), NewMat(4, 2)) },
+		"mulmat dst":     func() { m.MulMatInto(NewMat(3, 2), NewMat(3, 2)) },
+		"multmat shape":  func() { m.MulTMatInto(NewMat(3, 2), NewMat(4, 2)) },
+		"multmat dst":    func() { m.MulTMatInto(NewMat(2, 2), NewMat(2, 2)) },
+		"mulvec dst":     func() { m.MulVecInto(make([]float64, 1), []float64{1, 2, 3}) },
+		"multvec dst":    func() { m.MulTVecInto(make([]float64, 1), []float64{1, 2}) },
+		"setcol":         func() { m.SetCol(0, []float64{1}) },
+		"colinto":        func() { m.ColInto(make([]float64, 1), 0) },
+		"copycol rows":   func() { m.CopyColFrom(0, NewMat(3, 1), 0) },
+		"copycol range":  func() { m.CopyColFrom(5, NewMat(2, 1), 0) },
+		"add shape":      func() { m.Add(NewMat(3, 3)) },
+		"fwdbatch input": func() { l.ForwardBatch(stepCache(2, 4, 4), 4, NewMat(16, 4), NewMat(16, 4)) },
+		"fwdbatch state": func() { l.ForwardBatch(stepCache(3, 3, 4), 4, NewMat(16, 4), NewMat(16, 4)) },
+		"fwdbatch width": func() { l.ForwardBatch(stepCache(3, 4, 4), 5, NewMat(16, 4), NewMat(16, 4)) },
+		"bwdbatch shapes": func() {
+			l.BackwardBatch(0, make([]SeqRef, 3), NewMat(16, 2), NewMat(3, 2), NewMat(4, 2), NewMat(4, 2), false)
+		},
+		"bwdbatch output": func() {
+			l.BackwardBatch(0, make([]SeqRef, 1), NewMat(16, 2), NewMat(4, 2), NewMat(4, 2), NewMat(4, 2), false)
+		},
 	} {
 		name, f := name, f
 		func() {

@@ -11,10 +11,11 @@ import (
 // experiment's scale: hidden width 48 (core.DefaultConfig), a rollout of
 // T=27 decisions (W1's decision sequence), 8-way logit heads, and batch
 // widths matching the 1+φ episodes of one exploration step. The batched
-// numbers include everything the policy-gradient loop pays for — cache
-// extraction on the forward, the episode-major gradient replay on the
-// backward — so seq vs batched ns/op is the real speedup, not a kernel-only
-// figure. CI runs these as part of the bench smoke.
+// numbers include everything the policy-gradient loop pays for — the head
+// logits on the forward, the episode-major gradient replay on the backward —
+// in buffers padded to PadWidth and reused across iterations, so seq vs
+// batched ns/op is the real speedup, not a kernel-only figure. CI runs these
+// as part of the bench smoke.
 
 const (
 	benchHidden = 48
@@ -63,18 +64,46 @@ func (n *benchNet) forwardSeq(xs []*Mat, b int) ([][]*LSTMCache, [][][]float64) 
 	return caches, hs
 }
 
-// forwardBatch rolls out b sequences in lockstep, including the
-// per-sequence cache extraction the sampler needs.
-func (n *benchNet) forwardBatch(xs []*Mat, b int) [][]*LSTMCache {
-	caches := make([][]*LSTMCache, benchT)
-	st := n.lstm.ZeroBatchState(b)
-	for t := 0; t < benchT; t++ {
-		var bc *LSTMBatchCache
-		st, bc = n.lstm.ForwardBatch(xs[t], st)
-		caches[t] = bc.SeqCaches()
-		_ = n.heads[t].ForwardBatch(st.H)
+// batchBufs is the lockstep path's memory for b sequences, padded to
+// PadWidth(b) columns and reused across iterations as the controller reuses
+// its workspace across rounds.
+type batchBufs struct {
+	n             int
+	steps         []LSTMBatchCache
+	seqs          []SeqRef
+	zx, zh        *Mat
+	logits        []*Mat
+	dH, dC, dy    *Mat
+	dzs, dxs, dys []*Mat
+	scratch       []float64
+}
+
+func newBatchBufs(xs, dys []*Mat, b int) *batchBufs {
+	p := PadWidth(b)
+	steps := forwardRun(NewLSTM(benchHidden, benchHidden, func(*Param) {}), xs, p)
+	bb := &batchBufs{
+		n: b, steps: steps, seqs: seqRefs(steps, b),
+		zx: NewMat(4*benchHidden, p), zh: NewMat(4*benchHidden, p),
+		dH: NewMat(benchHidden, p), dC: NewMat(benchHidden, p), dy: NewMat(benchHidden, p),
 	}
-	return caches
+	for t := 0; t < benchT; t++ {
+		bb.logits = append(bb.logits, NewMat(benchOpts, p))
+		bb.dzs = append(bb.dzs, NewMat(4*benchHidden, p))
+		bb.dxs = append(bb.dxs, NewMat(benchHidden, p))
+		if dys != nil {
+			bb.dys = append(bb.dys, padded(dys[t], p))
+		}
+	}
+	return bb
+}
+
+// forwardBatch rolls out the sequences in lockstep into the reused step
+// caches (whose X columns newBatchBufs filled).
+func (n *benchNet) forwardBatch(bb *batchBufs) {
+	for t := range bb.steps {
+		n.lstm.ForwardBatch(&bb.steps[t], bb.n, bb.zx, bb.zh)
+		n.heads[t].ForwardBatch(bb.logits[t], bb.steps[t].H, bb.n)
+	}
 }
 
 // bpttSeq backpropagates b sequences one at a time.
@@ -92,35 +121,21 @@ func (n *benchNet) bpttSeq(dys []*Mat, caches [][]*LSTMCache, hs [][][]float64, 
 	}
 }
 
-// bpttBatch backpropagates b sequences in lockstep: batched flows plus the
-// episode-major parameter-gradient replay (the bit-identity contract).
-func (n *benchNet) bpttBatch(dys []*Mat, caches [][]*LSTMCache, b int) {
-	dH := NewMat(benchHidden, b)
-	var dC *Mat
-	dzs := make([]*Mat, benchT)
+// bpttBatch backpropagates the sequences in lockstep: batched flows plus
+// the episode-major parameter-gradient replay (the bit-identity contract).
+func (n *benchNet) bpttBatch(bb *batchBufs) {
+	bb.dH.Zero()
+	hcol := make([]float64, benchHidden)
+	dycol := make([]float64, benchOpts)
 	for t := benchT - 1; t >= 0; t-- {
-		dh := n.heads[t].BackwardBatchFlows(dys[t])
-		dh.Add(dH)
-		var dPrev LSTMBatchState
-		dzs[t], _, dPrev = n.lstm.BackwardBatch(dh, dC, caches[t])
-		dH, dC = dPrev.H, dPrev.C
-	}
-	xs := make([][]float64, b*benchT)
-	hps := make([][]float64, b*benchT)
-	k := 0
-	for e := 0; e < b; e++ {
-		for t := benchT - 1; t >= 0; t-- {
-			xs[k] = caches[t][e].X
-			hps[k] = caches[t][e].HPrev
-			k++
+		n.heads[t].BackwardBatchFlows(bb.dy, bb.dys[t])
+		bb.dH.Add(bb.dy)
+		n.lstm.BackwardBatch(t, bb.seqs, bb.dzs[t], bb.dxs[t], bb.dH, bb.dC, t < benchT-1)
+		for e := 0; e < bb.n; e++ {
+			n.heads[t].AccumStepGrads(bb.dys[t].ColInto(dycol, e), bb.steps[t].H.ColInto(hcol, e))
 		}
 	}
-	n.lstm.AccumBPTTGrads(dzs, xs, hps)
-	for e := 0; e < b; e++ {
-		for t := benchT - 1; t >= 0; t-- {
-			n.heads[t].AccumStepGrads(dys[t].Col(e), caches[t][e].H)
-		}
-	}
+	bb.scratch = n.lstm.AccumBPTTGrads(bb.dzs, bb.seqs, bb.scratch)
 }
 
 func zeroGrads(n *benchNet) {
@@ -136,11 +151,12 @@ func zeroGrads(n *benchNet) {
 func benchForward(b *testing.B, batch int, batched bool) {
 	n := newBenchNet(1)
 	xs := benchInputs(2, batch)
+	bb := newBatchBufs(xs, nil, batch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if batched {
-			n.forwardBatch(xs, batch)
+			n.forwardBatch(bb)
 		} else {
 			n.forwardSeq(xs, batch)
 		}
@@ -155,12 +171,13 @@ func benchForwardBPTT(b *testing.B, batch int, batched bool) {
 	for t := range dys {
 		dys[t] = randMat(rng, benchOpts, batch)
 	}
+	bb := newBatchBufs(xs, dys, batch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if batched {
-			caches := n.forwardBatch(xs, batch)
-			n.bpttBatch(dys, caches, batch)
+			n.forwardBatch(bb)
+			n.bpttBatch(bb)
 		} else {
 			caches, hs := n.forwardSeq(xs, batch)
 			n.bpttSeq(dys, caches, hs, batch)

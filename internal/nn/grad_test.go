@@ -152,14 +152,18 @@ func TestBatchBPTTGradCheck(t *testing.T) {
 		lossW[i] = randMat(rng, opts, B)
 	}
 
+	// The batched path runs on padded matrices, as the controller does.
+	width := PadWidth(B)
+	y := NewMat(opts, width)
 	loss := func() float64 {
-		st := l.ZeroBatchState(B)
+		steps := forwardRun(l, xs, width)
 		var s float64
 		for i := 0; i < T; i++ {
-			st, _ = l.ForwardBatch(xs[i], st)
-			y := heads[i].ForwardBatch(st.H)
-			for j, v := range y.W {
-				s += lossW[i].W[j] * v
+			heads[i].ForwardBatch(y, steps[i].H, B)
+			for j := 0; j < opts; j++ {
+				for e := 0; e < B; e++ {
+					s += lossW[i].At(j, e) * y.At(j, e)
+				}
 			}
 		}
 		return s
@@ -167,33 +171,23 @@ func TestBatchBPTTGradCheck(t *testing.T) {
 
 	// Analytic pass, the controller's order: flows t descending, then the
 	// parameter gradients episode-major with t descending.
-	caches := make([][]*LSTMCache, T)
-	st := l.ZeroBatchState(B)
-	for i := 0; i < T; i++ {
-		var bc *LSTMBatchCache
-		st, bc = l.ForwardBatch(xs[i], st)
-		caches[i] = bc.SeqCaches()
-	}
+	steps := forwardRun(l, xs, width)
+	seqs := seqRefs(steps, B)
 	dzs := make([]*Mat, T)
 	dxs := make([]*Mat, T)
-	dH := NewMat(hidden, B)
-	var dC *Mat
+	dH, dC, dy := NewMat(hidden, width), NewMat(hidden, width), NewMat(hidden, width)
 	for i := T - 1; i >= 0; i-- {
-		dh := heads[i].BackwardBatchFlows(lossW[i])
-		dh.Add(dH)
-		var dPrev LSTMBatchState
-		dzs[i], dxs[i], dPrev = l.BackwardBatch(dh, dC, caches[i])
-		dH, dC = dPrev.H, dPrev.C
+		heads[i].BackwardBatchFlows(dy, padded(lossW[i], width))
+		dH.Add(dy)
+		dzs[i], dxs[i] = NewMat(4*hidden, width), NewMat(in, width)
+		l.BackwardBatch(i, seqs, dzs[i], dxs[i], dH, dC, i < T-1)
 	}
-	var cx, chp [][]float64
 	for e := 0; e < B; e++ {
 		for i := T - 1; i >= 0; i-- {
-			heads[i].AccumStepGrads(lossW[i].Col(e), caches[i][e].H)
-			cx = append(cx, caches[i][e].X)
-			chp = append(chp, caches[i][e].HPrev)
+			heads[i].AccumStepGrads(lossW[i].Col(e), steps[i].H.Col(e))
 		}
 	}
-	l.AccumBPTTGrads(dzs, cx, chp)
+	l.AccumBPTTGrads(dzs, seqs, nil)
 
 	params := l.Params()
 	for _, h := range heads {
@@ -209,9 +203,10 @@ func TestBatchBPTTGradCheck(t *testing.T) {
 			down := loss()
 			xs[i].W[j] = orig
 			num := (up - down) / (2 * fdEps)
-			if e := relErr(num, dxs[i].W[j]); e > fdTol {
+			got := dxs[i].At(j/B, j%B)
+			if e := relErr(num, got); e > fdTol {
 				t.Fatalf("dX step %d elem %d: analytic %.12g vs numeric %.12g (rel err %.3g)",
-					i, j, dxs[i].W[j], num, e)
+					i, j, got, num, e)
 			}
 		}
 	}

@@ -3,18 +3,13 @@ package nn
 import "math"
 
 // LSTM is a single-layer LSTM cell. Gate layout within the stacked 4H
-// dimension is [input; forget; cell candidate; output].
-//
-// ForwardBatch reuses internal scratch buffers, so concurrent forward passes
-// on the same cell are racy; clone the parameters into a separate cell per
-// goroutine if concurrent rollouts are ever needed.
+// dimension is [input; forget; cell candidate; output]. The cell holds only
+// its parameters; every forward and backward buffer is the caller's.
 type LSTM struct {
 	InputSize, HiddenSize int
 	Wx                    *Param // 4H × I
 	Wh                    *Param // 4H × H
 	B                     *Param // 4H × 1
-
-	bzx, bzh *Mat // pre-activation scratch (4H × B)
 }
 
 // NewLSTM returns an LSTM with Xavier-initialized weights and a forget-gate
@@ -37,15 +32,6 @@ func NewLSTM(inputSize, hiddenSize int, init func(*Param)) *LSTM {
 
 // Params returns the trainable parameters.
 func (l *LSTM) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }
-
-// LSTMCache stores the intermediates of one forward step for backprop.
-type LSTMCache struct {
-	X          []float64
-	HPrev      []float64
-	CPrev      []float64
-	I, F, G, O []float64 // post-activation gates
-	C, H       []float64
-}
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
@@ -81,13 +67,20 @@ func (l *Linear) AccumStepGrads(dY, x []float64) {
 
 // Softmax returns the softmax of logits (numerically stabilized).
 func Softmax(logits []float64) []float64 {
+	return SoftmaxInto(make([]float64, len(logits)), logits)
+}
+
+// SoftmaxInto computes the softmax of logits into out and returns it.
+func SoftmaxInto(out, logits []float64) []float64 {
+	if len(out) != len(logits) {
+		panic("nn: SoftmaxInto length mismatch")
+	}
 	max := math.Inf(-1)
 	for _, v := range logits {
 		if v > max {
 			max = v
 		}
 	}
-	out := make([]float64, len(logits))
 	var sum float64
 	for i, v := range logits {
 		e := math.Exp(v - max)

@@ -5,17 +5,26 @@
 //
 // The package has one execution path: B sequences step in lockstep through
 // blocked matrix-matrix kernels, one column per sequence (ForwardBatch,
-// BackwardBatch, AccumBPTTGrads, see batch.go). A single sequence is a
-// one-column batch. The matrix-vector formulation of the same math — one
-// sequence, one step, one column at a time — lives only in the tests
-// (reference_test.go), as the reference every batched kernel is checked
-// against.
+// BackwardBatch, AccumBPTTGrads, see batch.go). The matrix-vector
+// formulation of the same math — one sequence, one step, one column at a
+// time — lives only in the tests (reference_test.go), as the reference every
+// batched kernel is checked against.
+//
+// The batched functions allocate nothing once the caller's scratch is warm:
+// every matrix and buffer is the caller's, reused from step to step and
+// round to round. n sequences run
+// on matrices PadWidth(n) columns wide (a multiple of 4, so 11 → 12 and
+// 13 → 16), which the kernels' 8- and 4-column blocks cover without a scalar
+// column tail. Pad columns are zero whenever a matrix enters a kernel, the
+// element-wise loops touch only the n real columns, and no real column ever
+// reads a pad column.
 //
 // Every batched kernel is bit-identical per column to that reference — same
-// accumulation order, same per-element operations — so the width of a batch
-// never changes a single bit of a training trajectory (enforced by
-// differential tests here and in internal/rl). Gradients are accumulated
-// across a batch of episodes before each optimizer step, as in Eq. (1).
+// accumulation order, same per-element operations — so neither the width of
+// a batch nor its padding changes a single bit of a training trajectory
+// (enforced by differential tests here and in internal/rl). Gradients are
+// accumulated across a batch of episodes before each optimizer step, as in
+// Eq. (1).
 package nn
 
 import "fmt"
@@ -44,6 +53,17 @@ func (m *Mat) Set(i, j int, v float64) { m.W[i*m.C+j] = v }
 func (m *Mat) Zero() {
 	for i := range m.W {
 		m.W[i] = 0
+	}
+}
+
+// ZeroPad clears columns n..C−1, the pad columns of a matrix PadWidth(n)
+// columns wide.
+func (m *Mat) ZeroPad(n int) {
+	if n >= m.C {
+		return
+	}
+	for i := 0; i < m.R; i++ {
+		clear(m.W[i*m.C+n : (i+1)*m.C])
 	}
 }
 

@@ -110,6 +110,16 @@ func ScaleVec(a []float64, s float64) []float64 {
 	return out
 }
 
+// LSTMCache stores the intermediates of one reference forward step for
+// backprop.
+type LSTMCache struct {
+	X          []float64
+	HPrev      []float64
+	CPrev      []float64
+	I, F, G, O []float64 // post-activation gates
+	C, H       []float64
+}
+
 // LSTMState is the recurrent state (h, c) of one sequence.
 type LSTMState struct {
 	H, C []float64

@@ -14,6 +14,14 @@ import (
 // The exported Sample, SampleForcedBatch, Accumulate and
 // AccumulateMaskedBatch are thin entries into them.
 //
+// Both run in the controller's workspace, which is sized on first use to the
+// widest round seen and then reused, so a warm round allocates only its
+// episode headers and Actions slices. n columns run PadWidth(n) wide (11
+// rollouts on 12 columns, 13 trained episodes on 16); the pad columns are
+// zero going into every kernel and never reach a real column. The episodes
+// of a round are views of its forward record, valid until the next sampling
+// round; Detach copies one out.
+//
 // The width of a batch never changes a bit of the result, which the
 // differential tests (differential_test.go) check against a one-episode,
 // one-column reference (reference_test.go):
@@ -23,18 +31,193 @@ import (
 //     draw per sampled step) and feeds them to stats.CategoricalU, so
 //     actions and the RNG state afterwards match draw for draw.
 //   - nn's batched kernels are bit-identical per column to the
-//     matrix-vector reference (see internal/nn).
+//     matrix-vector reference (see internal/nn), padded or not.
 //   - AccumulateRound computes the backward flows batched, but adds the
-//     parameter gradients episode-major with t descending: the exact
-//     floating-point add order of one Accumulate call per episode.
+//     parameter gradients of each parameter in the order one Accumulate
+//     call per episode would: the heads, start and embeddings at their only
+//     step, episode by episode; the LSTM weights episode-major with t
+//     descending, in one pass after the flows.
 
-// Sample draws one rollout a_1..a_T from the current policy.
-func (c *Controller) Sample() *Episode { return c.sampleBatch(nil, 0, 1)[0] }
+// shape is the geometry of a controller's rollouts: the hidden width and
+// each decision's option count.
+type shape struct {
+	hidden int
+	opts   []int
+}
+
+// recordLen returns the floats of a record p columns wide.
+func (s *shape) recordLen(p int) int {
+	n := s.hidden // the zero state
+	for _, o := range s.opts {
+		n += 7*s.hidden + o // X, the four gates, C, H and the logits
+	}
+	return n * p
+}
+
+// maxOpts returns the largest option count.
+func (s *shape) maxOpts() int {
+	m := 0
+	for _, o := range s.opts {
+		m = max(m, o)
+	}
+	return m
+}
+
+// record is the forward record of a lockstep batch of rollouts, one column
+// per rollout: every step's LSTM cache and logits. Step 0 starts from a zero
+// state; step t's HPrev and CPrev are step t−1's H and C.
+type record struct {
+	shape  *shape
+	gen    uint64 // sampling rounds written into it; 0 for a detached copy
+	steps  []nn.LSTMBatchCache
+	logits []nn.Mat
+	mats   []nn.Mat // the matrices steps point to
+}
+
+// layout carves r's matrices, p columns wide, from the front of arena (at
+// least shape.recordLen(p) long) and clears the zero state.
+func (r *record) layout(s *shape, p int, arena []float64) {
+	if r.steps == nil {
+		r.shape = s
+		r.steps = make([]nn.LSTMBatchCache, len(s.opts))
+		r.logits = make([]nn.Mat, len(s.opts))
+		r.mats = make([]nn.Mat, 1+7*len(s.opts))
+	}
+	cv := carver{buf: arena, p: p}
+	mats := r.mats
+	take := func() *nn.Mat {
+		m := &mats[0]
+		mats = mats[1:]
+		*m = cv.mat(s.hidden)
+		return m
+	}
+	zero := take()
+	zero.Zero()
+	h, c := zero, zero
+	for t := range r.steps {
+		st := &r.steps[t]
+		*st = nn.LSTMBatchCache{
+			X: take(), HPrev: h, CPrev: c,
+			I: take(), F: take(), G: take(), O: take(),
+			C: take(), H: take(),
+		}
+		r.logits[t] = cv.mat(s.opts[t])
+		h, c = st.H, st.C
+	}
+}
+
+// carver hands out consecutive p-column matrices from the front of buf.
+type carver struct {
+	buf []float64
+	p   int
+}
+
+func (cv *carver) mat(rows int) nn.Mat {
+	n := rows * cv.p
+	m := nn.Mat{R: rows, C: cv.p, W: cv.buf[:n:n]}
+	cv.buf = cv.buf[n:]
+	return m
+}
+
+// workspace is every per-round buffer of the controller. Each side is sized
+// on first use to the widest padded width seen and re-carved when the width
+// changes, so rounds of one width reuse the same matrices.
+type workspace struct {
+	shape *shape
+
+	// Sampling: the forward record of the last round, whose columns the
+	// round's episodes view, the LSTM pre-activation scratch and the
+	// round's uniforms.
+	sampleP       int // current padded width, 0 before the first layout
+	sampleBuf     []float64
+	rec           record
+	zx, zh        nn.Mat
+	us            []float64
+	prob, logitsV []float64 // one column's softmax and logits
+
+	// Training: one lockstep BPTT's gradient flows, the k-major gathers of
+	// AccumBPTTGrads and one column's vectors.
+	trainP      int
+	trainBuf    []float64
+	seqs        []nn.SeqRef
+	dzs         []*nn.Mat // step t's gate pre-activation gradient
+	dLogBuf     []float64 // backs dLog, maxOpts rows
+	dLog        nn.Mat    // the current step's logit gradients
+	dy, dx      nn.Mat    // head flows and LSTM input gradients
+	dH, dC      nn.Mat    // the state gradient carried backwards
+	bptt        []float64
+	dl, hv, dxv []float64 // one column's logit gradient, h_t and dx
+}
+
+// init allocates the buffers whose size does not depend on the width.
+func (ws *workspace) init(s *shape) {
+	ws.shape = s
+	m := s.maxOpts()
+	ws.prob, ws.logitsV, ws.dl = make([]float64, m), make([]float64, m), make([]float64, m)
+	ws.hv, ws.dxv = make([]float64, s.hidden), make([]float64, s.hidden)
+	ws.dzs = make([]*nn.Mat, len(s.opts))
+	for t := range ws.dzs {
+		ws.dzs[t] = new(nn.Mat)
+	}
+}
+
+// sampling prepares the workspace for a round of n rollouts and returns its
+// record, PadWidth(n) columns wide.
+func (ws *workspace) sampling(n int) *record {
+	s := ws.shape
+	p := nn.PadWidth(n)
+	if size := s.recordLen(p) + 8*s.hidden*p; size > len(ws.sampleBuf) {
+		ws.sampleBuf = make([]float64, size)
+		ws.us = make([]float64, p*len(s.opts))
+		ws.sampleP = 0
+	}
+	if p != ws.sampleP {
+		ws.sampleP = p
+		ws.rec.layout(s, p, ws.sampleBuf)
+		cv := carver{buf: ws.sampleBuf[s.recordLen(p):], p: p}
+		ws.zx, ws.zh = cv.mat(4*s.hidden), cv.mat(4*s.hidden)
+	}
+	ws.rec.gen++
+	return &ws.rec
+}
+
+// training prepares the workspace for a BPTT over b episodes, PadWidth(b)
+// columns wide.
+func (ws *workspace) training(b int) {
+	s := ws.shape
+	p := nn.PadWidth(b)
+	m := s.maxOpts()
+	if size := p * (len(s.opts)*4*s.hidden + m + 4*s.hidden); size > len(ws.trainBuf) {
+		ws.trainBuf = make([]float64, size)
+		ws.seqs = make([]nn.SeqRef, p)
+		ws.trainP = 0
+	}
+	if p != ws.trainP {
+		ws.trainP = p
+		cv := carver{buf: ws.trainBuf, p: p}
+		for _, dz := range ws.dzs {
+			*dz = cv.mat(4 * s.hidden)
+		}
+		ws.dLogBuf = cv.mat(m).W
+		ws.dy, ws.dx = cv.mat(s.hidden), cv.mat(s.hidden)
+		ws.dH, ws.dC = cv.mat(s.hidden), cv.mat(s.hidden)
+		ws.dLog.C = p
+	}
+}
+
+// Sample draws one rollout a_1..a_T from the current policy. The episode is
+// detached: it stays valid across rounds.
+func (c *Controller) Sample() *Episode { return c.sampleBatch(nil, 0, 1)[0].Detach() }
 
 // SampleForcedBatch draws b rollouts whose first len(prefix) actions are all
-// forced to the given values (the optimizer selector's SA=0, SH=1 mode).
+// forced to the given values (the optimizer selector's SA=0, SH=1 mode). The
+// episodes are detached: they stay valid across rounds.
 func (c *Controller) SampleForcedBatch(prefix []int, b int) []*Episode {
-	return c.sampleBatch(prefix, len(prefix), b)
+	eps := c.sampleBatch(prefix, len(prefix), b)
+	for i, ep := range eps {
+		eps[i] = ep.Detach()
+	}
+	return eps
 }
 
 // SampleRound draws the 1+phi rollouts of one NASAIC episode in one lockstep
@@ -42,7 +225,8 @@ func (c *Controller) SampleForcedBatch(prefix []int, b int) []*Episode {
 // Episodes 1..phi are the hardware-only rollouts (SA=0, SH=1): at each step
 // t < p they take episode 0's action, and they sample the steps after it.
 // The episodes and the RNG state afterwards are bit-identical to Sample
-// followed by SampleForcedBatch(first p actions of that sample, phi).
+// followed by SampleForcedBatch(first p actions of that sample, phi). The
+// episodes are views of the workspace, valid until the next sampling round.
 func (c *Controller) SampleRound(p, phi int) []*Episode {
 	return c.sampleBatch(nil, p, 1+phi)
 }
@@ -64,7 +248,9 @@ func (c *Controller) sampleBatch(prefix []int, p, n int) []*Episode {
 	if prefix == nil {
 		lead = 1
 	}
-	us := make([]float64, lead*T+(n-lead)*(T-p))
+	ws := &c.ws
+	rec := ws.sampling(n)
+	us := ws.us[:lead*T+(n-lead)*(T-p)]
 	for i := range us {
 		us[i] = c.rng.Float64()
 	}
@@ -77,48 +263,42 @@ func (c *Controller) sampleBatch(prefix []int, p, n int) []*Episode {
 	}
 
 	eps := make([]*Episode, n)
+	views := make([]Episode, n)
+	actions := make([]int, n*T)
 	for e := range eps {
-		eps[e] = &Episode{
-			Actions: make([]int, T),
-			Logits:  make([][]float64, T),
-			caches:  make([]*nn.LSTMCache, T),
-			hs:      make([][]float64, T),
-		}
+		views[e] = Episode{Actions: actions[e*T : (e+1)*T : (e+1)*T], rec: rec, col: e, gen: rec.gen}
+		eps[e] = &views[e]
 	}
 	if prefix == nil {
 		prefix = eps[0].Actions // filled in step by step, before it is read
 	}
 
-	state := c.lstm.ZeroBatchState(n)
-	x := nn.NewMat(c.hidden, n)
-	for e := 0; e < n; e++ {
-		x.CopyColFrom(e, c.start.Val, 0)
-	}
 	for t := 0; t < T; t++ {
-		var cacheB *nn.LSTMBatchCache
-		state, cacheB = c.lstm.ForwardBatch(x, state)
-		logitsB := c.heads[t].ForwardBatch(state.H)
-		caches := cacheB.SeqCaches()
+		st := &rec.steps[t]
+		// The step's input: the learned start, then each rollout's
+		// embedding of its previous action.
 		for e := 0; e < n; e++ {
-			logits := logitsB.Col(e)
+			if t == 0 {
+				st.X.CopyColFrom(e, c.start.Val, 0)
+			} else {
+				st.X.CopyColFrom(e, c.embeds[t-1].Val, eps[e].Actions[t-1])
+			}
+		}
+		c.lstm.ForwardBatch(st, n, &ws.zx, &ws.zh)
+		logits := &rec.logits[t]
+		c.heads[t].ForwardBatch(logits, st.H, n)
+		opts := c.specs[t].NumOptions
+		for e := 0; e < n; e++ {
 			var a int
 			if e >= lead && t < p {
 				a = prefix[t]
-				if a < 0 || a >= c.specs[t].NumOptions {
+				if a < 0 || a >= opts {
 					panic(fmt.Sprintf("rl: forced action %d out of range for %s", a, c.specs[t].Name))
 				}
 			} else {
-				a = stats.CategoricalU(draw(e, t), nn.Softmax(logits))
+				a = stats.CategoricalU(draw(e, t), nn.SoftmaxInto(ws.prob[:opts], logits.ColInto(ws.logitsV[:opts], e)))
 			}
 			eps[e].Actions[t] = a
-			eps[e].Logits[t] = logits
-			eps[e].caches[t] = caches[e]
-			eps[e].hs[t] = caches[e].H
-		}
-		// Next step's input: each episode's chosen embedding column. The
-		// per-sequence caches hold copies, so overwriting x here is safe.
-		for e := 0; e < n; e++ {
-			x.CopyColFrom(e, c.embeds[t].Val, eps[e].Actions[t])
 		}
 	}
 	return eps
@@ -160,7 +340,8 @@ func (c *Controller) AccumulateMaskedBatch(eps []*Episode, advs []float64, gamma
 // AccumulateRound adds the REINFORCE gradients of a set of episodes, episode
 // e under credits[e], in one lockstep BPTT. The gradients are bit-identical
 // to one Accumulate-style pass per episode in slice order; an episode may
-// appear more than once.
+// appear more than once, and views of the current round may be mixed with
+// detached episodes of earlier ones.
 func (c *Controller) AccumulateRound(eps []*Episode, credits []Credit, gamma float64) {
 	b := len(eps)
 	if b == 0 {
@@ -170,96 +351,76 @@ func (c *Controller) AccumulateRound(eps []*Episode, credits []Credit, gamma flo
 	if len(credits) != b {
 		panic("rl: credit count mismatch")
 	}
+	ws := &c.ws
 	for e, ep := range eps {
 		if len(ep.Actions) != T {
 			panic("rl: episode length mismatch")
 		}
+		ep.checkLive()
 		if m := credits[e].Mask; m != nil && len(m) != T {
 			panic("rl: mask length mismatch")
 		}
 	}
 
-	// Phase 1 — lockstep BPTT. Only the gradient *flows* (dh, dc, dx) are
-	// computed here, through the batched matrix-matrix kernels; the
-	// per-(episode, step) pre-activation gradients are retained for phase 2.
-	dlogits := make([][][]float64, T) // [t][e] logit gradients
-	dzs := make([]*nn.Mat, T)         // [t] 4H×B gate pre-activation grads
-	dxs := make([]*nn.Mat, T)         // [t] H×B input grads
-	caches := make([]*nn.LSTMCache, b)
-
-	dH := nn.NewMat(c.hidden, b)
-	var dC *nn.Mat
+	ws.training(b)
+	seqs := ws.seqs[:b]
+	for e, ep := range eps {
+		seqs[e] = nn.SeqRef{Steps: ep.rec.steps, Col: ep.col}
+	}
+	ws.dH.Zero()
 	for t := T - 1; t >= 0; t-- {
 		disc := pow(gamma, float64(T-1-t))
 		opts := c.specs[t].NumOptions
-		dLog := nn.NewMat(opts, b)
-		dlog := make([][]float64, b)
-		for e := 0; e < b; e++ {
+		ws.dLog.R, ws.dLog.W = opts, ws.dLogBuf[:opts*ws.dLog.C]
+		prob, dl := ws.prob[:opts], ws.dl[:opts]
+		for e, ep := range eps {
 			cr := credits[e]
 			active := cr.Mask == nil || cr.Mask[t]
 			scale := cr.Adv * cr.Scale * disc
 			if !active {
 				scale = 0
 			}
-			dl := nn.LogPGrad(eps[e].Logits[t], eps[e].Actions[t])
+			// The logit gradient (softmax − onehot(action))·scale, plus the
+			// gradient of −coef·H(π): coef·p_i(log p_i + H).
+			nn.SoftmaxInto(prob, ep.rec.logits[t].ColInto(ws.logitsV[:opts], ep.col))
+			copy(dl, prob)
+			dl[ep.Actions[t]] -= 1
 			for i := range dl {
 				dl[i] *= scale
 			}
 			if c.EntropyCoef > 0 && active {
-				// Gradient of −coef·H(π) w.r.t. logits: coef·p_i(log p_i + H).
-				p := nn.Softmax(eps[e].Logits[t])
-				h := nn.Entropy(p)
+				h := nn.Entropy(prob)
 				for i := range dl {
-					dl[i] += c.EntropyCoef * cr.Scale * p[i] * (mathLog(p[i]+1e-12) + h)
+					dl[i] += c.EntropyCoef * cr.Scale * prob[i] * (mathLog(prob[i]+1e-12) + h)
 				}
 			}
-			dlog[e] = dl
-			dLog.SetCol(e, dl)
+			ws.dLog.SetCol(e, dl)
+			// Head t's only gradient adds are this step's, episode by
+			// episode: the order of one pass per episode.
+			c.heads[t].AccumStepGrads(dl, ep.rec.steps[t].H.ColInto(ws.hv, ep.col))
 		}
-		dlogits[t] = dlog
-
-		dh := c.heads[t].BackwardBatchFlows(dLog)
-		dh.Add(dH) // the head's dh plus the flow from step t+1, per column
-		for e := range eps {
-			caches[e] = eps[e].caches[t]
+		ws.dLog.ZeroPad(b)
+		c.heads[t].BackwardBatchFlows(&ws.dy, &ws.dLog)
+		for i := 0; i < ws.dH.R; i++ {
+			// The head's flow plus the flow from step t+1, per real column.
+			row := i * ws.dH.C
+			for e := 0; e < b; e++ {
+				ws.dH.W[row+e] += ws.dy.W[row+e]
+			}
 		}
-		var dz, dx *nn.Mat
-		var dPrev nn.LSTMBatchState
-		dz, dx, dPrev = c.lstm.BackwardBatch(dh, dC, caches)
-		dzs[t], dxs[t] = dz, dx
-		dH, dC = dPrev.H, dPrev.C
-	}
-
-	// Phase 2 — replay the parameter-gradient accumulation episode-major
-	// with t descending: the exact add order of one pass per episode, so the
-	// gradients do not depend on how episodes are batched (floating-point
-	// addition is not associative; order is part of the contract). The LSTM
-	// weights take the blocked whole-batch path (one walk over each
-	// gradient matrix); heads, start and embeddings are small and replay
-	// per step.
-	xs := make([][]float64, b*T)
-	hps := make([][]float64, b*T)
-	k := 0
-	for e := 0; e < b; e++ {
-		for t := T - 1; t >= 0; t-- {
-			xs[k] = eps[e].caches[t].X
-			hps[k] = eps[e].caches[t].HPrev
-			k++
-		}
-	}
-	c.lstm.AccumBPTTGrads(dzs, xs, hps)
-
-	dxcol := make([]float64, c.hidden)
-	for e := 0; e < b; e++ {
-		ep := eps[e]
-		for t := T - 1; t >= 0; t-- {
-			c.heads[t].AccumStepGrads(dlogits[t][e], ep.hs[t])
-			dxs[t].ColInto(dxcol, e)
+		c.lstm.BackwardBatch(t, seqs, ws.dzs[t], &ws.dx, &ws.dH, &ws.dC, t < T-1)
+		// The input gradient reaches the start (t = 0) or the embedding
+		// column of the previous action, whose only adds are this step's.
+		for e, ep := range eps {
+			ws.dx.ColInto(ws.dxv, e)
 			if t == 0 {
-				c.start.Grad.AddCol(0, dxcol)
+				c.start.Grad.AddCol(0, ws.dxv)
 			} else {
-				c.embeds[t-1].Grad.AddCol(ep.Actions[t-1], dxcol)
+				c.embeds[t-1].Grad.AddCol(ep.Actions[t-1], ws.dxv)
 			}
 		}
 	}
+	// The LSTM weights take every step's adds: one whole-batch pass in the
+	// per-episode order, episode-major with t descending.
+	ws.bptt = c.lstm.AccumBPTTGrads(ws.dzs, seqs, ws.bptt)
 }

@@ -28,15 +28,17 @@ type Controller struct {
 	// disables it (the paper's plain REINFORCE).
 	EntropyCoef float64
 
-	specs  []DecisionSpec
-	hidden int
+	specs []DecisionSpec
+	shape shape
 
 	lstm   *nn.LSTM
 	heads  []*nn.Linear // per-decision logit head
 	embeds []*nn.Param  // per-decision input embedding (hidden × options)
 	start  *nn.Param    // learned initial input (hidden × 1)
+	params []*nn.Param  // every parameter above, in Params order
 
 	rng *stats.RNG
+	ws  workspace
 }
 
 // NewController builds a controller for the given decision sequence.
@@ -49,11 +51,11 @@ func NewController(specs []DecisionSpec, hidden int, rng *stats.RNG) *Controller
 	}
 	init := func(p *nn.Param) { p.InitXavier(rng) }
 	c := &Controller{
-		specs:  append([]DecisionSpec(nil), specs...),
-		hidden: hidden,
-		lstm:   nn.NewLSTM(hidden, hidden, init),
-		start:  nn.NewParam("start", hidden, 1),
-		rng:    rng,
+		specs: append([]DecisionSpec(nil), specs...),
+		shape: shape{hidden: hidden},
+		lstm:  nn.NewLSTM(hidden, hidden, init),
+		start: nn.NewParam("start", hidden, 1),
+		rng:   rng,
 	}
 	c.start.InitXavier(rng)
 	for _, s := range specs {
@@ -64,7 +66,14 @@ func NewController(specs []DecisionSpec, hidden int, rng *stats.RNG) *Controller
 		e := nn.NewParam(fmt.Sprintf("embed.%s", s.Name), hidden, s.NumOptions)
 		e.InitXavier(rng)
 		c.embeds = append(c.embeds, e)
+		c.shape.opts = append(c.shape.opts, s.NumOptions)
 	}
+	c.params = append([]*nn.Param{c.start}, c.lstm.Params()...)
+	for i := range c.heads {
+		c.params = append(c.params, c.heads[i].Params()...)
+		c.params = append(c.params, c.embeds[i])
+	}
+	c.ws.init(&c.shape)
 	return c
 }
 
@@ -75,32 +84,58 @@ func (c *Controller) NumDecisions() int { return len(c.specs) }
 func (c *Controller) Specs() []DecisionSpec { return append([]DecisionSpec(nil), c.specs...) }
 
 // Params returns every trainable parameter.
-func (c *Controller) Params() []*nn.Param {
-	ps := []*nn.Param{c.start}
-	ps = append(ps, c.lstm.Params()...)
-	for i := range c.heads {
-		ps = append(ps, c.heads[i].Params()...)
-		ps = append(ps, c.embeds[i])
-	}
-	return ps
-}
+func (c *Controller) Params() []*nn.Param { return append([]*nn.Param(nil), c.params...) }
 
-// Episode is one sampled rollout with everything needed for the policy
-// gradient.
+// Episode is one sampled rollout: its actions, and its column of the forward
+// record — every step's logits and LSTM caches — that the policy gradient
+// backpropagates through.
+//
+// The episodes of SampleRound are views: their record is the controller's
+// workspace, which the next SampleRound (or Sample, or SampleForcedBatch)
+// overwrites, so a view stays valid until then; accumulating or detaching it
+// later panics. Detach copies an episode out to keep it across rounds.
 type Episode struct {
 	Actions []int
-	Logits  [][]float64
 
-	caches []*nn.LSTMCache
-	hs     [][]float64 // h_t fed to head t
+	rec *record
+	col int
+	gen uint64 // the record's gen when the episode was sampled
+}
+
+// checkLive panics unless ep's record still holds the round it was sampled
+// in.
+func (ep *Episode) checkLive() {
+	if ep.rec == nil {
+		panic("rl: episode has no forward record")
+	}
+	if ep.gen != ep.rec.gen {
+		panic("rl: stale episode view: a later sampling round overwrote it; Detach episodes kept across rounds")
+	}
+}
+
+// Detach returns a copy of ep that owns its actions, logits and forward
+// caches, so it stays valid across rounds: replay backpropagates through the
+// caches of the round the episode was sampled in, not the current policy's.
+func (ep *Episode) Detach() *Episode {
+	ep.checkLive()
+	src := ep.rec
+	rec := &record{}
+	rec.layout(src.shape, 1, make([]float64, src.shape.recordLen(1)))
+	for t := range src.steps {
+		s, d := &src.steps[t], &rec.steps[t]
+		for _, m := range [...][2]*nn.Mat{{d.X, s.X}, {d.I, s.I}, {d.F, s.F}, {d.G, s.G}, {d.O, s.O}, {d.C, s.C}, {d.H, s.H}} {
+			m[0].CopyColFrom(0, m[1], ep.col)
+		}
+		rec.logits[t].CopyColFrom(0, &src.logits[t], ep.col)
+	}
+	return &Episode{Actions: append([]int(nil), ep.Actions...), rec: rec}
 }
 
 // Update applies one optimizer step and clears the gradients.
 func (c *Controller) Update(opt *nn.RMSProp) {
-	params := c.Params()
-	opt.Step(params)
-	for _, p := range params {
+	opt.Step(c.params)
+	for _, p := range c.params {
 		p.ZeroGrad()
 	}
-	nn.CheckFinite(params)
+	nn.CheckFinite(c.params)
 }

@@ -20,20 +20,20 @@ func testSpecs() []DecisionSpec {
 func TestControllerSampleShape(t *testing.T) {
 	c := NewController(testSpecs(), 16, stats.NewRNG(1))
 	ep := c.Sample()
-	if len(ep.Actions) != 4 || len(ep.Logits) != 4 {
+	if len(ep.Actions) != 4 || len(ep.rec.logits) != 4 {
 		t.Fatalf("episode shape wrong: %d actions", len(ep.Actions))
 	}
 	for tIdx, s := range testSpecs() {
 		if a := ep.Actions[tIdx]; a < 0 || a >= s.NumOptions {
 			t.Errorf("step %d: action %d out of range [0,%d)", tIdx, a, s.NumOptions)
 		}
-		if len(ep.Logits[tIdx]) != s.NumOptions {
-			t.Errorf("step %d: %d logits, want %d", tIdx, len(ep.Logits[tIdx]), s.NumOptions)
+		if n := len(ep.logits(tIdx)); n != s.NumOptions {
+			t.Errorf("step %d: %d logits, want %d", tIdx, n, s.NumOptions)
 		}
 	}
 	var lp float64
-	for tIdx, logits := range ep.Logits {
-		lp += math.Log(nn.Softmax(logits)[ep.Actions[tIdx]])
+	for tIdx := range ep.Actions {
+		lp += math.Log(nn.Softmax(ep.logits(tIdx))[ep.Actions[tIdx]])
 	}
 	if lp >= 0 || math.IsNaN(lp) || math.IsInf(lp, 0) {
 		t.Errorf("log prob %f should be negative and finite", lp)
@@ -285,7 +285,7 @@ func TestEntropyRegularizationKeepsExploring(t *testing.T) {
 			c.Update(opt)
 		}
 		// Step 0's distribution does not depend on any earlier action.
-		return nn.Entropy(nn.Softmax(c.greedy().Logits[0]))
+		return nn.Entropy(nn.Softmax(c.greedy().logits(0)))
 	}
 	plain := train(0)
 	regularized := train(0.1)

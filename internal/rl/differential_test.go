@@ -51,13 +51,13 @@ func requireParamsEqual(t *testing.T, a, b *Controller, stage string) {
 			t.Fatalf("%s: parameter order diverged: %s vs %s", stage, pa[i].Name, pb[i].Name)
 		}
 		for j := range pa[i].Val.W {
-			if va, vb := pa[i].Val.W[j], pb[i].Val.W[j]; va != vb {
+			if va, vb := pa[i].Val.W[j], pb[i].Val.W[j]; math.Float64bits(va) != math.Float64bits(vb) {
 				t.Fatalf("%s: %s[%d] = %.17g (seq) vs %.17g (batched), delta %g",
 					stage, pa[i].Name, j, va, vb, va-vb)
 			}
 		}
 		for j := range pa[i].Grad.W {
-			if ga, gb := pa[i].Grad.W[j], pb[i].Grad.W[j]; ga != gb {
+			if ga, gb := pa[i].Grad.W[j], pb[i].Grad.W[j]; math.Float64bits(ga) != math.Float64bits(gb) {
 				t.Fatalf("%s: grad %s[%d] = %.17g (seq) vs %.17g (batched), delta %g",
 					stage, pa[i].Name, j, ga, gb, ga-gb)
 			}
@@ -76,18 +76,24 @@ func requireEpisodesEqual(t *testing.T, seqEps, batEps []*Episode, stage string)
 			if a.Actions[tt] != b.Actions[tt] {
 				t.Fatalf("%s: episode %d step %d action %d vs %d", stage, e, tt, a.Actions[tt], b.Actions[tt])
 			}
-			for i := range a.Logits[tt] {
-				if a.Logits[tt][i] != b.Logits[tt][i] {
-					t.Fatalf("%s: episode %d step %d logit[%d] %.17g vs %.17g",
-						stage, e, tt, i, a.Logits[tt][i], b.Logits[tt][i])
-				}
+			// Every cached column the backward pass reads, and the logits.
+			sa, sb := &a.rec.steps[tt], &b.rec.steps[tt]
+			fields := []struct {
+				name   string
+				ma, mb *nn.Mat
+			}{
+				{"X", sa.X, sb.X}, {"HPrev", sa.HPrev, sb.HPrev}, {"CPrev", sa.CPrev, sb.CPrev},
+				{"I", sa.I, sb.I}, {"F", sa.F, sb.F}, {"G", sa.G, sb.G}, {"O", sa.O, sb.O},
+				{"C", sa.C, sb.C}, {"H", sa.H, sb.H},
+				{"logits", &a.rec.logits[tt], &b.rec.logits[tt]},
 			}
-		}
-		for tt := range a.hs {
-			for i := range a.hs[tt] {
-				if a.hs[tt][i] != b.hs[tt][i] {
-					t.Fatalf("%s: episode %d step %d h[%d] %.17g vs %.17g",
-						stage, e, tt, i, a.hs[tt][i], b.hs[tt][i])
+			for _, f := range fields {
+				va, vb := f.ma.Col(a.col), f.mb.Col(b.col)
+				for i := range va {
+					if math.Float64bits(va[i]) != math.Float64bits(vb[i]) {
+						t.Fatalf("%s: episode %d step %d %s[%d] %.17g vs %.17g",
+							stage, e, tt, f.name, i, va[i], vb[i])
+					}
 				}
 			}
 		}
@@ -238,7 +244,8 @@ func TestTrainingLoopBitIdenticalAcrossRounds(t *testing.T) {
 			seq.refAccumulate(ep, credits[e], 1.0)
 		}
 		bat.AccumulateRound(batTrain, credits, 1.0)
-		replaySeq, replayBat = seqEps[1+round%phi], batEps[1+round%phi]
+		// The replay outlives the round's views: keep a detached copy.
+		replaySeq, replayBat = seqEps[1+round%phi], batEps[1+round%phi].Detach()
 
 		if round%2 == 1 {
 			seq.Update(optSeq)
@@ -304,7 +311,7 @@ func TestRoundMatchesEntryPoints(t *testing.T) {
 					mer.AccumulateRound(merTrain, credits, 0.9)
 					requireParamsEqual(t, sep, mer, fmt.Sprintf("round %d accumulate", round))
 
-					pastSep, pastMer = sepEps[round%len(sepEps)], merEps[round%len(merEps)]
+					pastSep, pastMer = sepEps[round%len(sepEps)], merEps[round%len(merEps)].Detach()
 					sep.Update(optSep)
 					mer.Update(optMer)
 					requireParamsEqual(t, sep, mer, fmt.Sprintf("round %d update", round))

@@ -11,9 +11,11 @@
 # first, so slow drift of the host hits both sides alike.
 #
 # For each workload and each end-to-end metric of BENCHMARK.json it prints
-# the base and change medians, the change/base ratio, how many of the n
-# pairs the change won (by the metric's `better` direction; ties win for
-# neither), and the interquartile range of the base runs. With --trace 1,
+# the base and change medians, the change/base ratio with a bootstrap 95%
+# interval (2000 resamples of the seed pairs, fixed RNG seed, percentile
+# interval of the resampled median ratios), how many of the n pairs the
+# change won (by the metric's `better` direction; ties win for neither),
+# and the interquartile range of the base runs. With --trace 1,
 # each pair also runs the traced benchmark, whose per-layer `count.exact`
 # metrics must be equal between the trees. Those metrics are medians over
 # the explorations that fit in the window, so when one tree is much faster
@@ -23,8 +25,8 @@
 # With -o FILE it also writes the comparison as JSON (a BENCH_<n>.json
 # record): the host (uname, CPU model, nproc, Go version), the commits and
 # settings compared, every run's result line under "runs", and the printed
-# table's rows under "rows" (ratio null where the base median is 0). The file
-# is written whatever the exit status.
+# table's rows under "rows" (ratio and ratio_ci95 null where the base median
+# is 0). The file is written whatever the exit status.
 #
 # Exit status: 0 when every run reported correct:true, the change failed no
 # larger share of operations than the base on any workload, and (with
@@ -139,6 +141,32 @@ awk -F '\t' -v pairs="$pairs" -v rowsout="$tmp/table.tsv" '
 		lo = int(h)
 		return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
 	}
+	# in-place shell sort of a[1..n], for the bootstrap replicates
+	function shellsort(a, n,    gap, i, j, v) {
+		for (gap = int(n / 2); gap > 0; gap = int(gap / 2))
+			for (i = gap + 1; i <= n; i++) {
+				v = a[i]
+				for (j = i; j > gap && a[j - gap] > v; j -= gap) a[j] = a[j - gap]
+				a[j] = v
+			}
+	}
+	# boot sets ci_lo and ci_hi to the percentile bootstrap 95% interval of
+	# median(change)/median(base) over the np seed pairs pb[i], pc[i]:
+	# resample the pairs with replacement, skipping replicates whose base
+	# median is 0. Both stay "" when no replicate has a ratio.
+	function boot(pb, pc, np,    r, i, j, nr, rb, rc, rs) {
+		ci_lo = ci_hi = ""
+		nr = 0
+		for (r = 0; r < 2000; r++) {
+			for (i = 1; i <= np; i++) { j = int(rand() * np) + 1; rb[i] = pb[j]; rc[i] = pc[j] }
+			sort(rb, np); sort(rc, np)
+			if (q(rb, np, 0.5) != 0) rs[++nr] = q(rc, np, 0.5) / q(rb, np, 0.5)
+		}
+		if (nr == 0) return
+		shellsort(rs, nr)
+		ci_lo = q(rs, nr, 0.025); ci_hi = q(rs, nr, 0.975)
+	}
+	BEGIN { srand(1) }
 	$1 == "run" {
 		if ($6 != "true") { printf "FAIL: %s %s seed %s (trace %s) reported correct:false\n", $2, $3, $4, $5; bad = 1 }
 		att[$2, $3] += $7; fl[$2, $3] += $8
@@ -154,11 +182,11 @@ awk -F '\t' -v pairs="$pairs" -v rowsout="$tmp/table.tsv" '
 		if (!(($3, $6) in seen)) { seen[$3, $6] = 1; order[++nm] = $3 SUBSEP $6 }
 	}
 	END {
-		printf "%-18s %-11s %12s %12s %7s %6s %10s\n", "workload", "metric", "base_med", "change_med", "ratio", "wins", "base_iqr"
+		printf "%-18s %-11s %12s %12s %7s %15s %6s %10s\n", "workload", "metric", "base_med", "change_med", "ratio", "ratio_ci95", "wins", "base_iqr"
 		for (i = 1; i <= nm; i++) {
 			split(order[i], k, SUBSEP); wl = k[1]; m = k[2]
 			nb = nc = w = np = 0
-			delete b; delete c
+			delete b; delete c; delete pb; delete pc
 			for (s = 1; s <= pairs; s++) {
 				hb = (("base", wl, s, m) in v); hc = (("change", wl, s, m) in v)
 				if (hb) b[++nb] = v["base", wl, s, m] + 0
@@ -166,6 +194,7 @@ awk -F '\t' -v pairs="$pairs" -v rowsout="$tmp/table.tsv" '
 				if (hb && hc) {
 					np++
 					x = v["change", wl, s, m] + 0; y = v["base", wl, s, m] + 0
+					pb[np] = y; pc[np] = x
 					if ((better[m] == "lower" && x < y) || (better[m] == "higher" && x > y)) w++
 				}
 			}
@@ -173,8 +202,12 @@ awk -F '\t' -v pairs="$pairs" -v rowsout="$tmp/table.tsv" '
 			sort(b, nb); sort(c, nc)
 			mb = q(b, nb, 0.5); mc = q(c, nc, 0.5)
 			ratio = mb != 0 ? sprintf("%.3f", mc / mb) : "n/a"
-			printf "%-18s %-11s %12.6g %12.6g %7s %6s %10.4g\n", wl, m, mb, mc, ratio, w "/" np, q(b, nb, 0.75) - q(b, nb, 0.25)
-			printf "%s\t%s\t%.9g\t%.9g\t%s\t%d\t%d\t%.9g\n", wl, m, mb, mc, ratio, w, np, q(b, nb, 0.75) - q(b, nb, 0.25) >rowsout
+			ci_lo = ci_hi = ""
+			if (mb != 0 && np > 0) boot(pb, pc, np)
+			ci = ci_lo != "" ? sprintf("[%.3f,%.3f]", ci_lo, ci_hi) : "n/a"
+			printf "%-18s %-11s %12.6g %12.6g %7s %15s %6s %10.4g\n", wl, m, mb, mc, ratio, ci, w "/" np, q(b, nb, 0.75) - q(b, nb, 0.25)
+			printf "%s\t%s\t%.9g\t%.9g\t%s\t%d\t%d\t%.9g\t%s\t%s\n", wl, m, mb, mc, ratio, w, np, q(b, nb, 0.75) - q(b, nb, 0.25),
+				ci_lo != "" ? sprintf("%.9g", ci_lo) : "n/a", ci_hi != "" ? sprintf("%.9g", ci_hi) : "n/a" >rowsout
 		}
 		for (wl in wls) {
 			sb = att["base", wl] ? fl["base", wl] / att["base", wl] : 0
@@ -216,6 +249,7 @@ if [[ -n $out ]]; then
 			rows: ($rows | lines | map({workload: .[0], metric: .[1],
 				base_median: (.[2] | tonumber), change_median: (.[3] | tonumber),
 				ratio: (if .[4] == "n/a" then null else .[4] | tonumber end),
+				ratio_ci95: (if .[8] == "n/a" then null else [(.[8] | tonumber), (.[9] | tonumber)] end),
 				wins: (.[5] | tonumber), pairs: (.[6] | tonumber), base_iqr: (.[7] | tonumber)}))
 		}' >"$out"
 	echo "benchab: wrote $out" >&2
