@@ -28,17 +28,19 @@
 // -tenants every client is the single anonymous tenant (the pre-tenancy
 // behavior).
 //
-// With -datadir the daemon is crash-safe: every submission, state
-// transition and episode event is fsynced to an append-only journal under
-// DIR/journal before it becomes observable over HTTP. A restarted daemon
-// pointed at the same -datadir restores finished jobs — results and full
-// event rings, so SSE Last-Event-ID replay works across the restart — and
-// re-executes the jobs that were pending or running when the process died;
-// seeded determinism makes the re-run bit-identical, re-emitting events
-// under their journaled sequence numbers. A job cancelled before the crash
-// settles as cancelled rather than re-running. Journal damage (torn tails
-// from the crash itself, bit flips, version skew) is truncated away at
-// startup; it degrades durability, never prevents the daemon from starting.
+// With -datadir the daemon is crash-safe: every submission, worker binding,
+// cancel request and terminal outcome is fsynced to an append-only journal
+// under DIR/journal before it becomes observable over HTTP, the terminal
+// record carrying the job's event ring (episode events are never journaled
+// one by one). A restarted daemon pointed at the same -datadir restores
+// finished jobs — results and event rings, so SSE Last-Event-ID replay
+// works across the restart — and re-executes the jobs that were pending or
+// running when the process died from seq 0; seeded determinism makes the
+// re-run bit-identical, re-emitting the same events under the same
+// sequence numbers. A job cancelled before the crash settles as cancelled
+// rather than re-running. Journal damage (torn tails from the crash itself,
+// bit flips, version skew) is truncated away at startup; it degrades
+// durability, never prevents the daemon from starting.
 //
 // With -role the daemon joins a cluster (default standalone keeps every
 // behavior above, bit-identical results everywhere):

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,7 +17,7 @@ import (
 	"testing"
 	"time"
 
-	"nasaic/pkg/nasaic"
+	"nasaic/internal/jobs"
 )
 
 // daemon is one nasaicd process under test.
@@ -93,11 +94,85 @@ func (d *daemon) getJob(t *testing.T, id string) map[string]json.RawMessage {
 	return m
 }
 
+// sseFrame is one parsed server-sent event.
+type sseFrame struct {
+	event, id string
+	data      []byte
+}
+
+// readStream reads a job's SSE stream through its done frame, resuming
+// after lastID when it is not empty.
+func readStream(t *testing.T, url, lastID string) []sseFrame {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodGet, url, nil)
+	if lastID != "" {
+		req.Header.Set("Last-Event-ID", lastID)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	r := bufio.NewReader(resp.Body)
+	var frames []sseFrame
+	var cur sseFrame
+	for {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			return frames
+		}
+		line = strings.TrimRight(line, "\n")
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			cur.event = line[len("event: "):]
+		case strings.HasPrefix(line, "id: "):
+			cur.id = line[len("id: "):]
+		case strings.HasPrefix(line, "data: "):
+			cur.data = []byte(line[len("data: "):])
+		case line == "" && cur.event != "":
+			frames = append(frames, cur)
+			cur = sseFrame{}
+		}
+	}
+}
+
+// requireSameStream checks a stream against the reference stream of the
+// same spec: every episode frame byte for byte, and a done frame under the
+// same id carrying the same terminal status and an equal result (its
+// timestamps and job ID may differ).
+func requireSameStream(t *testing.T, label string, got, want []sseFrame) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d frames, want %d", label, len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.event != w.event || g.id != w.id {
+			t.Fatalf("%s: frame %d is %s id %s, want %s id %s", label, i, g.event, g.id, w.event, w.id)
+		}
+		if w.event != "done" {
+			if !bytes.Equal(g.data, w.data) {
+				t.Fatalf("%s: frame %d diverged:\n%s\nvs\n%s", label, i, g.data, w.data)
+			}
+			continue
+		}
+		var gs, ws struct {
+			Status string          `json:"status"`
+			Result json.RawMessage `json:"result"`
+		}
+		if json.Unmarshal(g.data, &gs) != nil || json.Unmarshal(w.data, &ws) != nil || ws.Status == "" ||
+			len(ws.Result) == 0 || gs.Status != ws.Status || !bytes.Equal(gs.Result, ws.Result) {
+			t.Fatalf("%s: done frame is %s, want %s with a result (results equal: %v)", label,
+				gs.Status, ws.Status, bytes.Equal(gs.Result, ws.Result))
+		}
+	}
+}
+
 // TestKillRestartRecovery is the crash-safety acceptance smoke at process
 // level: SIGKILL the daemon mid-run, restart it over the same -datadir, and
-// require the re-executed job to finish bit-identical to a direct in-process
-// run of the same spec — with SSE Last-Event-ID replay working against the
-// recovered job.
+// require the re-executed job's SSE stream to equal an uncrashed reference
+// stream of the same spec — every episode frame byte for byte and an equal
+// result in the done frame — from the start and from a Last-Event-ID.
 func TestKillRestartRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process-level kill/restart smoke skipped in -short mode")
@@ -124,8 +199,8 @@ func TestKillRestartRecovery(t *testing.T) {
 		t.Fatalf("submit: status %d, id %q", resp.StatusCode, submitted.ID)
 	}
 
-	// Wait until the job is demonstrably mid-run (events journaled), then
-	// pull the plug with no warning whatsoever.
+	// Wait until the job is demonstrably mid-run (episodes streamed, none of
+	// them journaled), then pull the plug with no warning whatsoever.
 	deadline := time.Now().Add(time.Minute)
 	for {
 		if time.Now().After(deadline) {
@@ -164,74 +239,27 @@ func TestKillRestartRecovery(t *testing.T) {
 		t.Fatalf("recovered job finished %q, want succeeded", status)
 	}
 
-	// Bit-identical to the exact same exploration run in-process.
-	want, err := nasaic.Run(context.Background(),
-		nasaic.WithWorkload("W3"),
-		nasaic.WithEpisodes(episodes),
-		nasaic.WithSeed(1),
-		nasaic.WithWorkers(2),
-	)
+	// The uncrashed reference: the same spec through an in-process manager
+	// set up as nasaicd sets up its own (shared memos, starting cold).
+	ref := jobs.NewManager(jobs.Options{MaxConcurrent: 1, ShareMemos: true})
+	defer ref.Close()
+	refSrv := httptest.NewServer(jobs.NewHandler(ref))
+	defer refSrv.Close()
+	refJob, err := ref.Submit(jobs.Spec{Workload: "W3", Episodes: episodes, Seed: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := d2.getJob(t, submitted.ID)
-	var result nasaic.Result
-	if err := json.Unmarshal(snap["result"], &result); err != nil {
-		t.Fatalf("recovered job has no result: %v", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	if err := refJob.Wait(ctx); err != nil {
+		t.Fatal(err)
 	}
-	if result.Best == nil || want.Best == nil {
-		t.Fatalf("missing best solution: got %v, want %v", result.Best, want.Best)
+	want := readStream(t, refSrv.URL+"/v1/jobs/"+refJob.ID+"/events", "")
+	if len(want) != episodes+1 || want[episodes].event != "done" {
+		t.Fatalf("reference stream: %d frames, want %d episodes + done", len(want), episodes)
 	}
-	if result.Best.Design.String() != want.Best.Design.String() ||
-		result.Best.WeightedAccuracy != want.Best.WeightedAccuracy ||
-		result.Best.LatencyCycles != want.Best.LatencyCycles ||
-		result.Best.EnergyNJ != want.Best.EnergyNJ ||
-		result.Best.AreaUM2 != want.Best.AreaUM2 {
-		t.Fatalf("re-executed result diverged from direct run:\n%+v\nvs\n%+v", result.Best, want.Best)
-	}
-	if len(result.Explored) != len(want.Explored) {
-		t.Fatalf("explored %d solutions, want %d", len(result.Explored), len(want.Explored))
-	}
-
-	// SSE replay against the recovered (terminal) job: resume near the tail
-	// and require the remaining episodes plus the done frame.
+	url := d2.base + "/v1/jobs/" + submitted.ID + "/events"
+	requireSameStream(t, "recovered stream", readStream(t, url, ""), want)
 	from := episodes - 5
-	req, _ := http.NewRequest(http.MethodGet, d2.base+"/v1/jobs/"+submitted.ID+"/events", nil)
-	req.Header.Set("Last-Event-ID", fmt.Sprint(from-1))
-	sse, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sse.Body.Close()
-	r := bufio.NewReader(sse.Body)
-	var ids []string
-	var events []string
-	cur := ""
-	for len(events) < 7 {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			break
-		}
-		line = strings.TrimRight(line, "\n")
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			cur = line[len("event: "):]
-		case strings.HasPrefix(line, "id: "):
-			ids = append(ids, line[len("id: "):])
-		case line == "" && cur != "":
-			events = append(events, cur)
-			cur = ""
-		}
-	}
-	if len(events) != 6 {
-		t.Fatalf("SSE replay: %d frames (%v), want 5 episodes + done", len(events), events)
-	}
-	for i := 0; i < 5; i++ {
-		if events[i] != "episode" || ids[i] != fmt.Sprint(from+i) {
-			t.Fatalf("replay frame %d: %s id %s, want episode %d", i, events[i], ids[i], from+i)
-		}
-	}
-	if events[5] != "done" || ids[5] != fmt.Sprint(episodes) {
-		t.Fatalf("terminal frame %s id %s, want done %d", events[5], ids[5], episodes)
-	}
+	requireSameStream(t, "Last-Event-ID replay", readStream(t, url, fmt.Sprint(from-1)), want[from:])
 }

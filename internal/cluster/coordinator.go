@@ -279,7 +279,8 @@ func (c *Coordinator) followWithRetry(ctx context.Context, j *jobs.Job, w *worke
 }
 
 // follow runs one SSE pass over the remote job, resuming at the local
-// ring's next sequence number (duplicates a re-attached worker replays are
+// ring's next sequence number — seq 0 after a coordinator restart, whose
+// recovered ring is empty (duplicates a re-attached worker replays are
 // dropped by EmitEvent; a worker-side reset maps to SkipTo so subscribers
 // see the same gap). A done frame ends the pass with the remote terminal
 // outcome translated to the Executor contract.

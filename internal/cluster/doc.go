@@ -16,7 +16,9 @@
 //     submits the job's spec there. The job→worker binding is journaled
 //     (journal.TypeAssigned) before the stream starts, so a restarted
 //     coordinator re-attaches to in-flight remote runs instead of
-//     re-dispatching them.
+//     re-dispatching them. Episode events are not journaled: the restarted
+//     coordinator starts the job with an empty ring and replays the
+//     worker's stream from seq 0.
 //   - A worker is just today's nasaicd plus an internal /v1/cluster/*
 //     surface: a load-reporting health endpoint and a shared-key gate
 //     (distinct from tenant keys) in front of its /v1 API. Workers never see

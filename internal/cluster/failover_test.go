@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"nasaic/internal/faultfs"
 	"nasaic/internal/jobs"
 	"nasaic/pkg/nasaic"
 )
@@ -141,13 +142,42 @@ func TestFailoverRedispatch(t *testing.T) {
 	}
 }
 
+// TestCoordinatorJournalBudget pins what a proxied job costs the
+// coordinator's journal: its submitted, assigned and finished records (one
+// write each, counted on the fault-injecting filesystem) and nothing per
+// episode the worker streams.
+func TestCoordinatorJournalBudget(t *testing.T) {
+	w := startWorker(t, jobs.Options{MaxConcurrent: 1, Executor: fakeRun(time.Millisecond)})
+	mem := faultfs.NewMem(faultfs.Faults{})
+	coord, m, srv := testCoordinator(t, []*testWorker{w}, jobs.Options{MaxConcurrent: 1, DataDir: "/data", FS: mem})
+	waitHealthy(t, coord, 1)
+
+	before := mem.WriteOps()
+	snap := postJob(t, srv.URL, jobs.Spec{Workload: "W3", Episodes: 5, Seed: 3})
+	j, err := m.Get(snap.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := j.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if final := j.Snapshot(); final.Status != jobs.StatusSucceeded || final.Episodes != 5 {
+		t.Fatalf("proxied job %s with %d episodes, want a 5-episode success", final.Status, final.Episodes)
+	}
+	if n := mem.WriteOps() - before; n != 3 {
+		t.Fatalf("a proxied 5-episode job made %d journal writes, want 3 (submitted, assigned, finished)", n)
+	}
+}
+
 // TestCoordinatorReattach is the coordinator-restart acceptance test: a
 // second coordinator recovering from a snapshot of the first one's journal
 // (taken mid-run, torn tail and all — exactly what a crash leaves behind)
 // finds the journaled job→worker binding, re-attaches to the still-running
-// remote job instead of re-dispatching it, resumes the worker's stream at
-// its ring's next sequence number, and converges to the identical terminal
-// result with a gap-free event ring.
+// remote job instead of re-dispatching it, replays the worker's stream from
+// seq 0 into its empty ring, and converges to the identical terminal result
+// with a gap-free event ring.
 func TestCoordinatorReattach(t *testing.T) {
 	const episodes = 150
 	pace := 5 * time.Millisecond
@@ -216,8 +246,8 @@ func TestCoordinatorReattach(t *testing.T) {
 	if final.Status != jobs.StatusSucceeded || final.Result == nil || final.Result.Episodes != episodes {
 		t.Fatalf("re-attached outcome %s %+v, want the %d-episode success", final.Status, final.Result, episodes)
 	}
-	// The ring is continuous across the restart: journaled prefix + streamed
-	// tail, every payload the deterministic bytes.
+	// The ring is continuous across the restart: the worker's whole stream,
+	// replayed from seq 0, every payload the deterministic bytes.
 	evs, start, _ := j2.Events(0)
 	if start != 0 || len(evs) != episodes {
 		t.Fatalf("recovered ring starts at %d with %d events, want a gap-free 0..%d", start, len(evs), episodes)

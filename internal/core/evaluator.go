@@ -330,16 +330,27 @@ func (e *Evaluator) layerCost(l dnn.Layer, sub accel.SubAccel) maestro.LayerCost
 }
 
 // buildProblem assembles the HAP cost table for the given networks on the
-// design's active sub-accelerators.
+// design's active sub-accelerators: exactly sized chains and layers, and
+// every layer's options carved from one slice.
 func (e *Evaluator) buildProblem(nets []*dnn.Network, d accel.Design, active []int) sched.Problem {
+	na, total := len(active), 0
+	for _, n := range nets {
+		total += n.Depth()
+	}
+	opts := make([]sched.Option, total*na)
 	problem := sched.Problem{
-		NumAccels: len(active),
+		NumAccels: na,
 		Deadline:  e.W.Specs.LatencyCycles,
+		Chains:    make([]sched.Chain, len(nets)),
 	}
 	for ni, n := range nets {
-		ch := sched.Chain{Name: fmt.Sprintf("net%d", ni)}
-		for _, l := range n.ComputeLayers() {
-			sl := sched.Layer{Name: l.Name, Options: make([]sched.Option, len(active))}
+		ch := sched.Chain{Name: fmt.Sprintf("net%d", ni), Layers: make([]sched.Layer, 0, n.Depth())}
+		for _, l := range n.Layers {
+			if !l.Op.Compute() {
+				continue
+			}
+			sl := sched.Layer{Name: l.Name, Options: opts[:na:na]}
+			opts = opts[na:]
 			for ai, di := range active {
 				lc := e.layerCost(l, d.Subs[di])
 				sl.Options[ai] = sched.Option{
@@ -350,7 +361,7 @@ func (e *Evaluator) buildProblem(nets []*dnn.Network, d accel.Design, active []i
 			}
 			ch.Layers = append(ch.Layers, sl)
 		}
-		problem.Chains = append(problem.Chains, ch)
+		problem.Chains[ni] = ch
 	}
 	return problem
 }

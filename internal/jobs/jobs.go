@@ -157,18 +157,19 @@ type Options struct {
 	// Empty keeps the warm tier off.
 	CacheDir string
 	// DataDir enables the durable job journal under DataDir/journal: every
-	// submission, state transition and episode event is fsynced to a
-	// write-ahead log before it becomes observable over HTTP, and a new
-	// manager over the same directory restores terminal jobs (full event
-	// rings included, so SSE Last-Event-ID replay spans restarts) and
-	// re-executes the jobs that were pending or running when the process
-	// died — the seeded determinism suite guarantees the re-run converges to
-	// the bit-identical result, re-emitting events under their journaled
-	// sequence numbers. Empty keeps the manager memory-only (the seed
-	// behavior). Journal damage (torn tails, bit flips, version skew) is
-	// truncated away at startup, never a refusal to start; if the journal
-	// cannot be opened at all the manager degrades to memory-only and says
-	// so through Logf.
+	// submission, worker binding, cancel request and terminal outcome is
+	// fsynced to a write-ahead log before it becomes observable over HTTP,
+	// the terminal record carrying the job's event ring. A new manager over
+	// the same directory restores terminal jobs (event rings included, so
+	// SSE Last-Event-ID replay spans restarts) and re-executes the jobs that
+	// were pending or running when the process died from seq 0 — the seeded
+	// determinism suite guarantees the re-run re-emits the same events under
+	// the same sequence numbers and converges to the bit-identical result.
+	// Episode events themselves are never journaled. Empty keeps the manager
+	// memory-only (the seed behavior). Journal damage (torn tails, bit
+	// flips, version skew) is truncated away at startup, never a refusal to
+	// start; if the journal cannot be opened at all the manager degrades to
+	// memory-only and says so through Logf.
 	DataDir string
 	// FS overrides the filesystem the journal writes through (fault
 	// injection in tests). Nil selects the real one.
@@ -328,10 +329,7 @@ func NewManager(opts Options) *Manager {
 		m.shared.LoadDir(opts.CacheDir)
 	}
 	if opts.DataDir != "" {
-		jn, err := journal.Open(filepath.Join(opts.DataDir, "journal"), journal.Options{
-			FS:       opts.FS,
-			EventCap: opts.eventBuffer(),
-		})
+		jn, err := journal.Open(filepath.Join(opts.DataDir, "journal"), journal.Options{FS: opts.FS})
 		if err != nil {
 			m.logf("jobs: journal disabled, jobs will not survive restarts: %v", err)
 		} else {
@@ -347,26 +345,24 @@ func NewManager(opts Options) *Manager {
 }
 
 // recover rebuilds the job set from the journal's reduced states:
-// terminal jobs go straight into history, jobs with a journaled cancel
-// request but no terminal record settle as cancelled, and everything else
-// re-executes from its spec (determinism makes the re-run bit-identical,
-// re-emitting its events under the already-journaled sequence numbers).
+// terminal jobs go straight into history with their event rings, jobs with a
+// journaled cancel request but no terminal record settle as cancelled (with
+// an empty ring, unless an older build journaled its events), and everything
+// else re-executes from its spec with an empty ring (determinism makes the
+// re-run bit-identical, re-emitting its events from seq 0).
 // Every job re-attaches to its journaled tenant — quota accounting and API
 // scoping survive the restart — with pre-tenancy records (no tenant field)
 // mapping to the anonymous tenant. Re-executed jobs bypass the pending
 // quota: they were admitted before the crash and must not be dropped by it.
 func (m *Manager) recover(states []*journal.JobState) {
-	// Settlement records and drop warnings are collected under the lock and
+	// Settled jobs and drop warnings are collected under the lock and
 	// journaled/logged after it: the journal group-commits an fsync, and
 	// nothing slow may run under m.mu (enforced by nasaiclint). A crash
 	// before a deferred settlement record lands is harmless — the next
 	// recovery re-derives the same settlement from the CancelRequested
-	// marker, and the HTTP surface is not serving yet during NewManager.
-	type settlement struct {
-		j   *Job
-		rec journal.Record
-	}
-	var settles []settlement
+	// marker, and the HTTP surface is not serving yet during NewManager, so
+	// the settled jobs are still this goroutine's alone.
+	var settles []*Job
 	var dropped []string
 	m.mu.Lock()
 	for _, st := range states {
@@ -403,42 +399,26 @@ func (m *Manager) recover(states []*journal.JobState) {
 			// honour the cancel rather than re-executing to completion, and
 			// journal the settlement so the next recovery is direct.
 			j.restoreTerminal(st, StatusCancelled)
-			settles = append(settles, settlement{j, journal.Record{
-				Type:   journal.TypeFinished,
-				Job:    j.ID,
-				Time:   j.finished,
-				Status: string(StatusCancelled),
-				Error:  j.err.Error(),
-			}})
+			settles = append(settles, j)
 		case specErr != nil:
 			// A spec admitted before the engine's checks tightened (an
 			// unbounded φ, say) must not re-execute: running it could be
 			// what killed the previous process. Settle it failed instead.
 			j.restoreTerminal(st, StatusFailed)
 			j.err = specErr
-			settles = append(settles, settlement{j, journal.Record{
-				Type:   journal.TypeFinished,
-				Job:    j.ID,
-				Time:   j.finished,
-				Status: string(StatusFailed),
-				Error:  specErr.Error(),
-			}})
+			settles = append(settles, j)
 		default:
 			// Pending or running at crash time: re-execute from the spec
-			// through the fair dispatcher, under the job's own tenant. With a
-			// journaled cluster binding the run is still live on a worker
-			// replica, so keep the replayed event ring (SSE Last-Event-ID
-			// replay spans the restart) and let the cluster executor resume
-			// the worker's stream right after it; an unbound job starts with
-			// an empty ring and re-emits deterministically from seq 0.
+			// through the fair dispatcher, under the job's own tenant, with an
+			// empty ring. An unbound job re-emits deterministically from seq
+			// 0; with a journaled cluster binding the run is still live on a
+			// worker replica, and the cluster executor re-attaches and replays
+			// the worker's stream from seq 0.
 			jctx, jcancel := context.WithCancel(m.ctx)
 			j.status = StatusPending
 			j.cancel = jcancel
 			j.slot = make(chan struct{})
-			if st.Worker != "" && st.RemoteID != "" {
-				j.worker, j.remoteID = st.Worker, st.RemoteID
-				j.restoreEvents(st)
-			}
+			j.worker, j.remoteID = st.Worker, st.RemoteID
 			m.enqueueLocked(j, tn)
 			m.wg.Add(1)
 			go m.run(j, jctx)
@@ -452,8 +432,8 @@ func (m *Manager) recover(states []*journal.JobState) {
 	// Settlements precede the Forget records, exactly as when the jobs
 	// finished live, so journal reduction never sees a finish after a
 	// forget resurrect a ghost state.
-	for _, s := range settles {
-		s.j.journal(s.rec)
+	for _, j := range settles {
+		j.journal(j.finishedRecord(j.status))
 	}
 	m.journalForgets(forgotten)
 	for _, msg := range dropped {
@@ -1136,8 +1116,8 @@ func (j *Job) SetAssignment(worker, remoteID string) {
 // already holds those events); a sequence jump means the worker evicted the
 // range before the coordinator could attach, so the local ring skips forward
 // — subscribers behind the gap see an explicit reset frame, exactly as for
-// local ring eviction. Events journal (canonical encoding, shared with the
-// SSE wire) before any subscriber can observe them.
+// local ring eviction. Like a local event it is not journaled: the ring
+// reaches the journal on the terminal record.
 func (j *Job) EmitEvent(seq int, e nasaic.Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -1187,13 +1167,22 @@ func (j *Job) journal(rec journal.Record) {
 // restoreTerminal rebuilds a terminal job from its journaled state: event
 // ring (so SSE Last-Event-ID replay spans restarts), timestamps, error and
 // result. Undecodable events truncate the ring at the first bad entry rather
-// than leaving a hole mid-stream.
+// than leaving a hole mid-stream; the job's own ring bound caps what is kept.
 func (j *Job) restoreTerminal(st *journal.JobState, status Status) {
 	j.status = status
 	j.cancel = func() {} // nothing to cancel; Close/Cancel stay safe to call
 	j.started = orAfter(st.Started, j.created)
 	j.finished = orAfter(st.Finished, j.started)
-	j.restoreEvents(st)
+	j.firstSeq = st.FirstSeq
+	for _, raw := range st.Events {
+		ev, err := nasaic.DecodeEvent(raw)
+		if err != nil {
+			j.logf("jobs: recovery: job %s: truncating event ring at seq %d (undecodable event: %v)",
+				j.ID, j.firstSeq+len(j.events), err)
+			break
+		}
+		j.pushEventLocked(ev)
+	}
 	switch {
 	case status == StatusCancelled:
 		j.err = context.Canceled
@@ -1210,22 +1199,6 @@ func (j *Job) restoreTerminal(st *journal.JobState, status Status) {
 	}
 }
 
-// restoreEvents rebuilds the event ring from a journaled state. Undecodable
-// events truncate the ring at the first bad entry rather than leaving a hole
-// mid-stream.
-func (j *Job) restoreEvents(st *journal.JobState) {
-	j.firstSeq = st.FirstSeq
-	for _, raw := range st.Events {
-		ev, err := nasaic.DecodeEvent(raw)
-		if err != nil {
-			j.logf("jobs: recovery: job %s: truncating event ring at seq %d (undecodable event: %v)",
-				j.ID, j.firstSeq+len(j.events), err)
-			break
-		}
-		j.pushEventLocked(ev)
-	}
-}
-
 // appendEvent records one locally produced episode event.
 func (j *Job) appendEvent(e nasaic.Event) {
 	j.mu.Lock()
@@ -1234,14 +1207,10 @@ func (j *Job) appendEvent(e nasaic.Event) {
 }
 
 // emitLocked records one live event under the next sequence number and
-// wakes subscribers. The event journals (canonical encoding, shared with the
-// SSE wire format) before any subscriber can observe it. Callers hold j.mu.
+// wakes subscribers. Nothing is journaled: the ring reaches the journal on
+// the terminal record, and an interrupted run re-emits it deterministically.
+// Callers hold j.mu.
 func (j *Job) emitLocked(e nasaic.Event) {
-	if j.jn != nil {
-		if raw, err := nasaic.EncodeEvent(e); err == nil {
-			j.journal(journal.Record{Type: journal.TypeEvent, Job: j.ID, Seq: j.firstSeq + len(j.events), Event: raw})
-		}
-	}
 	j.pushEventLocked(e)
 	j.notifyLocked()
 }
@@ -1260,7 +1229,6 @@ func (j *Job) setRunning() {
 	j.mu.Lock()
 	j.status = StatusRunning
 	j.started = time.Now()
-	j.journal(journal.Record{Type: journal.TypeRunning, Job: j.ID, Time: j.started})
 	j.notifyLocked()
 	j.mu.Unlock()
 }
@@ -1269,9 +1237,9 @@ func (j *Job) setRunning() {
 // StatusCancelled (keeping the partial result); any other error to
 // StatusFailed. The result's engine handle is dropped — retained history
 // must not pin every job's evaluator, caches and controller in memory.
-// The terminal record (status, error, result) journals before the status
-// flips, so a crash after any client saw the job terminal replays it
-// terminal.
+// The terminal record (status, error, result, event ring) journals before
+// the status flips, so a crash after any client saw the job terminal
+// replays it terminal, stream included.
 func (j *Job) finish(res *nasaic.Result, err error) {
 	if res != nil {
 		res.DetachEngine()
@@ -1286,26 +1254,46 @@ func (j *Job) finish(res *nasaic.Result, err error) {
 	}
 	j.mu.Lock()
 	j.finished = time.Now()
-	rec := journal.Record{
-		Type:   journal.TypeFinished,
-		Job:    j.ID,
-		Time:   j.finished,
-		Status: string(status),
+	j.result, j.err = res, err
+	if j.jn != nil {
+		j.journal(j.finishedRecord(status))
 	}
-	if err != nil {
-		rec.Error = err.Error()
-	}
-	if j.jn != nil && res != nil {
-		if raw, mErr := json.Marshal(res); mErr == nil {
-			rec.Result = raw
-		}
-	}
-	j.journal(rec)
-	j.result = res
-	j.err = err
 	j.status = status
 	j.notifyLocked()
 	j.mu.Unlock()
+}
+
+// finishedRecord renders the job's terminal record: status, error, result,
+// start and finish times and the event ring in the canonical encoding the
+// SSE wire shares, Seq being the ring's first sequence number.
+// An unencodable event ends the ring there, as an undecodable one does on
+// restore. Callers hold j.mu or own j exclusively during recovery.
+func (j *Job) finishedRecord(status Status) journal.Record {
+	rec := journal.Record{
+		Type:    journal.TypeFinished,
+		Job:     j.ID,
+		Time:    j.finished,
+		Started: j.started,
+		Status:  string(status),
+		Seq:     j.firstSeq,
+		Events:  make([]json.RawMessage, 0, len(j.events)),
+	}
+	if j.err != nil {
+		rec.Error = j.err.Error()
+	}
+	if j.result != nil {
+		if raw, err := json.Marshal(j.result); err == nil {
+			rec.Result = raw
+		}
+	}
+	for _, e := range j.events {
+		raw, err := nasaic.EncodeEvent(e)
+		if err != nil {
+			break
+		}
+		rec.Events = append(rec.Events, raw)
+	}
+	return rec
 }
 
 // notifyLocked wakes every Events/Wait subscriber; callers hold j.mu.

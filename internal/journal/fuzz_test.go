@@ -23,7 +23,7 @@ func FuzzScanSegment(f *testing.F) {
 	prefixRecs := []Record{
 		{Type: TypeSubmitted, Job: "job-1", Spec: json.RawMessage(`{"workload":"W3"}`)},
 		{Type: TypeEvent, Job: "job-1", Seq: 0, Event: json.RawMessage(`{"episode":0}`)},
-		{Type: TypeFinished, Job: "job-1", Status: "succeeded"},
+		{Type: TypeFinished, Job: "job-1", Status: "succeeded", Events: []json.RawMessage{json.RawMessage(`{"episode":0}`)}},
 	}
 	var prefix []byte
 	for _, r := range prefixRecs {

@@ -1,7 +1,8 @@
 // Package journal is nasaicd's write-ahead log: an append-only, segmented
-// record of every job lifecycle transition (submitted spec, running,
-// per-episode events, terminal result, cancellation), durable enough that a
-// kill -9 loses at most the record being written when the power went out.
+// record of the job lifecycle facts recovery reads (submitted spec, worker
+// binding, cancellation, terminal result carrying the event ring, history
+// eviction), durable enough that a kill -9 loses at most the record being
+// written when the power went out.
 //
 // Layout. The journal is a directory of numbered segment files
 // (seg-00000001.wal, …). Each segment starts with a 12-byte header (magic +
@@ -10,8 +11,7 @@
 // highest-numbered segment; once it exceeds Options.SegmentBytes the segment
 // is sealed and a new one opened, and once enough sealed segments pile up
 // the whole history is compacted into a single snapshot segment holding one
-// snapshot record per live job (terminal jobs collapse from
-// submitted+running+N events+finished down to one record).
+// snapshot record per live job.
 //
 // Durability. Append returns only after the record is fsynced. Concurrent
 // appenders share fsyncs through a group commit: a background syncer flushes
@@ -20,14 +20,14 @@
 // the window.
 //
 // Recovery. Open replays every segment in order, reducing records into
-// per-job states (Reduce semantics are idempotent, so a deterministic re-run
-// appending duplicate event records converges to the same state). A torn
-// tail, a bit-flipped record, a short write or an alien format version
-// degrades to truncate-at-last-valid-record — recovery never refuses to
-// start, it just surfaces what it dropped in Recovery(). After a failed or
-// short append the journal truncates the segment back to its last good
-// offset before continuing, so a transient write error cannot poison the
-// records appended after it.
+// per-job states (Reduce semantics are idempotent, so replaying a prefix
+// twice converges to the same state). A torn tail, a bit-flipped record, a
+// short write or an alien format version degrades to
+// truncate-at-last-valid-record — recovery never refuses to start, it just
+// surfaces what it dropped in Recovery(). After a failed or short append the
+// journal truncates the segment back to its last good offset before
+// continuing, so a transient write error cannot poison the records appended
+// after it.
 package journal
 
 import (
@@ -63,10 +63,11 @@ type Type string
 const (
 	// TypeSubmitted records a job's spec entering the system.
 	TypeSubmitted Type = "submitted"
-	// TypeRunning records the transition onto a concurrency slot.
+	// TypeRunning (a job's start) and TypeEvent (one episode event, Seq its
+	// ring sequence) are written only by older builds. They still reduce,
+	// read-only and uncapped, so those journals recover with their rings.
 	TypeRunning Type = "running"
-	// TypeEvent records one per-episode event (Seq is its ring sequence).
-	TypeEvent Type = "event"
+	TypeEvent   Type = "event"
 	// TypeCancel records a cancellation request (the terminal record may
 	// never arrive if the process dies first; recovery then settles the job
 	// as cancelled instead of re-executing it).
@@ -78,7 +79,8 @@ const (
 	// re-dispatching it. An empty Worker clears the binding (the worker died
 	// and the job is about to be re-dispatched).
 	TypeAssigned Type = "assigned"
-	// TypeFinished records the terminal status, error and result.
+	// TypeFinished records the terminal status, error, result, start time
+	// and the job's bounded event ring (Events, from sequence number Seq).
 	TypeFinished Type = "finished"
 	// TypeForget drops a job from the journal's state (history eviction).
 	TypeForget Type = "forget"
@@ -87,7 +89,7 @@ const (
 )
 
 // Record is one journal entry. Only the fields meaningful for its Type are
-// set; payloads (spec, event, result) are opaque JSON owned by the caller.
+// set; payloads (spec, events, result) are opaque JSON owned by the caller.
 type Record struct {
 	Type Type   `json:"t"`
 	Job  string `json:"job,omitempty"`
@@ -96,16 +98,18 @@ type Record struct {
 	Tenant string `json:"tenant,omitempty"`
 	// Worker and Remote record a job→worker binding (TypeAssigned only): the
 	// worker replica's base URL and the job ID that replica assigned.
-	Worker string          `json:"worker,omitempty"`
-	Remote string          `json:"remote,omitempty"`
-	Time   time.Time       `json:"time,omitzero"`
-	Seq    int             `json:"seq,omitempty"`
-	Status string          `json:"status,omitempty"`
-	Error  string          `json:"error,omitempty"`
-	Spec   json.RawMessage `json:"spec,omitempty"`
-	Event  json.RawMessage `json:"event,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-	Snap   *JobState       `json:"snap,omitempty"`
+	Worker  string            `json:"worker,omitempty"`
+	Remote  string            `json:"remote,omitempty"`
+	Time    time.Time         `json:"time,omitzero"`
+	Started time.Time         `json:"started,omitzero"`
+	Seq     int               `json:"seq,omitempty"`
+	Status  string            `json:"status,omitempty"`
+	Error   string            `json:"error,omitempty"`
+	Spec    json.RawMessage   `json:"spec,omitempty"`
+	Event   json.RawMessage   `json:"event,omitempty"`
+	Events  []json.RawMessage `json:"events,omitempty"`
+	Result  json.RawMessage   `json:"result,omitempty"`
+	Snap    *JobState         `json:"snap,omitempty"`
 }
 
 // JobState is the reduction of one job's records: everything recovery needs
@@ -163,11 +167,6 @@ type Options struct {
 	// CompactSegments is how many segments may exist before the journal
 	// compacts them into one snapshot segment. <=0 selects 4.
 	CompactSegments int
-	// EventCap bounds the per-job event ring the journal reduces into (the
-	// on-disk records are unbounded until compaction; the cap matches the
-	// job manager's replay ring so recovery restores exactly what a live
-	// subscriber could have seen). <=0 selects 4096.
-	EventCap int
 }
 
 func (o Options) fs() faultfs.FS {
@@ -189,13 +188,6 @@ func (o Options) compactSegments() int {
 		return o.CompactSegments
 	}
 	return 4
-}
-
-func (o Options) eventCap() int {
-	if o.EventCap > 0 {
-		return o.EventCap
-	}
-	return 4096
 }
 
 // Recovery summarizes what Open found and repaired.
@@ -640,8 +632,7 @@ func (j *Journal) Close() error {
 }
 
 // applyLocked reduces one record into the state map. The reduction is
-// idempotent: replaying a prefix twice (or re-journaling events a recovered
-// deterministic run re-emits) converges to the same state.
+// idempotent: replaying a prefix twice converges to the same state.
 func (j *Journal) applyLocked(rec Record) {
 	st := j.states[rec.Job]
 	switch rec.Type {
@@ -679,11 +670,6 @@ func (j *Journal) applyLocked(rec Record) {
 			st.Events[rec.Seq-st.FirstSeq] = rec.Event
 		case rec.Seq == st.FirstSeq+len(st.Events):
 			st.Events = append(st.Events, rec.Event)
-			if cap := j.opts.eventCap(); len(st.Events) > cap {
-				drop := len(st.Events) - cap
-				st.Events = append(st.Events[:0:0], st.Events[drop:]...)
-				st.FirstSeq += drop
-			}
 		default:
 			// A gap can only follow lost records (mid-history corruption);
 			// restart the ring at the new sequence so replay stays coherent.
@@ -714,6 +700,14 @@ func (j *Journal) applyLocked(rec Record) {
 		st.Error = rec.Error
 		st.Result = rec.Result
 		st.Finished = rec.Time
+		// One without a ring or start (older builds, or a job that never
+		// ran) keeps what TypeEvent and TypeRunning records reduced.
+		if !rec.Started.IsZero() {
+			st.Started = rec.Started
+		}
+		if len(rec.Events) > 0 {
+			st.FirstSeq, st.Events = rec.Seq, rec.Events
+		}
 	case TypeForget:
 		if st == nil {
 			return

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -187,4 +188,55 @@ func TestTenantFieldRoundTrips(t *testing.T) {
 	}
 	defer j2.Close()
 	check(j2, "replay")
+}
+
+// TestReduceFinishedCarriesRing pins the current terminal record: the ring,
+// its first sequence number and the start time come from TypeFinished and
+// survive replay and compaction. A finished record without a ring, as older
+// builds wrote it, keeps the ring their TypeEvent records reduced.
+func TestReduceFinishedCarriesRing(t *testing.T) {
+	fs := faultfs.NewMem(faultfs.Faults{})
+	j, err := Open("data/journal", Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := []json.RawMessage{raw(`{"episode":3}`), raw(`{"episode":4}`)}
+	for _, rec := range []Record{
+		{Type: TypeSubmitted, Job: "job-1", Time: t0, Spec: raw(`{"workload":"W3"}`)},
+		{Type: TypeFinished, Job: "job-1", Time: t0.Add(time.Minute), Started: t0.Add(time.Second),
+			Status: "succeeded", Seq: 3, Events: ring},
+		{Type: TypeSubmitted, Job: "job-2", Time: t0, Spec: raw(`{"workload":"W1"}`)},
+		{Type: TypeRunning, Job: "job-2", Time: t0.Add(2 * time.Second)},
+		{Type: TypeEvent, Job: "job-2", Seq: 0, Event: raw(`{"episode":0}`)},
+		{Type: TypeFinished, Job: "job-2", Time: t0.Add(time.Minute), Status: "succeeded"},
+	} {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(j *Journal, when string) {
+		t.Helper()
+		states := j.States()
+		if len(states) != 2 {
+			t.Fatalf("%s: %d states, want 2", when, len(states))
+		}
+		s1, s2 := states[0], states[1]
+		if s1.FirstSeq != 3 || len(s1.Events) != 2 || string(s1.Events[1]) != `{"episode":4}` ||
+			!s1.Started.Equal(t0.Add(time.Second)) {
+			t.Fatalf("%s: job-1 ring first=%d n=%d started=%v", when, s1.FirstSeq, len(s1.Events), s1.Started)
+		}
+		if s2.FirstSeq != 0 || len(s2.Events) != 1 || !s2.Started.Equal(t0.Add(2*time.Second)) {
+			t.Fatalf("%s: legacy job-2 ring first=%d n=%d started=%v", when, s2.FirstSeq, len(s2.Events), s2.Started)
+		}
+	}
+	check(j, "live reduction")
+	j.Close()
+	j2, err := Open("data/journal", Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	check(j2, "replay")
+	j2.Compact()
+	check(j2, "post-compaction")
 }

@@ -97,21 +97,23 @@ func (o *RMSProp) sameParams(params []*Param) bool {
 }
 
 // resolveOffsets returns each parameter's arena offset, extending the arena
-// for parameters seen for the first time.
+// once, by the total length of the parameters seen for the first time.
 func (o *RMSProp) resolveOffsets(params []*Param) []int {
 	if o.sameParams(params) {
 		return o.lastOffs
 	}
 	offs := make([]int, len(params))
+	end := len(o.arena)
 	for i, p := range params {
 		off, ok := o.offsets[p]
 		if !ok {
-			off = len(o.arena)
-			o.arena = append(o.arena, make([]float64, len(p.Val.W))...)
+			off = end
+			end += len(p.Val.W)
 			o.offsets[p] = off
 		}
 		offs[i] = off
 	}
+	o.arena = append(o.arena, make([]float64, end-len(o.arena))...)
 	o.last = append([]*Param(nil), params...)
 	o.lastOffs = offs
 	return offs
