@@ -14,8 +14,9 @@ func tinyBudget(seed int64) Budget {
 }
 
 // The Table I shape: NAS→ASIC violates the specs on both workloads; the
-// other two approaches satisfy them; NASAIC's accuracy beats or matches
-// ASIC→HW-NAS on the weighted metric.
+// other two approaches satisfy them; and NASAIC's summed task accuracy is
+// at most 12 points per task below that of NAS→ASIC's spec-blind networks.
+// How NASAIC compares with ASIC→HW-NAS is not asserted.
 func TestTable1Shape(t *testing.T) {
 	rows, _, err := Table1(context.Background(), tinyBudget(1))
 	if err != nil {

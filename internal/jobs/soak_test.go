@@ -55,9 +55,20 @@ func TestMultiTenantSoak(t *testing.T) {
 	// light job's snapshot after the drain.
 	m := NewManager(Options{MaxConcurrent: 4, MaxHistory: heavyJobs + lightJobs + 16, Tenants: reg})
 	defer m.Close()
+	// The executor holds every job until the heavy tenant draws its first
+	// 429 (or a deadline passes): with the slots held, the heavy submitters
+	// are sure to overrun its queue, where workers draining 1 ms jobs could
+	// otherwise keep pace with submissions over the -race HTTP path.
+	throttled, release := context.WithTimeout(context.Background(), 30*time.Second)
+	defer release()
 	// Fake work: a millisecond of "exploration" that honours cancellation,
 	// so the soak exercises scheduling, not the engine.
 	m.opts.Executor = execFunc(func(ctx context.Context, j *Job) (*nasaic.Result, error) {
+		select {
+		case <-throttled.Done():
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 		select {
 		case <-time.After(time.Millisecond):
 		case <-ctx.Done():
@@ -108,6 +119,9 @@ func TestMultiTenantSoak(t *testing.T) {
 				}
 				resp.Body.Close()
 				rejected.Add(1)
+				if key == "heavy-key-1" {
+					release()
+				}
 				time.Sleep(time.Duration(1+rand.Intn(3)) * time.Millisecond)
 				continue
 			}

@@ -31,10 +31,12 @@ type LSTMBatchCache struct {
 	HPrev, CPrev *Mat // H × B
 	I, F, G, O   *Mat // H × B post-activation gates
 	C, H         *Mat // H × B new state
+	TC           *Mat // H × B tanh(C), kept for the backward pass
 }
 
 // ForwardBatch runs one lockstep step over the first n columns of c: it
-// reads X, HPrev and CPrev and writes the gates and the new state. zx and zh
+// reads X, HPrev and CPrev and writes the gates, the new state and tanh(C),
+// whose one math.Tanh call per element feeds both H and TC. zx and zh
 // are 4H×B scratch. Column e < n of every output is bit-identical to the
 // reference Forward of column e. It clears the pad columns of X before the
 // kernels and those of H after the gate loop, so HPrev — the previous step's
@@ -69,6 +71,7 @@ func (l *LSTM) ForwardBatch(c *LSTMBatchCache, n int, zx, zh *Mat) {
 		oo := c.O.W[i*b : i*b+n]
 		oc := c.C.W[i*b : i*b+n]
 		oh := c.H.W[i*b : i*b+n]
+		otc := c.TC.W[i*b : i*b+n]
 		for e := 0; e < n; e++ {
 			// Mirrors the reference step exactly: z = (Wx·x + Wh·h) + b,
 			// then the gate nonlinearities and state update in Forward's
@@ -79,8 +82,9 @@ func (l *LSTM) ForwardBatch(c *LSTMBatchCache, n int, zx, zh *Mat) {
 			vo := sigmoid(zxo[e] + zho[e] + bo)
 			vc := vf*cp[e] + vi*vg
 			oi[e], of[e], og[e], oo[e] = vi, vf, vg, vo
-			oc[e] = vc
-			oh[e] = vo * math.Tanh(vc)
+			tc := math.Tanh(vc)
+			oc[e], otc[e] = vc, tc
+			oh[e] = vo * tc
 		}
 	}
 	c.H.ZeroPad(n)
@@ -101,7 +105,8 @@ type SeqRef struct {
 // at the last step, where no cell gradient flows in yet). On return dH and dC
 // hold the gradient w.r.t. the previous state, dz (4H×B) the gate
 // pre-activation gradient and dx (I×B) the input gradient. dz's pad columns
-// are cleared before the kernels, so dx and dH are zero there.
+// are cleared before the kernels, so dx and dH are zero there. tanh(C) is
+// read from the forward pass's TC, not recomputed.
 //
 // Parameter gradients are NOT accumulated here: callers pass every step's dz
 // to AccumBPTTGrads, which adds them in the per-sequence order, so the
@@ -123,7 +128,7 @@ func (l *LSTM) BackwardBatch(t int, seqs []SeqRef, dz, dx, dH, dC *Mat, carry bo
 		for i := 0; i < H; i++ {
 			o := i*w + sq.Col
 			ci, cf, cg, co := s.I.W[o], s.F.W[o], s.G.W[o], s.O.W[o]
-			tc := math.Tanh(s.C.W[o])
+			tc := s.TC.W[o]
 			dOut := dH.W[i*b+e]
 			dCt := dOut * co * (1 - tc*tc)
 			if carry {

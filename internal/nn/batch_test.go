@@ -121,7 +121,7 @@ func forwardRun(l *LSTM, xs []*Mat, width int) []LSTMBatchCache {
 		*s = LSTMBatchCache{
 			X: dirtyMat(l.InputSize, width), HPrev: hp, CPrev: cp,
 			I: dirtyMat(H, width), F: dirtyMat(H, width), G: dirtyMat(H, width), O: dirtyMat(H, width),
-			C: dirtyMat(H, width), H: dirtyMat(H, width),
+			C: dirtyMat(H, width), H: dirtyMat(H, width), TC: dirtyMat(H, width),
 		}
 		for e := 0; e < n; e++ {
 			s.X.CopyColFrom(e, x, e)
@@ -182,6 +182,13 @@ func lstmForwardColumns(t *testing.T, B, width int) {
 						t.Fatalf("step %d col %d cache field %d elem %d: %.17g vs %.17g",
 							step, e, fi, i, pr[0][i], pr[1][i])
 					}
+				}
+			}
+			// TC, which the backward pass reads instead of recomputing, is
+			// math.Tanh of C bit for bit.
+			for i, c := range bc.C.Col(e) {
+				if got, want := bc.TC.At(i, e), math.Tanh(c); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("step %d col %d TC[%d] = %.17g, want tanh(C) = %.17g", step, e, i, got, want)
 				}
 			}
 		}
@@ -494,7 +501,7 @@ func stepCache(in, hidden, width int) *LSTMBatchCache {
 	return &LSTMBatchCache{
 		X: NewMat(in, width), HPrev: z, CPrev: z,
 		I: NewMat(hidden, width), F: NewMat(hidden, width), G: NewMat(hidden, width), O: NewMat(hidden, width),
-		C: NewMat(hidden, width), H: NewMat(hidden, width),
+		C: NewMat(hidden, width), H: NewMat(hidden, width), TC: NewMat(hidden, width),
 	}
 }
 

@@ -10,6 +10,11 @@
 // time — lives only in the tests (reference_test.go), as the reference every
 // batched kernel is checked against.
 //
+// The forward step's cache holds everything its backward pass reads,
+// tanh(C) included (LSTMBatchCache.TC), so BackwardBatch evaluates no
+// activation function: each element's math.Tanh(C) runs once, in
+// ForwardBatch.
+//
 // The batched functions allocate nothing once the caller's scratch is warm:
 // every matrix and buffer is the caller's, reused from step to step and
 // round to round. n sequences run
@@ -282,6 +287,25 @@ func (m *Mat) CopyColFrom(dstCol int, src *Mat, srcCol int) {
 	}
 	for i := 0; i < m.R; i++ {
 		m.W[i*m.C+dstCol] = src.W[i*src.C+srcCol]
+	}
+}
+
+// SpreadColFrom assigns columns 0..n−1 = column srcCol of src and clears
+// columns n..C−1, the pad columns of a matrix PadWidth(n) columns wide.
+func (m *Mat) SpreadColFrom(src *Mat, srcCol, n int) {
+	if src.R != m.R {
+		panic(fmt.Sprintf("nn: SpreadColFrom row mismatch %d vs %d", m.R, src.R))
+	}
+	if n < 0 || n > m.C || srcCol < 0 || srcCol >= src.C {
+		panic("nn: SpreadColFrom column out of range")
+	}
+	for i := 0; i < m.R; i++ {
+		v := src.W[i*src.C+srcCol]
+		row := m.W[i*m.C : (i+1)*m.C]
+		for e := range row[:n] {
+			row[e] = v
+		}
+		clear(row[n:])
 	}
 }
 

@@ -20,7 +20,18 @@ import (
 // rollouts on 12 columns, 13 trained episodes on 16); the pad columns are
 // zero going into every kernel and never reach a real column. The episodes
 // of a round are views of its forward record, valid until the next sampling
-// round; Detach copies one out.
+// round; Detach copies one out. Sampling a round of n rollouts also sizes
+// the training side for the n+2 episodes its BPTT takes (the lead twice and
+// a replay), so a replay arriving later reallocates nothing.
+//
+// Before step p every rollout of a round takes the same actions (the
+// hardware-only rollouts are forced to the lead's architecture), so every
+// column of those steps holds the same input, state and logits. A round
+// more than 4 columns wide runs each such step once, on one column of
+// 4-wide matrices (leadStep), and copies that column into the record's n
+// real columns; the uniform draws, the actions and the backward pass stay
+// per rollout. The record keeps tanh(C) (nn.LSTMBatchCache.TC) from the
+// forward pass, so the backward pass recomputes no activation.
 //
 // The width of a batch never changes a bit of the result, which the
 // differential tests (differential_test.go) check against a one-episode,
@@ -49,7 +60,7 @@ type shape struct {
 func (s *shape) recordLen(p int) int {
 	n := s.hidden // the zero state
 	for _, o := range s.opts {
-		n += 7*s.hidden + o // X, the four gates, C, H and the logits
+		n += 8*s.hidden + o // X, the four gates, C, H, tanh(C) and the logits
 	}
 	return n * p
 }
@@ -81,7 +92,7 @@ func (r *record) layout(s *shape, p int, arena []float64) {
 		r.shape = s
 		r.steps = make([]nn.LSTMBatchCache, len(s.opts))
 		r.logits = make([]nn.Mat, len(s.opts))
-		r.mats = make([]nn.Mat, 1+7*len(s.opts))
+		r.mats = make([]nn.Mat, 1+8*len(s.opts))
 	}
 	cv := carver{buf: arena, p: p}
 	mats := r.mats
@@ -99,7 +110,7 @@ func (r *record) layout(s *shape, p int, arena []float64) {
 		*st = nn.LSTMBatchCache{
 			X: take(), HPrev: h, CPrev: c,
 			I: take(), F: take(), G: take(), O: take(),
-			C: take(), H: take(),
+			C: take(), H: take(), TC: take(),
 		}
 		r.logits[t] = cv.mat(s.opts[t])
 		h, c = st.H, st.C
@@ -134,6 +145,16 @@ type workspace struct {
 	zx, zh        nn.Mat
 	us            []float64
 	prob, logitsV []float64 // one column's softmax and logits
+
+	// The shared prefix of a round more than 4 wide: step t < p runs one
+	// column on 4-wide matrices, in lead[t&1], whose HPrev and CPrev are the
+	// other cache's H and C or leadZero, with leadLog as its logits and
+	// 4-wide views of zx and zh as its scratch. Allocated on first use.
+	lead           [2]nn.LSTMBatchCache
+	leadZero       nn.Mat
+	leadLog        nn.Mat
+	leadLogBuf     []float64 // backs leadLog, maxOpts rows
+	leadZX, leadZH nn.Mat
 
 	// Training: one lockstep BPTT's gradient flows, the k-major gathers of
 	// AccumBPTTGrads and one column's vectors.
@@ -176,9 +197,55 @@ func (ws *workspace) sampling(n int) *record {
 		ws.rec.layout(s, p, ws.sampleBuf)
 		cv := carver{buf: ws.sampleBuf[s.recordLen(p):], p: p}
 		ws.zx, ws.zh = cv.mat(4*s.hidden), cv.mat(4*s.hidden)
+		if p > 4 {
+			if ws.leadLogBuf == nil {
+				ws.layoutLead()
+			}
+			ws.leadZX = nn.Mat{R: ws.zx.R, C: 4, W: ws.zx.W[:4*ws.zx.R]}
+			ws.leadZH = nn.Mat{R: ws.zh.R, C: 4, W: ws.zh.W[:4*ws.zh.R]}
+		}
 	}
+	// The round trains its n rollouts, the lead again and a replay.
+	ws.growTraining(n + 2)
 	ws.rec.gen++
 	return &ws.rec
+}
+
+// layoutLead allocates the shared prefix's two 4-wide step caches, zero
+// state and logits.
+func (ws *workspace) layoutLead() {
+	s := ws.shape
+	m := s.maxOpts()
+	cv := carver{buf: make([]float64, 4*(17*s.hidden+m)), p: 4}
+	ws.leadZero = cv.mat(s.hidden)
+	for i := range ws.lead {
+		mats := make([]nn.Mat, 8)
+		for k := range mats {
+			mats[k] = cv.mat(s.hidden)
+		}
+		ws.lead[i] = nn.LSTMBatchCache{
+			X: &mats[0], I: &mats[1], F: &mats[2], G: &mats[3], O: &mats[4],
+			C: &mats[5], H: &mats[6], TC: &mats[7],
+		}
+	}
+	ws.leadLogBuf = cv.mat(m).W
+	ws.leadLog.C = 4
+}
+
+// growTraining makes the training arena and AccumBPTTGrads' gathers hold a
+// BPTT over b episodes; only a wider call than any before reallocates them.
+func (ws *workspace) growTraining(b int) {
+	s := ws.shape
+	p := nn.PadWidth(b)
+	if size := p * (len(s.opts)*4*s.hidden + s.maxOpts() + 4*s.hidden); size > len(ws.trainBuf) {
+		ws.trainBuf = make([]float64, size)
+		ws.seqs = make([]nn.SeqRef, p)
+		ws.trainP = 0
+	}
+	// The gathers take X (hidden rows), HPrev and dz's row per episode-step.
+	if size := b * len(s.opts) * (2*s.hidden + 1); size > cap(ws.bptt) {
+		ws.bptt = make([]float64, size)
+	}
 }
 
 // training prepares the workspace for a BPTT over b episodes, PadWidth(b)
@@ -187,11 +254,7 @@ func (ws *workspace) training(b int) {
 	s := ws.shape
 	p := nn.PadWidth(b)
 	m := s.maxOpts()
-	if size := p * (len(s.opts)*4*s.hidden + m + 4*s.hidden); size > len(ws.trainBuf) {
-		ws.trainBuf = make([]float64, size)
-		ws.seqs = make([]nn.SeqRef, p)
-		ws.trainP = 0
-	}
+	ws.growTraining(b)
 	if p != ws.trainP {
 		ws.trainP = p
 		cv := carver{buf: ws.trainBuf, p: p}
@@ -275,18 +338,24 @@ func (c *Controller) sampleBatch(prefix []int, p, n int) []*Episode {
 
 	for t := 0; t < T; t++ {
 		st := &rec.steps[t]
-		// The step's input: the learned start, then each rollout's
-		// embedding of its previous action.
-		for e := 0; e < n; e++ {
-			if t == 0 {
-				st.X.CopyColFrom(e, c.start.Val, 0)
-			} else {
-				st.X.CopyColFrom(e, c.embeds[t-1].Val, eps[e].Actions[t-1])
-			}
-		}
-		c.lstm.ForwardBatch(st, n, &ws.zx, &ws.zh)
 		logits := &rec.logits[t]
-		c.heads[t].ForwardBatch(logits, st.H, n)
+		if t < p && ws.sampleP > 4 {
+			// Every rollout takes the same actions before p, so every
+			// column of the step is the same: run it once.
+			c.leadStep(t, eps[0].Actions, n)
+		} else {
+			// The step's input: the learned start, then each rollout's
+			// embedding of its previous action.
+			for e := 0; e < n; e++ {
+				if t == 0 {
+					st.X.CopyColFrom(e, c.start.Val, 0)
+				} else {
+					st.X.CopyColFrom(e, c.embeds[t-1].Val, eps[e].Actions[t-1])
+				}
+			}
+			c.lstm.ForwardBatch(st, n, &ws.zx, &ws.zh)
+			c.heads[t].ForwardBatch(logits, st.H, n)
+		}
 		opts := c.specs[t].NumOptions
 		for e := 0; e < n; e++ {
 			var a int
@@ -302,6 +371,34 @@ func (c *Controller) sampleBatch(prefix []int, p, n int) []*Episode {
 		}
 	}
 	return eps
+}
+
+// leadStep runs step t of a round's shared prefix on one column — the input
+// is the start or the embedding of actions[t−1], which every rollout took —
+// and spreads the step's cache and logits over the record's n real columns,
+// clearing the pad columns. A column's values do not depend on the width it
+// runs on, so the record is bit-identical to an n-wide step.
+func (c *Controller) leadStep(t int, actions []int, n int) {
+	ws := &c.ws
+	st := &ws.lead[t&1]
+	if t == 0 {
+		st.HPrev, st.CPrev = &ws.leadZero, &ws.leadZero
+		st.X.CopyColFrom(0, c.start.Val, 0)
+	} else {
+		prev := &ws.lead[(t-1)&1]
+		st.HPrev, st.CPrev = prev.H, prev.C
+		st.X.CopyColFrom(0, c.embeds[t-1].Val, actions[t-1])
+	}
+	c.lstm.ForwardBatch(st, 1, &ws.leadZX, &ws.leadZH)
+	opts := c.specs[t].NumOptions
+	ws.leadLog.R, ws.leadLog.W = opts, ws.leadLogBuf[:4*opts]
+	c.heads[t].ForwardBatch(&ws.leadLog, st.H, 1)
+
+	rs := &ws.rec.steps[t]
+	for _, m := range [...][2]*nn.Mat{{rs.X, st.X}, {rs.I, st.I}, {rs.F, st.F}, {rs.G, st.G}, {rs.O, st.O}, {rs.C, st.C}, {rs.H, st.H}, {rs.TC, st.TC}} {
+		m[0].SpreadColFrom(m[1], 0, n)
+	}
+	ws.rec.logits[t].SpreadColFrom(&ws.leadLog, 0, n)
 }
 
 // Credit is the policy-gradient credit of one episode (Eq. 1): step t's

@@ -123,7 +123,7 @@ func (ep *Episode) Detach() *Episode {
 	rec.layout(src.shape, 1, make([]float64, src.shape.recordLen(1)))
 	for t := range src.steps {
 		s, d := &src.steps[t], &rec.steps[t]
-		for _, m := range [...][2]*nn.Mat{{d.X, s.X}, {d.I, s.I}, {d.F, s.F}, {d.G, s.G}, {d.O, s.O}, {d.C, s.C}, {d.H, s.H}} {
+		for _, m := range [...][2]*nn.Mat{{d.X, s.X}, {d.I, s.I}, {d.F, s.F}, {d.G, s.G}, {d.O, s.O}, {d.C, s.C}, {d.H, s.H}, {d.TC, s.TC}} {
 			m[0].CopyColFrom(0, m[1], ep.col)
 		}
 		rec.logits[t].CopyColFrom(0, &src.logits[t], ep.col)

@@ -84,7 +84,7 @@ func requireEpisodesEqual(t *testing.T, seqEps, batEps []*Episode, stage string)
 			}{
 				{"X", sa.X, sb.X}, {"HPrev", sa.HPrev, sb.HPrev}, {"CPrev", sa.CPrev, sb.CPrev},
 				{"I", sa.I, sb.I}, {"F", sa.F, sb.F}, {"G", sa.G, sb.G}, {"O", sa.O, sb.O},
-				{"C", sa.C, sb.C}, {"H", sa.H, sb.H},
+				{"C", sa.C, sb.C}, {"H", sa.H, sb.H}, {"TC", sa.TC, sb.TC},
 				{"logits", &a.rec.logits[tt], &b.rec.logits[tt]},
 			}
 			for _, f := range fields {

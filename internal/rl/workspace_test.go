@@ -2,6 +2,7 @@ package rl
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"nasaic/internal/nn"
@@ -13,7 +14,9 @@ import (
 // changes a bit (every sample width 1–17, so every residue mod 4 and mod 8,
 // and the train widths with and without a replay column), that the entry
 // points the benchmark trace drives keep two samplings and a replay alive
-// across rounds, and that a warm round allocates no float64 storage.
+// across rounds, that a warm round allocates no float64 storage, that the
+// shared prefix run on one column leaves every record column equal, and
+// that the training arena is sized once for a round and its replay.
 
 // w3Specs has the decision geometry of workload W3: 14 architecture
 // decisions, then ⟨dataflow, #PEs, NoC bandwidth⟩ for two sub-accelerators.
@@ -234,6 +237,106 @@ func TestWarmRoundAllocs(t *testing.T) {
 	}
 }
 
+// requirePrefixColumnsEqual checks that at every step t < p each episode's
+// record column — X, the four gates, C, H, TC and the logits — equals
+// episode 0's bit for bit.
+func requirePrefixColumnsEqual(t *testing.T, eps []*Episode, p int, stage string) {
+	t.Helper()
+	lead := eps[0]
+	for tt := 0; tt < p; tt++ {
+		sl := &lead.rec.steps[tt]
+		for e, ep := range eps[1:] {
+			se := &ep.rec.steps[tt]
+			for _, f := range []struct {
+				name   string
+				ml, me *nn.Mat
+			}{
+				{"X", sl.X, se.X}, {"I", sl.I, se.I}, {"F", sl.F, se.F}, {"G", sl.G, se.G},
+				{"O", sl.O, se.O}, {"C", sl.C, se.C}, {"H", sl.H, se.H}, {"TC", sl.TC, se.TC},
+				{"logits", &lead.rec.logits[tt], &ep.rec.logits[tt]},
+			} {
+				vl, ve := f.ml.Col(lead.col), f.me.Col(ep.col)
+				for i := range vl {
+					if math.Float64bits(vl[i]) != math.Float64bits(ve[i]) {
+						t.Fatalf("%s: step %d episode %d %s[%d] = %.17g, episode 0 has %.17g",
+							stage, tt, e+1, f.name, i, ve[i], vl[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSharedPrefixColumnsEqual covers the shared prefix at W3's geometry:
+// every rollout of a round takes the same actions before p, so each step
+// t < p has one set of values, which a round more than 4 columns wide
+// computes on one column and copies. In lead mode (SampleRound) and forced
+// mode (SampleForcedBatch), for p = 0, the architecture prefix and T and
+// φ = 0, 2 (4 columns: the n-wide path) and 10 (the one-column path), the
+// prefix columns must equal the lead's, and the round the one-episode
+// reference, bit for bit.
+func TestSharedPrefixColumnsEqual(t *testing.T) {
+	specs := w3Specs()
+	T := len(specs)
+	for _, phi := range []int{0, 2, 10} {
+		for _, p := range []int{0, 14, T} {
+			t.Run(fmt.Sprintf("phi=%d/p=%d", phi, p), func(t *testing.T) {
+				seed := int64(60 + phi + p)
+				ref := NewController(specs, 16, stats.NewRNG(seed))
+				c := NewController(specs, 16, stats.NewRNG(seed))
+				for round := 0; round < 2; round++ {
+					stage := fmt.Sprintf("round %d lead", round)
+					refEps := ref.refRound(p, phi)
+					eps := c.SampleRound(p, phi)
+					requirePrefixColumnsEqual(t, eps, p, stage)
+					requireEpisodesEqual(t, refEps, eps, stage)
+
+					stage = fmt.Sprintf("round %d forced", round)
+					prefix := append([]int(nil), eps[0].Actions[:p]...)
+					refForced := make([]*Episode, 1+phi)
+					for e := range refForced {
+						refForced[e] = ref.refSample(prefix)
+					}
+					forced := c.SampleForcedBatch(prefix, 1+phi)
+					requirePrefixColumnsEqual(t, forced, p, stage)
+					requireEpisodesEqual(t, refForced, forced, stage)
+					requireRNGEqual(t, stage, ref, c)
+				}
+			})
+		}
+	}
+}
+
+// TestTrainingArenaAllocatedOnce runs serve-shaped rounds (W3, φ = 2):
+// trained without a replay (4 episodes, 4 columns), then with one (5
+// episodes, 8 columns). Sampling the first round sizes the training arena
+// and the gradient gathers for both, so neither is reallocated after it.
+func TestTrainingArenaAllocatedOnce(t *testing.T) {
+	const phi, archLen = 2, 14
+	c := NewController(w3Specs(), 48, stats.NewRNG(11))
+	T := c.NumDecisions()
+	mask := make([]bool, T)
+	for i := archLen; i < T; i++ {
+		mask[i] = true
+	}
+	eps := c.SampleRound(archLen, phi)
+	arena, gathers := &c.ws.trainBuf[0], &c.ws.bptt[:1][0]
+	replay := eps[1].Detach()
+	for round, withReplay := range []bool{false, true, false, true} {
+		if round > 0 {
+			eps = c.SampleRound(archLen, phi)
+		}
+		train := append([]*Episode{eps[0]}, eps...)
+		if withReplay {
+			train = append(train, replay)
+		}
+		c.AccumulateRound(train, roundCredits(len(eps), round, mask, withReplay), 1)
+		if &c.ws.trainBuf[0] != arena || &c.ws.bptt[:1][0] != gathers {
+			t.Fatalf("round %d (%d episodes trained) reallocated the training arena or the gathers", round, len(train))
+		}
+	}
+}
+
 // FuzzRoundMatchesReference checks one round — SampleRound, AccumulateRound
 // over the combined rollout and the masked rollouts, and an Update — against
 // the one-episode reference, for fuzzed decision counts, option counts,
@@ -243,6 +346,8 @@ func FuzzRoundMatchesReference(f *testing.F) {
 	f.Add(uint8(1), []byte{2}, uint8(1), uint8(0), uint8(0), int64(2))
 	f.Add(uint8(3), []byte{128, 7, 1}, uint8(5), uint8(2), uint8(3), int64(3))
 	f.Add(uint8(8), []byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(17), uint8(16), uint8(5), int64(-4))
+	// p = T = 6 with φ = 7: every step runs on the shared prefix's column.
+	f.Add(uint8(5), []byte{3, 5, 2, 9, 4, 6}, uint8(16), uint8(7), uint8(6), int64(5))
 	f.Fuzz(func(t *testing.T, tt uint8, opts []byte, hh, pp, prefix uint8, seed int64) {
 		T := int(tt%8) + 1
 		specs := make([]DecisionSpec, T)
