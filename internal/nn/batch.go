@@ -161,7 +161,10 @@ func (l *LSTM) BackwardBatch(t int, seqs []SeqRef, dz, dx, dH, dC *Mat, carry bo
 // Each gradient element's additions happen in exactly that k order into a
 // register accumulator, so the result is bit-identical to that AddOuter
 // sequence — but every gradient matrix is walked once instead of
-// B·T times, with eight independent column accumulators per pass.
+// B·T times. With AVX, gate rows run in groups of four (4H is a multiple of
+// four): their dz rows are gathered k-major and interleaved, and the 4×8
+// accumulation tile keeps eight column chains of four rows in flight.
+// Without AVX, rows run one at a time through accumRowOuter.
 //
 // buf is scratch for the k-major gathers; AccumBPTTGrads returns it, grown
 // if it was too short, for the caller to pass again.
@@ -176,7 +179,7 @@ func (l *LSTM) AccumBPTTGrads(dzs []*Mat, seqs []SeqRef, buf []float64) []float6
 	}
 	n := len(seqs) * T
 	in, hidden := l.InputSize, l.HiddenSize
-	if need := n * (in + hidden + 1); cap(buf) < need {
+	if need := n * (in + hidden + 4); cap(buf) < need {
 		buf = make([]float64, need)
 	}
 	// Gather the cached vectors into contiguous k-major buffers: the inner
@@ -184,7 +187,6 @@ func (l *LSTM) AccumBPTTGrads(dzs []*Mat, seqs []SeqRef, buf []float64) []float6
 	// stride through them directly).
 	xflat := buf[:n*in]
 	hflat := buf[n*in : n*(in+hidden)]
-	dzrow := buf[n*(in+hidden) : n*(in+hidden+1)]
 	k := 0
 	for _, sq := range seqs {
 		for t := T - 1; t >= 0; t-- {
@@ -194,6 +196,33 @@ func (l *LSTM) AccumBPTTGrads(dzs []*Mat, seqs []SeqRef, buf []float64) []float6
 			k++
 		}
 	}
+	gb := l.B.Grad.W
+	if simdEnabled {
+		// dz4[4k+r] is row i+r's dz at k: the tile broadcasts the four rows'
+		// values of one k from adjacent slots.
+		dz4 := buf[n*(in+hidden) : n*(in+hidden+4)]
+		for i := 0; i < 4*hidden; i += 4 {
+			idx := 0
+			for e := range seqs {
+				for t := T - 1; t >= 0; t-- {
+					w := dzs[t].W[i*b+e:]
+					dz4[idx], dz4[idx+1], dz4[idx+2], dz4[idx+3] = w[0], w[b], w[2*b], w[3*b]
+					idx += 4
+				}
+			}
+			accumTileOuter(l.Wx.Grad.W[i*in:(i+4)*in], dz4, xflat, in)
+			accumTileOuter(l.Wh.Grad.W[i*hidden:(i+4)*hidden], dz4, hflat, hidden)
+			for r := 0; r < 4; r++ {
+				g := gb[i+r]
+				for k := r; k < len(dz4); k += 4 {
+					g += dz4[k]
+				}
+				gb[i+r] = g
+			}
+		}
+		return buf
+	}
+	dzrow := buf[n*(in+hidden) : n*(in+hidden+1)]
 	for i := 0; i < 4*hidden; i++ {
 		// Gather row i of every step's dz in k order once; it is then
 		// streamed contiguously by both outer-product passes and the bias.
@@ -206,13 +235,35 @@ func (l *LSTM) AccumBPTTGrads(dzs []*Mat, seqs []SeqRef, buf []float64) []float6
 		}
 		accumRowOuter(l.Wx.Grad.W[i*in:(i+1)*in], dzrow, xflat, in)
 		accumRowOuter(l.Wh.Grad.W[i*hidden:(i+1)*hidden], dzrow, hflat, hidden)
-		g := l.B.Grad.W[i]
+		g := gb[i]
 		for _, v := range dzrow {
 			g += v
 		}
-		l.B.Grad.W[i] = g
+		gb[i] = g
 	}
 	return buf
+}
+
+// accumTileOuter adds Σ_k dz4[4k+r]·xflat[k*cols+j] into row r of the four
+// gradient rows grows (cols wide each): eight columns per 4×8 tile, then the
+// cols mod 8 columns one element at a time. Each element's terms add in
+// ascending k order through a single accumulator seeded with the existing
+// gradient value, as in accumRowOuter.
+func accumTileOuter(grows, dz4, xflat []float64, cols int) {
+	n := len(dz4) / 4
+	j := 0
+	for ; j+8 <= cols; j += 8 {
+		accumTile4x8(&dz4[0], 1, 4, &xflat[j], cols, n, &grows[j], cols)
+	}
+	for r := 0; r < 4; r++ {
+		for jj := j; jj < cols; jj++ {
+			g := grows[r*cols+jj]
+			for k := 0; k < n; k++ {
+				g += dz4[4*k+r] * xflat[k*cols+jj]
+			}
+			grows[r*cols+jj] = g
+		}
+	}
 }
 
 // accumRowOuter adds Σ_k dzrow[k]·xflat[k*cols+j] into one gradient row,
@@ -221,16 +272,7 @@ func (l *LSTM) AccumBPTTGrads(dzs []*Mat, seqs []SeqRef, buf []float64) []float6
 // value — the same chain of floating-point additions the per-step AddOuter
 // calls would produce.
 func accumRowOuter(grow, dzrow, xflat []float64, cols int) {
-	n := len(dzrow)
 	j := 0
-	if simdEnabled && n > 0 {
-		for ; j+8 <= cols; j += 8 {
-			accumBlock8(&dzrow[0], 1, &xflat[j], cols, n, &grow[j])
-		}
-		for ; j+4 <= cols; j += 4 {
-			accumBlock4(&dzrow[0], 1, &xflat[j], cols, n, &grow[j])
-		}
-	}
 	for ; j+8 <= cols; j += 8 {
 		g0, g1, g2, g3 := grow[j], grow[j+1], grow[j+2], grow[j+3]
 		g4, g5, g6, g7 := grow[j+4], grow[j+5], grow[j+6], grow[j+7]

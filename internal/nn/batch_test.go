@@ -401,8 +401,8 @@ func TestAccumBPTTGradsMatchesAccumStepGrads(t *testing.T) {
 			}
 		}
 		buf := got.AccumBPTTGrads(dzs, seqRefs(steps, sh.B), nil)
-		if len(buf) < sh.B*sh.T*(sh.in+sh.hidden+1) {
-			t.Fatalf("returned scratch holds %d floats, want at least %d", len(buf), sh.B*sh.T*(sh.in+sh.hidden+1))
+		if len(buf) < sh.B*sh.T*(sh.in+sh.hidden+4) {
+			t.Fatalf("returned scratch holds %d floats, want at least %d", len(buf), sh.B*sh.T*(sh.in+sh.hidden+4))
 		}
 		for pi, p := range ref.Params() {
 			for i, want := range p.Grad.W {
@@ -460,14 +460,25 @@ func TestKernelsPureGoFallback(t *testing.T) {
 }
 
 // TestSIMDMatchesPureGo compares the two kernel implementations against each
-// other directly, bit for bit, on shapes that exercise the 8/4/scalar block
-// split (only meaningful where the SIMD path exists).
+// other directly, bit for bit (only meaningful where the SIMD path exists).
+// The row counts put full 4-row tiles, 8-row tiles and 1-3 leftover rows in
+// both products (MulTMat's output rows are M's columns); the widths put 8-
+// and 4-column tile blocks and scalar tails in each row. The last shapes are
+// W3's controller: 192×48·48×16 and its transpose.
 func TestSIMDMatchesPureGo(t *testing.T) {
 	if !simdEnabled {
 		t.Skip("no SIMD support on this machine")
 	}
 	rng := stats.NewRNG(29)
-	for _, sh := range []struct{ r, c, b int }{{5, 7, 8}, {9, 4, 11}, {16, 16, 13}, {3, 3, 23}} {
+	type shape struct{ r, c, b int }
+	shapes := []shape{{5, 7, 8}, {9, 4, 11}, {16, 16, 13}, {3, 3, 23}, {192, 48, 16}, {48, 192, 16}}
+	rows := []int{4, 5, 7, 8, 192}
+	for ri, r := range rows {
+		for _, b := range []int{4, 8, 12, 16} {
+			shapes = append(shapes, shape{r, rows[(ri+2)%len(rows)], b})
+		}
+	}
+	for _, sh := range shapes {
 		m := randMat(rng, sh.r, sh.c)
 		x := randMat(rng, sh.c, sh.b)
 		y := randMat(rng, sh.r, sh.b)
@@ -480,17 +491,86 @@ func TestSIMDMatchesPureGo(t *testing.T) {
 		m.MulTMatInto(goTMul, y)
 		simdEnabled = true
 		for i := range simdMul.W {
-			if simdMul.W[i] != goMul.W[i] {
+			if math.Float64bits(simdMul.W[i]) != math.Float64bits(goMul.W[i]) {
 				t.Fatalf("MulMat %dx%dx%d elem %d: simd %.17g vs go %.17g",
 					sh.r, sh.c, sh.b, i, simdMul.W[i], goMul.W[i])
 			}
 		}
 		for i := range simdTMul.W {
-			if simdTMul.W[i] != goTMul.W[i] {
+			if math.Float64bits(simdTMul.W[i]) != math.Float64bits(goTMul.W[i]) {
 				t.Fatalf("MulTMat %dx%dx%d elem %d: simd %.17g vs go %.17g",
 					sh.r, sh.c, sh.b, i, simdTMul.W[i], goTMul.W[i])
 			}
 		}
+	}
+}
+
+// accumBPTTSIMDvsGo runs AccumBPTTGrads on the same inputs with the SIMD
+// path on and off, from the same nonzero gradients (the heads of every
+// accumulation chain), and fails on the first parameter-gradient element
+// whose bits differ. vals supplies the gradients, dz, X and HPrev in turn,
+// cycling; dz's pad columns hold NaN, which must never enter the k order.
+func accumBPTTSIMDvsGo(t *testing.T, in, hidden, B, T int, vals []float64) {
+	t.Helper()
+	next := 0
+	fill := func(w []float64) {
+		for i := range w {
+			w[i] = vals[next%len(vals)]
+			next++
+		}
+	}
+	simd, pure := NewLSTM(in, hidden, func(*Param) {}), NewLSTM(in, hidden, func(*Param) {})
+	for pi, p := range simd.Params() {
+		fill(p.Grad.W)
+		copy(pure.Params()[pi].Grad.W, p.Grad.W)
+	}
+	width := PadWidth(B)
+	dzs := make([]*Mat, T)
+	steps := make([]LSTMBatchCache, T)
+	for i := range dzs {
+		dzs[i] = NewMat(4*hidden, width)
+		for r := 0; r < dzs[i].R; r++ {
+			fill(dzs[i].W[r*width : r*width+B])
+			for e := B; e < width; e++ {
+				dzs[i].Set(r, e, math.NaN())
+			}
+		}
+		steps[i] = LSTMBatchCache{X: NewMat(in, B), HPrev: NewMat(hidden, B)}
+		fill(steps[i].X.W)
+		fill(steps[i].HPrev.W)
+	}
+	seqs := seqRefs(steps, B)
+	simd.AccumBPTTGrads(dzs, seqs, nil)
+	simdEnabled = false
+	pure.AccumBPTTGrads(dzs, seqs, nil)
+	simdEnabled = true
+	for pi, p := range simd.Params() {
+		for i, g := range p.Grad.W {
+			if want := pure.Params()[pi].Grad.W[i]; math.Float64bits(g) != math.Float64bits(want) {
+				t.Fatalf("in=%d h=%d B=%d T=%d %s[%d]: simd %.17g vs go %.17g",
+					in, hidden, B, T, p.Name, i, g, want)
+			}
+		}
+	}
+}
+
+// TestAccumBPTTGradsSIMDMatchesPureGo pins the 4-row accumulation tiles to
+// the pure-Go per-row kernel bit for bit. Shapes put 8-column tile blocks
+// and 1-7 column tails in the gradient rows; the last is W3's controller
+// (hidden 48, 11 episodes, 20 steps).
+func TestAccumBPTTGradsSIMDMatchesPureGo(t *testing.T) {
+	if !simdEnabled {
+		t.Skip("no SIMD support on this machine")
+	}
+	rng := stats.NewRNG(37)
+	vals := make([]float64, 4099)
+	for i := range vals {
+		vals[i] = rng.NormFloat64()
+	}
+	for _, sh := range []struct{ in, hidden, B, T int }{
+		{1, 1, 1, 1}, {8, 8, 4, 3}, {13, 12, 11, 4}, {20, 7, 13, 2}, {16, 17, 5, 6}, {48, 48, 11, 20},
+	} {
+		accumBPTTSIMDvsGo(t, sh.in, sh.hidden, sh.B, sh.T, vals)
 	}
 }
 

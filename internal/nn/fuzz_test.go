@@ -12,7 +12,9 @@ import (
 //   - MulMatInto / MulTMatInto agree bit-for-bit with MulVec / MulTVec on
 //     every column, whatever the shapes and values;
 //   - Transpose is a bit-exact involution, and MulTVec equals
-//     Transpose().MulVec for finite inputs.
+//     Transpose().MulVec for finite inputs;
+//   - AccumBPTTGrads' AVX tiles agree bit-for-bit with its pure-Go per-row
+//     kernel, from the same nonzero gradients.
 //
 // CI runs each target briefly (see the fuzz smoke step); the f.Add seed
 // corpus doubles as a regression table under plain `go test`.
@@ -125,5 +127,19 @@ func FuzzTransposeRoundTripAndMulTVec(f *testing.F) {
 				t.Fatalf("MulTVec[%d] %.17g vs transpose MulVec %.17g", j, a[j], b[j])
 			}
 		}
+	})
+}
+
+func FuzzAccumBPTTGradsSIMDMatchesPureGo(f *testing.F) {
+	f.Add(uint8(48), uint8(48), uint8(11), uint8(3), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(uint8(13), uint8(5), uint8(4), uint8(2), []byte{0xff, 0x00, 0x80, 0x7f, 0x3f})
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), []byte{0})
+	f.Fuzz(func(t *testing.T, ii, hh, bb, tt uint8, data []byte) {
+		if !simdEnabled {
+			t.Skip("no SIMD support on this machine")
+		}
+		in, hidden, B := int(ii%49)+1, int(hh%49)+1, int(bb%17)+1
+		T := int(tt%6) + 1
+		accumBPTTSIMDvsGo(t, in, hidden, B, T, fuzzFloats(data, 257))
 	})
 }

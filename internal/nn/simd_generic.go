@@ -16,10 +16,18 @@ func dotBlock4(a *float64, astride int, x *float64, xstride int, n int, dst *flo
 	panic("nn: SIMD kernel called without support")
 }
 
-func accumBlock8(a *float64, astride int, x *float64, xstride int, n int, dst *float64) {
+func dotTile4x8(a *float64, arow, astride int, x *float64, xstride, n int, dst *float64, dstride int) {
 	panic("nn: SIMD kernel called without support")
 }
 
-func accumBlock4(a *float64, astride int, x *float64, xstride int, n int, dst *float64) {
+func dotTile4x4(a *float64, arow, astride int, x *float64, xstride, n int, dst *float64, dstride int) {
+	panic("nn: SIMD kernel called without support")
+}
+
+func dotTile8x4(a *float64, arow, astride int, x *float64, xstride, n int, dst *float64, dstride int) {
+	panic("nn: SIMD kernel called without support")
+}
+
+func accumTile4x8(a *float64, arow, astride int, x *float64, xstride, n int, dst *float64, dstride int) {
 	panic("nn: SIMD kernel called without support")
 }

@@ -242,8 +242,9 @@ func (ws *workspace) growTraining(b int) {
 		ws.seqs = make([]nn.SeqRef, p)
 		ws.trainP = 0
 	}
-	// The gathers take X (hidden rows), HPrev and dz's row per episode-step.
-	if size := b * len(s.opts) * (2*s.hidden + 1); size > cap(ws.bptt) {
+	// The gathers take X (hidden rows), HPrev and four dz rows per
+	// episode-step.
+	if size := b * len(s.opts) * (2*s.hidden + 4); size > cap(ws.bptt) {
 		ws.bptt = make([]float64, size)
 	}
 }

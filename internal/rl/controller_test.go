@@ -74,7 +74,7 @@ func TestControllerLearnsTargetTuple(t *testing.T) {
 	for ep := 0; ep < 600; ep++ {
 		e := c.Sample()
 		adv := tr.Advantage(reward(e.Actions))
-		c.Accumulate(e, adv, tr.Gamma, 1.0)
+		c.Accumulate(e, adv, 1.0, 1.0)
 		c.Update(opt)
 	}
 	g := c.greedy().Actions
@@ -115,7 +115,7 @@ func TestTrainingImprovesReward(t *testing.T) {
 			late += r
 		}
 		adv := tr.Advantage(r)
-		c.Accumulate(e, adv, tr.Gamma, 1.0)
+		c.Accumulate(e, adv, 1.0, 1.0)
 		c.Update(opt)
 	}
 	if late <= early {

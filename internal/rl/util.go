@@ -11,24 +11,21 @@ func pow(base, exp float64) float64 {
 	return math.Pow(base, exp)
 }
 
-// Trainer bundles the REINFORCE training loop state: the EMA reward
-// baseline b and the discount γ of Eq. (1).
+// Trainer holds the REINFORCE reward baseline b of Eq. (1), an exponential
+// moving average of the rewards. The discount γ and the update batch are
+// the caller's (core.Config.Gamma and core.Config.Batch).
 type Trainer struct {
-	Gamma     float64
-	BatchSize int
-
 	baselineAlpha float64
 	baseline      float64
 	baselineInit  bool
-	steps         int
 }
 
-// NewTrainer returns a trainer with the defaults used in the experiments:
-// γ=1 (undiscounted within the short rollout), batch size 1 episode per
-// update, and an exponential-moving-average baseline with α=0.05 ("the
-// average exponential moving of rewards", Eq. 1).
+// NewTrainer returns a trainer whose baseline is an exponential moving
+// average with α=0.05 ("the average exponential moving of rewards", Eq. 1).
+// The trainer only scores rewards: internal/core accumulates Config.Batch
+// (default 5) combined episodes per controller update.
 func NewTrainer() *Trainer {
-	return &Trainer{Gamma: 1.0, BatchSize: 1, baselineAlpha: 0.05}
+	return &Trainer{baselineAlpha: 0.05}
 }
 
 // Baseline returns the current reward baseline b.
