@@ -27,8 +27,11 @@ type Config struct {
 	Hidden int
 	// Seed makes the whole exploration deterministic.
 	Seed int64
-	// Workers bounds the goroutines used for parallel hardware evaluation
-	// (the paper's non-blocking scheme, §IV-②). <=0 selects NumCPU.
+	// Workers bounds the goroutines that evaluate one batch of hardware
+	// candidates in parallel — an RL round's 1+φ designs, an EA generation,
+	// a refine sweep (the paper's non-blocking scheme, §IV-②). <=0 selects
+	// GOMAXPROCS, capped at 16; at most 64. Results and work counters are
+	// the same at every value.
 	Workers int
 	// TrainEpochs is the simulated training length used when reporting
 	// learning curves; the reward uses the converged accuracy either way.
@@ -74,6 +77,11 @@ type Config struct {
 // memory before the first episode ends; the paper uses 10.
 const maxHWSteps = 1024
 
+// maxWorkers caps Workers. Each batch starts up to Workers goroutines, so an
+// unbounded value from a job spec would get around a tenant's concurrency
+// quota; past the host's cores more workers only add scheduling.
+const maxWorkers = 64
+
 // DefaultConfig returns the paper's settings (§V-A).
 func DefaultConfig() Config {
 	return Config{
@@ -105,6 +113,9 @@ func (c Config) Validate() error {
 	if c.HWSteps < 0 || c.HWSteps > maxHWSteps {
 		return fmt.Errorf("core: HWSteps must be in [0,%d]", maxHWSteps)
 	}
+	if c.Workers > maxWorkers {
+		return fmt.Errorf("core: Workers must be at most %d", maxWorkers)
+	}
 	if c.Rho <= 0 {
 		return fmt.Errorf("core: Rho must be positive")
 	}
@@ -129,16 +140,11 @@ func (c Config) Validate() error {
 	return c.Cost.Validate()
 }
 
+// workers resolves Workers: the configured count, or GOMAXPROCS capped at
+// 16 when it is <=0.
 func (c Config) workers() int {
 	if c.Workers > 0 {
 		return c.Workers
 	}
-	w := runtime.NumCPU()
-	if w > 16 {
-		w = 16
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return min(runtime.GOMAXPROCS(0), 16)
 }

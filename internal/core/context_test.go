@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -137,7 +139,10 @@ func TestRunContextMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunEvolutionContextCancelled covers the EA path's cancellation.
+// TestRunEvolutionContextCancelled covers the EA path's cancellation. A
+// cancel from OnEpisode lands between generations, when no batch worker is
+// running: the next generation must not start, so no hardware request is
+// counted after the cancel and nothing more is recorded.
 func TestRunEvolutionContextCancelled(t *testing.T) {
 	base := runtime.NumGoroutine()
 	x, err := New(workload.W3(), ctxTestConfig(50))
@@ -148,16 +153,26 @@ func TestRunEvolutionContextCancelled(t *testing.T) {
 	ec.Generations = 500
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	gen := 0
-	x.OnEpisode = func(EpisodeEvent) {
-		gen++
-		if gen == 2 {
+	var atCancel EpisodeEvent
+	var requests int
+	x.OnEpisode = func(ev EpisodeEvent) {
+		if ev.Stats.Episode == 2 {
+			atCancel, requests = ev, x.Evaluator().EvalStats().HWRequests
 			cancel()
 		}
 	}
-	_, err = x.RunEvolutionContext(ctx, ec)
+	res, err := x.RunEvolutionContext(ctx, ec)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(res.History) != 2 {
+		t.Fatalf("completed %d generations, want 2", len(res.History))
+	}
+	if res.HWRequests != requests {
+		t.Fatalf("%d hardware requests counted after the cancel", res.HWRequests-requests)
+	}
+	if res.Best != atCancel.Best || len(res.Explored) != atCancel.Explored {
+		t.Fatalf("solutions recorded after the cancel: %d explored (was %d)", len(res.Explored), atCancel.Explored)
 	}
 	waitGoroutines(t, base)
 
@@ -170,15 +185,15 @@ func TestRunEvolutionContextCancelled(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
 	start := time.Now()
-	res, err := x2.RunEvolutionContext(ctx2, ec)
+	res, err = x2.RunEvolutionContext(ctx2, ec)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled EA: err = %v, want context.Canceled", err)
 	}
 	if el := time.Since(start); el > 2*time.Second {
 		t.Fatalf("pre-cancelled EA took %v", el)
 	}
-	if res == nil || len(res.History) != 0 {
-		t.Fatalf("pre-cancelled EA completed generations: %+v", res)
+	if res == nil || len(res.History) != 0 || len(res.Explored) != 0 || res.HWRequests != 0 {
+		t.Fatalf("pre-cancelled EA recorded work: %+v", res)
 	}
 }
 
@@ -239,6 +254,84 @@ func TestCancelDuringRefine(t *testing.T) {
 					len(res.Explored), atCancel.Explored)
 			}
 		})
+	}
+}
+
+// tripCtx cancels itself at its n-th Err call once armed, which reaches into
+// a search phase no callback runs in: the context is checked by every
+// hardware evaluation and inside the HAP solver. onTrip runs right after
+// the cancel.
+type tripCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	n      atomic.Int64 // Err calls left; <=0 while disarmed
+	onTrip func()
+}
+
+func (c *tripCtx) Err() error {
+	if c.n.Load() > 0 && c.n.Add(-1) == 0 {
+		c.cancel()
+		c.onTrip()
+	}
+	return c.Context.Err()
+}
+
+// TestCancelMidRefine cancels both optimizers in the middle of the exploit
+// phase, a couple of thousand context checks into it, with and without the
+// batch fan-out. The search must return ctx's error with the explored
+// solutions intact and leave no goroutine behind, and no hardware request
+// may begin after the cancel: at most the Workers−1 evaluations other
+// workers had already admitted are counted after it, none at Workers=1.
+func TestCancelMidRefine(t *testing.T) {
+	for _, optimizer := range []string{"RL", "EA"} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s workers=%d", optimizer, workers), func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				cfg := fastConfig(3)
+				cfg.Workers = workers
+				w, last := workload.W3(), 59
+				if optimizer == "EA" {
+					w, last = workload.W1(), 4
+				}
+				x, err := New(w, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inner, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				var requests int
+				ctx := &tripCtx{Context: inner, cancel: cancel}
+				ctx.onTrip = func() { requests = x.Evaluator().EvalStats().HWRequests }
+				var atEnd EpisodeEvent
+				x.OnEpisode = func(ev EpisodeEvent) {
+					if ev.Stats.Episode == last {
+						atEnd = ev
+						ctx.n.Store(2000)
+					}
+				}
+				var res *Result
+				if optimizer == "RL" {
+					res, err = x.RunContext(ctx)
+				} else {
+					ec := DefaultEvolutionConfig()
+					ec.Population, ec.Generations, ec.Elite = 10, 4, 2
+					res, err = x.RunEvolutionContext(ctx, ec)
+				}
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+				if atEnd.Best == nil || res.Best == nil {
+					t.Fatal("no feasible solution before refine")
+				}
+				if res.Best.Weighted < atEnd.Best.Weighted || len(res.Explored) < atEnd.Explored {
+					t.Fatalf("the cancel lost explored solutions: %d (was %d)", len(res.Explored), atEnd.Explored)
+				}
+				if after := res.HWRequests - requests; after < 0 || after > workers-1 {
+					t.Fatalf("%d hardware requests counted after the cancel, want at most %d", after, workers-1)
+				}
+				waitGoroutines(t, base)
+			})
+		}
 	}
 }
 

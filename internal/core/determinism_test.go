@@ -47,11 +47,32 @@ func runExplorer(t *testing.T, w workload.Workload, workers int, cache bool, epi
 	return x.Run()
 }
 
+// runEvolution is runExplorer for the EA optimizer on W1 with refine on: a
+// small population, so the exploit phase's sweeps carry most of the batches.
+func runEvolution(t *testing.T, workers int, cache bool) *Result {
+	t.Helper()
+	cfg := fastConfig(5)
+	cfg.Workers = workers
+	x, err := New(workload.W1(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cache {
+		x.eval.hwCache = nil
+	}
+	ec := DefaultEvolutionConfig()
+	ec.Population, ec.Generations, ec.Elite = 12, 3, 2
+	if testing.Short() {
+		ec.Generations = 2
+	}
+	return x.RunEvolution(ec)
+}
+
 // Same-seed runs must be bit-identical whatever the worker count and cache
 // mode: hardware evaluation is a pure function of its inputs, results are
 // written back by candidate index, and the RNG is only ever advanced from
 // the single episode-loop goroutine. Run under -race this also exercises
-// the worker pool + sharded cache for data races.
+// the batch fan-out + sharded cache for data races.
 func TestRunDeterministicAcrossWorkersAndCache(t *testing.T) {
 	episodes := 20
 	if testing.Short() {
@@ -76,6 +97,24 @@ func TestRunDeterministicAcrossWorkersAndCache(t *testing.T) {
 			got := outcomeFingerprint(runExplorer(t, workload.W3(), tc.workers, tc.cache, episodes))
 			if got != ref {
 				t.Errorf("result diverged from workers=1 cache=on reference:\n--- ref ---\n%s--- got ---\n%s", ref, got)
+			}
+		})
+	}
+
+	// EA generations and refine sweeps are batches too: each one folds in
+	// candidate order, so the outcome cannot depend on the worker count.
+	eaRef := runEvolution(t, 1, true)
+	if eaRef.Best == nil || len(eaRef.Explored) <= len(eaRef.History) {
+		t.Fatal("EA reference found too little to compare")
+	}
+	for _, tc := range []struct {
+		name    string
+		workers int
+		cache   bool
+	}{{"workers=2 cache=on", 2, true}, {"workers=4 cache=on", 4, true}, {"workers=4 cache=off", 4, false}} {
+		t.Run("EA "+tc.name, func(t *testing.T) {
+			if got, want := outcomeFingerprint(runEvolution(t, tc.workers, tc.cache)), outcomeFingerprint(eaRef); got != want {
+				t.Errorf("EA result diverged from workers=1 cache=on reference:\n--- ref ---\n%s--- got ---\n%s", want, got)
 			}
 		})
 	}
@@ -218,28 +257,35 @@ func TestBatchDedupCollapsesIdenticalCandidates(t *testing.T) {
 	}
 }
 
-// The work counters must be as reproducible as the outcome: two same-seed
-// Workers=4 searches, each on a fresh memo bundle, report equal EvalStats.
-// This pins layer_cost_hits, which two workers missing on one cold cost-memo
-// key used to skew by one from run to run.
+// The work counters must be as reproducible as the outcome: same-seed
+// searches, each on a fresh memo bundle, report equal EvalStats at Workers 1,
+// 2 and 4, and across two Workers=4 runs. This pins layer_cost_hits, which
+// two workers missing on one cold cost-memo key used to skew by one from run
+// to run, and the hardware counters, which concurrent identical requests
+// keep exact by meeting in the cache's singleflight.
 func TestEvalStatsDeterministicAcrossRuns(t *testing.T) {
 	episodes := 20
 	if testing.Short() {
 		episodes = 8
 	}
-	run := func() EvalStats {
+	rl := func(workers int) EvalStats {
 		cfg := DefaultConfig()
 		cfg.Episodes = episodes
 		cfg.Seed = 1
-		cfg.Workers = 4
+		cfg.Workers = workers
 		x, err := New(workload.W3(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		x.Run()
-		return x.Evaluator().EvalStats()
+		return x.Run().EvalStats
 	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("same-seed runs reported different work counters:\n%+v\n%+v", a, b)
+	ea := func(workers int) EvalStats { return runEvolution(t, workers, true).EvalStats }
+	for name, run := range map[string]func(int) EvalStats{"RL": rl, "EA": ea} {
+		ref := run(1)
+		for _, workers := range []int{2, 4, 4} {
+			if got := run(workers); got != ref {
+				t.Errorf("%s: Workers=%d reported different work counters than Workers=1:\n%+v\n%+v", name, workers, got, ref)
+			}
+		}
 	}
 }

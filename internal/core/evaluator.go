@@ -412,12 +412,18 @@ func relExcess(r, spec, bound float64) float64 {
 // Accuracies runs the training-and-validating path for every task network,
 // memoized by architecture signature.
 func (e *Evaluator) Accuracies(nets []*dnn.Network) []float64 {
+	accs := make([]float64, len(nets))
+	e.accuraciesInto(accs, nets)
+	return accs
+}
+
+// accuraciesInto is Accuracies writing into accs, one entry per task.
+func (e *Evaluator) accuraciesInto(accs []float64, nets []*dnn.Network) {
 	if len(nets) != len(e.W.Tasks) {
 		panic("core: network count mismatch")
 	}
-	accs := make([]float64, len(nets))
 	for i, n := range nets {
-		key := e.W.Tasks[i].Dataset.String() + "|" + n.Signature()
+		key := accKey{e.W.Tasks[i].Dataset, n.Signature()}
 		q, ok := e.accMemo.lookup(key)
 		if !ok {
 			q = predictor.Accuracy(e.W.Tasks[i].Dataset, n)
@@ -428,7 +434,6 @@ func (e *Evaluator) Accuracies(nets []*dnn.Network) []float64 {
 		}
 		accs[i] = q
 	}
-	return accs
 }
 
 // Reward computes Eq. (4): R = weighted(D) − ρ·P.

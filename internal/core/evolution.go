@@ -82,70 +82,75 @@ func (x *Explorer) RunEvolution(ec EvolutionConfig) *Result {
 	return res
 }
 
-// RunEvolutionContext is RunEvolution with cooperative cancellation: the
-// context is checked per individual evaluation, so cancellation or a deadline
-// aborts the search promptly. On cancellation it returns the partial result
-// (completed generations) together with ctx's error. Cancellation during
+// RunEvolutionContext is RunEvolution with cooperative cancellation. Each
+// generation's children (and the initial population) are drawn first and
+// then evaluated as one batch across Config.Workers goroutines; the batch is
+// folded in draw order, so the result is bit-identical to evaluating one
+// child at a time and to RunEvolution. The context is checked before every
+// generation and by every evaluation, so cancellation or a deadline aborts
+// the search promptly. A generation (or initial population) cancelled while
+// its batch is evaluated records nothing: none of its children enters the
+// result and no event is delivered. The partial result holds the completed
+// generations and is returned with ctx's error. Cancellation during
 // refinement follows RunContext's rule: completed refine starts are kept and
-// nothing more is refined. Uncancelled runs are bit-identical to
-// RunEvolution.
+// nothing more is refined.
 func (x *Explorer) RunEvolutionContext(ctx context.Context, ec EvolutionConfig) (*Result, error) {
 	if err := ec.Validate(); err != nil {
 		panic(err)
 	}
-	var runErr error
 	rng := stats.NewRNG(x.Cfg.Seed ^ 0xea)
 	hopSeed := x.Cfg.Seed ^ 0xea40b
 	specs := x.ctrl.Specs()
 	res := &Result{Workload: x.W}
 
-	randGenome := func() []int {
-		g := make([]int, len(specs))
-		for i, s := range specs {
-			g[i] = rng.Intn(s.NumOptions)
+	// evaluate scores the genomes of generation gen as one batch and
+	// appends the individuals to pop in genome order, recording the
+	// feasible ones; a done context discards the whole batch and returns
+	// ctx's error.
+	evaluate := func(gen int, genomes [][]int, pop []individual) ([]individual, error) {
+		cands := x.batch(len(genomes))
+		for i, g := range genomes {
+			cands[i].actions = g
+			x.decode(&cands[i])
 		}
-		return g
-	}
-
-	// evaluate scores one genome of generation gen, recording it when it is
-	// feasible; a done context aborts the underlying HAP solve promptly and
-	// returns ctx's error (the individual is discarded).
-	evaluate := func(gen int, g []int) (individual, error) {
-		ind := individual{genome: append([]int(nil), g...)}
-		choices, nets, err := x.decodeArch(g[:x.archLen])
-		if err != nil {
-			ind.reward = -1e9
-			return ind, nil
+		if err := x.evalBatch(ctx, cands); err != nil {
+			return pop, err
 		}
-		d := x.decodeDesign(g)
-		m, err := x.eval.HWEvalCtx(ctx, nets, d)
-		if err != nil {
-			return individual{}, err
+		for i := range cands {
+			c := &cands[i]
+			ind := individual{genome: c.actions, reward: -1e9}
+			if !c.skip {
+				ind.penalty = x.eval.Penalty(c.m)
+				if ind.penalty > 0 {
+					// Early pruning, EA flavor: infeasible individuals are
+					// ranked by penalty alone and never trained.
+					ind.reward = x.eval.Reward(0, ind.penalty)
+				} else {
+					x.train(c)
+					ind.sol = x.solutionOf(gen, c)
+					ind.reward = ind.sol.Reward
+					res.explored(ind.sol)
+				}
+			}
+			pop = append(pop, ind)
 		}
-		pen := x.eval.Penalty(m)
-		ind.penalty = pen
-		if pen > 0 {
-			// Early pruning, EA flavor: infeasible individuals are ranked by
-			// penalty alone and never trained.
-			ind.reward = x.eval.Reward(0, pen)
-			return ind, nil
-		}
-		ind.sol = x.solution(gen, g, choices, nets, m)
-		ind.reward = ind.sol.Reward
-		res.explored(ind.sol)
-		return ind, nil
+		return pop, nil
 	}
 
 	// prev is the work snapshot at the last event; the first generation's
 	// event also carries the initial population's evaluations.
 	prev := x.work()
-	pop := make([]individual, 0, ec.Population)
-	for i := 0; i < ec.Population; i++ {
-		ind, err := evaluate(0, randGenome())
-		if err != nil {
-			return x.finish(ctx, res, err, hopSeed)
+	genomes := make([][]int, ec.Population)
+	for i := range genomes {
+		g := make([]int, len(specs))
+		for j, s := range specs {
+			g[j] = rng.Intn(s.NumOptions)
 		}
-		pop = append(pop, ind)
+		genomes[i] = g
+	}
+	pop, err := evaluate(0, genomes, make([]individual, 0, ec.Population))
+	if err != nil {
+		return x.finish(ctx, res, err, hopSeed)
 	}
 
 	tournament := func() individual {
@@ -159,18 +164,17 @@ func (x *Explorer) RunEvolutionContext(ctx context.Context, ec EvolutionConfig) 
 		return best
 	}
 
-genLoop:
+	var runErr error
 	for gen := 1; gen <= ec.Generations; gen++ {
-		sort.Slice(pop, func(i, j int) bool { return pop[i].reward > pop[j].reward })
-		next := make([]individual, 0, ec.Population)
-		for i := 0; i < ec.Elite; i++ {
-			next = append(next, pop[i])
+		if runErr = ctx.Err(); runErr != nil {
+			break
 		}
-		for len(next) < ec.Population {
-			if err := ctx.Err(); err != nil {
-				runErr = err
-				break genLoop
-			}
+		sort.Slice(pop, func(i, j int) bool { return pop[i].reward > pop[j].reward })
+		// The children's draws read only rng and the previous population,
+		// never an evaluation result, so drawing them all before the batch
+		// consumes rng exactly as evaluating each one as it is drawn.
+		genomes = genomes[:0]
+		for len(genomes) < ec.Population-ec.Elite {
 			a := tournament()
 			child := append([]int(nil), a.genome...)
 			if rng.Float64() < ec.CrossoverRate {
@@ -186,12 +190,12 @@ genLoop:
 					child[i] = rng.Intn(s.NumOptions)
 				}
 			}
-			ind, err := evaluate(gen, child)
-			if err != nil {
-				runErr = err
-				break genLoop
-			}
-			next = append(next, ind)
+			genomes = append(genomes, child)
+		}
+		next, err := evaluate(gen, genomes, append(make([]individual, 0, ec.Population), pop[:ec.Elite]...))
+		if err != nil {
+			runErr = err
+			break
 		}
 		pop = next
 

@@ -8,6 +8,7 @@ import (
 	"nasaic/internal/cachefile"
 	"nasaic/internal/evalcache"
 	"nasaic/internal/maestro"
+	"nasaic/internal/predictor"
 )
 
 // Memos is the evaluator's memo bundle: the accuracy-predictor memo, the
@@ -30,7 +31,7 @@ type Memos struct {
 func NewMemos(cost maestro.Config) *Memos {
 	return &Memos{
 		cost:  cost,
-		acc:   &accuracyMemo{m: map[string]float64{}},
+		acc:   &accuracyMemo{m: map[accKey]float64{}},
 		layer: maestro.NewCostMemo(cost),
 		hw:    evalcache.New[HWMetrics](evalcache.Options{}),
 	}
@@ -75,17 +76,23 @@ func (m *Memos) SaveDir(dir string) error {
 // architecture signature⟩ (the predictor is a pure function of both).
 type accuracyMemo struct {
 	mu sync.Mutex
-	m  map[string]float64
+	m  map[accKey]float64
 }
 
-func (am *accuracyMemo) lookup(key string) (float64, bool) {
+// accKey is an accuracy-memo key: a struct, so a lookup builds no string.
+type accKey struct {
+	dataset predictor.Dataset
+	sig     string
+}
+
+func (am *accuracyMemo) lookup(key accKey) (float64, bool) {
 	am.mu.Lock()
 	defer am.mu.Unlock()
 	q, ok := am.m[key]
 	return q, ok
 }
 
-func (am *accuracyMemo) store(key string, q float64) {
+func (am *accuracyMemo) store(key accKey, q float64) {
 	am.mu.Lock()
 	defer am.mu.Unlock()
 	am.m[key] = q

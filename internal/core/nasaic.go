@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"nasaic/internal/accel"
 	"nasaic/internal/dnn"
@@ -124,11 +123,18 @@ type Explorer struct {
 	// the task index and its choice vector, so the search decodes and
 	// fingerprints each distinct architecture once. It grows with the
 	// search's distinct architectures and dies with the explorer. Only the
-	// explorer goroutine touches it (RL episodes, EA evaluations and
-	// refinement all decode there), so it needs no lock; keyBuf is its
-	// reusable key scratch.
+	// explorer goroutine touches it: every batch (RL round, EA generation,
+	// refine sweep) is decoded there before evalBatch fans its hardware
+	// evaluations out, so it needs no lock; keyBuf is its reusable key
+	// scratch.
 	decoded map[string]decodedArch
 	keyBuf  []byte
+
+	// arena backs the candidates of every evaluation batch (see batch.go);
+	// roundDesigns maps an RL round's design fingerprints to their first
+	// candidate for the in-batch dedup.
+	arena        arena
+	roundDesigns map[string]int
 }
 
 // decodedArch is one memoized task decode: the choice vector and its
@@ -171,7 +177,8 @@ func New(w workload.Workload, cfg Config) (*Explorer, error) {
 		W: w, Cfg: cfg,
 		eval: eval, ctrl: ctrl,
 		archLen: archLen, taskOffset: taskOffset, hwOffset: archLen,
-		decoded: make(map[string]decodedArch),
+		decoded:      make(map[string]decodedArch),
+		roundDesigns: make(map[string]int),
 	}, nil
 }
 
@@ -180,12 +187,11 @@ func New(w workload.Workload, cfg Config) (*Explorer, error) {
 func (x *Explorer) Evaluator() *Evaluator { return x.eval }
 
 // decodeArch splits a rollout's architecture actions per task and builds the
-// networks, through the explorer's decode memo: equal choice vectors return
-// the same (read-only) choice slices and *dnn.Network pointers. Undecodable
-// vectors are not memoized.
-func (x *Explorer) decodeArch(actions []int) ([][]int, []*dnn.Network, error) {
-	choices := make([][]int, len(x.W.Tasks))
-	nets := make([]*dnn.Network, len(x.W.Tasks))
+// networks into choices and nets (one entry per task), through the
+// explorer's decode memo: equal choice vectors yield the same (read-only)
+// choice slices and *dnn.Network pointers. Undecodable vectors are not
+// memoized.
+func (x *Explorer) decodeArch(actions []int, choices [][]int, nets []*dnn.Network) error {
 	for ti, t := range x.W.Tasks {
 		off := x.taskOffset[ti]
 		c := actions[off : off+t.Space.NumChoices()]
@@ -198,21 +204,20 @@ func (x *Explorer) decodeArch(actions []int) ([][]int, []*dnn.Network, error) {
 			d.choices = append([]int(nil), c...)
 			net, err := t.Space.Decode(d.choices)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			d.net = net
 			x.decoded[string(x.keyBuf)] = d
 		}
 		choices[ti], nets[ti] = d.choices, d.net
 	}
-	return choices, nets, nil
+	return nil
 }
 
-// decodeDesign builds the accelerator design from a rollout's hardware
-// actions.
-func (x *Explorer) decodeDesign(actions []int) accel.Design {
+// decodeDesign builds the accelerator design of a rollout's hardware actions
+// over subs, which holds one entry per sub-accelerator.
+func (x *Explorer) decodeDesign(actions []int, subs []accel.SubAccel) accel.Design {
 	hw := x.Cfg.HW
-	subs := make([]accel.SubAccel, hw.NumSubs)
 	for si := 0; si < hw.NumSubs; si++ {
 		off := x.hwOffset + 3*si
 		subs[si] = accel.SubAccel{
@@ -241,7 +246,7 @@ func (x *Explorer) Run() *Result {
 }
 
 // RunContext is Run with cooperative cancellation: the context is checked
-// every episode and threaded through the hardware-evaluation worker pool into
+// every episode and threaded through every evaluation batch's workers into
 // the HAP solver, so cancellation or a deadline aborts the search promptly
 // and leaves no goroutines behind. On cancellation it returns the partial
 // result accumulated so far (completed episodes, best-so-far solution,
@@ -280,8 +285,9 @@ func (x *Explorer) RunContext(ctx context.Context) (*Result, error) {
 		// (the paper's non-blocking scheme).
 		hwEps := x.ctrl.SampleRound(x.archLen, x.Cfg.HWSteps)
 		combined := hwEps[0]
-		choices, nets, err := x.decodeArch(combined.Actions[:x.archLen])
-		if err != nil {
+		choices := make([][]int, len(x.W.Tasks))
+		nets := make([]*dnn.Network, len(x.W.Tasks))
+		if err := x.decodeArch(combined.Actions[:x.archLen], choices, nets); err != nil {
 			panic(fmt.Sprintf("core: controller produced undecodable architecture: %v", err))
 		}
 		pre := x.work()
@@ -314,7 +320,7 @@ func (x *Explorer) RunContext(ctx context.Context) (*Result, error) {
 		var weighted float64
 		var sol *Solution
 		if bestPen == 0 {
-			sol = x.solution(ep, hwEps[bestIdx].Actions, choices, nets, metrics[bestIdx])
+			sol = x.solution(ep, hwEps[bestIdx].Actions, choices, nets, x.eval.Accuracies(nets), metrics[bestIdx])
 			weighted = sol.Weighted
 			st.Feasible = true
 		} else {
@@ -373,16 +379,16 @@ func (x *Explorer) RunContext(ctx context.Context) (*Result, error) {
 }
 
 // solution builds the explored solution of a feasible action vector whose
-// networks were decoded into choices and nets and whose hardware evaluated
-// to m; building it runs the training path (Accuracies).
-func (x *Explorer) solution(ep int, actions []int, choices [][]int, nets []*dnn.Network, m HWMetrics) *Solution {
-	accs := x.eval.Accuracies(nets)
+// networks were decoded into choices and nets, trained to accs (Accuracies)
+// and whose hardware evaluated to m. The solution keeps choices, nets and
+// accs, and copies actions.
+func (x *Explorer) solution(ep int, actions []int, choices [][]int, nets []*dnn.Network, accs []float64, m HWMetrics) *Solution {
 	weighted := x.W.Weighted(accs)
 	return &Solution{
 		Episode:     ep,
 		ArchChoices: choices,
 		Networks:    nets,
-		Design:      x.decodeDesign(actions),
+		Design:      x.decodeDesign(actions, make([]accel.SubAccel, x.Cfg.HW.NumSubs)),
 		Accuracies:  accs,
 		Weighted:    weighted,
 		Latency:     m.Latency,
@@ -465,71 +471,37 @@ func (x *Explorer) work() EvalStats {
 	return s
 }
 
-// parallelHWEval evaluates the designs of the given episodes concurrently,
-// preserving order. Identical designs within the batch — common once the
-// controller's hardware policy starts converging — are collapsed to a single
-// evaluation before fan-out, so a batch of N duplicates costs one HAP solve
-// even with the evaluation cache disabled. The networks are fixed across the
-// batch, so the design fingerprint alone identifies duplicates. A done
-// context stops the fan-out, lets every worker drain and exit, and returns
-// ctx's error; the partially filled metrics are discarded.
+// parallelHWEval evaluates the designs of an RL round's episodes as one
+// batch (evalBatch), preserving order. Identical designs within the round —
+// common once the controller's hardware policy starts converging — are
+// collapsed to a single evaluation first, so a round of N duplicates costs
+// one HAP solve even with the evaluation cache disabled. The networks are
+// fixed across the round, so the design fingerprint alone identifies
+// duplicates. A done context returns ctx's error with no metrics.
 func (x *Explorer) parallelHWEval(ctx context.Context, nets []*dnn.Network, eps []*rl.Episode) ([]HWMetrics, error) {
-	out := make([]HWMetrics, len(eps))
-	designs := make([]accel.Design, len(eps))
-	rep := make([]int, len(eps)) // index of each candidate's representative
-	uniq := make(map[string]int, len(eps))
-	var uniqIdx []int
-	for i := range eps {
-		designs[i] = x.decodeDesign(eps[i].Actions)
-		fp := designs[i].Fingerprint()
-		if j, ok := uniq[fp]; ok {
-			rep[i] = j
+	cands := x.batch(len(eps))
+	clear(x.roundDesigns)
+	for i, e := range eps {
+		c := &cands[i]
+		c.design = x.decodeDesign(e.Actions, c.design.Subs)
+		fp := c.design.Fingerprint()
+		if j, ok := x.roundDesigns[fp]; ok {
+			c.skip, c.rep = true, j
 			x.hwDeduped++
 			continue
 		}
-		uniq[fp] = i
-		rep[i] = i
-		uniqIdx = append(uniqIdx, i)
+		x.roundDesigns[fp] = i
+		copy(c.nets, nets)
 	}
-
-	workers := x.Cfg.workers()
-	if workers > len(uniqIdx) {
-		workers = len(uniqIdx)
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				// A cancelled context makes HWEvalCtx return immediately,
-				// so the drain after the send loop breaks is prompt. The
-				// zero metrics left behind never escape: the caller
-				// discards the batch on error.
-				m, err := x.eval.HWEvalCtx(ctx, nets, designs[i])
-				if err != nil {
-					continue
-				}
-				out[i] = m
-			}
-		}()
-	}
-send:
-	for _, i := range uniqIdx {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break send
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if err := x.evalBatch(ctx, cands); err != nil {
 		return nil, err
 	}
-	for i := range eps {
-		out[i] = out[rep[i]]
+	out := make([]HWMetrics, len(eps))
+	for i := range cands {
+		out[i] = cands[i].m
+		if cands[i].skip {
+			out[i] = cands[cands[i].rep].m
+		}
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"nasaic/internal/dnn"
 	"nasaic/internal/stats"
 	"nasaic/internal/workload"
 )
@@ -32,12 +33,25 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.EntropyCoef = -1 },
 		func(c *Config) { c.HW.NumSubs = 0 },
 		func(c *Config) { c.Cost.EnergyMAC = 0 },
+		func(c *Config) { c.Workers = maxWorkers + 1 },
 	}
 	for i, m := range muts {
 		c := DefaultConfig()
 		m(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d not rejected", i)
+		}
+	}
+	// Workers <=0 selects the default; maxWorkers itself is allowed. Only
+	// validation is exercised: nothing here starts the goroutines.
+	for _, w := range []int{-1, 0, 1, maxWorkers} {
+		c := DefaultConfig()
+		c.Workers = w
+		if err := c.Validate(); err != nil {
+			t.Errorf("Workers=%d rejected: %v", w, err)
+		}
+		if got := c.workers(); got < 1 || got > maxWorkers || (w <= 0 && got > 16) {
+			t.Errorf("Workers=%d resolves to %d workers", w, got)
 		}
 	}
 }
@@ -61,10 +75,13 @@ func TestExplorerDecodeRoundtrip(t *testing.T) {
 	// A full zero action vector decodes to the smallest nets and the first
 	// hardware options.
 	actions := make([]int, wantTotal)
-	choices, nets, err := x.decodeArch(actions)
-	if err != nil {
-		t.Fatal(err)
+	c := &x.batch(1)[0]
+	copy(c.actions, actions)
+	x.decode(c)
+	if c.skip {
+		t.Fatal("zero actions did not decode")
 	}
+	choices, nets := c.choices, c.nets
 	if len(choices) != 2 || len(nets) != 2 {
 		t.Fatal("wrong task count")
 	}
@@ -72,7 +89,7 @@ func TestExplorerDecodeRoundtrip(t *testing.T) {
 	if nets[0].Signature() != small0.Signature() {
 		t.Error("zero actions should decode to the smallest architecture")
 	}
-	d := x.decodeDesign(actions)
+	d := c.design
 	if len(d.Subs) != x.Cfg.HW.NumSubs {
 		t.Errorf("design has %d subs, want %d", len(d.Subs), x.Cfg.HW.NumSubs)
 	}
@@ -93,13 +110,17 @@ func TestDecodeArchMemo(t *testing.T) {
 	for i, s := range x.ctrl.Specs()[:x.archLen] {
 		a[i] = rng.Intn(s.NumOptions)
 	}
-	c1, n1, err := x.decodeArch(a)
+	decodeArch := func(a []int) ([][]int, []*dnn.Network, error) {
+		choices, nets := make([][]int, len(x.W.Tasks)), make([]*dnn.Network, len(x.W.Tasks))
+		return choices, nets, x.decodeArch(a, choices, nets)
+	}
+	c1, n1, err := decodeArch(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := append([]int(nil), a...)
 	a[0] = (a[0] + 1) % x.ctrl.Specs()[0].NumOptions // the memo must not alias its input
-	c2, n2, err := x.decodeArch(b)
+	c2, n2, err := decodeArch(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +132,7 @@ func TestDecodeArchMemo(t *testing.T) {
 			t.Errorf("task %d: memoized choices start %d, want %d", ti, c2[ti][0], want)
 		}
 	}
-	_, n3, err := x.decodeArch(a)
+	_, n3, err := decodeArch(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +146,7 @@ func TestDecodeArchMemo(t *testing.T) {
 	bad := append([]int(nil), b...)
 	bad[0] = -1
 	before := len(x.decoded)
-	if _, _, err := x.decodeArch(bad); err == nil {
+	if _, _, err := decodeArch(bad); err == nil {
 		t.Fatal("out-of-range actions decoded")
 	}
 	if len(x.decoded) != before {
@@ -133,27 +154,27 @@ func TestDecodeArchMemo(t *testing.T) {
 	}
 }
 
-// A warm decode plus the hardware cache key allocates only the per-request
-// slices and key strings: no network rebuild and no fmt-built signature.
+// A warm decode into a batch candidate plus the hardware cache key allocates
+// only the key strings: no network rebuild and no fmt-built signature.
 func TestWarmDecodeAndKeyAllocs(t *testing.T) {
 	x, err := New(workload.W1(), fastConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := x.W.Tasks[0].Space.Largest()
-	a = append(a, x.W.Tasks[1].Space.Largest()...)
-	d := x.decodeDesign(make([]int, x.ctrl.NumDecisions()))
-	if _, _, err := x.decodeArch(a); err != nil {
-		t.Fatal(err)
+	c := &x.batch(1)[0]
+	copy(c.actions, x.W.Tasks[0].Space.Largest())
+	copy(c.actions[x.taskOffset[1]:], x.W.Tasks[1].Space.Largest())
+	x.decode(c)
+	if c.skip {
+		t.Fatal("largest architectures did not decode")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		_, nets, _ := x.decodeArch(a)
-		hwKeySink = hwKey(x.eval.hwPrefix, nets, d)
+		x.decode(c)
+		hwKeySink = hwKey(x.eval.hwPrefix, c.nets, c.design)
 	})
-	// decodeArch: the choices and nets slices; hwKey: the design
-	// fingerprint and the key.
-	if allocs > 4 {
-		t.Errorf("warm decodeArch+hwKey allocates %.0f times, want at most 4", allocs)
+	// hwKey: the design fingerprint and the key.
+	if allocs > 2 {
+		t.Errorf("warm decode+hwKey allocates %.0f times, want at most 2", allocs)
 	}
 }
 

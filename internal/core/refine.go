@@ -60,7 +60,9 @@ func (x *Explorer) refineFrom(ctx context.Context, sol *Solution, specs []rl.Dec
 // descend runs coordinate descent from sol, sweeping each decision over its
 // options (windowed to ±refineWindow around the current index for very wide
 // option lists) and keeping the feasible change that most improves weighted
-// accuracy.
+// accuracy. Each sweep is one evaluation batch, folded in option order, so
+// the first option to reach the sweep's best weighted accuracy wins exactly
+// as in a one-option-at-a-time sweep.
 func (x *Explorer) descend(ctx context.Context, sol *Solution, specs []rl.DecisionSpec, maxPasses int) (*Solution, error) {
 	best := sol
 	cur := append([]int(nil), sol.actions...)
@@ -71,26 +73,28 @@ func (x *Explorer) descend(ctx context.Context, sol *Solution, specs []rl.Decisi
 			bestOpt := orig
 			lo, hi := 0, specs[t].NumOptions
 			if specs[t].NumOptions > wideLimit {
-				lo, hi = orig-refineWindow, orig+refineWindow+1
-				if lo < 0 {
-					lo = 0
-				}
-				if hi > specs[t].NumOptions {
-					hi = specs[t].NumOptions
-				}
+				lo, hi = max(orig-refineWindow, 0), min(orig+refineWindow+1, specs[t].NumOptions)
 			}
-			for opt := lo; opt < hi; opt++ {
-				if opt == orig {
+			cands := x.batch(hi - lo - 1)
+			for i := range cands {
+				c := &cands[i]
+				copy(c.actions, cur)
+				if c.actions[t] = lo + i; c.actions[t] >= orig {
+					c.actions[t]++ // skip the incumbent's option
+				}
+				x.decode(c)
+			}
+			if err := x.evalBatch(ctx, cands); err != nil {
+				return nil, err
+			}
+			for i := range cands {
+				c := &cands[i]
+				if c.skip || !c.m.Feasible {
 					continue
 				}
-				cur[t] = opt
-				cand, err := x.evalActions(ctx, cur, sol.Episode)
-				if err != nil {
-					return nil, err
-				}
-				if cand != nil && cand.Weighted > best.Weighted+1e-9 {
-					best = cand
-					bestOpt = opt
+				if x.train(c) > best.Weighted+1e-9 {
+					best = x.solutionOf(sol.Episode, c)
+					bestOpt = c.actions[t]
 				}
 			}
 			cur[t] = bestOpt
@@ -105,16 +109,17 @@ func (x *Explorer) descend(ctx context.Context, sol *Solution, specs []rl.Decisi
 	return best, nil
 }
 
-// evalActions evaluates a full action vector, returning nil when the decoded
-// pair is infeasible and ctx's error once ctx is done.
+// evalActions evaluates a full action vector as a one-candidate batch,
+// returning nil when the decoded pair is infeasible and ctx's error once ctx
+// is done.
 func (x *Explorer) evalActions(ctx context.Context, a []int, episode int) (*Solution, error) {
-	choices, nets, err := x.decodeArch(a[:x.archLen])
-	if err != nil {
-		return nil, nil
-	}
-	m, err := x.eval.HWEvalCtx(ctx, nets, x.decodeDesign(a))
-	if err != nil || !m.Feasible {
+	cands := x.batch(1)
+	c := &cands[0]
+	copy(c.actions, a)
+	x.decode(c)
+	if err := x.evalBatch(ctx, cands); err != nil || c.skip || !c.m.Feasible {
 		return nil, err
 	}
-	return x.solution(episode, a, choices, nets, m), nil
+	x.train(c)
+	return x.solutionOf(episode, c), nil
 }

@@ -47,6 +47,8 @@ func specConfig(sp Spec) (core.Config, error) {
 func FuzzSubmitSpec(f *testing.F) {
 	for _, seed := range []string{
 		unboundedHWStepsSpec,
+		unboundedWorkersSpec,
+		`{"workload":"W1","workers":64}`,
 		`{"workload":"W3"}`,
 		`{"workload":"w1","episodes":3,"hw_steps":2,"seed":-7,"optimizer":"ea","refine":false,"workers":-1}`,
 		`{"workload":"W2","hw_steps":-1}`,

@@ -417,6 +417,36 @@ func TestHTTPRejectsUnboundedHWSteps(t *testing.T) {
 	}
 }
 
+// unboundedWorkersSpec asks every evaluation batch of its job to start a
+// hundred thousand goroutines, around the tenant's concurrency quota.
+const unboundedWorkersSpec = `{"workload":"W3","episodes":1,"workers":100000}`
+
+// TestHTTPRejectsUnboundedWorkers: a worker count past core's cap gets a 400
+// naming Workers before the job is journaled or queued. The spec is only
+// validated; nothing starts its goroutines.
+func TestHTTPRejectsUnboundedWorkers(t *testing.T) {
+	m := NewManager(Options{})
+	defer m.Close()
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(unboundedWorkersSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var apiErr apiError
+	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, "Workers") {
+		t.Fatalf("unbounded workers: status %d (%q), want 400 naming Workers", resp.StatusCode, apiErr.Error)
+	}
+	if n := len(m.List()); n != 0 {
+		t.Fatalf("%d jobs registered for a rejected spec", n)
+	}
+}
+
 // TestHTTPErrors covers the JSON error envelope.
 func TestHTTPErrors(t *testing.T) {
 	m := NewManager(Options{})

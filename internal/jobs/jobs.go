@@ -52,7 +52,9 @@ type Spec struct {
 	Optimizer string `json:"optimizer,omitempty"`
 	// Refine toggles the exploit phase; nil selects the default (on).
 	Refine *bool `json:"refine,omitempty"`
-	// Workers bounds the hardware-evaluation goroutines; 0 selects NumCPU.
+	// Workers bounds the goroutines that evaluate one batch of hardware
+	// candidates; 0 selects GOMAXPROCS (capped at 16), and more than 64 is
+	// refused.
 	Workers int `json:"workers,omitempty"`
 }
 

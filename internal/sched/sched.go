@@ -17,8 +17,8 @@
 // eval.go (one ready-time key per chain, next layer by argmin), energy-losing
 // moves are screened out by an O(1) per-move option delta before any
 // simulation runs, and the exhaustive enumeration prunes with admissible
-// energy/makespan bounds. Every solve is sequential; the search loop in
-// internal/core runs many solves in parallel across its worker pool.
+// energy/makespan bounds. Every solve is sequential; internal/core runs the
+// solves of each evaluation batch in parallel.
 // Results are bit-identical to the pre-rewrite solver (see
 // differential_test.go).
 //

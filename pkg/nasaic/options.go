@@ -62,8 +62,10 @@ func WithSeed(seed int64) Option {
 	return func(s *settings) { s.cfg.Seed = seed }
 }
 
-// WithWorkers bounds the goroutines used for parallel hardware evaluation;
-// <=0 selects NumCPU (capped at 16).
+// WithWorkers bounds the goroutines that evaluate one batch of hardware
+// candidates (an RL round, an EA generation, a refine sweep); <=0 selects
+// GOMAXPROCS (capped at 16), and more than 64 is refused. Results are the
+// same at every value.
 func WithWorkers(n int) Option {
 	return func(s *settings) { s.cfg.Workers = n }
 }
