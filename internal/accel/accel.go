@@ -99,32 +99,63 @@ func (d Design) Heterogeneous() bool {
 
 // Validate checks the design against the resource limits.
 func (d Design) Validate(lim Limits) error {
-	if len(d.Subs) == 0 {
+	switch v, i := d.check(lim); v {
+	case noSubs:
 		return fmt.Errorf("accel: design has no sub-accelerators")
-	}
-	active := 0
-	for i, s := range d.Subs {
-		if s.PEs < 0 {
-			return fmt.Errorf("accel: sub-accelerator %d has negative PEs %d", i, s.PEs)
-		}
-		if !s.Active() {
-			continue
-		}
-		active++
-		if s.BW <= 0 {
-			return fmt.Errorf("accel: active sub-accelerator %d has no bandwidth", i)
-		}
-	}
-	if active == 0 {
+	case negativePEs:
+		return fmt.Errorf("accel: sub-accelerator %d has negative PEs %d", i, d.Subs[i].PEs)
+	case noBandwidth:
+		return fmt.Errorf("accel: active sub-accelerator %d has no bandwidth", i)
+	case noActive:
 		return fmt.Errorf("accel: design has no active sub-accelerator")
-	}
-	if t := d.TotalPEs(); t > lim.MaxPEs {
-		return fmt.Errorf("accel: total PEs %d exceed limit %d", t, lim.MaxPEs)
-	}
-	if t := d.TotalBW(); t > lim.MaxBW {
-		return fmt.Errorf("accel: total bandwidth %d GB/s exceeds limit %d", t, lim.MaxBW)
+	case tooManyPEs:
+		return fmt.Errorf("accel: total PEs %d exceed limit %d", d.TotalPEs(), lim.MaxPEs)
+	case tooMuchBW:
+		return fmt.Errorf("accel: total bandwidth %d GB/s exceeds limit %d", d.TotalBW(), lim.MaxBW)
 	}
 	return nil
+}
+
+// violation is the first resource-limit condition a design breaks.
+type violation int
+
+const (
+	fits violation = iota
+	noSubs
+	negativePEs
+	noBandwidth
+	noActive
+	tooManyPEs
+	tooMuchBW
+)
+
+// check returns the first condition d breaks under lim and, for
+// negativePEs and noBandwidth, the sub-accelerator's index. It builds no
+// error, so the feasibility test of every hardware request allocates
+// nothing.
+func (d Design) check(lim Limits) (violation, int) {
+	active := 0
+	for i, s := range d.Subs {
+		switch {
+		case s.PEs < 0:
+			return negativePEs, i
+		case s.Active() && s.BW <= 0:
+			return noBandwidth, i
+		case s.Active():
+			active++
+		}
+	}
+	switch {
+	case len(d.Subs) == 0:
+		return noSubs, 0
+	case active == 0:
+		return noActive, 0
+	case d.TotalPEs() > lim.MaxPEs:
+		return tooManyPEs, 0
+	case d.TotalBW() > lim.MaxBW:
+		return tooMuchBW, 0
+	}
+	return fits, 0
 }
 
 // Area returns the accelerator's silicon area in µm² under cost model cfg.
@@ -217,9 +248,10 @@ func DefaultSpace() Space {
 }
 
 // Feasible reports whether the design satisfies this space's resource
-// limits (a cheap pre-check before full validation).
+// limits: Validate's conditions, without building an error.
 func (s Space) Feasible(d Design) bool {
-	return d.Validate(s.Limits) == nil
+	v, _ := d.check(s.Limits)
+	return v == fits
 }
 
 // Random samples a resource-feasible design uniformly by rejection: each

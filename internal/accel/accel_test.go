@@ -28,24 +28,39 @@ func TestDesignTotalsAndValidate(t *testing.T) {
 	}
 }
 
+// Validate reports the first broken resource condition, and Feasible
+// rejects the same designs without allocating.
 func TestValidateRejects(t *testing.T) {
-	lim := DefaultLimits()
+	s := DefaultSpace()
 	cases := []struct {
-		name string
-		d    Design
+		name, want string
+		d          Design
 	}{
-		{"empty", Design{}},
-		{"over PEs", NewDesign(SubAccel{DF: dataflow.NVDLA, PEs: 4097, BW: 32})},
-		{"over BW", NewDesign(
+		{"empty", "accel: design has no sub-accelerators", Design{}},
+		{"over PEs", "accel: total PEs 4097 exceed limit 4096",
+			NewDesign(SubAccel{DF: dataflow.NVDLA, PEs: 4097, BW: 32})},
+		{"over BW", "accel: total bandwidth 80 GB/s exceeds limit 64", NewDesign(
 			SubAccel{DF: dataflow.NVDLA, PEs: 1024, BW: 40},
 			SubAccel{DF: dataflow.Shidiannao, PEs: 1024, BW: 40})},
-		{"negative PEs", NewDesign(SubAccel{DF: dataflow.NVDLA, PEs: -1, BW: 8})},
-		{"active without bw", NewDesign(SubAccel{DF: dataflow.NVDLA, PEs: 64, BW: 0})},
-		{"all inactive", NewDesign(SubAccel{DF: dataflow.NVDLA, PEs: 0, BW: 8})},
+		{"negative PEs", "accel: sub-accelerator 1 has negative PEs -1", NewDesign(
+			SubAccel{DF: dataflow.NVDLA, PEs: 64, BW: 8},
+			SubAccel{DF: dataflow.NVDLA, PEs: -1, BW: 8})},
+		{"active without bw", "accel: active sub-accelerator 0 has no bandwidth", NewDesign(
+			SubAccel{DF: dataflow.NVDLA, PEs: 64, BW: 0},
+			SubAccel{DF: dataflow.NVDLA, PEs: -1, BW: 8})},
+		{"all inactive", "accel: design has no active sub-accelerator",
+			NewDesign(SubAccel{DF: dataflow.NVDLA, PEs: 0, BW: 8})},
 	}
 	for _, c := range cases {
-		if err := c.d.Validate(lim); err == nil {
-			t.Errorf("%s: expected validation error", c.name)
+		err := c.d.Validate(s.Limits)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: Validate = %v, want %q", c.name, err, c.want)
+		}
+		if s.Feasible(c.d) {
+			t.Errorf("%s: Feasible accepted a design Validate rejects", c.name)
+		}
+		if n := testing.AllocsPerRun(10, func() { s.Feasible(c.d) }); n != 0 {
+			t.Errorf("%s: Feasible allocates %.0f times, want 0", c.name, n)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package cachefile is the on-disk container format of the persistent warm
 // tier: a versioned, checksummed envelope around an opaque payload (the
-// gob-encoded entries of internal/maestro's cost memo or internal/evalcache's
+// gob-encoded entries of one core.Memos tier: the layer-cost memo or the
 // hardware-evaluation cache).
 //
 // A file is a single atomic snapshot:

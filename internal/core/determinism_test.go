@@ -186,7 +186,7 @@ func TestSharedMemosWarmStartWithoutChangingResults(t *testing.T) {
 			// reach the layer-cost memo instead of being answered whole
 			// (TestSharedMemosAcrossExplorers covers that tier).
 			cfg.Memos = &Memos{cost: memos.cost, acc: memos.acc, layer: memos.layer,
-				hw: evalcache.New[HWMetrics](evalcache.Options{})}
+				hw: evalcache.New[HWMetrics]()}
 		}
 		x, err := New(workload.W3(), cfg)
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"nasaic/internal/accel"
 	"nasaic/internal/dnn"
@@ -56,9 +55,6 @@ type Evaluator struct {
 	Cfg    Config
 	Bounds Bounds
 
-	mu        sync.Mutex
-	trainings int
-
 	// accMemo, hwCache and layerMemo are the tiers of the Config.Memos
 	// bundle (a private one when nil). accMemo memoizes the
 	// training-and-validating path per ⟨dataset, architecture signature⟩.
@@ -71,6 +67,7 @@ type Evaluator struct {
 	hwCache  *evalcache.Cache[HWMetrics]
 	hwPrefix string
 
+	trainings  stats.Counter // accuracy-predictor trainings run
 	hwRequests stats.Counter // HWEvalCtx calls observed (counted requests only)
 	hwComputes stats.Counter // cost-model + HAP computations actually run
 	hwHits     stats.Counter // requests served from cache or in-flight dedup
@@ -247,7 +244,7 @@ func (e *Evaluator) hwEval(ctx context.Context, nets []*dnn.Network, d accel.Des
 	if count {
 		e.hwRequests.Inc()
 	}
-	if d.Validate(e.Cfg.HW.Limits) != nil {
+	if !e.Cfg.HW.Feasible(d) {
 		// Resource-violating sample: report the bound metrics so the
 		// penalty saturates; the reward then steers the controller back
 		// into the feasible region. This path skips the cost model and HAP
@@ -428,9 +425,7 @@ func (e *Evaluator) accuraciesInto(accs []float64, nets []*dnn.Network) {
 		if !ok {
 			q = predictor.Accuracy(e.W.Tasks[i].Dataset, n)
 			e.accMemo.store(key, q)
-			e.mu.Lock()
-			e.trainings++
-			e.mu.Unlock()
+			e.trainings.Inc()
 		}
 		accs[i] = q
 	}
@@ -444,11 +439,8 @@ func (e *Evaluator) Reward(weighted, penalty float64) float64 {
 // EvalStats snapshots the evaluator's work counters. HWDeduped and
 // PrunedEpisodes are search counters and stay zero here.
 func (e *Evaluator) EvalStats() EvalStats {
-	e.mu.Lock()
-	tr := e.trainings
-	e.mu.Unlock()
 	return EvalStats{
-		Trainings:         tr,
+		Trainings:         int(e.trainings.Value()),
 		HWRequests:        int(e.hwRequests.Value()),
 		HWEvals:           int(e.hwComputes.Value()),
 		HWCacheHits:       int(e.hwHits.Value()),

@@ -1,13 +1,21 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"nasaic/internal/cachefile"
 	"nasaic/internal/dnn"
+	"nasaic/internal/evalcache"
+	"nasaic/internal/maestro"
 	"nasaic/internal/predictor"
 	"nasaic/internal/stats"
 	"nasaic/internal/workload"
@@ -94,6 +102,10 @@ func TestWarmTierInvalidatedByCalibrationChange(t *testing.T) {
 	})
 	if stats.HWEvals == 0 {
 		t.Error("recalibrated run served stale snapshots: zero hardware evaluations")
+	}
+	// Each calibration names its own files, so both snapshots coexist.
+	if files, _ := filepath.Glob(filepath.Join(dir, "*.cache")); len(files) != 4 {
+		t.Errorf("cache directory holds %v, want two files per calibration", files)
 	}
 }
 
@@ -218,5 +230,254 @@ func TestNewEvaluatorRejectsMemosOfOtherCalibration(t *testing.T) {
 	cfg.Memos = NewMemos(cfg.Cost)
 	if _, err := NewEvaluator(workload.W3(), cfg); err != nil {
 		t.Fatalf("NewEvaluator rejected a bundle bound to its own calibration: %v", err)
+	}
+}
+
+// boundsMemos returns a bundle warmed by the bound sampling of one
+// evaluator per workload, in order: both memoized tiers, filled
+// sequentially and so deterministically in seed.
+func boundsMemos(t *testing.T, seed int64, ws ...workload.Workload) *Memos {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Seed = seed
+	cfg.Memos = NewMemos(cfg.Cost)
+	for _, w := range ws {
+		if _, err := NewEvaluator(w, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cfg.Memos
+}
+
+// memoEntries lists both tiers' entries in snapshot order.
+func memoEntries(m *Memos) ([]memoEntry, []evalcache.Entry[HWMetrics]) {
+	var layer []memoEntry
+	for k, c := range m.layer.Entries() {
+		layer = append(layer, memoEntry{k, c})
+	}
+	return layer, m.hw.Entries()
+}
+
+// snapshotFiles returns the bytes of the two snapshot files under dir.
+func snapshotFiles(t *testing.T, m *Memos, dir string) (layer, hw []byte) {
+	t.Helper()
+	ls, hs := m.snapshots(dir)
+	var err error
+	if layer, err = os.ReadFile(ls.path); err != nil {
+		t.Fatal(err)
+	}
+	if hw, err = os.ReadFile(hs.path); err != nil {
+		t.Fatal(err)
+	}
+	return layer, hw
+}
+
+// The snapshot bytes of a fixed fill are pinned: gob writes type and field
+// names into the file, so renaming a snapshot type or field, or changing
+// the envelope, would otherwise silently turn existing cache directories
+// cold. A deliberate format change bumps cachefile.Version and these
+// digests together.
+func TestSnapshotBytesArePinned(t *testing.T) {
+	m := boundsMemos(t, 7, workload.W3())
+	dir := t.TempDir()
+	if err := m.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	layer, hw := snapshotFiles(t, m, dir)
+	for _, f := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"layercost", layer, "54f9403acd514da1b9f5f021db50df132ad675e07edfe3f5a7f77015f69aa74a"},
+		{"hweval", hw, "bd9a62a1b3c5d611fe59d68efa639d197a3e2437503465c21bedfca1ce970a4b"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(f.data)); got != f.want {
+			t.Errorf("%s snapshot (%d bytes) has sha256 %s, want %s", f.name, len(f.data), got, f.want)
+		}
+	}
+}
+
+// Save → load restores every entry of both tiers bit for bit, and saving
+// the reloaded bundle writes the same bytes: the layer-cost file is sorted
+// by key, and replaying the hardware entries rebuilds each shard's LRU
+// order.
+func TestMemosSaveLoadRoundTrip(t *testing.T) {
+	src := boundsMemos(t, 7, workload.W3())
+	dir, again := t.TempDir(), t.TempDir()
+	if err := src.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	dst := NewMemos(src.cost)
+	dst.LoadDir(dir)
+	if err := dst.SaveDir(again); err != nil {
+		t.Fatal(err)
+	}
+	wantLayer, wantHW := memoEntries(src)
+	gotLayer, gotHW := memoEntries(dst)
+	l1, h1 := snapshotFiles(t, src, dir)
+	l2, h2 := snapshotFiles(t, dst, again)
+	for _, tier := range []struct {
+		name        string
+		want, got   any
+		n, gotN     int
+		first, next []byte
+	}{
+		{"layercost", wantLayer, gotLayer, len(wantLayer), len(gotLayer), l1, l2},
+		{"hweval", wantHW, gotHW, len(wantHW), len(gotHW), h1, h2},
+	} {
+		t.Run(tier.name, func(t *testing.T) {
+			if tier.n == 0 {
+				t.Fatal("bound sampling filled an empty tier; the test is vacuous")
+			}
+			if !reflect.DeepEqual(tier.got, tier.want) {
+				t.Errorf("reloaded %s tier differs: %d entries, want %d", tier.name, tier.gotN, tier.n)
+			}
+			if !bytes.Equal(tier.first, tier.next) {
+				t.Errorf("save → load → save changed the %s snapshot's bytes", tier.name)
+			}
+		})
+	}
+}
+
+// Each damaged or mismatched file loads nothing from itself and leaves the
+// other file's load intact.
+func TestMemosLoadDamagedFile(t *testing.T) {
+	src := boundsMemos(t, 7, workload.W3())
+	good := t.TempDir()
+	if err := src.SaveDir(good); err != nil {
+		t.Fatal(err)
+	}
+	wantLayer, wantHW := memoEntries(src)
+	other := src.cost
+	other.EnergyScale *= 1.0000001
+	layerFile, hwFile := src.snapshots(good)
+
+	// reencode rewrites a file's envelope with one field changed.
+	reencode := func(kind, key string, version uint32) func([]byte) []byte {
+		return func(data []byte) []byte {
+			_, _, payload, err := cachefile.Decode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := cachefile.Encode(kind, key, payload)
+			binary.BigEndian.PutUint32(b[8:12], version)
+			body := b[:len(b)-8]
+			return binary.BigEndian.AppendUint64(body, crc64.Checksum(body, crc64.MakeTable(crc64.ECMA)))
+		}
+	}
+	for _, f := range []struct {
+		name      string
+		s         snapshot
+		otherKind string
+	}{
+		{"layercost", layerFile, hwFile.kind},
+		{"hweval", hwFile, layerFile.kind},
+	} {
+		modes := []struct {
+			name   string
+			damage func([]byte) []byte // nil removes the file
+		}{
+			{"missing", nil},
+			{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
+			{"flipped byte", func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b }},
+			{"other kind", reencode(f.otherKind, f.s.key, cachefile.Version)},
+			{"other version", reencode(f.s.kind, f.s.key, cachefile.Version+1)},
+			{"other calibration", reencode(f.s.kind, other.Fingerprint(), cachefile.Version)},
+			{"undecodable", func([]byte) []byte { return cachefile.Encode(f.s.kind, f.s.key, []byte("not gob")) }},
+		}
+		t.Run(f.name, func(t *testing.T) {
+			for _, mode := range modes {
+				t.Run(mode.name, func(t *testing.T) {
+					dir := t.TempDir()
+					for _, s := range []snapshot{layerFile, hwFile} {
+						data, err := os.ReadFile(s.path)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if s == f.s {
+							if mode.damage == nil {
+								continue
+							}
+							data = mode.damage(data)
+						}
+						if err := os.WriteFile(filepath.Join(dir, filepath.Base(s.path)), data, 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+					m := NewMemos(src.cost)
+					m.LoadDir(dir)
+					gotLayer, gotHW := memoEntries(m)
+					damagedLayer := f.s == layerFile
+					if damagedLayer && len(gotLayer) != 0 || !damagedLayer && len(gotHW) != 0 {
+						t.Errorf("the damaged %s file loaded %d layer-cost and %d hardware entries", f.name, len(gotLayer), len(gotHW))
+					}
+					if !damagedLayer && !reflect.DeepEqual(gotLayer, wantLayer) {
+						t.Errorf("the intact layer-cost file loaded %d entries, want %d", len(gotLayer), len(wantLayer))
+					}
+					if damagedLayer && !reflect.DeepEqual(gotHW, wantHW) {
+						t.Errorf("the intact hardware file loaded %d entries, want %d", len(gotHW), len(wantHW))
+					}
+				})
+			}
+		})
+	}
+}
+
+// Loading into a warm bundle keeps every resident entry with its value and
+// adds the file's other entries.
+func TestMemosLoadIntoWarmBundle(t *testing.T) {
+	dir := t.TempDir()
+	if err := boundsMemos(t, 7, workload.W3()).SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	fromFile := NewMemos(DefaultConfig().Cost)
+	fromFile.LoadDir(dir)
+	warm := boundsMemos(t, 3, workload.W1())
+	beforeLayer, beforeHW := memoEntries(warm)
+	warm.LoadDir(dir)
+	afterLayer, afterHW := memoEntries(warm)
+
+	fileLayer, fileHW := memoEntries(fromFile)
+	wantLayer := map[maestro.CostKey]maestro.LayerCost{}
+	for _, e := range append(beforeLayer, fileLayer...) {
+		wantLayer[e.Key] = e.Cost
+	}
+	gotLayer := map[maestro.CostKey]maestro.LayerCost{}
+	for _, e := range afterLayer {
+		gotLayer[e.Key] = e.Cost
+	}
+	if len(wantLayer) == len(beforeLayer) || len(wantLayer) == len(fileLayer) {
+		t.Fatal("the file and the warm bundle hold nested layer-cost key sets; the test is vacuous")
+	}
+	if !reflect.DeepEqual(gotLayer, wantLayer) || len(afterLayer) != len(gotLayer) {
+		t.Errorf("layer-cost memo after the load: %d entries, want the union's %d", len(afterLayer), len(wantLayer))
+	}
+	wantHW := map[string]HWMetrics{}
+	for _, e := range append(beforeHW, fileHW...) {
+		wantHW[e.Key] = e.Val
+	}
+	gotHW := map[string]HWMetrics{}
+	for _, e := range afterHW {
+		gotHW[e.Key] = e.Val
+	}
+	if !reflect.DeepEqual(gotHW, wantHW) || len(afterHW) != len(gotHW) {
+		t.Errorf("hardware cache after the load: %d entries, want the union's %d", len(afterHW), len(wantHW))
+	}
+}
+
+// Equal layer-cost memos filled in different orders save equal bytes.
+func TestLayerSnapshotIndependentOfFillOrder(t *testing.T) {
+	save := func(m *Memos) []byte {
+		dir := t.TempDir()
+		if err := m.SaveDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		layer, _ := snapshotFiles(t, m, dir)
+		return layer
+	}
+	w1, w3 := workload.W1(), workload.W3()
+	if !bytes.Equal(save(boundsMemos(t, 7, w3, w1)), save(boundsMemos(t, 7, w1, w3))) {
+		t.Fatal("equal layer-cost memos filled in different orders saved different bytes")
 	}
 }

@@ -7,49 +7,19 @@ import (
 	"nasaic/internal/stats"
 )
 
-// Default sizing. A full paper-budget NASAIC run touches ~5,500 distinct
-// (architectures, design) points, so the default capacity holds several runs
-// without eviction while bounding worst-case memory.
+// Sizing of New. A full paper-budget NASAIC run touches ~5,500 distinct
+// (architectures, design) points, so the capacity holds several runs without
+// eviction while bounding worst-case memory.
 const (
-	DefaultCapacity = 1 << 14
-	DefaultShards   = 16
+	defaultCapacity = 1 << 14
+	defaultShards   = 16
 )
 
-// Options configures a Cache.
-type Options struct {
-	// Capacity is the total entry budget across all shards; <=0 selects
-	// DefaultCapacity. The budget is split evenly per shard, rounding up so
-	// the effective capacity is never below the requested one; it can exceed
-	// it by at most N-1 entries, where N is the power-of-two-rounded shard
-	// count (each shard holds at least 1).
-	Capacity int
-	// Shards is the number of independently locked segments; <=0 selects
-	// DefaultShards. Rounded up to a power of two.
-	Shards int
-}
-
-// Stats is a point-in-time snapshot of cache effectiveness counters.
-type Stats struct {
-	Hits      int64 // lookups served from a resident entry
-	Misses    int64 // lookups that ran the compute function
-	Dedups    int64 // lookups that waited on another caller's in-flight compute
-	Evictions int64 // entries dropped by the LRU policy
-	Size      int   // resident entries at snapshot time
-}
-
-// Requests returns the total number of lookups observed.
-func (s Stats) Requests() int64 { return s.Hits + s.Misses + s.Dedups }
-
-// HitPct returns the percentage of lookups that avoided a computation
-// (resident hits plus in-flight dedups), or 0 with no traffic.
-func (s Stats) HitPct() float64 {
-	return stats.Pct(s.Hits+s.Dedups, s.Requests())
-}
-
-// entry is one resident key/value pair; stored in the shard's LRU list.
-type entry[V any] struct {
-	key string
-	val V
+// Entry is one key/value pair: an element of a shard's LRU list and of an
+// Entries snapshot.
+type Entry[V any] struct {
+	Key string
+	Val V
 }
 
 // call tracks one in-flight computation other callers can wait on.
@@ -65,7 +35,7 @@ type shard[V any] struct {
 	// computes run with the shard lock released.
 	mu       sync.Mutex //lint:guard journal,io
 	capacity int
-	items    map[string]*list.Element // key → *entry element in ll
+	items    map[string]*list.Element // key → *Entry element in ll
 	ll       *list.List               // front = most recently used
 	inflight map[string]*call[V]
 }
@@ -76,32 +46,26 @@ type Cache[V any] struct {
 	shards []*shard[V]
 	mask   uint64
 
-	hits      stats.Counter
-	misses    stats.Counter
-	dedups    stats.Counter
-	evictions stats.Counter
-	size      stats.Counter // resident entries across all shards
+	// waits counts lookups that waited on another caller's in-flight
+	// compute. Only tests read it, to know their waiters are parked.
+	waits stats.Counter
 }
 
-// New builds a cache with the given options.
-func New[V any](opts Options) *Cache[V] {
-	capTotal := opts.Capacity
-	if capTotal <= 0 {
-		capTotal = DefaultCapacity
-	}
-	n := opts.Shards
-	if n <= 0 {
-		n = DefaultShards
-	}
-	// Round the shard count up to a power of two so selection is a mask.
+// New returns an empty cache of defaultCapacity entries over defaultShards
+// shards.
+func New[V any]() *Cache[V] {
+	return newCache[V](defaultCapacity, defaultShards)
+}
+
+// newCache builds a cache of at least capacity entries over shards shards,
+// rounded up to a power of two so selection is a mask. The budget is split
+// evenly per shard, rounding up; each shard holds at least one entry.
+func newCache[V any](capacity, shards int) *Cache[V] {
 	pow := 1
-	for pow < n {
+	for pow < shards {
 		pow <<= 1
 	}
-	perShard := (capTotal + pow - 1) / pow
-	if perShard < 1 {
-		perShard = 1
-	}
+	perShard := max((capacity+pow-1)/pow, 1)
 	c := &Cache[V]{shards: make([]*shard[V], pow), mask: uint64(pow - 1)}
 	for i := range c.shards {
 		c.shards[i] = &shard[V]{
@@ -128,44 +92,26 @@ func (c *Cache[V]) shardFor(key string) *shard[V] {
 	return c.shards[h&c.mask]
 }
 
-// Get returns the cached value for key, marking it most recently used.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		s.ll.MoveToFront(el)
-		c.hits.Inc()
-		return el.Value.(*entry[V]).val, true
-	}
-	c.misses.Inc()
-	var zero V
-	return zero, false
-}
-
 // Put inserts or refreshes key, evicting the least recently used entry of the
 // key's shard when that shard is at capacity.
 func (c *Cache[V]) Put(key string, val V) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c.putLocked(s, key, val)
+	s.putLocked(key, val)
 }
 
-func (c *Cache[V]) putLocked(s *shard[V], key string, val V) {
+func (s *shard[V]) putLocked(key string, val V) {
 	if el, ok := s.items[key]; ok {
-		el.Value.(*entry[V]).val = val
+		el.Value.(*Entry[V]).Val = val
 		s.ll.MoveToFront(el)
 		return
 	}
-	s.items[key] = s.ll.PushFront(&entry[V]{key: key, val: val})
-	c.size.Inc()
+	s.items[key] = s.ll.PushFront(&Entry[V]{Key: key, Val: val})
 	if s.ll.Len() > s.capacity {
 		last := s.ll.Back()
 		s.ll.Remove(last)
-		delete(s.items, last.Value.(*entry[V]).key)
-		c.evictions.Inc()
-		c.size.Add(-1)
+		delete(s.items, last.Value.(*Entry[V]).Key)
 	}
 }
 
@@ -183,13 +129,12 @@ func (c *Cache[V]) GetOrComputeErr(key string, compute func() (V, error)) (V, bo
 		s.mu.Lock()
 		if el, ok := s.items[key]; ok {
 			s.ll.MoveToFront(el)
-			c.hits.Inc()
-			v := el.Value.(*entry[V]).val
+			v := el.Value.(*Entry[V]).Val
 			s.mu.Unlock()
 			return v, true, nil
 		}
 		if cl, ok := s.inflight[key]; ok {
-			c.dedups.Inc()
+			c.waits.Inc()
 			s.mu.Unlock()
 			cl.wg.Wait()
 			if cl.ok {
@@ -202,7 +147,6 @@ func (c *Cache[V]) GetOrComputeErr(key string, compute func() (V, error)) (V, bo
 		cl := &call[V]{}
 		cl.wg.Add(1)
 		s.inflight[key] = cl
-		c.misses.Inc()
 		s.mu.Unlock()
 
 		var err error
@@ -210,7 +154,7 @@ func (c *Cache[V]) GetOrComputeErr(key string, compute func() (V, error)) (V, bo
 			defer func() {
 				s.mu.Lock()
 				if cl.ok {
-					c.putLocked(s, key, cl.val)
+					s.putLocked(key, cl.val)
 				}
 				delete(s.inflight, key)
 				s.mu.Unlock()
@@ -223,45 +167,18 @@ func (c *Cache[V]) GetOrComputeErr(key string, compute func() (V, error)) (V, bo
 	}
 }
 
-// Len returns the number of resident entries. It reads a running atomic
-// counter maintained by insert/evict, so it is O(1) — safe to call on hot
-// paths like per-episode stats snapshots — rather than locking every shard.
-func (c *Cache[V]) Len() int {
-	return int(c.size.Value())
-}
-
-// lenScan counts resident entries by locking and walking every shard — the
-// O(shards) ground truth the Len counter is regression-tested against.
-func (c *Cache[V]) lenScan() int {
-	n := 0
+// Entries snapshots the resident entries in least-to-most recently used
+// order per shard, so replaying them through Put reconstructs each shard's
+// LRU recency. The snapshot is taken shard by shard: concurrent writers can
+// add entries the snapshot misses, which only means they are recomputed
+// after a reload — never that a stale value is served.
+func (c *Cache[V]) Entries() []Entry[V] {
+	var out []Entry[V]
 	for _, s := range c.shards {
 		s.mu.Lock()
-		n += s.ll.Len()
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Stats snapshots the effectiveness counters.
-func (c *Cache[V]) Stats() Stats {
-	return Stats{
-		Hits:      c.hits.Value(),
-		Misses:    c.misses.Value(),
-		Dedups:    c.dedups.Value(),
-		Evictions: c.evictions.Value(),
-		Size:      c.Len(),
-	}
-}
-
-// NumShards returns the shard count after power-of-two rounding.
-func (c *Cache[V]) NumShards() int { return len(c.shards) }
-
-// shardLens reports per-shard entry counts (test hook for distribution).
-func (c *Cache[V]) shardLens() []int {
-	out := make([]int, len(c.shards))
-	for i, s := range c.shards {
-		s.mu.Lock()
-		out[i] = s.ll.Len()
+		for el := s.ll.Back(); el != nil; el = el.Prev() {
+			out = append(out, *el.Value.(*Entry[V]))
+		}
 		s.mu.Unlock()
 	}
 	return out

@@ -8,27 +8,55 @@ import (
 	"testing"
 )
 
+// errAbsent is the compute error get uses to look a key up without filling
+// it.
+var errAbsent = errors.New("not resident")
+
+// get returns key's resident (or in-flight) value, marking it most recently
+// used, and never caches anything itself.
+func get[V any](c *Cache[V], key string) (V, bool) {
+	v, avoided, _ := c.GetOrComputeErr(key, func() (V, error) {
+		var zero V
+		return zero, errAbsent
+	})
+	return v, avoided
+}
+
+// keys lists the resident keys in Entries order.
+func keys[V any](c *Cache[V]) []string {
+	var out []string
+	for _, e := range c.Entries() {
+		out = append(out, e.Key)
+	}
+	return out
+}
+
 func TestNewRoundsAndSizes(t *testing.T) {
 	cases := []struct {
-		name       string
-		opts       Options
-		wantShards int
+		name                 string
+		c                    *Cache[int]
+		wantShards, wantSize int
 	}{
-		{"defaults", Options{}, DefaultShards},
-		{"power-of-two kept", Options{Shards: 8}, 8},
-		{"rounded up", Options{Shards: 5}, 8},
-		{"single shard", Options{Shards: 1}, 1},
-		{"tiny capacity still holds one entry per shard", Options{Capacity: 2, Shards: 16}, 16},
+		{"defaults", New[int](), defaultShards, defaultCapacity / defaultShards},
+		{"power-of-two kept", newCache[int](64, 8), 8, 8},
+		{"rounded up", newCache[int](64, 5), 8, 8},
+		{"single shard", newCache[int](3, 1), 1, 3},
+		{"tiny capacity still holds one entry per shard", newCache[int](2, 16), 16, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New[int](tc.opts)
-			if got := c.NumShards(); got != tc.wantShards {
-				t.Fatalf("NumShards = %d, want %d", got, tc.wantShards)
+			c := tc.c
+			if got := len(c.shards); got != tc.wantShards {
+				t.Fatalf("%d shards, want %d", got, tc.wantShards)
+			}
+			for i, s := range c.shards {
+				if s.capacity != tc.wantSize {
+					t.Fatalf("shard %d holds %d entries, want %d", i, s.capacity, tc.wantSize)
+				}
 			}
 			c.Put("k", 1)
-			if v, ok := c.Get("k"); !ok || v != 1 {
-				t.Fatalf("Get after Put = (%d, %v), want (1, true)", v, ok)
+			if v, ok := get(c, "k"); !ok || v != 1 {
+				t.Fatalf("get after Put = (%d, %v), want (1, true)", v, ok)
 			}
 		})
 	}
@@ -37,14 +65,14 @@ func TestNewRoundsAndSizes(t *testing.T) {
 // Keys must spread across shards: with many random-ish keys no shard may
 // stay empty and no shard may hold the bulk of the population.
 func TestShardDistribution(t *testing.T) {
-	c := New[int](Options{Capacity: 1 << 14, Shards: 16})
+	c := newCache[int](1<<14, 16)
 	const n = 4096
 	for i := 0; i < n; i++ {
 		c.Put(fmt.Sprintf("net%d|<dla, %d, %d>", i, 32*(i%129), 8*(i%9)), i)
 	}
-	lens := c.shardLens()
 	total := 0
-	for si, l := range lens {
+	for si, s := range c.shards {
+		l := s.ll.Len()
 		total += l
 		if l == 0 {
 			t.Errorf("shard %d is empty after %d inserts", si, n)
@@ -60,36 +88,28 @@ func TestShardDistribution(t *testing.T) {
 
 func TestLRUEvictionAtCapacity(t *testing.T) {
 	// One shard makes the recency order deterministic and observable.
-	c := New[int](Options{Capacity: 3, Shards: 1})
+	c := newCache[int](3, 1)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Put("c", 3)
 	// Touch "a" so "b" becomes least recently used.
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := get(c, "a"); !ok {
 		t.Fatal("a missing before eviction")
 	}
+	if got, want := fmt.Sprint(keys(c)), "[b c a]"; got != want {
+		t.Fatalf("LRU order %s, want %s", got, want)
+	}
 	c.Put("d", 4)
-	if _, ok := c.Get("b"); ok {
-		t.Error("b should have been evicted as least recently used")
-	}
-	for _, k := range []string{"a", "c", "d"} {
-		if _, ok := c.Get(k); !ok {
-			t.Errorf("%s should have survived eviction", k)
-		}
-	}
-	if got := c.Len(); got != 3 {
-		t.Errorf("Len = %d, want 3", got)
-	}
-	if ev := c.Stats().Evictions; ev != 1 {
-		t.Errorf("Evictions = %d, want 1", ev)
+	if got, want := fmt.Sprint(keys(c)), "[c a d]"; got != want {
+		t.Fatalf("after evicting: LRU order %s, want %s (b least recently used)", got, want)
 	}
 	// Re-putting an existing key refreshes in place, never grows past cap.
 	c.Put("c", 33)
-	if v, _ := c.Get("c"); v != 33 {
+	if v, _ := get(c, "c"); v != 33 {
 		t.Errorf("refresh lost: c = %d, want 33", v)
 	}
-	if got := c.Len(); got != 3 {
-		t.Errorf("Len after refresh = %d, want 3", got)
+	if got, want := fmt.Sprint(keys(c)), "[a d c]"; got != want {
+		t.Errorf("after refresh: LRU order %s, want %s", got, want)
 	}
 }
 
@@ -97,7 +117,7 @@ func TestLRUEvictionAtCapacity(t *testing.T) {
 // is checked by -race plus value integrity (a key always maps to its own
 // deterministic value).
 func TestConcurrentMixedAccess(t *testing.T) {
-	c := New[int](Options{Capacity: 256, Shards: 8})
+	c := newCache[int](256, 8)
 	const (
 		goroutines = 16
 		iters      = 2000
@@ -115,7 +135,7 @@ func TestConcurrentMixedAccess(t *testing.T) {
 				case 0:
 					c.Put(key, k)
 				case 1:
-					if v, ok := c.Get(key); ok && v != k {
+					if v, ok := get(c, key); ok && v != k {
 						t.Errorf("key %s holds %d, want %d", key, v, k)
 						return
 					}
@@ -130,18 +150,14 @@ func TestConcurrentMixedAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := c.Len(); got > 256 {
-		t.Errorf("Len = %d exceeds capacity 256", got)
-	}
-	st := c.Stats()
-	if st.Requests() == 0 {
-		t.Error("no requests recorded")
+	if got := len(c.Entries()); got > 256 {
+		t.Errorf("%d resident entries exceed capacity 256", got)
 	}
 }
 
 // N concurrent misses on one key must run the compute function exactly once.
 func TestInflightDedup(t *testing.T) {
-	c := New[int](Options{Capacity: 8, Shards: 1})
+	c := newCache[int](8, 1)
 	const waiters = 16
 	var computes atomic.Int64
 	started := make(chan struct{})
@@ -175,7 +191,7 @@ func TestInflightDedup(t *testing.T) {
 		}(i)
 	}
 	// Wait until every waiter is parked on the in-flight call, then release.
-	for c.Stats().Dedups < waiters-1 {
+	for c.waits.Value() < waiters-1 {
 	}
 	close(release)
 	wg.Wait()
@@ -188,16 +204,15 @@ func TestInflightDedup(t *testing.T) {
 			t.Errorf("caller %d got %d, want 42", i, v)
 		}
 	}
-	st := c.Stats()
-	if st.Misses != 1 || st.Dedups != waiters-1 {
-		t.Errorf("stats = %+v, want Misses=1 Dedups=%d", st, waiters-1)
+	if w := c.waits.Value(); w != waiters-1 {
+		t.Errorf("%d lookups waited on the in-flight compute, want %d", w, waiters-1)
 	}
 }
 
 // A panicking or failing compute must not wedge waiters or leave the key
 // poisoned: nothing is cached, and the next caller computes afresh.
 func TestComputePanicRecovers(t *testing.T) {
-	c := New[int](Options{Capacity: 8, Shards: 1})
+	c := newCache[int](8, 1)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -215,7 +230,7 @@ func TestComputePanicRecovers(t *testing.T) {
 	if _, avoided, err := c.GetOrComputeErr("e", func() (int, error) { return 0, boom }); err != boom || avoided {
 		t.Fatalf("failing compute = (%v, %v), want (false, %v)", avoided, err, boom)
 	}
-	if _, ok := c.Get("e"); ok {
+	if _, ok := get(c, "e"); ok {
 		t.Fatal("a failed compute was cached")
 	}
 	v, avoided, err = c.GetOrComputeErr("e", func() (int, error) { return 9, nil })
@@ -244,40 +259,11 @@ func TestComputePanicRecovers(t *testing.T) {
 		v, avoided, _ := c.GetOrComputeErr("w", func() (int, error) { return 5, nil })
 		waiter <- outcome{v, avoided}
 	}()
-	for c.Stats().Dedups < 1 {
+	for c.waits.Value() < 1 {
 	}
 	close(release)
 	<-done
 	if got := <-waiter; got != (outcome{5, false}) {
 		t.Fatalf("waiter after a failed compute = %+v, want {v:5 avoided:false}", got)
-	}
-}
-
-// Counter accuracy under a deterministic single-threaded access pattern.
-func TestCounterAccuracy(t *testing.T) {
-	c := New[string](Options{Capacity: 2, Shards: 1})
-
-	c.Get("a")                                                         // miss
-	c.Put("a", "v")                                                    //
-	c.Get("a")                                                         // hit
-	c.GetOrComputeErr("a", func() (string, error) { return "x", nil }) // hit (no recompute)
-	c.GetOrComputeErr("b", func() (string, error) { return "w", nil }) // miss + compute
-	c.Get("b")                                                         // hit
-	c.Put("c", "u")                                                    // evicts "a" (LRU)
-	c.Get("a")                                                         // miss
-
-	st := c.Stats()
-	want := Stats{Hits: 3, Misses: 3, Dedups: 0, Evictions: 1, Size: 2}
-	if st != want {
-		t.Errorf("Stats = %+v, want %+v", st, want)
-	}
-	if st.Requests() != 6 {
-		t.Errorf("Requests = %d, want 6", st.Requests())
-	}
-	if pct := st.HitPct(); pct != 50 {
-		t.Errorf("HitPct = %v, want 50", pct)
-	}
-	if (Stats{}).HitPct() != 0 {
-		t.Error("HitPct of empty stats should be 0")
 	}
 }

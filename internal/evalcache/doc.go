@@ -1,8 +1,7 @@
 // Package evalcache provides the sharded, concurrency-safe memoization layer
 // for hardware evaluations: a generic string-keyed LRU cache with per-shard
-// locking, hit/miss/eviction counters, and singleflight-style in-flight
-// deduplication so N concurrent misses on the same key cost exactly one
-// computation.
+// locking and singleflight-style in-flight deduplication, so N concurrent
+// misses on the same key cost exactly one computation.
 //
 // The package exists because NASAIC's RL controller resamples overlapping
 // (architecture, accelerator-design) points across thousands of episodes:
@@ -18,11 +17,8 @@
 // signatures); two semantically identical inputs must produce identical
 // keys for deduplication to fire.
 //
-// SaveFile/LoadFile extend the cache with a persistent on-disk warm tier:
-// resident entries snapshot into a versioned, checksummed cachefile
-// (internal/cachefile) under a caller-supplied config key — the canonical
-// fingerprint of everything parameterizing the cached computation — and a
-// later process reloads them before its first request. gob round-trips
-// values bit-exactly and every damaged or mismatched file degrades to a
-// cold start, so warm starts change hit counters, never results.
+// The cache only memoizes. Its callers count hits and computations
+// (core.EvalStats), and core.Memos persists it: Entries snapshots the
+// resident entries in LRU order, and replaying them through Put restores
+// a warm cache in a later process.
 package evalcache

@@ -11,11 +11,10 @@
 // DRAM) that make dataflow choice matter.
 //
 // Because LayerCost is a pure function of ⟨layer shape, dataflow, PEs, BW⟩
-// given a Config, its results are memoized at two tiers: CostMemo (one per
-// core.Memos bundle) in memory, and — through
-// CostMemo.SaveFile/LoadFile — a persistent on-disk warm tier keyed by the
+// given a Config, its results are memoized by a CostMemo (one per core.Memos
+// bundle). core.Memos also snapshots the memo's Entries to disk under the
 // calibration's Fingerprint, so fresh processes skip recomputation without
-// ever changing a result (see internal/cachefile for the snapshot format).
+// ever changing a result.
 package maestro
 
 import (
@@ -66,6 +65,15 @@ func DefaultConfig() Config {
 		AreaNoCPerGBs:  2.0e6,
 		AreaFixed:      5.0e7,
 	}
+}
+
+// Fingerprint returns the canonical identity of the cost-model calibration:
+// every constant, rendered with its field name. It is the cache-invalidation
+// key of the persistent warm tier — a memo file written under one
+// calibration is never loaded into a memo bound to another, and adding a
+// Config field changes every fingerprint, retiring stale files wholesale.
+func (c Config) Fingerprint() string {
+	return fmt.Sprintf("%#v", c)
 }
 
 // Validate checks the configuration for usable values.

@@ -2,12 +2,12 @@ package maestro
 
 import (
 	"cmp"
+	"iter"
 	"slices"
 	"sync"
 
 	"nasaic/internal/dataflow"
 	"nasaic/internal/dnn"
-	"nasaic/internal/stats"
 )
 
 // memoShardBits sets the CostMemo's shard count, 1<<memoShardBits: enough
@@ -32,7 +32,6 @@ const memoShardBits = 5
 type CostMemo struct {
 	cfg    Config
 	shards [1 << memoShardBits]costShard
-	size   stats.Counter // resident entries; kept exact by store
 }
 
 // costShard is one lock-striped slice of a CostMemo.
@@ -46,7 +45,11 @@ type costShard struct {
 
 // NewCostMemo returns an empty memo bound to cfg.
 func NewCostMemo(cfg Config) *CostMemo {
-	return &CostMemo{cfg: cfg}
+	cm := &CostMemo{cfg: cfg}
+	for i := range cm.shards {
+		cm.shards[i].m = make(map[CostKey]LayerCost)
+	}
+	return cm
 }
 
 // shard picks key's shard from its integer fields; the layer name is not
@@ -79,66 +82,48 @@ func (cm *CostMemo) LayerCost(l dnn.Layer, style dataflow.Style, pes, bwGBs int)
 		return lc, true // another worker filled it since the read lock
 	}
 	lc = cm.cfg.LayerCost(l, style, pes, bwGBs)
-	cm.insertLocked(s, key, lc)
+	s.m[key] = lc
 	return lc, false
 }
 
-// store inserts one entry unless its key is resident (a loaded snapshot may
+// Store inserts one entry unless its key is resident (a loaded snapshot may
 // repeat a key already computed; LayerCost is pure, so both values are
-// bit-identical).
-func (cm *CostMemo) store(key CostKey, lc LayerCost) {
+// bit-identical). The caller vouches that lc is the cost of key under the
+// memo's Config.
+func (cm *CostMemo) Store(key CostKey, lc LayerCost) {
 	s := cm.shard(&key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.m[key]; !ok {
-		cm.insertLocked(s, key, lc)
+		s.m[key] = lc
 	}
 }
 
-// insertLocked adds a key absent from shard s, whose write lock the caller
-// holds, and counts it towards Size.
-func (cm *CostMemo) insertLocked(s *costShard, key CostKey, lc LayerCost) {
-	if s.m == nil {
-		s.m = make(map[CostKey]LayerCost)
+// Entries yields every memoized entry sorted by key, so equal memos
+// snapshot equally whatever order they were filled in. The entries are
+// collected when Entries is called.
+func (cm *CostMemo) Entries() iter.Seq2[CostKey, LayerCost] {
+	type kv struct {
+		key CostKey
+		lc  LayerCost
 	}
-	s.m[key] = lc
-	cm.size.Inc()
-}
-
-// Size returns the number of memoized entries. It reads a running atomic
-// counter — O(1), safe on per-episode stats paths — instead of locking
-// every shard.
-func (cm *CostMemo) Size() int {
-	return int(cm.size.Value())
-}
-
-// sizeScan counts entries shard by shard — the O(shards) ground truth the
-// Size counter is regression-tested against.
-func (cm *CostMemo) sizeScan() int {
-	n := 0
-	for i := range cm.shards {
-		s := &cm.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
-}
-
-// entries returns every memoized entry sorted by key, so equal memos
-// snapshot to equal bytes whatever order they were filled in.
-func (cm *CostMemo) entries() []memoEntry {
-	var out []memoEntry
+	var all []kv
 	for i := range cm.shards {
 		s := &cm.shards[i]
 		s.mu.RLock()
 		for k, v := range s.m {
-			out = append(out, memoEntry{Key: k, Cost: v}) //lint:allow determinism sorted by key after the shard loop
+			all = append(all, kv{k, v}) //lint:allow determinism sorted by key after the shard loop
 		}
 		s.mu.RUnlock()
 	}
-	slices.SortFunc(out, func(a, b memoEntry) int { return compareKeys(a.Key, b.Key) })
-	return out
+	slices.SortFunc(all, func(a, b kv) int { return compareKeys(a.key, b.key) })
+	return func(yield func(CostKey, LayerCost) bool) {
+		for _, e := range all {
+			if !yield(e.key, e.lc) {
+				return
+			}
+		}
+	}
 }
 
 // compareKeys orders cost keys field by field.

@@ -18,9 +18,12 @@
 # and the interquartile range of the base runs. With --trace 1,
 # each pair also runs the traced benchmark, whose per-layer `count.exact`
 # metrics must be equal between the trees. Those metrics are medians over
-# the explorations that fit in the window, so when one tree is much faster
-# the two medians can cover different seeds; compare counts with a window
-# (-s) short enough that both trees run the same number of explorations.
+# the explorations that fit in the window (a traced run's `attempted`), so
+# when one tree is much faster the two medians can cover different seeds.
+# A (workload, seed) whose two traced runs fit different numbers of
+# explorations is reported as one FAIL line that gives both numbers instead
+# of as count differences; compare counts with a window (-s) short enough
+# that both trees run the same number of explorations.
 #
 # With -o FILE it also writes the comparison as JSON (a BENCH_<n>.json
 # record): the host (uname, CPU model, nproc, Go version), the commits and
@@ -30,7 +33,8 @@
 #
 # Exit status: 0 when every run reported correct:true, the change failed no
 # larger share of operations than the base on any workload, and (with
-# --trace 1) no count.exact metric differs; 1 otherwise; 2 on bad usage.
+# --trace 1) both trees traced equally many explorations and no count.exact
+# metric differs; 1 otherwise; 2 on bad usage.
 # It needs bash, git, jq and awk.
 set -euo pipefail
 
@@ -170,6 +174,7 @@ awk -F '\t' -v pairs="$pairs" -v rowsout="$tmp/table.tsv" '
 	$1 == "run" {
 		if ($6 != "true") { printf "FAIL: %s %s seed %s (trace %s) reported correct:false\n", $2, $3, $4, $5; bad = 1 }
 		att[$2, $3] += $7; fl[$2, $3] += $8
+		if ($5 == "1") traced[$2, $3, $4] = $7
 		wls[$3] = 1
 		next
 	}
@@ -216,6 +221,15 @@ awk -F '\t' -v pairs="$pairs" -v rowsout="$tmp/table.tsv" '
 		}
 		for (key in exn) {
 			split(key, k, SUBSEP)
+			nb = traced["base", k[1], k[2]]; nc = traced["change", k[1], k[2]]
+			if (nb != nc) {
+				if (!((k[1], k[2]) in uneven)) {
+					uneven[k[1], k[2]] = 1
+					printf "FAIL: %s seed %s: the traced medians are not comparable: the base traced %d explorations, the change %d; rerun with a shorter -s\n", k[1], k[2], nb, nc
+				}
+				bad = 1
+				continue
+			}
 			if (ex["base", k[1], k[2], k[3]] != ex["change", k[1], k[2], k[3]]) {
 				printf "FAIL: %s seed %s: count.exact metric %s is %s at the base, %s in the change\n", k[1], k[2], k[3], ex["base", k[1], k[2], k[3]], ex["change", k[1], k[2], k[3]]
 				bad = 1
