@@ -208,7 +208,10 @@ func BenchmarkAblationEvolution(b *testing.B) {
 		}
 		ec := core.DefaultEvolutionConfig()
 		ec.Generations = 26 // ~120 episodes x 11 evals / 50 pop
-		res := x.RunEvolution(ec)
+		res, err := x.RunEvolutionContext(context.Background(), ec)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if res.Best != nil {
 			b.ReportMetric(100*res.Best.Weighted, "best_weighted_pct")
 		}
@@ -266,7 +269,7 @@ func BenchmarkHAPHeuristic(b *testing.B) {
 	p := hapInstance()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sched.Heuristic(p)
+		res, err := sched.HeuristicCtx(context.Background(), p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -282,7 +285,7 @@ func BenchmarkHAPExhaustive(b *testing.B) {
 	p := hapInstance()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sched.Exhaustive(p)
+		res, err := sched.ExhaustiveCtx(context.Background(), p)
 		if err != nil {
 			b.Fatal(err)
 		}

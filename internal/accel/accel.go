@@ -85,18 +85,6 @@ func (d Design) Active() []int {
 	return idx
 }
 
-// Heterogeneous reports whether the design combines at least two different
-// dataflow templates among its active sub-accelerators.
-func (d Design) Heterogeneous() bool {
-	seen := map[dataflow.Style]bool{}
-	for _, s := range d.Subs {
-		if s.Active() {
-			seen[s.DF] = true
-		}
-	}
-	return len(seen) > 1
-}
-
 // Validate checks the design against the resource limits.
 func (d Design) Validate(lim Limits) error {
 	switch v, i := d.check(lim); v {

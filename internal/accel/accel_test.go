@@ -23,9 +23,6 @@ func TestDesignTotalsAndValidate(t *testing.T) {
 	if err := d.Validate(lim); err != nil {
 		t.Errorf("paper's NAS→ASIC W1 design should validate: %v", err)
 	}
-	if !d.Heterogeneous() {
-		t.Error("dla+shi design should be heterogeneous")
-	}
 }
 
 // Validate reports the first broken resource condition, and Feasible
@@ -78,19 +75,8 @@ func TestDegenerateDesigns(t *testing.T) {
 	if got := d.Active(); len(got) != 1 || got[0] != 0 {
 		t.Errorf("Active = %v, want [0]", got)
 	}
-	if d.Heterogeneous() {
-		t.Error("single active sub-accelerator is not heterogeneous")
-	}
 	if d.TotalBW() != 24 {
 		t.Errorf("inactive sub-accelerator bandwidth must not count, got %d", d.TotalBW())
-	}
-
-	homo := NewDesign(
-		SubAccel{DF: dataflow.NVDLA, PEs: 1408, BW: 32},
-		SubAccel{DF: dataflow.NVDLA, PEs: 1408, BW: 32},
-	)
-	if homo.Heterogeneous() {
-		t.Error("two dla sub-accelerators are homogeneous")
 	}
 }
 

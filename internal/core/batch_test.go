@@ -29,7 +29,7 @@ func TestWarmBatchAllocs(t *testing.T) {
 			}
 			ec := DefaultEvolutionConfig()
 			ec.Population, ec.Generations, ec.Elite = 10, 2, 2
-			res := x.RunEvolution(ec)
+			res := evolve(t, x, ec)
 			if res.Best == nil {
 				t.Fatal("no feasible solution to refine")
 			}
@@ -103,7 +103,7 @@ func TestSolutionsOwnTheirDecode(t *testing.T) {
 	}
 	ec := DefaultEvolutionConfig()
 	ec.Population, ec.Generations, ec.Elite = 10, 3, 2
-	res := x.RunEvolution(ec)
+	res := evolve(t, x, ec)
 	if len(res.Explored) < 2 {
 		t.Fatal("too few solutions to check")
 	}

@@ -33,9 +33,6 @@ type Config struct {
 	// GOMAXPROCS, capped at 16; at most 64. Results and work counters are
 	// the same at every value.
 	Workers int
-	// TrainEpochs is the simulated training length used when reporting
-	// learning curves; the reward uses the converged accuracy either way.
-	TrainEpochs int
 	// LR is the controller learning rate. The paper quotes RMSProp with an
 	// initial rate of 0.99 decayed 0.5× every 50 steps; with a normalized-
 	// gradient optimizer that magnitude is unstable, so the framework
@@ -92,7 +89,6 @@ func DefaultConfig() Config {
 		Hidden:       48,
 		Seed:         1,
 		Workers:      0,
-		TrainEpochs:  30,
 		LR:           0.03,
 		LRDecay:      0.5,
 		LRDecaySteps: 40,

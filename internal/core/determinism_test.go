@@ -65,7 +65,7 @@ func runEvolution(t *testing.T, workers int, cache bool) *Result {
 	if testing.Short() {
 		ec.Generations = 2
 	}
-	return x.RunEvolution(ec)
+	return evolve(t, x, ec)
 }
 
 // Same-seed runs must be bit-identical whatever the worker count and cache

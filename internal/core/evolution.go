@@ -74,26 +74,22 @@ type individual struct {
 	penalty float64
 }
 
-// RunEvolution explores the same co-design space as Run with a generational
-// evolutionary algorithm instead of the RNN controller. It is deterministic
-// in Config.Seed and honours Config.Refine for the final exploit phase.
-func (x *Explorer) RunEvolution(ec EvolutionConfig) *Result {
-	res, _ := x.RunEvolutionContext(context.Background(), ec) //lint:allow ctxplumb compat shim: non-ctx public API delegates to the ctx variant
-	return res
-}
-
-// RunEvolutionContext is RunEvolution with cooperative cancellation. Each
-// generation's children (and the initial population) are drawn first and
-// then evaluated as one batch across Config.Workers goroutines; the batch is
-// folded in draw order, so the result is bit-identical to evaluating one
-// child at a time and to RunEvolution. The context is checked before every
-// generation and by every evaluation, so cancellation or a deadline aborts
-// the search promptly. A generation (or initial population) cancelled while
-// its batch is evaluated records nothing: none of its children enters the
-// result and no event is delivered. The partial result holds the completed
-// generations and is returned with ctx's error. Cancellation during
-// refinement follows RunContext's rule: completed refine starts are kept and
-// nothing more is refined.
+// RunEvolutionContext explores the same co-design space as RunContext with
+// a generational evolutionary algorithm instead of the RNN controller. It
+// is deterministic in Config.Seed and honours Config.Refine for the final
+// exploit phase. Each generation's children (and the initial population)
+// are drawn first and then evaluated as one batch across Config.Workers
+// goroutines; the batch is folded in draw order, so the result is
+// bit-identical to evaluating one child at a time.
+//
+// The context is checked before every generation and by every evaluation,
+// so cancellation or a deadline aborts the search promptly. A generation
+// (or initial population) cancelled while its batch is evaluated records
+// nothing: none of its children enters the result and no event is
+// delivered. The partial result holds the completed generations and is
+// returned with ctx's error. Cancellation during refinement follows
+// RunContext's rule: completed refine starts are kept and nothing more is
+// refined.
 func (x *Explorer) RunEvolutionContext(ctx context.Context, ec EvolutionConfig) (*Result, error) {
 	if err := ec.Validate(); err != nil {
 		panic(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"nasaic/internal/workload"
@@ -27,6 +28,16 @@ func TestEvolutionConfigValidate(t *testing.T) {
 	}
 }
 
+// evolve runs ec on x uncancelled, failing t on an error.
+func evolve(t testing.TB, x *Explorer, ec EvolutionConfig) *Result {
+	t.Helper()
+	res, err := x.RunEvolutionContext(context.Background(), ec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestEvolutionFindsFeasibleW3(t *testing.T) {
 	cfg := fastConfig(5)
 	x, err := New(workload.W3(), cfg)
@@ -36,7 +47,7 @@ func TestEvolutionFindsFeasibleW3(t *testing.T) {
 	ec := DefaultEvolutionConfig()
 	ec.Population = 24
 	ec.Generations = 10
-	res := x.RunEvolution(ec)
+	res := evolve(t, x, ec)
 	if res.Best == nil {
 		t.Fatal("evolution found no feasible W3 solution")
 	}
@@ -65,7 +76,7 @@ func TestEvolutionDeterministic(t *testing.T) {
 		ec := DefaultEvolutionConfig()
 		ec.Population = 16
 		ec.Generations = 6
-		return x.RunEvolution(ec)
+		return evolve(t, x, ec)
 	}
 	a, b := run(), run()
 	if (a.Best == nil) != (b.Best == nil) {
@@ -89,7 +100,7 @@ func TestEvolutionEarlyPruning(t *testing.T) {
 	ec := DefaultEvolutionConfig()
 	ec.Population = 10
 	ec.Generations = 3
-	res := x.RunEvolution(ec)
+	res := evolve(t, x, ec)
 	if res.Best != nil {
 		t.Error("impossible specs must yield no feasible individual")
 	}

@@ -15,13 +15,18 @@ import (
 	"nasaic/internal/workload"
 )
 
-// Solution is one fully evaluated (architectures, accelerator) pair.
+// Solution is one fully evaluated (architectures, accelerator) pair: the
+// point type of the explorer's results and of the comparison baselines
+// (package search), which build it from their own samples' metrics.
 type Solution struct {
+	// Episode is the explorer episode that found the solution (0 for a
+	// baseline's).
 	Episode int
 
-	// ArchChoices (per task, option indices into the task space) and
-	// Networks come from the explorer's decode memo and are shared with
-	// every solution of the same architecture: treat them as read-only.
+	// ArchChoices holds per task the option indices into the task space.
+	// In an explorer solution, ArchChoices and Networks come from the
+	// explorer's decode memo and are shared with every solution of the
+	// same architecture: treat them as read-only.
 	ArchChoices [][]int
 	Networks    []*dnn.Network
 	Design      accel.Design
@@ -37,8 +42,9 @@ type Solution struct {
 	Reward   float64
 	Feasible bool
 
-	// actions is the controller action vector that produced the solution
-	// (kept for the refinement phase).
+	// actions is the controller action vector that produced an explorer
+	// solution (kept for the refinement phase); baseline solutions carry
+	// none.
 	actions []int
 }
 

@@ -119,17 +119,6 @@ func (n *Network) Depth() int {
 	return d
 }
 
-// MaxWidth returns the largest output channel count of any compute layer.
-func (n *Network) MaxWidth() int {
-	w := 0
-	for _, l := range n.Layers {
-		if l.Op.Compute() && l.K > w {
-			w = l.K
-		}
-	}
-	return w
-}
-
 // Signature returns a stable, human-readable identity string for the
 // architecture, used for memoization and for the predictor's deterministic
 // perturbation: the name, then "|op:K:C:R:S:X:Y:Stride" per layer. Built

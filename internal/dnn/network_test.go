@@ -55,9 +55,6 @@ func TestNetworkAggregates(t *testing.T) {
 	if n.Depth() != depth {
 		t.Errorf("Depth = %d, want %d", n.Depth(), depth)
 	}
-	if n.MaxWidth() != 64 {
-		t.Errorf("MaxWidth = %d, want 64", n.MaxWidth())
-	}
 	// conv0 + (1 block conv+1 res) + (1) + (1+2 res) + fc = 1+2+1+3+1 = 8
 	if got := len(n.ComputeLayers()); got != 8 {
 		t.Errorf("ComputeLayers = %d, want 8", got)

@@ -68,13 +68,3 @@ func BuildResNet(cfg ResNetConfig) (*Network, error) {
 	n.sig = n.signature()
 	return n, nil
 }
-
-// ResNetEncoding renders the Table-II style architecture tuple
-// ⟨FN0, FN1, SK1, ..., FNb, SKb⟩.
-func ResNetEncoding(cfg ResNetConfig) string {
-	s := fmt.Sprintf("<%d", cfg.FN0)
-	for _, b := range cfg.Blocks {
-		s += fmt.Sprintf(", %d, %d", b.FN, b.SK)
-	}
-	return s + ">"
-}

@@ -31,9 +31,6 @@ func TestCIFARSpaceDecodesTableIIArchitectures(t *testing.T) {
 	if err := n.Validate(); err != nil {
 		t.Fatalf("network invalid: %v", err)
 	}
-	if n.MaxWidth() != 256 {
-		t.Errorf("MaxWidth = %d, want 256", n.MaxWidth())
-	}
 	// conv0 + 3*(1 + SK) convs + fc = 1 + (3+3+3)... blocks have 1+2 convs each.
 	if got, want := n.Depth(), 1+3*(1+2)+1; got != want {
 		t.Errorf("Depth = %d, want %d", got, want)
@@ -128,16 +125,5 @@ func TestSpaceRandomAlwaysDecodes(t *testing.T) {
 		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 			t.Errorf("%s: %v", s.Name, err)
 		}
-	}
-}
-
-func TestEncodingStrings(t *testing.T) {
-	cfg := ResNetConfig{FN0: 32, Blocks: []ResBlock{{128, 2}, {256, 2}, {256, 2}}}
-	if got, want := ResNetEncoding(cfg), "<32, 128, 2, 256, 2, 256, 2>"; got != want {
-		t.Errorf("ResNetEncoding = %q, want %q", got, want)
-	}
-	u := UNetConfig{FN: []int{8, 16, 32}}
-	if got, want := UNetEncoding(u), "<H=3, 8, 16, 32>"; got != want {
-		t.Errorf("UNetEncoding = %q, want %q", got, want)
 	}
 }

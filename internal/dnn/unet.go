@@ -77,12 +77,3 @@ func BuildUNet(cfg UNetConfig) (*Network, error) {
 	n.sig = n.signature()
 	return n, nil
 }
-
-// UNetEncoding renders the architecture tuple ⟨H, FN1, ..., FNh⟩.
-func UNetEncoding(cfg UNetConfig) string {
-	s := fmt.Sprintf("<H=%d", cfg.Height())
-	for _, fn := range cfg.FN {
-		s += fmt.Sprintf(", %d", fn)
-	}
-	return s + ">"
-}

@@ -68,12 +68,6 @@ func (b Budget) config() core.Config {
 // A failed save never fails the experiment: the tier only saves work.
 func (b Budget) save(cfg core.Config) { _ = cfg.Memos.SaveDir(b.CacheDir) }
 
-// archString renders the selected hyperparameter values of a choice vector
-// in the paper's tuple notation.
-func archString(sp *dnn.Space, choices []int) string {
-	return sp.ValuesString(choices)
-}
-
 // DatasetRow is one dataset line within an approach row (Table I groups two
 // datasets per approach).
 type DatasetRow struct {
@@ -94,6 +88,25 @@ type ApproachResult struct {
 	EnergyNJ float64
 	AreaUM2  float64
 	Feasible bool
+}
+
+// approachRow builds the row of one approach's solution on w: the
+// solution's hardware and metrics, and one dataset line per task with its
+// architecture in the paper's tuple notation and its accuracy.
+func approachRow(w workload.Workload, name string, s *core.Solution) ApproachResult {
+	ar := ApproachResult{
+		Workload: w.Name, Approach: name, Hardware: s.Design.String(),
+		Latency: s.Latency, EnergyNJ: s.EnergyNJ, AreaUM2: s.AreaUM2, Feasible: s.Feasible,
+	}
+	for i, t := range w.Tasks {
+		ar.Rows = append(ar.Rows, DatasetRow{
+			Dataset:  t.Dataset.String(),
+			Metric:   t.Dataset.Metric(),
+			Arch:     t.Space.ValuesString(s.ArchChoices[i]),
+			Accuracy: s.Accuracies[i],
+		})
+	}
+	return ar
 }
 
 // singleCIFARWorkload builds a one-task CIFAR-10 workload with the given

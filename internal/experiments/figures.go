@@ -24,8 +24,15 @@ type MetricPoint struct {
 	Feasible bool
 }
 
-func toPoint(lat int64, e, a, wgt float64, feas bool) MetricPoint {
-	return MetricPoint{Latency: lat, EnergyNJ: e, AreaUM2: a, Weighted: wgt, Feasible: feas}
+// hwPoint is the point of hardware metrics m annotated with weighted
+// accuracy wgt.
+func hwPoint(m core.HWMetrics, wgt float64) MetricPoint {
+	return MetricPoint{Latency: m.Latency, EnergyNJ: m.EnergyNJ, AreaUM2: m.AreaUM2, Weighted: wgt, Feasible: m.Feasible}
+}
+
+// solutionPoint is the point of an evaluated solution.
+func solutionPoint(s *core.Solution) MetricPoint {
+	return MetricPoint{Latency: s.Latency, EnergyNJ: s.EnergyNJ, AreaUM2: s.AreaUM2, Weighted: s.Weighted, Feasible: s.Feasible}
 }
 
 // Fig1Data holds the four solution families of Fig. 1 for the CIFAR-10
@@ -80,7 +87,7 @@ func Fig1(ctx context.Context, b Budget) (*Fig1Data, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.NASASIC = append(d.NASASIC, toPoint(m.Latency, m.EnergyNJ, m.AreaUM2, accs[0], m.Feasible))
+		d.NASASIC = append(d.NASASIC, hwPoint(m, accs[0]))
 	}
 
 	// Triangle: hardware-aware NAS on the closest-to-spec fixed design.
@@ -88,7 +95,7 @@ func Fig1(ctx context.Context, b Budget) (*Fig1Data, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.HWNAS = toPoint(hwnas.Latency, hwnas.EnergyNJ, hwnas.AreaUM2, hwnas.Weighted, hwnas.Feasible)
+	d.HWNAS = solutionPoint(hwnas)
 	d.HWNASAcc = hwnas.Weighted
 
 	// Star and square: Monte Carlo co-search.
@@ -97,14 +104,12 @@ func Fig1(ctx context.Context, b Budget) (*Fig1Data, error) {
 		return nil, err
 	}
 	if mc.BestFeasible != nil {
-		p := toPoint(mc.BestFeasible.Latency, mc.BestFeasible.EnergyNJ, mc.BestFeasible.AreaUM2,
-			mc.BestFeasible.Weighted, true)
+		p := solutionPoint(mc.BestFeasible)
 		d.Optimal = &p
 		d.OptimalAcc = mc.BestFeasible.Weighted
 	}
 	if mc.ClosestToSpec != nil {
-		p := toPoint(mc.ClosestToSpec.Latency, mc.ClosestToSpec.EnergyNJ, mc.ClosestToSpec.AreaUM2,
-			mc.ClosestToSpec.Weighted, true)
+		p := solutionPoint(mc.ClosestToSpec)
 		d.Heuristic = &p
 		d.HeuristicAcc = mc.ClosestToSpec.Weighted
 	}
@@ -149,7 +154,7 @@ func Fig6(ctx context.Context, w workload.Workload, b Budget) (*Fig6Data, error)
 	d := &Fig6Data{Workload: w, Stats: res.EvalStats}
 	var pts []pareto.Point
 	for i, s := range res.Explored {
-		d.Explored = append(d.Explored, toPoint(s.Latency, s.EnergyNJ, s.AreaUM2, s.Weighted, true))
+		d.Explored = append(d.Explored, solutionPoint(s))
 		pts = append(pts, pareto.Point{
 			Values: []float64{float64(s.Latency), s.EnergyNJ, s.AreaUM2, -s.Weighted},
 			Tag:    i,
@@ -158,7 +163,7 @@ func Fig6(ctx context.Context, w workload.Workload, b Budget) (*Fig6Data, error)
 	for _, p := range pareto.Front(pts) {
 		d.ParetoIdx = append(d.ParetoIdx, p.Tag)
 	}
-	d.Best = toPoint(res.Best.Latency, res.Best.EnergyNJ, res.Best.AreaUM2, res.Best.Weighted, true)
+	d.Best = solutionPoint(res.Best)
 	d.BestAccs = res.Best.Accuracies
 
 	// Lower bounds: smallest architecture per task across sampled designs.
@@ -179,8 +184,7 @@ func Fig6(ctx context.Context, w workload.Workload, b Budget) (*Fig6Data, error)
 		if err != nil {
 			return nil, err
 		}
-		d.LowerBounds = append(d.LowerBounds,
-			toPoint(m.Latency, m.EnergyNJ, m.AreaUM2, w.Weighted(d.LowerAccs), m.Feasible))
+		d.LowerBounds = append(d.LowerBounds, hwPoint(m, w.Weighted(d.LowerAccs)))
 	}
 	return d, nil
 }

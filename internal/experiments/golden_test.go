@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"nasaic/internal/export"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden table renderings")
@@ -49,14 +51,39 @@ func testTableGolden(t *testing.T, name string, render func() ([]byte, error)) {
 	}
 }
 
+// Table I's rendering and its CSV export come from one regeneration. The
+// CSV also pins the per-task architecture tuples, which the rendered table
+// omits.
 func TestTable1GoldenQuickBudget(t *testing.T) {
+	var rows []ApproachResult
 	testTableGolden(t, "table1_quickbudget.golden", func() ([]byte, error) {
-		rows, _, err := Table1(context.Background(), QuickBudget())
+		var err error
+		rows, _, err = Table1(context.Background(), QuickBudget())
 		if err != nil {
 			return nil, err
 		}
 		var buf bytes.Buffer
 		RenderTable1(&buf, rows)
+		return buf.Bytes(), nil
+	})
+	testTableGolden(t, "table1_csv_quickbudget.golden", func() ([]byte, error) {
+		header, body := Table1CSV(rows)
+		var buf bytes.Buffer
+		err := export.CSV(&buf, header, body)
+		return buf.Bytes(), err
+	})
+}
+
+// Fig. 1 pins the comparison baselines on their own: the NAS→ASIC sweep,
+// ASIC→HW-NAS's triangle and the Monte Carlo star and square.
+func TestFig1GoldenQuickBudget(t *testing.T) {
+	testTableGolden(t, "fig1_quickbudget.golden", func() ([]byte, error) {
+		d, err := Fig1(context.Background(), QuickBudget())
+		if err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		RenderFig1(&buf, d)
 		return buf.Bytes(), nil
 	})
 }

@@ -55,40 +55,10 @@ func table1Workload(ctx context.Context, w workload.Workload, b Budget, cfg core
 		return nil, nil, fmt.Errorf("NASAIC found no feasible solution in %d episodes", cfg.Episodes)
 	}
 
-	fromCandidate := func(name string, c search.Candidate) ApproachResult {
-		ar := ApproachResult{
-			Workload: w.Name, Approach: name, Hardware: c.Design.String(),
-			Latency: c.Latency, EnergyNJ: c.EnergyNJ, AreaUM2: c.AreaUM2, Feasible: c.Feasible,
-		}
-		for i, t := range w.Tasks {
-			ar.Rows = append(ar.Rows, DatasetRow{
-				Dataset:  t.Dataset.String(),
-				Metric:   t.Dataset.Metric(),
-				Arch:     archString(t.Space, c.Choices[i]),
-				Accuracy: c.Accuracies[i],
-			})
-		}
-		return ar
-	}
-
-	nasaicRow := ApproachResult{
-		Workload: w.Name, Approach: "NASAIC", Hardware: res.Best.Design.String(),
-		Latency: res.Best.Latency, EnergyNJ: res.Best.EnergyNJ,
-		AreaUM2: res.Best.AreaUM2, Feasible: res.Best.Feasible,
-	}
-	for i, t := range w.Tasks {
-		nasaicRow.Rows = append(nasaicRow.Rows, DatasetRow{
-			Dataset:  t.Dataset.String(),
-			Metric:   t.Dataset.Metric(),
-			Arch:     archString(t.Space, res.Best.ArchChoices[i]),
-			Accuracy: res.Best.Accuracies[i],
-		})
-	}
-
 	return []ApproachResult{
-		fromCandidate("NAS->ASIC", nas),
-		fromCandidate("ASIC->HW-NAS", hwnas),
-		nasaicRow,
+		approachRow(w, "NAS->ASIC", nas),
+		approachRow(w, "ASIC->HW-NAS", hwnas),
+		approachRow(w, "NASAIC", res.Best),
 	}, res, nil
 }
 

@@ -8,7 +8,7 @@ import (
 	"nasaic/internal/core"
 	"nasaic/internal/dnn"
 	"nasaic/internal/export"
-	"nasaic/internal/predictor"
+	"nasaic/internal/search"
 	"nasaic/internal/stats"
 	"nasaic/internal/workload"
 )
@@ -86,21 +86,7 @@ func Table2(ctx context.Context, b Budget) ([]ApproachResult, core.EvalStats, er
 		return nil, stats, fmt.Errorf("experiments: NASAIC found no feasible W3 solution")
 	}
 	stats.Add(res.EvalStats)
-	hetero := ApproachResult{
-		Workload: "W3", Approach: "Hetero. Acc. (NASAIC)",
-		Hardware: res.Best.Design.String(),
-		Latency:  res.Best.Latency, EnergyNJ: res.Best.EnergyNJ,
-		AreaUM2: res.Best.AreaUM2, Feasible: res.Best.Feasible,
-	}
-	for i, t := range w3.Tasks {
-		hetero.Rows = append(hetero.Rows, DatasetRow{
-			Dataset:  t.Dataset.String(),
-			Metric:   t.Dataset.Metric(),
-			Arch:     archString(t.Space, res.Best.ArchChoices[i]),
-			Accuracy: res.Best.Accuracies[i],
-		})
-	}
-	out = append(out, hetero)
+	out = append(out, approachRow(w3, "Hetero. Acc. (NASAIC)", res.Best))
 	return out, stats, nil
 }
 
@@ -112,17 +98,8 @@ func table2NAS(ctx context.Context, w3 workload.Workload, b Budget, cfg core.Con
 		return ApproachResult{}, err
 	}
 	rng := stats.NewRNG(b.Seed ^ 0x7a2)
-	sp := w3.Tasks[0].Space
-	bestChoices := sp.Largest()
-	bestNet := sp.MustDecode(bestChoices)
-	bestAcc := predictor.Accuracy(predictor.CIFAR10, bestNet)
-	for s := 0; s < b.NASSamples; s++ {
-		c := sp.Random(rng)
-		n := sp.MustDecode(c)
-		if a := predictor.Accuracy(predictor.CIFAR10, n); a > bestAcc {
-			bestChoices, bestNet, bestAcc = c, n, a
-		}
-	}
+	t := w3.Tasks[0]
+	bestChoices, bestNet, bestAcc := search.NAS(t, b.NASSamples, rng)
 	d := maxSingleDesign()
 	m, err := e.HWEvalCtx(ctx, []*dnn.Network{bestNet, bestNet}, d)
 	if err != nil {
@@ -132,8 +109,8 @@ func table2NAS(ctx context.Context, w3 workload.Workload, b Budget, cfg core.Con
 		Workload: "W3", Approach: "NAS",
 		Hardware: d.Subs[0].String(),
 		Rows: []DatasetRow{{
-			Dataset: "CIFAR-10", Metric: "accuracy",
-			Arch: archString(sp, bestChoices), Accuracy: bestAcc,
+			Dataset: t.Dataset.String(), Metric: t.Dataset.Metric(),
+			Arch: t.Space.ValuesString(bestChoices), Accuracy: bestAcc,
 		}},
 		Latency: m.Latency, EnergyNJ: m.EnergyNJ, AreaUM2: m.AreaUM2, Feasible: m.Feasible,
 	}, nil
@@ -154,32 +131,18 @@ func runRestricted(ctx context.Context, name string, w workload.Workload, cfg co
 	if res.Best == nil {
 		return ApproachResult{}, nil, fmt.Errorf("experiments: %s search found no feasible solution", name)
 	}
-	hwStr := res.Best.Design.String()
-	lat := res.Best.Latency
-	energy := res.Best.EnergyNJ
-	area := res.Best.AreaUM2
+	ar := approachRow(w, name, res.Best)
+	ar.Workload = "W3"
 	if copies == 2 {
-		hwStr = "2x " + hwStr
-		energy *= 2
-		area *= 2
+		ar.Hardware = "2x " + ar.Hardware
+		ar.Rows[0].Arch = "2x " + ar.Rows[0].Arch
+		ar.EnergyNJ *= 2
+		ar.AreaUM2 *= 2
 	} else {
 		// Single accelerator executes the network twice sequentially.
-		hwStr = res.Best.Design.String()
-		lat *= 2
-		energy *= 2
+		ar.Latency *= 2
+		ar.EnergyNJ *= 2
 	}
-	ar := ApproachResult{
-		Workload: "W3", Approach: name, Hardware: hwStr,
-		Latency: lat, EnergyNJ: energy, AreaUM2: area, Feasible: res.Best.Feasible,
-	}
-	arch := archString(w.Tasks[0].Space, res.Best.ArchChoices[0])
-	if copies == 2 {
-		arch = "2x " + arch
-	}
-	ar.Rows = append(ar.Rows, DatasetRow{
-		Dataset: "CIFAR-10", Metric: "accuracy",
-		Arch: arch, Accuracy: res.Best.Accuracies[0],
-	})
 	return ar, res, nil
 }
 

@@ -360,10 +360,3 @@ func writeSSE(w http.ResponseWriter, event string, id int, v any) error {
 	_, err = fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", event, id, data)
 	return err
 }
-
-// DecodeEvent parses one SSE `data:` payload back into an Event (client
-// helper shared by tests and examples). It is nasaic.DecodeEvent — the SSE
-// payload is the same canonical encoding the durable journal stores.
-func DecodeEvent(data []byte) (nasaic.Event, error) {
-	return nasaic.DecodeEvent(data)
-}

@@ -127,7 +127,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		if f.event != "episode" {
 			t.Fatalf("frame %d is %q, want episode", i, f.event)
 		}
-		ev, err := DecodeEvent(f.data)
+		ev, err := nasaic.DecodeEvent(f.data)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -257,7 +257,7 @@ func TestHTTPReplayGapReset(t *testing.T) {
 		t.Fatalf("reset id %s, want %d (a reconnect from it resumes at first_seq)", frames[0].id, first-1)
 	}
 	for i, f := range frames[1 : 1+ring] {
-		ev, err := DecodeEvent(f.data)
+		ev, err := nasaic.DecodeEvent(f.data)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,8 +4,6 @@
 // solutions are the non-dominated ones.
 package pareto
 
-import "sort"
-
 // Point is a vector of objectives, all to be minimized (negate objectives
 // that should be maximized).
 type Point struct {
@@ -53,54 +51,4 @@ func Front(pts []Point) []Point {
 		}
 	}
 	return out
-}
-
-// Front2D returns the non-dominated subset for the common two-objective
-// case in O(n log n) via a sort-and-sweep, preserving no particular order
-// (result is sorted by the first objective).
-func Front2D(pts []Point) []Point {
-	if len(pts) == 0 {
-		return nil
-	}
-	s := append([]Point(nil), pts...)
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].Values[0] != s[j].Values[0] {
-			return s[i].Values[0] < s[j].Values[0]
-		}
-		return s[i].Values[1] < s[j].Values[1]
-	})
-	var out []Point
-	bestY := s[0].Values[1]
-	out = append(out, s[0])
-	for _, p := range s[1:] {
-		if p.Values[1] < bestY {
-			out = append(out, p)
-			bestY = p.Values[1]
-		}
-	}
-	return out
-}
-
-// Hypervolume2D computes the area dominated by the 2-D front within the
-// reference box [0,ref0]×[0,ref1] (objectives minimized; points outside the
-// box are clipped). It is a scalar quality-of-front measure used by the DSE
-// reports.
-func Hypervolume2D(front []Point, ref0, ref1 float64) float64 {
-	f := Front2D(front)
-	if len(f) == 0 {
-		return 0
-	}
-	var hv float64
-	prevX := ref0
-	// Sweep from the largest first objective down.
-	for i := len(f) - 1; i >= 0; i-- {
-		x := f[i].Values[0]
-		y := f[i].Values[1]
-		if x > ref0 || y > ref1 {
-			continue
-		}
-		hv += (prevX - x) * (ref1 - y)
-		prevX = x
-	}
-	return hv
 }

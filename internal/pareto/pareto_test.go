@@ -1,7 +1,6 @@
 package pareto
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -53,42 +52,6 @@ func TestFrontSimple(t *testing.T) {
 	}
 }
 
-// Front2D must agree with the general Front on two objectives.
-func TestFront2DAgreesWithFront(t *testing.T) {
-	rng := stats.NewRNG(3)
-	f := func(n8 uint8) bool {
-		n := int(n8%40) + 1
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = Point{Values: []float64{float64(rng.Intn(20)), float64(rng.Intn(20))}, Tag: i}
-		}
-		general := Front(pts)
-		fast := Front2D(pts)
-		// Compare as sets of value pairs (duplicates can differ: Front keeps
-		// all copies, Front2D keeps one; compare unique sets).
-		set := func(ps []Point) map[[2]float64]bool {
-			m := map[[2]float64]bool{}
-			for _, p := range ps {
-				m[[2]float64{p.Values[0], p.Values[1]}] = true
-			}
-			return m
-		}
-		ga, fa := set(general), set(fast)
-		if len(ga) != len(fa) {
-			return false
-		}
-		for k := range ga {
-			if !fa[k] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: no point in the front is dominated by any input point.
 func TestFrontNonDominated(t *testing.T) {
 	rng := stats.NewRNG(7)
@@ -114,36 +77,5 @@ func TestFrontNonDominated(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHypervolume2D(t *testing.T) {
-	// Single point (1,1) in box [0,3]x[0,3]: dominated area = (3-1)*(3-1)=4.
-	hv := Hypervolume2D([]Point{{Values: []float64{1, 1}}}, 3, 3)
-	if math.Abs(hv-4) > 1e-12 {
-		t.Errorf("hypervolume = %f, want 4", hv)
-	}
-	// Adding a dominated point must not change the volume.
-	hv2 := Hypervolume2D([]Point{
-		{Values: []float64{1, 1}},
-		{Values: []float64{2, 2}},
-	}, 3, 3)
-	if math.Abs(hv2-4) > 1e-12 {
-		t.Errorf("hypervolume with dominated point = %f, want 4", hv2)
-	}
-	// A better front has larger volume.
-	hv3 := Hypervolume2D([]Point{
-		{Values: []float64{1, 1}},
-		{Values: []float64{0.5, 2}},
-	}, 3, 3)
-	if hv3 <= hv {
-		t.Errorf("extended front volume %f should exceed %f", hv3, hv)
-	}
-	if Hypervolume2D(nil, 3, 3) != 0 {
-		t.Error("empty front must have zero volume")
-	}
-	// Points outside the reference box contribute nothing.
-	if Hypervolume2D([]Point{{Values: []float64{5, 5}}}, 3, 3) != 0 {
-		t.Error("out-of-box point must contribute nothing")
 	}
 }

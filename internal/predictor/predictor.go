@@ -117,38 +117,3 @@ func Accuracy(d Dataset, n *dnn.Network) float64 {
 	jitter := (stats.HashUnit(d.String()+n.Signature()) - 0.5) * 2 * a.noise
 	return stats.Clamp(q+jitter, 0, 1)
 }
-
-// TrainResult is the outcome of a simulated training run.
-type TrainResult struct {
-	Dataset Dataset
-	Final   float64
-	// Curve is the per-epoch validation quality trajectory.
-	Curve []float64
-}
-
-// Train simulates training n on d for the given number of epochs, producing
-// a saturating learning curve that converges to Accuracy(d, n). Like the
-// real path it is the expensive evaluator step; the early-pruning logic in
-// internal/core skips it when no feasible hardware exists.
-func Train(d Dataset, n *dnn.Network, epochs int) TrainResult {
-	if epochs <= 0 {
-		panic("predictor: epochs must be positive")
-	}
-	final := Accuracy(d, n)
-	a := anchorTable[d]
-	// Bigger networks converge more slowly.
-	tau := 3.0 + math.Log2(math.Max(1, float64(n.TotalParams())/a.refParams))/2
-
-	curve := make([]float64, epochs)
-	start := a.floor * 0.35 // roughly random-init quality
-	sig := d.String() + n.Signature()
-	for e := 0; e < epochs; e++ {
-		progress := 1 - math.Exp(-float64(e+1)/tau)
-		q := start + (final-start)*progress
-		// Per-epoch jitter that dies out as training converges.
-		j := (stats.HashUnit(fmt.Sprintf("%s#%d", sig, e)) - 0.5) * 0.02 * (1 - progress)
-		curve[e] = stats.Clamp(q+j, 0, 1)
-	}
-	curve[epochs-1] = final
-	return TrainResult{Dataset: d, Final: final, Curve: curve}
-}

@@ -123,44 +123,3 @@ func TestAccuracyBounded(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestTrainCurve(t *testing.T) {
-	s := dnn.CIFARResNetSpace()
-	n := s.MustDecode(s.Smallest())
-	res := Train(CIFAR10, n, 30)
-	if len(res.Curve) != 30 {
-		t.Fatalf("curve length %d, want 30", len(res.Curve))
-	}
-	if res.Curve[29] != res.Final {
-		t.Error("curve must converge exactly to Final")
-	}
-	if res.Final != Accuracy(CIFAR10, n) {
-		t.Error("Train final must equal Accuracy")
-	}
-	if res.Curve[0] >= res.Final {
-		t.Error("training should start below the converged quality")
-	}
-	// Determinism.
-	res2 := Train(CIFAR10, n, 30)
-	for i := range res.Curve {
-		if res.Curve[i] != res2.Curve[i] {
-			t.Fatal("training curve must be deterministic")
-		}
-	}
-	// Broad upward trend: late average above early average.
-	early := (res.Curve[0] + res.Curve[1] + res.Curve[2]) / 3
-	late := (res.Curve[27] + res.Curve[28] + res.Curve[29]) / 3
-	if late <= early {
-		t.Error("learning curve should trend upward")
-	}
-}
-
-func TestTrainPanicsOnBadEpochs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for epochs=0")
-		}
-	}()
-	s := dnn.CIFARResNetSpace()
-	Train(CIFAR10, s.MustDecode(s.Smallest()), 0)
-}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -57,6 +58,11 @@ func BenchmarkEvaluateSmall(b *testing.B)  { benchEvaluate(b, benchSmall()) }
 func BenchmarkEvaluateMedium(b *testing.B) { benchEvaluate(b, benchMedium()) }
 func BenchmarkEvaluateLarge(b *testing.B)  { benchEvaluate(b, benchLarge()) }
 
+// heuristic and exhaustive run the production solvers uncancelled, in the
+// signature the reference solvers share.
+func heuristic(p Problem) (Result, error)  { return HeuristicCtx(context.Background(), p) }
+func exhaustive(p Problem) (Result, error) { return ExhaustiveCtx(context.Background(), p) }
+
 // benchSolver times one solver entry point and reports the schedule energy,
 // so paired new/Reference benchmarks can be checked for identical results.
 func benchSolver(b *testing.B, p Problem, f func(Problem) (Result, error)) {
@@ -72,9 +78,9 @@ func benchSolver(b *testing.B, p Problem, f func(Problem) (Result, error)) {
 	b.ReportMetric(energy, "energy_nj")
 }
 
-func BenchmarkHeuristicSmall(b *testing.B)  { benchSolver(b, benchSmall(), Heuristic) }
-func BenchmarkHeuristicMedium(b *testing.B) { benchSolver(b, benchMedium(), Heuristic) }
-func BenchmarkHeuristicLarge(b *testing.B)  { benchSolver(b, benchLarge(), Heuristic) }
+func BenchmarkHeuristicSmall(b *testing.B)  { benchSolver(b, benchSmall(), heuristic) }
+func BenchmarkHeuristicMedium(b *testing.B) { benchSolver(b, benchMedium(), heuristic) }
+func BenchmarkHeuristicLarge(b *testing.B)  { benchSolver(b, benchLarge(), heuristic) }
 
 // The FullResim benchmarks time the test-only full-resimulation heuristic
 // (the same screens and bounds, but every candidate move replays the whole
@@ -102,12 +108,12 @@ func BenchmarkHeuristicReferenceLarge(b *testing.B) {
 	benchSolver(b, benchLarge(), referenceHeuristic)
 }
 
-func BenchmarkExhaustiveSmall(b *testing.B) { benchSolver(b, benchSmall(), Exhaustive) }
+func BenchmarkExhaustiveSmall(b *testing.B) { benchSolver(b, benchSmall(), exhaustive) }
 
 // BenchmarkExhaustiveLarge enumerates 2^14 assignments, four times the
-// largest instance HAP hands to Exhaustive.
+// largest instance HAP hands to ExhaustiveCtx.
 func BenchmarkExhaustiveLarge(b *testing.B) {
-	benchSolver(b, benchProblem(4, 2, 7, 2), Exhaustive)
+	benchSolver(b, benchProblem(4, 2, 7, 2), exhaustive)
 }
 
 func BenchmarkExhaustiveReferenceSmall(b *testing.B) {

@@ -1,12 +1,12 @@
 package sched
 
-// This file holds the exact oracle for HAP instances beyond Exhaustive's
+// This file holds the exact oracle for HAP instances beyond ExhaustiveCtx's
 // size guard: a depth-first branch and bound over layer assignments, branched
 // in decreasing energy-spread order and pruned with admissible energy and
 // makespan bounds, running a full simulation per leaf. nodeBudget bounds the
 // explored nodes; the second return reports whether the search completed
 // within it (true ⇒ the result is optimal). bnb_test.go checks it against
-// Exhaustive on small instances and uses it to bound the heuristic on a
+// ExhaustiveCtx on small instances and uses it to bound the heuristic on a
 // medium one.
 
 import (

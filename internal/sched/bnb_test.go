@@ -9,11 +9,11 @@ import (
 )
 
 // The branch-and-bound oracle (bnb_reference_test.go) must agree with
-// Exhaustive wherever both run.
+// ExhaustiveCtx wherever both run.
 func TestBnBMatchesExhaustiveSmall(t *testing.T) {
 	for _, deadline := range []int64{45, 60, 90, 200} {
 		p := twoAccelProblem(deadline)
-		opt, err := Exhaustive(p)
+		opt, err := exhaustive(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestBnBOptimalRandom(t *testing.T) {
 			}
 			p.Chains = append(p.Chains, ch)
 		}
-		opt, err := Exhaustive(p)
+		opt, err := exhaustive(p)
 		if err != nil {
 			return false
 		}
@@ -72,14 +72,14 @@ func TestBnBOptimalRandom(t *testing.T) {
 	}
 }
 
-// Beyond Exhaustive's size guard the branch-and-bound oracle is the exact
+// Beyond ExhaustiveCtx's size guard the branch-and-bound oracle is the exact
 // reference: the heuristic must never beat an optimum it proved.
 func TestBnBMediumInstance(t *testing.T) {
 	rng := stats.NewRNG(31)
 	p := Problem{NumAccels: 3, Deadline: 600}
 	for c := 0; c < 2; c++ {
 		ch := Chain{Name: "net"}
-		for l := 0; l < 14; l++ { // 3^28 assignments: far beyond Exhaustive
+		for l := 0; l < 14; l++ { // 3^28 assignments: far beyond ExhaustiveCtx
 			opts := make([]Option, 3)
 			for j := range opts {
 				opts[j] = Option{Cycles: int64(5 + rng.Intn(60)), EnergyNJ: 1 + 20*rng.Float64()}
@@ -88,7 +88,7 @@ func TestBnBMediumInstance(t *testing.T) {
 		}
 		p.Chains = append(p.Chains, ch)
 	}
-	if _, err := Exhaustive(p); err == nil {
+	if _, err := exhaustive(p); err == nil {
 		t.Fatal("instance unexpectedly small enough for exhaustive search")
 	}
 	res, complete, err := referenceBranchAndBound(p, 4<<20)
@@ -99,7 +99,7 @@ func TestBnBMediumInstance(t *testing.T) {
 		t.Fatal("expected a feasible schedule at a loose deadline")
 	}
 	// The heuristic cannot beat an exact result when the search completed.
-	h, err := Heuristic(p)
+	h, err := heuristic(p)
 	if err != nil {
 		t.Fatal(err)
 	}

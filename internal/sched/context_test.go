@@ -117,7 +117,7 @@ func TestHeuristicCtxCancelMidScanPartialBest(t *testing.T) {
 		}
 
 		// A subsequent uncancelled solve must be pristine.
-		want, err := Heuristic(p)
+		want, err := heuristic(p)
 		if err != nil {
 			t.Fatal(err)
 		}

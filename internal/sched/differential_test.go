@@ -100,7 +100,7 @@ func TestDifferentialHeuristic(t *testing.T) {
 			scale = 1e8
 		}
 		p := randomProblem(rng, 3, 7, 1+rng.Intn(3), scale)
-		got, err := Heuristic(p)
+		got, err := heuristic(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestDifferentialHeuristicLarge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Heuristic(p)
+		got, err := heuristic(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestDifferentialExhaustive(t *testing.T) {
 			scale = 1e8
 		}
 		p := randomProblem(rng, 2, 4, 1+rng.Intn(3), scale)
-		got, err := Exhaustive(p)
+		got, err := exhaustive(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestDifferentialExhaustive(t *testing.T) {
 
 // TestDifferentialExhaustiveDeep checks the pruned enumeration against the
 // plain one on 2^14-assignment instances, four times the largest that HAP
-// hands to Exhaustive, so pruning runs deep and long.
+// hands to ExhaustiveCtx, so pruning runs deep and long.
 func TestDifferentialExhaustiveDeep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2^14-leaf enumerations")
@@ -194,7 +194,7 @@ func TestDifferentialExhaustiveDeep(t *testing.T) {
 		}
 		// One unmeetable, one tight, one loose deadline.
 		p.Deadline = []int64{3, 250, 100000}[trial]
-		got, err := Exhaustive(p)
+		got, err := exhaustive(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,11 +353,11 @@ func TestHeuristicNeverBeatsExhaustive(t *testing.T) {
 	rng := stats.NewRNG(606)
 	for trial := 0; trial < 100; trial++ {
 		p := randomProblem(rng, 2, 4, 2, 1)
-		opt, err := Exhaustive(p)
+		opt, err := exhaustive(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := Heuristic(p)
+		h, err := heuristic(p)
 		if err != nil {
 			t.Fatal(err)
 		}

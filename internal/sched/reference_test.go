@@ -227,7 +227,7 @@ func referenceExhaustive(p Problem) (Result, error) {
 // every candidate move re-simulates the whole schedule with runBounded. It
 // is the control the checkpointed move scan replaces:
 // TestDifferentialHeuristicNoCheckpoint pins it to referenceHeuristic, and
-// BenchmarkHeuristicFullResim* time it against Heuristic.
+// BenchmarkHeuristicFullResim* time it against HeuristicCtx.
 func fullResimHeuristic(p Problem) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err

@@ -9,7 +9,7 @@
 // The package provides the two solvers HAP dispatches to: the heuristic the
 // paper uses (a Shao-style ratio-greedy refinement [29]) and an exhaustive
 // solver for small instances that stands in for the paper's ILP. Beyond
-// Exhaustive's range, the test-only branch-and-bound in bnb_reference_test.go
+// ExhaustiveCtx's range, the test-only branch-and-bound in bnb_reference_test.go
 // is the exact oracle the heuristic is checked against.
 //
 // The solvers are incremental: the problem is validated once per solve, every
@@ -205,7 +205,7 @@ type move struct {
 	ratio     float64
 }
 
-// hsolver carries the scratch state of one Heuristic solve.
+// hsolver carries the scratch state of one HeuristicCtx solve.
 type hsolver struct {
 	p     *Problem
 	ctx   context.Context
@@ -331,26 +331,21 @@ func incClamp(x int64) int64 {
 	return x + 1
 }
 
-// Heuristic solves the HAP instance with the paper's accelerated approach
-// [29]: seed with the minimum-latency assignment, then greedily apply the
-// single-layer move with the best energy-saving-per-latency-cost ratio while
-// the deadline still holds. If even the seed misses the deadline, it
-// performs makespan-reducing moves first (load balancing) before optimizing
-// energy. The returned Result reports Feasible=false when no deadline-
-// meeting schedule was found.
-func Heuristic(p Problem) (Result, error) {
-	return HeuristicCtx(context.Background(), p) //lint:allow ctxplumb compat shim: non-ctx public API delegates to the ctx variant
-}
-
-// HeuristicCtx is Heuristic with cooperative cancellation: the solver polls
-// ctx between refinement rounds and once per site inside every move scan.
-// Once ctx is done it stops promptly and
-// returns the best assignment refined so far — a valid, fully evaluated
-// partial result — together with ctx's error; a cancellation before any
-// refinement started returns the zero Result. Each call builds its own
-// solver state and checkpoint arenas, so an aborted solve can never leak
-// stale checkpoints into a later call. Uncancelled solves are bit-identical
-// to Heuristic.
+// HeuristicCtx solves the HAP instance with the paper's accelerated
+// approach [29]: seed with the minimum-latency assignment, then greedily
+// apply the single-layer move with the best energy-saving-per-latency-cost
+// ratio while the deadline still holds. If even the seed misses the
+// deadline, it performs makespan-reducing moves first (load balancing)
+// before optimizing energy. The returned Result reports Feasible=false when
+// no deadline-meeting schedule was found.
+//
+// The solver polls ctx between refinement rounds and once per site inside
+// every move scan. Once ctx is done it stops promptly and returns the best
+// assignment refined so far — a valid, fully evaluated partial result —
+// together with ctx's error; a cancellation before any refinement started
+// returns the zero Result. Each call builds its own solver state and
+// checkpoint arenas, so an aborted solve can never leak stale checkpoints
+// into a later call.
 func HeuristicCtx(ctx context.Context, p Problem) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
@@ -407,7 +402,7 @@ func HeuristicCtx(ctx context.Context, p Problem) (Result, error) {
 	return s.result(), nil
 }
 
-// MaxExhaustiveSize bounds the instance size Exhaustive accepts
+// MaxExhaustiveSize bounds the instance size ExhaustiveCtx accepts
 // (NumAccels^Size assignments are enumerated).
 const MaxExhaustiveSize = 1 << 20
 
@@ -599,21 +594,14 @@ func (s *exhaustState) dfs(pos int, eSoFar float64) {
 	}
 }
 
-// Exhaustive enumerates every assignment and returns the minimum-energy
+// ExhaustiveCtx enumerates every assignment and returns the minimum-energy
 // schedule meeting the deadline, or — when none is feasible — the schedule
 // with the smallest makespan. It is the optimal reference standing in for
 // the paper's ILP formulation; it returns an error when the instance is too
 // large (NumAccels^layers > MaxExhaustiveSize). Enumeration prunes with
 // admissible bounds, which is outcome-preserving, so the result is identical
-// to the plain enumeration.
-func Exhaustive(p Problem) (Result, error) {
-	return ExhaustiveCtx(context.Background(), p) //lint:allow ctxplumb compat shim: non-ctx public API delegates to the ctx variant
-}
-
-// ExhaustiveCtx is Exhaustive with cooperative cancellation: the enumeration
-// polls ctx every ctxCheckNodes dfs entries and the call returns ctx's error
-// once it is done. Uncancelled
-// solves are bit-identical to Exhaustive.
+// to the plain enumeration. The enumeration polls ctx every ctxCheckNodes
+// dfs entries and the call returns ctx's error once it is done.
 func ExhaustiveCtx(ctx context.Context, p Problem) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
@@ -639,8 +627,8 @@ func ExhaustiveCtx(ctx context.Context, p Problem) (Result, error) {
 
 // HAP is the paper's solver function re = HAP(D, AIC, LS): it returns the
 // minimum energy achievable under deadline p.Deadline, +Inf when no feasible
-// schedule exists. It dispatches to Exhaustive for small instances and the
-// heuristic otherwise.
+// schedule exists. It dispatches to ExhaustiveCtx for small instances and
+// HeuristicCtx otherwise.
 func HAP(p Problem) (float64, Result, error) {
 	return HAPCtx(context.Background(), p) //lint:allow ctxplumb compat shim: non-ctx public API delegates to the ctx variant
 }

@@ -114,11 +114,11 @@ func TestEvaluateRejectsBadAssignments(t *testing.T) {
 func TestExhaustiveOptimalAndHeuristicFeasible(t *testing.T) {
 	for _, deadline := range []int64{45, 60, 90, 200} {
 		p := twoAccelProblem(deadline)
-		opt, err := Exhaustive(p)
+		opt, err := exhaustive(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := Heuristic(p)
+		h, err := heuristic(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestDeadlineMonotonicity(t *testing.T) {
 	prev := math.Inf(1)
 	for _, deadline := range []int64{45, 50, 60, 80, 120, 500} {
 		p := twoAccelProblem(deadline)
-		opt, err := Exhaustive(p)
+		opt, err := exhaustive(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestTheoremHAPEquivalence(t *testing.T) {
 	// Any ES >= re is satisfiable by this schedule; any ES < re is not,
 	// because re is the minimum energy among deadline-meeting schedules
 	// (verified against the exhaustive optimum).
-	opt, err := Exhaustive(p)
+	opt, err := exhaustive(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +213,11 @@ func TestHeuristicNearOptimalRandom(t *testing.T) {
 			p.Chains = append(p.Chains, ch)
 		}
 		p.Deadline = int64(20 + rng.Intn(100))
-		opt, err := Exhaustive(p)
+		opt, err := exhaustive(p)
 		if err != nil {
 			return false
 		}
-		h, err := Heuristic(p)
+		h, err := heuristic(p)
 		if err != nil {
 			return false
 		}
@@ -243,7 +243,7 @@ func TestExhaustiveSizeGuard(t *testing.T) {
 		}})
 	}
 	p.Chains = []Chain{ch}
-	if _, err := Exhaustive(p); err == nil {
+	if _, err := exhaustive(p); err == nil {
 		t.Error("exhaustive should refuse 3^20 assignments")
 	}
 }
@@ -265,7 +265,7 @@ func TestHeuristicAssignmentConsistent(t *testing.T) {
 			}
 			p.Chains = append(p.Chains, ch)
 		}
-		res, err := Heuristic(p)
+		res, err := heuristic(p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,9 @@
 //     square.
 //
 // All approaches share NASAIC's evaluator so comparisons are apples-to-
-// apples.
+// apples, and report their picks as *core.Solution, the type NASAIC's
+// explorer reports. Each sample costs exactly one hardware evaluation; a
+// pick is built from the metrics its sample already returned.
 package search
 
 import (
@@ -25,63 +27,66 @@ import (
 	"nasaic/internal/workload"
 )
 
-// Candidate is one evaluated (architectures, design) point.
-type Candidate struct {
-	Choices  [][]int
-	Networks []*dnn.Network
-	Design   accel.Design
-
-	Accuracies []float64
-	Weighted   float64
-	Latency    int64
-	EnergyNJ   float64
-	AreaUM2    float64
-	Feasible   bool
-}
-
-// evalCandidate fills the metrics of a candidate via the shared evaluator.
-func evalCandidate(ctx context.Context, e *core.Evaluator, w workload.Workload, nets []*dnn.Network,
-	choices [][]int, d accel.Design) (Candidate, error) {
-	m, err := e.HWEvalCtx(ctx, nets, d)
-	if err != nil {
-		return Candidate{}, err
-	}
+// solution builds the evaluated point of one sample from the metrics its
+// hardware evaluation returned, training (memoized) its networks. Penalty
+// and Reward come from the evaluator, as for the explorer's solutions.
+func solution(e *core.Evaluator, choices [][]int, nets []*dnn.Network, d accel.Design, m core.HWMetrics) *core.Solution {
 	accs := e.Accuracies(nets)
-	return Candidate{
-		Choices:  choices,
-		Networks: nets,
-		Design:   d,
-
-		Accuracies: accs,
-		Weighted:   w.Weighted(accs),
-		Latency:    m.Latency,
-		EnergyNJ:   m.EnergyNJ,
-		AreaUM2:    m.AreaUM2,
-		Feasible:   m.Feasible,
-	}, nil
+	weighted := e.W.Weighted(accs)
+	pen := e.Penalty(m)
+	return &core.Solution{
+		ArchChoices: choices,
+		Networks:    nets,
+		Design:      d,
+		Accuracies:  accs,
+		Weighted:    weighted,
+		Latency:     m.Latency,
+		EnergyNJ:    m.EnergyNJ,
+		AreaUM2:     m.AreaUM2,
+		Penalty:     pen,
+		Reward:      e.Reward(weighted, pen),
+		Feasible:    m.Feasible,
+	}
 }
 
-// nasArchitectures runs mono-objective NAS per task: it samples the space
-// and returns the highest-accuracy architecture found (with the saturating
-// accuracy model this converges to the capacity-maximal region, matching the
-// paper's observation that spec-blind NAS picks networks too large for the
+// NAS runs mono-objective NAS on one task: it samples the task's space and
+// returns the highest-accuracy architecture found, starting from the
+// largest one, with its accuracy (with the saturating accuracy model this
+// converges to the capacity-maximal region, matching the paper's
+// observation that spec-blind NAS picks networks too large for the
 // hardware).
+func NAS(t workload.TaskSpec, samples int, rng *stats.RNG) ([]int, *dnn.Network, float64) {
+	best := t.Space.Largest()
+	bestNet := t.Space.MustDecode(best)
+	bestAcc := predictor.Accuracy(t.Dataset, bestNet)
+	for s := 0; s < samples; s++ {
+		c := t.Space.Random(rng)
+		n := t.Space.MustDecode(c)
+		if a := predictor.Accuracy(t.Dataset, n); a > bestAcc {
+			best, bestNet, bestAcc = c, n, a
+		}
+	}
+	return best, bestNet, bestAcc
+}
+
+// nasArchitectures runs NAS on every task of w in task order.
 func nasArchitectures(w workload.Workload, samples int, rng *stats.RNG) ([][]int, []*dnn.Network) {
 	choices := make([][]int, len(w.Tasks))
 	nets := make([]*dnn.Network, len(w.Tasks))
 	for ti, t := range w.Tasks {
-		best := t.Space.Largest()
-		bestNet := t.Space.MustDecode(best)
-		bestAcc := predictor.Accuracy(t.Dataset, bestNet)
-		for s := 0; s < samples; s++ {
-			c := t.Space.Random(rng)
-			n := t.Space.MustDecode(c)
-			if a := predictor.Accuracy(t.Dataset, n); a > bestAcc {
-				best, bestNet, bestAcc = c, n, a
-			}
-		}
-		choices[ti] = best
-		nets[ti] = bestNet
+		choices[ti], nets[ti], _ = NAS(t, samples, rng)
+	}
+	return choices, nets
+}
+
+// architectures picks one architecture per task of w with pick, in task
+// order, and decodes it.
+func architectures(w workload.Workload, pick func(*dnn.Space) []int) ([][]int, []*dnn.Network) {
+	choices := make([][]int, len(w.Tasks))
+	nets := make([]*dnn.Network, len(w.Tasks))
+	for ti, t := range w.Tasks {
+		choices[ti] = pick(t.Space)
+		nets[ti] = t.Space.MustDecode(choices[ti])
 	}
 	return choices, nets
 }
@@ -92,34 +97,31 @@ func nasArchitectures(w workload.Workload, samples int, rng *stats.RNG) ([][]int
 // satisfiable) is returned. In the paper, no design satisfies the specs for
 // the NAS-chosen networks (Table I, rows "NAS→ASIC"). The context is checked
 // per sample; cancellation returns its error.
-func NASToASIC(ctx context.Context, w workload.Workload, cfg core.Config, archSamples, hwSamples int) (Candidate, error) {
+func NASToASIC(ctx context.Context, w workload.Workload, cfg core.Config, archSamples, hwSamples int) (*core.Solution, error) {
 	e, err := core.NewEvaluator(w, cfg)
 	if err != nil {
-		return Candidate{}, err
+		return nil, err
 	}
 	rng := stats.NewRNG(cfg.Seed ^ 0x0a51c)
 	choices, nets := nasArchitectures(w, archSamples, rng)
 
-	best := Candidate{}
+	var bestD accel.Design
+	var bestM core.HWMetrics
 	bestPen := math.Inf(1)
 	for s := 0; s < hwSamples; s++ {
 		d := cfg.HW.Random(rng)
 		m, err := e.HWEvalCtx(ctx, nets, d)
 		if err != nil {
-			return Candidate{}, err
+			return nil, err
 		}
 		pen := e.Penalty(m)
 		// Prefer lower penalty; among (near-)equals prefer lower latency so
 		// the reported best-effort design is the performance frontier.
-		if pen < bestPen-1e-9 || (pen < bestPen+1e-9 && m.Latency < best.Latency) {
-			bestPen = pen
-			best, err = evalCandidate(ctx, e, w, nets, choices, d)
-			if err != nil {
-				return Candidate{}, err
-			}
+		if pen < bestPen-1e-9 || (pen < bestPen+1e-9 && m.Latency < bestM.Latency) {
+			bestPen, bestD, bestM = pen, d, m
 		}
 	}
-	return best, nil
+	return solution(e, choices, nets, bestD, bestM), nil
 }
 
 // ClosestToSpecDesign runs the Monte Carlo hardware search of the
@@ -160,78 +162,60 @@ func ClosestToSpecDesign(ctx context.Context, w workload.Workload, e *core.Evalu
 // ASICToHWNAS runs the second baseline: fix the closest-to-spec design from
 // mcRuns Monte Carlo hardware samples, then run hardware-aware NAS on that
 // design — random architecture search keeping the best feasible weighted
-// accuracy (an MnasNet-style single-design search [30]).
-func ASICToHWNAS(ctx context.Context, w workload.Workload, cfg core.Config, mcRuns, nasSamples int) (Candidate, error) {
+// accuracy (an MnasNet-style single-design search [30]). When no sample is
+// feasible it reports the smallest architectures on that design.
+func ASICToHWNAS(ctx context.Context, w workload.Workload, cfg core.Config, mcRuns, nasSamples int) (*core.Solution, error) {
 	e, err := core.NewEvaluator(w, cfg)
 	if err != nil {
-		return Candidate{}, err
+		return nil, err
 	}
 	rng := stats.NewRNG(cfg.Seed ^ 0x17a5)
 	_, nasNets := nasArchitectures(w, 200, rng)
 	design, err := ClosestToSpecDesign(ctx, w, e, cfg, nasNets, mcRuns, rng)
 	if err != nil {
-		return Candidate{}, err
+		return nil, err
 	}
 
-	var best Candidate
-	have := false
+	var best *core.Solution
 	for s := 0; s < nasSamples; s++ {
-		choices := make([][]int, len(w.Tasks))
-		nets := make([]*dnn.Network, len(w.Tasks))
-		for ti, t := range w.Tasks {
-			choices[ti] = t.Space.Random(rng)
-			nets[ti] = t.Space.MustDecode(choices[ti])
-		}
+		choices, nets := architectures(w, func(sp *dnn.Space) []int { return sp.Random(rng) })
 		m, err := e.HWEvalCtx(ctx, nets, design)
 		if err != nil {
-			return Candidate{}, err
+			return nil, err
 		}
 		if !m.Feasible {
 			continue
 		}
-		c, err := evalCandidate(ctx, e, w, nets, choices, design)
-		if err != nil {
-			return Candidate{}, err
-		}
-		if !have || c.Weighted > best.Weighted {
-			best, have = c, true
+		if sol := solution(e, choices, nets, design, m); best == nil || sol.Weighted > best.Weighted {
+			best = sol
 		}
 	}
-	if !have {
-		// Fall back to the smallest architectures so callers always get a
-		// concrete candidate to report.
-		choices := make([][]int, len(w.Tasks))
-		nets := make([]*dnn.Network, len(w.Tasks))
-		for ti, t := range w.Tasks {
-			choices[ti] = t.Space.Smallest()
-			nets[ti] = t.Space.MustDecode(choices[ti])
-		}
-		best, err = evalCandidate(ctx, e, w, nets, choices, design)
-		if err != nil {
-			return Candidate{}, err
-		}
+	if best != nil {
+		return best, nil
 	}
-	return best, nil
+	choices, nets := architectures(w, (*dnn.Space).Smallest)
+	m, err := e.HWEvalCtx(ctx, nets, design)
+	if err != nil {
+		return nil, err
+	}
+	return solution(e, choices, nets, design, m), nil
 }
 
-// MonteCarloResult holds the products of the random co-search.
+// MonteCarloResult holds the products of the random co-search. Either
+// point is nil when no sample met the specs.
 type MonteCarloResult struct {
-	// All contains every evaluated point (for Fig. 1 scatter export).
-	All []Candidate
 	// BestFeasible maximizes weighted accuracy subject to the specs
 	// (Fig. 1's star).
-	BestFeasible *Candidate
+	BestFeasible *core.Solution
 	// ClosestToSpec is the feasible point minimizing the normalized
 	// distance to the spec corner (Fig. 1's heuristic square).
-	ClosestToSpec *Candidate
-	// Stats reports the evaluator work the search performed, including
-	// hardware-evaluation cache effectiveness (random co-sampling rarely
-	// repeats points, so its hit rate lower-bounds every other approach).
-	Stats core.EvalStats
+	ClosestToSpec *core.Solution
 }
 
-// MonteCarlo co-samples runs random (architectures, design) pairs. The
-// context is checked per sample; cancellation returns its error.
+// MonteCarlo co-samples runs random (architectures, design) pairs. Only
+// feasible samples, the only ones that can become the star or the square,
+// are trained. The context is checked per sample; cancellation returns its
+// error.
 func MonteCarlo(ctx context.Context, w workload.Workload, cfg core.Config, runs int) (*MonteCarloResult, error) {
 	e, err := core.NewEvaluator(w, cfg)
 	if err != nil {
@@ -242,34 +226,26 @@ func MonteCarlo(ctx context.Context, w workload.Workload, cfg core.Config, runs 
 	sp := w.Specs
 	bestDist := math.Inf(1)
 	for s := 0; s < runs; s++ {
-		choices := make([][]int, len(w.Tasks))
-		nets := make([]*dnn.Network, len(w.Tasks))
-		for ti, t := range w.Tasks {
-			choices[ti] = t.Space.Random(rng)
-			nets[ti] = t.Space.MustDecode(choices[ti])
-		}
+		choices, nets := architectures(w, func(sp *dnn.Space) []int { return sp.Random(rng) })
 		d := cfg.HW.Random(rng)
-		c, err := evalCandidate(ctx, e, w, nets, choices, d)
+		m, err := e.HWEvalCtx(ctx, nets, d)
 		if err != nil {
 			return nil, err
 		}
-		res.All = append(res.All, c)
-		if !c.Feasible {
+		if !m.Feasible {
 			continue
 		}
-		cc := c
-		if res.BestFeasible == nil || c.Weighted > res.BestFeasible.Weighted {
-			res.BestFeasible = &cc
+		sol := solution(e, choices, nets, d, m)
+		if res.BestFeasible == nil || sol.Weighted > res.BestFeasible.Weighted {
+			res.BestFeasible = sol
 		}
-		dl := 1 - float64(c.Latency)/float64(sp.LatencyCycles)
-		de := 1 - c.EnergyNJ/sp.EnergyNJ
-		da := 1 - c.AreaUM2/sp.AreaUM2
-		dist := dl*dl + de*de + da*da
-		if dist < bestDist {
+		dl := 1 - float64(sol.Latency)/float64(sp.LatencyCycles)
+		de := 1 - sol.EnergyNJ/sp.EnergyNJ
+		da := 1 - sol.AreaUM2/sp.AreaUM2
+		if dist := dl*dl + de*de + da*da; dist < bestDist {
 			bestDist = dist
-			res.ClosestToSpec = &cc
+			res.ClosestToSpec = sol
 		}
 	}
-	res.Stats = e.EvalStats()
 	return res, nil
 }

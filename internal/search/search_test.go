@@ -2,9 +2,11 @@ package search
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"nasaic/internal/core"
+	"nasaic/internal/dnn"
 	"nasaic/internal/stats"
 	"nasaic/internal/workload"
 )
@@ -50,14 +52,16 @@ func TestASICToHWNASMeetsSpecs(t *testing.T) {
 	}
 }
 
+// MonteCarlo's star and square are the maximum-accuracy and the
+// closest-to-spec points over the feasible samples: a test-side loop replays
+// the search's RNG draws, evaluates every sample and checks both picks.
 func TestMonteCarloProducts(t *testing.T) {
 	w := workload.W3()
-	res, err := MonteCarlo(context.Background(), w, fastCfg(7), 400)
+	cfg := fastCfg(7)
+	const runs = 400
+	res, err := MonteCarlo(context.Background(), w, cfg, runs)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(res.All) != 400 {
-		t.Fatalf("All has %d points, want 400", len(res.All))
 	}
 	if res.BestFeasible == nil {
 		t.Fatal("no feasible point among 400 W3 samples (feasible region should be easy)")
@@ -68,11 +72,46 @@ func TestMonteCarloProducts(t *testing.T) {
 	if !res.BestFeasible.Feasible || !res.ClosestToSpec.Feasible {
 		t.Error("selected points must be feasible")
 	}
-	// The star maximizes weighted accuracy among feasible points.
-	for _, c := range res.All {
-		if c.Feasible && c.Weighted > res.BestFeasible.Weighted {
-			t.Error("BestFeasible is not the best feasible point")
+
+	e, err := core.NewEvaluator(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := w.Specs
+	dist := func(lat int64, en, area float64) float64 {
+		dl := 1 - float64(lat)/float64(sp.LatencyCycles)
+		de := 1 - en/sp.EnergyNJ
+		da := 1 - area/sp.AreaUM2
+		return dl*dl + de*de + da*da
+	}
+	rng := stats.NewRNG(cfg.Seed ^ 0x3ca7e)
+	maxWeighted, minDist := math.Inf(-1), math.Inf(1)
+	feasible := 0
+	for s := 0; s < runs; s++ {
+		nets := make([]*dnn.Network, len(w.Tasks))
+		for ti, task := range w.Tasks {
+			nets[ti] = task.Space.MustDecode(task.Space.Random(rng))
 		}
+		m, err := e.HWEvalCtx(context.Background(), nets, cfg.HW.Random(rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.Feasible {
+			continue
+		}
+		feasible++
+		maxWeighted = math.Max(maxWeighted, w.Weighted(e.Accuracies(nets)))
+		minDist = math.Min(minDist, dist(m.Latency, m.EnergyNJ, m.AreaUM2))
+	}
+	if feasible == 0 {
+		t.Fatal("the replay found no feasible sample")
+	}
+	if res.BestFeasible.Weighted != maxWeighted {
+		t.Errorf("BestFeasible weighted %v, want the feasible maximum %v", res.BestFeasible.Weighted, maxWeighted)
+	}
+	c := res.ClosestToSpec
+	if got := dist(c.Latency, c.EnergyNJ, c.AreaUM2); got != minDist {
+		t.Errorf("ClosestToSpec distance %v, want the feasible minimum %v", got, minDist)
 	}
 }
 

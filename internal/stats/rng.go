@@ -2,8 +2,7 @@
 // small numeric helpers shared by the NASAIC search infrastructure.
 //
 // All experiments in this repository are seeded so that every table and
-// figure regenerates identically run-to-run; RNG wraps math/rand with a
-// splittable seed scheme so concurrent workers stay deterministic.
+// figure regenerates identically run-to-run; RNG wraps math/rand.
 package stats
 
 import (
@@ -12,9 +11,8 @@ import (
 )
 
 // RNG is a deterministic random source. It is a thin wrapper over
-// math/rand.Rand that adds categorical sampling and child-stream splitting.
-// An RNG is not safe for concurrent use; use Split to derive independent
-// streams for worker goroutines.
+// math/rand.Rand that adds categorical sampling. An RNG is not safe for
+// concurrent use.
 type RNG struct {
 	r *rand.Rand
 }
@@ -22,15 +20,6 @@ type RNG struct {
 // NewRNG returns an RNG seeded with seed.
 func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
-}
-
-// Split derives an independent child stream identified by label. The child
-// sequence depends only on (parent seed state, label), so workers created in
-// a fixed order observe fixed streams.
-func (g *RNG) Split(label string) *RNG {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	return NewRNG(int64(h.Sum64()) ^ g.r.Int63())
 }
 
 // Float64 returns a uniform sample in [0,1).
@@ -41,9 +30,6 @@ func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
 // NormFloat64 returns a standard normal sample.
 func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
-
-// Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
 // Categorical samples an index from the probability vector p. The vector
 // must be non-negative; it is normalized internally so callers may pass

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // EMA is an exponential moving average, used as the REINFORCE reward
 // baseline b in Eq. (1) of the paper. The zero value is invalid; use NewEMA.
@@ -39,62 +36,6 @@ func (e *EMA) Value() float64 { return e.value }
 
 // Initialized reports whether at least one observation has been folded in.
 func (e *EMA) Initialized() bool { return e.init }
-
-// Summary holds order statistics of a sample.
-type Summary struct {
-	N           int
-	Min, Max    float64
-	Mean, Std   float64
-	P25, Median float64
-	P75         float64
-}
-
-// Summarize computes summary statistics of xs. It returns a zero Summary for
-// an empty sample.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	var sum, sq float64
-	for _, v := range s {
-		sum += v
-	}
-	mean := sum / float64(len(s))
-	for _, v := range s {
-		d := v - mean
-		sq += d * d
-	}
-	std := 0.0
-	if len(s) > 1 {
-		std = math.Sqrt(sq / float64(len(s)-1))
-	}
-	return Summary{
-		N:      len(s),
-		Min:    s[0],
-		Max:    s[len(s)-1],
-		Mean:   mean,
-		Std:    std,
-		P25:    quantile(s, 0.25),
-		Median: quantile(s, 0.5),
-		P75:    quantile(s, 0.75),
-	}
-}
-
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
 
 // ArgMax returns the index of the maximum element of xs, or -1 if empty.
 // Ties resolve to the first maximum.
