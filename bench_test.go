@@ -99,7 +99,9 @@ func BenchmarkFig1(b *testing.B) {
 			fmt.Println("\n=== Fig. 1 (QuickBudget reproduction) ===")
 			experiments.RenderFig1(os.Stdout, d)
 		})
-		b.ReportMetric(100*d.OptimalAcc, "mc_optimal_acc_pct")
+		if d.Optimal != nil {
+			b.ReportMetric(100*d.Optimal.Weighted, "mc_optimal_acc_pct")
+		}
 		feasible := 0
 		for _, p := range d.NASASIC {
 			if p.Feasible {

@@ -76,7 +76,12 @@ func (d Design) TotalBW() int {
 // Active returns the sub-accelerators with non-zero resources, with their
 // original indices.
 func (d Design) Active() []int {
-	var idx []int
+	return d.AppendActive(nil)
+}
+
+// AppendActive appends the original indices of the sub-accelerators with
+// non-zero resources to idx.
+func (d Design) AppendActive(idx []int) []int {
 	for i, s := range d.Subs {
 		if s.Active() {
 			idx = append(idx, i)
@@ -175,21 +180,25 @@ func (d Design) Area(cfg maestro.Config, bufDemand []int64) float64 {
 // buffer-demand layout), so the encoding is position-exact rather than
 // active-set normalized.
 func (d Design) Fingerprint() string {
-	var b strings.Builder
-	// 16 bytes per tuple is enough for "dla:4096:64;" with slack.
-	b.Grow(16 * len(d.Subs))
-	var buf [20]byte
+	// Room for a few "dla:4096:64;" tuples on the stack; longer designs
+	// grow onto the heap.
+	var buf [96]byte
+	return string(d.AppendFingerprint(buf[:0]))
+}
+
+// AppendFingerprint appends the design's Fingerprint bytes to b.
+func (d Design) AppendFingerprint(b []byte) []byte {
 	for i, s := range d.Subs {
 		if i > 0 {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
-		b.WriteString(s.DF.String())
-		b.WriteByte(':')
-		b.Write(strconv.AppendInt(buf[:0], int64(s.PEs), 10))
-		b.WriteByte(':')
-		b.Write(strconv.AppendInt(buf[:0], int64(s.BW), 10))
+		b = append(b, s.DF.String()...)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(s.PEs), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(s.BW), 10)
 	}
-	return b.String()
+	return b
 }
 
 // String renders all sub-accelerator tuples.

@@ -78,16 +78,18 @@ func (x *Explorer) decode(c *candidate) {
 }
 
 // evalBatch evaluates the hardware metrics of every candidate not marked
-// skip, fanning the HWEvalCtx calls out over Config.workers() goroutines with
-// the caller as one of them; a batch with one candidate to evaluate runs
-// inline. The candidates must already be decoded (decoding touches the
-// single-goroutine decode memo). Each result lands in its own candidate, so
-// folding the batch in candidate order gives the outcome of evaluating it
-// sequentially, and the evaluator's counters come out the same: two
-// concurrent requests for one key meet in the hardware cache's singleflight,
-// and the waiter counts the hit a sequential second request would. A done
-// context stops the fan-out, every worker drains and exits before evalBatch
-// returns ctx's error, and the batch's metrics must then be discarded.
+// skip, fanning the hardware requests out over Config.workers() goroutines
+// with the caller as one of them; a batch with one candidate to evaluate runs
+// inline. Worker w solves on the explorer's workspace slot w, grown here on
+// first use, so a warm batch allocates nothing per request. The candidates
+// must already be decoded (decoding touches the single-goroutine decode
+// memo). Each result lands in its own candidate, so folding the batch in
+// candidate order gives the outcome of evaluating it sequentially, and the
+// evaluator's counters come out the same: two concurrent requests for one
+// key meet in the hardware cache's singleflight, and the waiter counts the
+// hit a sequential second request would. A done context stops the fan-out,
+// every worker drains and exits before evalBatch returns ctx's error, and
+// the batch's metrics must then be discarded.
 func (x *Explorer) evalBatch(ctx context.Context, cands []candidate) error {
 	pending := 0
 	for i := range cands {
@@ -95,17 +97,20 @@ func (x *Explorer) evalBatch(ctx context.Context, cands []candidate) error {
 			pending++
 		}
 	}
-	workers := min(x.Cfg.workers(), pending)
-	if workers <= 1 {
+	workers := max(min(x.Cfg.workers(), pending), 1)
+	for len(x.slots) < workers {
+		x.slots = append(x.slots, new(workspace))
+	}
+	if workers == 1 {
 		var next atomic.Int64
-		return x.evalNext(ctx, cands, &next)
+		return x.evalNext(ctx, x.slots[0], cands, &next)
 	}
 	f := &fanout{}
 	f.wg.Add(workers)
 	for w := 1; w < workers; w++ {
-		go x.evalWorker(ctx, cands, f)
+		go x.evalWorker(ctx, x.slots[w], cands, f)
 	}
-	x.evalWorker(ctx, cands, f)
+	x.evalWorker(ctx, x.slots[0], cands, f)
 	f.wg.Wait()
 	return f.err
 }
@@ -118,10 +123,10 @@ type fanout struct {
 	err  error // the first evaluation error
 }
 
-// evalWorker runs evalNext for f and records its error.
-func (x *Explorer) evalWorker(ctx context.Context, cands []candidate, f *fanout) {
+// evalWorker runs evalNext on ws for f and records its error.
+func (x *Explorer) evalWorker(ctx context.Context, ws *workspace, cands []candidate, f *fanout) {
 	defer f.wg.Done()
-	if err := x.evalNext(ctx, cands, &f.next); err != nil {
+	if err := x.evalNext(ctx, ws, cands, &f.next); err != nil {
 		f.mu.Lock()
 		if f.err == nil {
 			f.err = err
@@ -130,11 +135,11 @@ func (x *Explorer) evalWorker(ctx context.Context, cands []candidate, f *fanout)
 	}
 }
 
-// evalNext is one evalBatch worker: it evaluates the candidates whose
-// indices it takes from next until none is left or an evaluation fails.
-// Only a done context fails an evaluation, and it fails every later one at
-// once, so the other workers drain promptly.
-func (x *Explorer) evalNext(ctx context.Context, cands []candidate, next *atomic.Int64) error {
+// evalNext is one evalBatch worker: on workspace ws, it evaluates the
+// candidates whose indices it takes from next until none is left or an
+// evaluation fails. Only a done context fails an evaluation, and it fails
+// every later one at once, so the other workers drain promptly.
+func (x *Explorer) evalNext(ctx context.Context, ws *workspace, cands []candidate, next *atomic.Int64) error {
 	for {
 		i := int(next.Add(1) - 1)
 		if i >= len(cands) {
@@ -144,7 +149,7 @@ func (x *Explorer) evalNext(ctx context.Context, cands []candidate, next *atomic
 		if c.skip {
 			continue
 		}
-		m, err := x.eval.HWEvalCtx(ctx, c.nets, c.design)
+		m, err := x.eval.hwEval(ctx, ws, c.nets, c.design, true)
 		if err != nil {
 			return err
 		}

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
+	"strconv"
 
 	"nasaic/internal/accel"
 	"nasaic/internal/dnn"
@@ -58,11 +58,11 @@ type Evaluator struct {
 	// accMemo, hwCache and layerMemo are the tiers of the Config.Memos
 	// bundle (a private one when nil). accMemo memoizes the
 	// training-and-validating path per ⟨dataset, architecture signature⟩.
-	// hwCache memoizes the valid-design evaluations under hwPrefix (the
-	// workload specs, which set the HAP deadline and the Feasible flag)
-	// plus hwKey; cached HWMetrics are shared between callers and must be
-	// treated as immutable. Tests set hwCache to nil after construction to
-	// get the uncached reference path.
+	// hwCache memoizes the valid-design evaluations under appendHWKey's
+	// key, which starts with hwPrefix (the workload specs, which set the
+	// HAP deadline and the Feasible flag); cached HWMetrics are shared
+	// between callers and must be treated as immutable. Tests set hwCache
+	// to nil after construction to get the uncached reference path.
 	accMemo  *accuracyMemo
 	hwCache  *evalcache.Cache[HWMetrics]
 	hwPrefix string
@@ -158,24 +158,35 @@ func NewEvaluator(w workload.Workload, cfg Config) (*Evaluator, error) {
 	return e, nil
 }
 
-// hwKey builds the canonical cache key of one hardware evaluation: the
-// evaluator's specs prefix, the design fingerprint and every network's
-// memoization signature (the same identity the accuracy path keys on).
-func hwKey(prefix string, nets []*dnn.Network, d accel.Design) string {
-	fp := d.Fingerprint()
-	size := len(prefix) + len(fp)
+// workspace is one evaluation worker's reusable scratch for the
+// mapping-and-scheduling path: the HAP solver state, the storage of the HAP
+// problem it builds and the cache-key buffer. A warm workspace lets a cache
+// hit allocate nothing and a miss allocate only the metrics it caches. It is
+// not safe for concurrent use: the explorer gives each evalBatch worker slot
+// its own.
+type workspace struct {
+	hap    sched.Workspace
+	key    []byte
+	active []int // the design's active sub-accelerators, in design order
+	opts   []sched.Option
+	layers []sched.Layer
+	// chains are carved to the request's network count; every element up
+	// to their capacity is named net0, net1, … once, when allocated.
+	chains []sched.Chain
+}
+
+// appendHWKey appends the canonical cache key of one hardware evaluation to
+// b: the evaluator's specs prefix, the design fingerprint and every
+// network's memoization signature (the same identity the accuracy path keys
+// on), '|'-separated.
+func appendHWKey(b []byte, prefix string, nets []*dnn.Network, d accel.Design) []byte {
+	b = append(b, prefix...)
+	b = d.AppendFingerprint(b)
 	for _, n := range nets {
-		size += 1 + len(n.Signature())
+		b = append(b, '|')
+		b = append(b, n.Signature()...)
 	}
-	var b strings.Builder
-	b.Grow(size)
-	b.WriteString(prefix)
-	b.WriteString(fp)
-	for _, n := range nets {
-		b.WriteByte('|')
-		b.WriteString(n.Signature())
-	}
-	return b.String()
+	return b
 }
 
 // computeBounds explores the hardware space with the largest architecture of
@@ -193,10 +204,11 @@ func (e *Evaluator) computeBounds() Bounds {
 	}
 	var b Bounds
 	first := true
+	ws := new(workspace)
 	const samples = 60
 	for s := 0; s < samples; s++ {
 		d := e.Cfg.HW.Random(rng)
-		m, _ := e.hwEval(context.Background(), nets, d, false) //lint:allow ctxplumb bounds sampling is small fixed work on the non-ctx construction path
+		m, _ := e.hwEval(context.Background(), ws, nets, d, false) //lint:allow ctxplumb bounds sampling is small fixed work on the non-ctx construction path
 		if !m.ResourceOK {
 			continue
 		}
@@ -230,14 +242,15 @@ func (e *Evaluator) computeBounds() Bounds {
 
 // HWEvalCtx evaluates the hardware metrics of running the given networks on
 // design d (mapping and scheduling via HAP under the latency spec). The
-// context is checked on entry and threaded into the HAP solver's worker
-// pools, so a cancelled or expired context aborts the evaluation promptly
-// with ctx's error. Aborted computations are never cached.
+// context is checked on entry and polled by the HAP solver, so a cancelled
+// or expired context aborts the evaluation promptly with ctx's error.
+// Aborted computations are never cached. Each call solves on a fresh
+// workspace; the explorer's batches reuse one per worker.
 func (e *Evaluator) HWEvalCtx(ctx context.Context, nets []*dnn.Network, d accel.Design) (HWMetrics, error) {
-	return e.hwEval(ctx, nets, d, true)
+	return e.hwEval(ctx, new(workspace), nets, d, true)
 }
 
-func (e *Evaluator) hwEval(ctx context.Context, nets []*dnn.Network, d accel.Design, count bool) (HWMetrics, error) {
+func (e *Evaluator) hwEval(ctx context.Context, ws *workspace, nets []*dnn.Network, d accel.Design, count bool) (HWMetrics, error) {
 	if err := ctx.Err(); err != nil {
 		return HWMetrics{}, err
 	}
@@ -259,13 +272,14 @@ func (e *Evaluator) hwEval(ctx context.Context, nets []*dnn.Network, d accel.Des
 		if count {
 			e.hwComputes.Inc()
 		}
-		return e.hwCompute(ctx, nets, d)
+		return e.hwCompute(ctx, ws, nets, d)
 	}
-	m, avoided, err := e.hwCache.GetOrComputeErr(hwKey(e.hwPrefix, nets, d), func() (HWMetrics, error) {
+	ws.key = appendHWKey(ws.key[:0], e.hwPrefix, nets, d)
+	m, avoided, err := e.hwCache.GetOrComputeErr(ws.key, func() (HWMetrics, error) {
 		if count {
 			e.hwComputes.Inc()
 		}
-		return e.hwCompute(ctx, nets, d)
+		return e.hwCompute(ctx, ws, nets, d)
 	})
 	if err != nil {
 		return HWMetrics{}, err
@@ -276,17 +290,17 @@ func (e *Evaluator) hwEval(ctx context.Context, nets []*dnn.Network, d accel.Des
 	return m, nil
 }
 
-// hwCompute runs the uncached mapping-and-scheduling path: build the HAP
-// cost table, solve the assignment, and size buffers and area. It is a pure
-// function of (nets, d) given the evaluator's fixed workload and config,
+// hwCompute runs the uncached mapping-and-scheduling path on ws: build the
+// HAP cost table, solve the assignment, and size buffers and area. It is a
+// pure function of (nets, d) given the evaluator's fixed workload and config,
 // which is what makes the result cacheable and the search bit-deterministic
-// across cache modes and worker counts. A done context aborts the solve and
-// returns ctx's error; nothing partial escapes.
-func (e *Evaluator) hwCompute(ctx context.Context, nets []*dnn.Network, d accel.Design) (HWMetrics, error) {
-	active := d.Active()
-	problem := e.buildProblem(nets, d, active)
+// across cache modes and worker counts. The metrics own their slices, so
+// they stay valid after ws solves another problem. A done context aborts the
+// solve and returns ctx's error; nothing partial escapes.
+func (e *Evaluator) hwCompute(ctx context.Context, ws *workspace, nets []*dnn.Network, d accel.Design) (HWMetrics, error) {
+	problem := e.buildProblem(ws, nets, d)
 
-	_, res, err := sched.HAPCtx(ctx, problem)
+	_, res, err := ws.hap.HAP(ctx, problem)
 	if err != nil {
 		if ctx.Err() != nil {
 			return HWMetrics{}, ctx.Err()
@@ -295,7 +309,7 @@ func (e *Evaluator) hwCompute(ctx context.Context, nets []*dnn.Network, d accel.
 	}
 
 	buf := make([]int64, len(d.Subs))
-	for ai, di := range active {
+	for ai, di := range ws.active {
 		if ai < len(res.BufferDemand) {
 			buf[di] = res.BufferDemand[ai]
 		}
@@ -327,28 +341,36 @@ func (e *Evaluator) layerCost(l dnn.Layer, sub accel.SubAccel) maestro.LayerCost
 }
 
 // buildProblem assembles the HAP cost table for the given networks on the
-// design's active sub-accelerators: exactly sized chains and layers, and
-// every layer's options carved from one slice.
-func (e *Evaluator) buildProblem(nets []*dnn.Network, d accel.Design, active []int) sched.Problem {
-	na, total := len(active), 0
+// design's active sub-accelerators (recorded in ws.active) in ws's storage:
+// exactly sized chains and layers, and every layer's options carved from
+// one slice. The problem is valid until ws builds the next one.
+func (e *Evaluator) buildProblem(ws *workspace, nets []*dnn.Network, d accel.Design) sched.Problem {
+	ws.active = d.AppendActive(ws.active[:0])
+	na, total := len(ws.active), 0
 	for _, n := range nets {
 		total += n.Depth()
 	}
-	opts := make([]sched.Option, total*na)
-	problem := sched.Problem{
-		NumAccels: na,
-		Deadline:  e.W.Specs.LatencyCycles,
-		Chains:    make([]sched.Chain, len(nets)),
+	if cap(ws.chains) < len(nets) {
+		ws.chains = make([]sched.Chain, len(nets))
+		for i := range ws.chains {
+			ws.chains[i].Name = "net" + strconv.Itoa(i)
+		}
 	}
+	ws.chains = ws.chains[:len(nets)]
+	ws.opts = resize(ws.opts, total*na)
+	ws.layers = resize(ws.layers, total)
+	opts, layers := ws.opts, ws.layers
 	for ni, n := range nets {
-		ch := sched.Chain{Name: fmt.Sprintf("net%d", ni), Layers: make([]sched.Layer, 0, n.Depth())}
+		ch := &ws.chains[ni]
+		ch.Layers = layers[:0:n.Depth()]
+		layers = layers[n.Depth():]
 		for _, l := range n.Layers {
 			if !l.Op.Compute() {
 				continue
 			}
 			sl := sched.Layer{Name: l.Name, Options: opts[:na:na]}
 			opts = opts[na:]
-			for ai, di := range active {
+			for ai, di := range ws.active {
 				lc := e.layerCost(l, d.Subs[di])
 				sl.Options[ai] = sched.Option{
 					Cycles:      lc.Cycles,
@@ -358,9 +380,17 @@ func (e *Evaluator) buildProblem(nets []*dnn.Network, d accel.Design, active []i
 			}
 			ch.Layers = append(ch.Layers, sl)
 		}
-		problem.Chains[ni] = ch
 	}
-	return problem
+	return sched.Problem{NumAccels: na, Deadline: e.W.Specs.LatencyCycles, Chains: ws.chains}
+}
+
+// resize returns s with length n, reusing its backing array when that is
+// large enough; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Schedule returns the concrete HAP schedule (problem, result, per-layer
@@ -371,7 +401,7 @@ func (e *Evaluator) Schedule(nets []*dnn.Network, d accel.Design) (sched.Problem
 	if err := d.Validate(e.Cfg.HW.Limits); err != nil {
 		return sched.Problem{}, sched.Result{}, nil, err
 	}
-	problem := e.buildProblem(nets, d, d.Active())
+	problem := e.buildProblem(new(workspace), nets, d)
 	_, res, err := sched.HAP(problem)
 	if err != nil {
 		return sched.Problem{}, sched.Result{}, nil, err

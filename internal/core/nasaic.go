@@ -132,7 +132,7 @@ type Explorer struct {
 	// explorer goroutine touches it: every batch (RL round, EA generation,
 	// refine sweep) is decoded there before evalBatch fans its hardware
 	// evaluations out, so it needs no lock; keyBuf is its reusable key
-	// scratch.
+	// scratch, which the RL round's design dedup borrows too.
 	decoded map[string]decodedArch
 	keyBuf  []byte
 
@@ -141,6 +141,11 @@ type Explorer struct {
 	// candidate for the in-batch dedup.
 	arena        arena
 	roundDesigns map[string]int
+
+	// slots holds one hardware workspace per evalBatch worker, the caller
+	// being slot 0. evalBatch grows it to the widest fan-out it has run, so
+	// building an explorer pays for none.
+	slots []*workspace
 }
 
 // decodedArch is one memoized task decode: the choice vector and its
@@ -490,13 +495,13 @@ func (x *Explorer) parallelHWEval(ctx context.Context, nets []*dnn.Network, eps 
 	for i, e := range eps {
 		c := &cands[i]
 		c.design = x.decodeDesign(e.Actions, c.design.Subs)
-		fp := c.design.Fingerprint()
-		if j, ok := x.roundDesigns[fp]; ok {
+		x.keyBuf = c.design.AppendFingerprint(x.keyBuf[:0])
+		if j, ok := x.roundDesigns[string(x.keyBuf)]; ok {
 			c.skip, c.rep = true, j
 			x.hwDeduped++
 			continue
 		}
-		x.roundDesigns[fp] = i
+		x.roundDesigns[string(x.keyBuf)] = i
 		copy(c.nets, nets)
 	}
 	if err := x.evalBatch(ctx, cands); err != nil {

@@ -154,8 +154,9 @@ func TestDecodeArchMemo(t *testing.T) {
 	}
 }
 
-// A warm decode into a batch candidate plus the hardware cache key allocates
-// only the key strings: no network rebuild and no fmt-built signature.
+// A warm decode into a batch candidate plus the hardware cache key
+// allocates nothing: no network rebuild, no fmt-built signature, and the key
+// is appended into a reused buffer.
 func TestWarmDecodeAndKeyAllocs(t *testing.T) {
 	x, err := New(workload.W1(), fastConfig(1))
 	if err != nil {
@@ -168,17 +169,18 @@ func TestWarmDecodeAndKeyAllocs(t *testing.T) {
 	if c.skip {
 		t.Fatal("largest architectures did not decode")
 	}
+	var key []byte
 	allocs := testing.AllocsPerRun(100, func() {
 		x.decode(c)
-		hwKeySink = hwKey(x.eval.hwPrefix, c.nets, c.design)
+		key = appendHWKey(key[:0], x.eval.hwPrefix, c.nets, c.design)
 	})
-	// hwKey: the design fingerprint and the key.
-	if allocs > 2 {
-		t.Errorf("warm decode+hwKey allocates %.0f times, want at most 2", allocs)
+	if allocs != 0 {
+		t.Errorf("warm decode+key allocates %.0f times, want 0", allocs)
+	}
+	if want := x.eval.hwPrefix + c.design.Fingerprint() + "|" + c.nets[0].Signature() + "|" + c.nets[1].Signature(); string(key) != want {
+		t.Errorf("cache key %q, want %q", key, want)
 	}
 }
-
-var hwKeySink string
 
 func TestHWMask(t *testing.T) {
 	x, err := New(workload.W1(), fastConfig(1))

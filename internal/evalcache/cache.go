@@ -78,8 +78,8 @@ func newCache[V any](capacity, shards int) *Cache[V] {
 	return c
 }
 
-// shardFor hashes the key (FNV-1a, 64-bit) onto a shard.
-func (c *Cache[V]) shardFor(key string) *shard[V] {
+// hash is 64-bit FNV-1a over the key's bytes, string and []byte alike.
+func hash[K string | []byte](key K) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -89,13 +89,13 @@ func (c *Cache[V]) shardFor(key string) *shard[V] {
 		h ^= uint64(key[i])
 		h *= prime64
 	}
-	return c.shards[h&c.mask]
+	return h
 }
 
 // Put inserts or refreshes key, evicting the least recently used entry of the
 // key's shard when that shard is at capacity.
 func (c *Cache[V]) Put(key string, val V) {
-	s := c.shardFor(key)
+	s := c.shards[hash(key)&c.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.putLocked(key, val)
@@ -123,17 +123,22 @@ func (s *shard[V]) putLocked(key string, val V) {
 // (typically one that honours a context) or panics, nothing is cached, the
 // error or panic goes to the computing caller, and waiters retry with their
 // own compute function.
-func (c *Cache[V]) GetOrComputeErr(key string, compute func() (V, error)) (V, bool, error) {
-	s := c.shardFor(key)
+//
+// The key is looked up without being copied, so a hit allocates nothing;
+// only the caller that computes makes the string the cache keeps. key is
+// not retained: the caller may reuse its storage once the call returns, but
+// must not modify it while the call runs.
+func (c *Cache[V]) GetOrComputeErr(key []byte, compute func() (V, error)) (V, bool, error) {
+	s := c.shards[hash(key)&c.mask]
 	for {
 		s.mu.Lock()
-		if el, ok := s.items[key]; ok {
+		if el, ok := s.items[string(key)]; ok {
 			s.ll.MoveToFront(el)
 			v := el.Value.(*Entry[V]).Val
 			s.mu.Unlock()
 			return v, true, nil
 		}
-		if cl, ok := s.inflight[key]; ok {
+		if cl, ok := s.inflight[string(key)]; ok {
 			c.waits.Inc()
 			s.mu.Unlock()
 			cl.wg.Wait()
@@ -144,9 +149,10 @@ func (c *Cache[V]) GetOrComputeErr(key string, compute func() (V, error)) (V, bo
 			// (a caller whose own context is done fails fast in compute).
 			continue
 		}
+		owned := string(key)
 		cl := &call[V]{}
 		cl.wg.Add(1)
-		s.inflight[key] = cl
+		s.inflight[owned] = cl
 		s.mu.Unlock()
 
 		var err error
@@ -154,9 +160,9 @@ func (c *Cache[V]) GetOrComputeErr(key string, compute func() (V, error)) (V, bo
 			defer func() {
 				s.mu.Lock()
 				if cl.ok {
-					s.putLocked(key, cl.val)
+					s.putLocked(owned, cl.val)
 				}
-				delete(s.inflight, key)
+				delete(s.inflight, owned)
 				s.mu.Unlock()
 				cl.wg.Done()
 			}()

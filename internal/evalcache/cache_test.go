@@ -15,7 +15,7 @@ var errAbsent = errors.New("not resident")
 // get returns key's resident (or in-flight) value, marking it most recently
 // used, and never caches anything itself.
 func get[V any](c *Cache[V], key string) (V, bool) {
-	v, avoided, _ := c.GetOrComputeErr(key, func() (V, error) {
+	v, avoided, _ := c.GetOrComputeErr([]byte(key), func() (V, error) {
 		var zero V
 		return zero, errAbsent
 	})
@@ -140,7 +140,7 @@ func TestConcurrentMixedAccess(t *testing.T) {
 						return
 					}
 				default:
-					v, _, err := c.GetOrComputeErr(key, func() (int, error) { return k, nil })
+					v, _, err := c.GetOrComputeErr([]byte(key), func() (int, error) { return k, nil })
 					if err != nil || v != k {
 						t.Errorf("GetOrComputeErr(%s) = %d, %v, want %d", key, v, err, k)
 						return
@@ -168,7 +168,7 @@ func TestInflightDedup(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		results[0], _, _ = c.GetOrComputeErr("k", func() (int, error) {
+		results[0], _, _ = c.GetOrComputeErr([]byte("k"), func() (int, error) {
 			computes.Add(1)
 			close(started)
 			<-release
@@ -180,7 +180,7 @@ func TestInflightDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, avoided, _ := c.GetOrComputeErr("k", func() (int, error) {
+			v, avoided, _ := c.GetOrComputeErr([]byte("k"), func() (int, error) {
 				computes.Add(1)
 				return 42, nil
 			})
@@ -219,21 +219,21 @@ func TestComputePanicRecovers(t *testing.T) {
 				t.Fatal("panic did not propagate to the computing caller")
 			}
 		}()
-		c.GetOrComputeErr("k", func() (int, error) { panic("boom") })
+		c.GetOrComputeErr([]byte("k"), func() (int, error) { panic("boom") })
 	}()
-	v, avoided, err := c.GetOrComputeErr("k", func() (int, error) { return 7, nil })
+	v, avoided, err := c.GetOrComputeErr([]byte("k"), func() (int, error) { return 7, nil })
 	if v != 7 || avoided || err != nil {
 		t.Fatalf("retry after panic = (%d, %v, %v), want (7, false, nil)", v, avoided, err)
 	}
 
 	boom := errors.New("boom")
-	if _, avoided, err := c.GetOrComputeErr("e", func() (int, error) { return 0, boom }); err != boom || avoided {
+	if _, avoided, err := c.GetOrComputeErr([]byte("e"), func() (int, error) { return 0, boom }); err != boom || avoided {
 		t.Fatalf("failing compute = (%v, %v), want (false, %v)", avoided, err, boom)
 	}
 	if _, ok := get(c, "e"); ok {
 		t.Fatal("a failed compute was cached")
 	}
-	v, avoided, err = c.GetOrComputeErr("e", func() (int, error) { return 9, nil })
+	v, avoided, err = c.GetOrComputeErr([]byte("e"), func() (int, error) { return 9, nil })
 	if v != 9 || avoided || err != nil {
 		t.Fatalf("retry after error = (%d, %v, %v), want (9, false, nil)", v, avoided, err)
 	}
@@ -243,7 +243,7 @@ func TestComputePanicRecovers(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c.GetOrComputeErr("w", func() (int, error) {
+		c.GetOrComputeErr([]byte("w"), func() (int, error) {
 			close(started)
 			<-release
 			return 0, boom
@@ -256,7 +256,7 @@ func TestComputePanicRecovers(t *testing.T) {
 	}
 	waiter := make(chan outcome)
 	go func() {
-		v, avoided, _ := c.GetOrComputeErr("w", func() (int, error) { return 5, nil })
+		v, avoided, _ := c.GetOrComputeErr([]byte("w"), func() (int, error) { return 5, nil })
 		waiter <- outcome{v, avoided}
 	}()
 	for c.waits.Value() < 1 {

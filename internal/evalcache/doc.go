@@ -15,7 +15,9 @@
 // callers on a hit, so cached values must be treated as immutable. Keys are
 // canonical fingerprints (accel.Design.Fingerprint plus dnn.Network
 // signatures); two semantically identical inputs must produce identical
-// keys for deduplication to fire.
+// keys for deduplication to fire. A lookup takes the key as bytes and does
+// not copy it, so a hit allocates nothing; a miss makes the string the cache
+// keeps.
 //
 // The cache only memoizes. Its callers count hits and computations
 // (core.EvalStats), and core.Memos persists it: Entries snapshots the

@@ -103,16 +103,16 @@ func TestFig1Shape(t *testing.T) {
 	if d.Optimal == nil {
 		t.Fatal("Monte Carlo found no feasible point")
 	}
-	if d.OptimalAcc <= 0 || d.OptimalAcc > 1 {
-		t.Errorf("optimal accuracy %f out of range", d.OptimalAcc)
+	if d.Optimal.Weighted <= 0 || d.Optimal.Weighted > 1 {
+		t.Errorf("optimal accuracy %f out of range", d.Optimal.Weighted)
 	}
 	// The MC optimum cannot be worse than the heuristic square.
-	if d.Heuristic != nil && d.HeuristicAcc > d.OptimalAcc {
+	if d.Heuristic != nil && d.Heuristic.Weighted > d.Optimal.Weighted {
 		t.Error("heuristic point beats the MC optimum")
 	}
 	// The NAS accuracy upper-bounds everything feasible.
-	if d.OptimalAcc > d.NASAcc+0.005 {
-		t.Errorf("feasible optimum %.4f should not beat unconstrained NAS %.4f", d.OptimalAcc, d.NASAcc)
+	if d.Optimal.Weighted > d.NASAcc+0.005 {
+		t.Errorf("feasible optimum %.4f should not beat unconstrained NAS %.4f", d.Optimal.Weighted, d.NASAcc)
 	}
 }
 

@@ -48,8 +48,9 @@ type Fig1Data struct {
 	Heuristic *MetricPoint
 	// Optimal is the best feasible Monte Carlo point (star).
 	Optimal *MetricPoint
-	// Accuracies for the annotation boxes.
-	NASAcc, HWNASAcc, HeuristicAcc, OptimalAcc float64
+	// NASAcc is the spec-blind architecture's accuracy, for the annotation
+	// box; the other points carry theirs as Weighted.
+	NASAcc float64
 }
 
 // Fig1Workload is the single-task CIFAR-10 workload of the introduction's
@@ -96,7 +97,6 @@ func Fig1(ctx context.Context, b Budget) (*Fig1Data, error) {
 		return nil, err
 	}
 	d.HWNAS = solutionPoint(hwnas)
-	d.HWNASAcc = hwnas.Weighted
 
 	// Star and square: Monte Carlo co-search.
 	mc, err := search.MonteCarlo(ctx, w, cfg, b.MCRuns)
@@ -106,12 +106,10 @@ func Fig1(ctx context.Context, b Budget) (*Fig1Data, error) {
 	if mc.BestFeasible != nil {
 		p := solutionPoint(mc.BestFeasible)
 		d.Optimal = &p
-		d.OptimalAcc = mc.BestFeasible.Weighted
 	}
 	if mc.ClosestToSpec != nil {
 		p := solutionPoint(mc.ClosestToSpec)
 		d.Heuristic = &p
-		d.HeuristicAcc = mc.ClosestToSpec.Weighted
 	}
 	return d, nil
 }
@@ -206,7 +204,15 @@ func RenderFig1(wr io.Writer, d *Fig1Data) {
 	export.Scatter(wr, "Fig.1: NAS/ASIC design space (o=NAS->ASIC ^=HW-NAS #=heuristic *=MC-optimal D=specs)",
 		"latency/cycles", "energy/nJ", 72, 20, pts)
 	fmt.Fprintf(wr, "NAS->ASIC accuracy: %s  HW-aware NAS: %s  heuristic: %s  MC optimal: %s\n",
-		export.Pct(d.NASAcc), export.Pct(d.HWNASAcc), export.Pct(d.HeuristicAcc), export.Pct(d.OptimalAcc))
+		export.Pct(d.NASAcc), export.Pct(d.HWNAS.Weighted), export.Pct(d.Heuristic.weighted()), export.Pct(d.Optimal.weighted()))
+}
+
+// weighted is p's weighted accuracy, 0 for a point a search did not find.
+func (p *MetricPoint) weighted() float64 {
+	if p == nil {
+		return 0
+	}
+	return p.Weighted
 }
 
 // RenderFig6 draws one Fig. 6 panel (latency-energy projection).

@@ -2,7 +2,9 @@ package maestro
 
 import (
 	"cmp"
+	"fmt"
 	"iter"
+	"math"
 	"slices"
 	"sync"
 
@@ -20,15 +22,16 @@ const memoShardBits = 5
 //
 // Every hardware evaluation queries the memo once per (compute layer,
 // active sub-accelerator), so the lookup is the hot path. Entries live in a
-// fixed array of shards, each a map keyed by the comparable CostKey under
-// an RWMutex, picked by a multiplicative hash of the key's integer fields:
-// a lookup hashes the typed key and takes one read lock, with no interface
-// boxing or type hashing. The key space is small and write-once (bounded by
-// the workload's layer shapes times the hardware option grid), so steady
-// state is read-locked lookups spread over the shards. A miss re-checks and
-// computes under its shard's write lock, so each distinct key runs the model
-// exactly once and the hit/miss split of a set of queries is the same for
-// any worker interleaving.
+// fixed array of shards, each a map keyed by a memoKey (the CostKey's
+// integer fields packed as int32s, with no layer name) under an RWMutex,
+// picked by a multiplicative hash of the key: a lookup hashes the typed key
+// and takes one read lock, with no interface boxing or string hashing. The
+// key space is small and write-once (bounded by the workload's layer shapes
+// times the hardware option grid), so steady state is read-locked lookups
+// spread over the shards. A miss re-checks and computes under its shard's
+// write lock, so each distinct key runs the model exactly once and the
+// hit/miss split of a set of queries is the same for any worker
+// interleaving.
 type CostMemo struct {
 	cfg    Config
 	shards [1 << memoShardBits]costShard
@@ -40,25 +43,58 @@ type costShard struct {
 	// evaluation (pure computation), so concurrent misses on one key
 	// compute it once.
 	mu sync.RWMutex //lint:guard journal,io
-	m  map[CostKey]LayerCost
+	m  map[memoKey]LayerCost
+}
+
+// memoKey is a CostKey as the memo's maps store it: its fields in CostKey
+// order, each an int32, and no layer name (the cost does not depend on it).
+// It is 44 bytes where a CostKey is over 100.
+type memoKey struct {
+	op, k, c, r, s, x, y, stride, style, pes, bw int32
+}
+
+// newMemoKey packs the key of LayerCost(l, style, pes, bwGBs). It panics on
+// a field outside the int32 range, which no layer or sub-accelerator of the
+// search spaces comes near.
+func newMemoKey(l dnn.Layer, style dataflow.Style, pes, bwGBs int) memoKey {
+	return memoKey{
+		op: to32(int(l.Op)), k: to32(l.K), c: to32(l.C), r: to32(l.R), s: to32(l.S),
+		x: to32(l.X), y: to32(l.Y), stride: to32(l.Stride),
+		style: to32(int(style)), pes: to32(pes), bw: to32(bwGBs),
+	}
+}
+
+// to32 converts a cost-key field, panicking when it does not fit an int32.
+func to32(v int) int32 {
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		panic(fmt.Sprintf("maestro: cost key field %d is outside int32", v))
+	}
+	return int32(v)
+}
+
+// costKey unpacks k into the CostKey NewCostKey builds for it.
+func (k memoKey) costKey() CostKey {
+	l := dnn.Layer{
+		Op: dnn.Op(k.op), K: int(k.k), C: int(k.c), R: int(k.r), S: int(k.s),
+		X: int(k.x), Y: int(k.y), Stride: int(k.stride),
+	}
+	return CostKey{Layer: l, Style: dataflow.Style(k.style), PEs: int(k.pes), BW: int(k.bw)}
 }
 
 // NewCostMemo returns an empty memo bound to cfg.
 func NewCostMemo(cfg Config) *CostMemo {
 	cm := &CostMemo{cfg: cfg}
 	for i := range cm.shards {
-		cm.shards[i].m = make(map[CostKey]LayerCost)
+		cm.shards[i].m = make(map[memoKey]LayerCost)
 	}
 	return cm
 }
 
-// shard picks key's shard from its integer fields; the layer name is not
-// hashed (NewCostKey clears it).
-func (cm *CostMemo) shard(k *CostKey) *costShard {
-	l := &k.Layer
-	h := uint64(l.Op)
-	for _, v := range [...]int{l.K, l.C, l.R, l.S, l.X, l.Y, l.Stride, int(k.Style), k.PEs, k.BW} {
-		h = (h ^ uint64(v)) * 0x9e3779b97f4a7c15
+// shard picks key's shard.
+func (cm *CostMemo) shard(k *memoKey) *costShard {
+	h := uint64(0)
+	for _, v := range [...]int32{k.op, k.k, k.c, k.r, k.s, k.x, k.y, k.stride, k.style, k.pes, k.bw} {
+		h = (h ^ uint64(uint32(v))) * 0x9e3779b97f4a7c15
 	}
 	return &cm.shards[h>>(64-memoShardBits)]
 }
@@ -68,7 +104,7 @@ func (cm *CostMemo) shard(k *CostKey) *costShard {
 // second result reports whether the memo served the query without running
 // the model.
 func (cm *CostMemo) LayerCost(l dnn.Layer, style dataflow.Style, pes, bwGBs int) (LayerCost, bool) {
-	key := NewCostKey(l, style, pes, bwGBs)
+	key := newMemoKey(l, style, pes, bwGBs)
 	s := cm.shard(&key)
 	s.mu.RLock()
 	lc, ok := s.m[key]
@@ -89,19 +125,21 @@ func (cm *CostMemo) LayerCost(l dnn.Layer, style dataflow.Style, pes, bwGBs int)
 // Store inserts one entry unless its key is resident (a loaded snapshot may
 // repeat a key already computed; LayerCost is pure, so both values are
 // bit-identical). The caller vouches that lc is the cost of key under the
-// memo's Config.
+// memo's Config; the key's layer name is ignored.
 func (cm *CostMemo) Store(key CostKey, lc LayerCost) {
-	s := cm.shard(&key)
+	k := newMemoKey(key.Layer, key.Style, key.PEs, key.BW)
+	s := cm.shard(&k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.m[key]; !ok {
-		s.m[key] = lc
+	if _, ok := s.m[k]; !ok {
+		s.m[k] = lc
 	}
 }
 
 // Entries yields every memoized entry sorted by key, so equal memos
 // snapshot equally whatever order they were filled in. The entries are
-// collected when Entries is called.
+// collected when Entries is called; their keys are CostKeys with an empty
+// layer name, as NewCostKey builds them.
 func (cm *CostMemo) Entries() iter.Seq2[CostKey, LayerCost] {
 	type kv struct {
 		key CostKey
@@ -112,7 +150,7 @@ func (cm *CostMemo) Entries() iter.Seq2[CostKey, LayerCost] {
 		s := &cm.shards[i]
 		s.mu.RLock()
 		for k, v := range s.m {
-			all = append(all, kv{k, v}) //lint:allow determinism sorted by key after the shard loop
+			all = append(all, kv{k.costKey(), v}) //lint:allow determinism sorted by key after the shard loop
 		}
 		s.mu.RUnlock()
 	}

@@ -135,3 +135,20 @@ func TestCostMemoConcurrentFillIsExact(t *testing.T) {
 		}
 	}
 }
+
+// The memo's packed key round-trips every field of a CostKey and refuses a
+// field it cannot hold.
+func TestMemoKeyRoundTrip(t *testing.T) {
+	l := memoLayer()
+	want := NewCostKey(l, dataflow.RowStationary, 4096, 64)
+	if got := newMemoKey(l, dataflow.RowStationary, 4096, 64).costKey(); got != want {
+		t.Fatalf("round trip gave %+v, want %+v", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a field outside int32 did not panic")
+		}
+	}()
+	l.X = 1 << 40
+	newMemoKey(l, dataflow.NVDLA, 1, 1)
+}

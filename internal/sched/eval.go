@@ -24,6 +24,7 @@ import (
 type evaluator struct {
 	p    *Problem
 	opts [][][]Option // opts[ci][li] aliases Chains[ci].Layers[li].Options
+	rows [][]Option   // the storage opts' rows are carved from
 
 	// siteBase[ci] is the flat chain-major index of (ci, 0): site (ci, li)
 	// has flat index siteBase[ci]+li, matching the move scan's site order.
@@ -45,28 +46,45 @@ type evaluator struct {
 }
 
 func newEvaluator(p *Problem) *evaluator {
+	e := new(evaluator)
+	e.bind(p)
+	return e
+}
+
+// bind points the evaluator at p, re-carving its scratch from the storage
+// of earlier problems when it is large enough. Every run starts with
+// initState, so the carved scratch needs no clearing.
+func (e *evaluator) bind(p *Problem) {
 	nc := len(p.Chains)
-	e := &evaluator{
-		p:          p,
-		opts:       make([][][]Option, nc),
-		siteBase:   make([]int, nc),
-		next:       make([]int, nc),
-		chainReady: make([]int64, nc),
-		accelFree:  make([]int64, p.NumAccels),
-		buf:        make([]int64, p.NumAccels),
-		key:        make([]int64, nc),
-	}
+	e.p = p
+	e.opts = resize(e.opts, nc)
+	e.rows = resize(e.rows, p.Size())
+	e.siteBase = resize(e.siteBase, nc)
+	e.next = resize(e.next, nc)
+	e.chainReady = resize(e.chainReady, nc)
+	e.accelFree = resize(e.accelFree, p.NumAccels)
+	e.buf = resize(e.buf, p.NumAccels)
+	e.key = resize(e.key, nc)
 	base := 0
 	for ci := range p.Chains {
-		rows := make([][]Option, len(p.Chains[ci].Layers))
-		for li := range p.Chains[ci].Layers {
-			rows[li] = p.Chains[ci].Layers[li].Options
+		layers := p.Chains[ci].Layers
+		rows := e.rows[base : base+len(layers) : base+len(layers)]
+		for li := range layers {
+			rows[li] = layers[li].Options
 		}
 		e.opts[ci] = rows
 		e.siteBase[ci] = base
 		base += len(rows)
 	}
-	return e
+}
+
+// resize returns s with length n, reusing its backing array when that is
+// large enough; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // ckpts is a checkpoint arena: one snapshot of the simulator's full state per
@@ -75,8 +93,8 @@ func newEvaluator(p *Problem) *evaluator {
 // of the layer's own assignment, so a single-layer move can resume from the
 // snapshot and replay only the schedule's suffix — the shared prefix is
 // reused across the whole move scan of one refinement round. All per-site
-// storage is flat and reused across rounds; one arena belongs to one
-// evaluator's baseline run at a time.
+// storage is flat and reused across rounds, and a Workspace reuses it across
+// solves; one arena belongs to one evaluator's baseline run at a time.
 type ckpts struct {
 	nc, na   int
 	captured []bool
@@ -96,20 +114,22 @@ type ckpts struct {
 	clock int
 }
 
-func newCkpts(p *Problem) *ckpts {
+// bind sizes the arena for p, re-carving the storage of earlier problems
+// when it is large enough. The carved slots may hold an earlier solve's
+// snapshots: runCheckpointed resets the arena before it captures, and
+// nothing reads a slot before a capture.
+func (c *ckpts) bind(p *Problem) {
 	n, nc, na := p.Size(), len(p.Chains), p.NumAccels
-	return &ckpts{
-		nc: nc, na: na,
-		captured: make([]bool, n),
-		next:     make([]int, n*nc),
-		ready:    make([]int64, n*nc),
-		key:      make([]int64, n*nc),
-		free:     make([]int64, n*na),
-		buf:      make([]int64, n*na),
-		energy:   make([]float64, n),
-		makespan: make([]int64, n),
-		order:    make([]int, n),
-	}
+	c.nc, c.na = nc, na
+	c.captured = resize(c.captured, n)
+	c.next = resize(c.next, n*nc)
+	c.ready = resize(c.ready, n*nc)
+	c.key = resize(c.key, n*nc)
+	c.free = resize(c.free, n*na)
+	c.buf = resize(c.buf, n*na)
+	c.energy = resize(c.energy, n)
+	c.makespan = resize(c.makespan, n)
+	c.order = resize(c.order, n)
 }
 
 func (c *ckpts) reset() {

@@ -18,7 +18,9 @@
 // moves are screened out by an O(1) per-move option delta before any
 // simulation runs, and the exhaustive enumeration prunes with admissible
 // energy/makespan bounds. Every solve is sequential; internal/core runs the
-// solves of each evaluation batch in parallel.
+// solves of each evaluation batch in parallel, each worker on its own
+// Workspace, which keeps the heuristic's state from one solve to the next so
+// that a warm solve allocates only its Result.
 // Results are bit-identical to the pre-rewrite solver (see
 // differential_test.go).
 //
@@ -122,11 +124,19 @@ func (p Problem) Size() int {
 // Assignment maps [chain][layer] to a sub-accelerator index.
 type Assignment [][]int
 
-// clone deep-copies the assignment.
+// clone deep-copies the assignment into one backing array, each row capped
+// at its length.
 func (a Assignment) clone() Assignment {
+	n := 0
+	for _, row := range a {
+		n += len(row)
+	}
+	flat := make([]int, n)
 	out := make(Assignment, len(a))
 	for i, row := range a {
-		out[i] = append([]int(nil), row...)
+		out[i] = flat[:len(row):len(row)]
+		copy(out[i], row)
+		flat = flat[len(row):]
 	}
 	return out
 }
@@ -162,11 +172,10 @@ func Evaluate(p Problem, a Assignment) (Result, error) {
 	return ev.result(a), nil
 }
 
-// minLatencyAssignment assigns every layer to its fastest sub-accelerator.
-func minLatencyAssignment(p Problem) Assignment {
-	a := make(Assignment, len(p.Chains))
+// setMinLatency assigns every layer to its fastest sub-accelerator; a must
+// be shaped for p.
+func (a Assignment) setMinLatency(p *Problem) {
 	for ci, c := range p.Chains {
-		a[ci] = make([]int, len(c.Layers))
 		for li, l := range c.Layers {
 			best, bc := 0, l.Options[0].Cycles
 			for j := 1; j < len(l.Options); j++ {
@@ -177,7 +186,6 @@ func minLatencyAssignment(p Problem) Assignment {
 			a[ci][li] = best
 		}
 	}
-	return a
 }
 
 // ctxCheckNodes is how many enumeration nodes the exhaustive solver visits
@@ -205,13 +213,19 @@ type move struct {
 	ratio     float64
 }
 
-// hsolver carries the scratch state of one HeuristicCtx solve.
-type hsolver struct {
-	p     *Problem
-	ctx   context.Context
+// Workspace is the reusable state of the HAP heuristic: the schedule
+// simulator, the checkpoint arena, the assignment rows and the site list.
+// Each solve re-carves them for its problem and allocates only when the
+// problem is larger than every earlier one, so a workspace that solves
+// problems of one shape allocates nothing but each Result's own slices.
+// The zero value is ready to use. A Workspace is not safe for concurrent
+// use; give each goroutine its own.
+type Workspace struct {
+	p     Problem
 	a     Assignment
-	ev    *evaluator
-	ck    *ckpts
+	rows  []int // the storage a's rows are carved from
+	ev    evaluator
+	ck    ckpts
 	sites []site
 	curMk int64
 	curE  float64
@@ -231,26 +245,60 @@ type hsolver struct {
 	aborted bool
 }
 
+// bind starts a heuristic solve of p: it carves the simulator, the arena,
+// the assignment and the sites for p and seeds the assignment with the
+// minimum-latency one. lastMove = -1 makes the first refresh a full
+// checkpointed run, which resets the arena, so nothing an earlier solve
+// left behind — a cancelled one included — can be read.
+func (w *Workspace) bind(p Problem) {
+	w.p = p
+	pp := &w.p
+	w.ev.bind(pp)
+	w.ck.bind(pp)
+	w.rows = resize(w.rows, p.Size())
+	w.a = resize(w.a, len(p.Chains))
+	w.sites = w.sites[:0]
+	k := 0
+	for ci, c := range p.Chains {
+		w.a[ci] = w.rows[k : k+len(c.Layers) : k+len(c.Layers)]
+		k += len(c.Layers)
+		for li := range c.Layers {
+			w.sites = append(w.sites, site{ci, li})
+		}
+	}
+	w.a.setMinLatency(pp)
+	w.lastMove = -1
+	w.aborted = false
+}
+
 // refresh re-simulates the current assignment and caches its metrics; the
 // same single simulation also records the per-site snapshots the round's
 // move scan resumes from, and after the first round it resumes from the
 // applied move's own snapshot instead of replaying the whole schedule.
-func (s *hsolver) refresh() {
-	s.ev.resumeCheckpointed(s.a, s.lastMove, s.ck)
-	s.curMk = s.ev.makespan
-	s.curE = s.ev.energy
-	s.bufDemand = append(s.bufDemand[:0], s.ev.buf...)
+func (w *Workspace) refresh() {
+	w.ev.resumeCheckpointed(w.a, w.lastMove, &w.ck)
+	w.curMk = w.ev.makespan
+	w.curE = w.ev.energy
+	w.bufDemand = append(w.bufDemand[:0], w.ev.buf...)
+}
+
+// apply makes move m and refreshes the metrics.
+func (w *Workspace) apply(m move) {
+	w.a[m.ci][m.li] = m.j
+	w.lastMove = w.ev.siteBase[m.ci] + m.li
+	w.refresh()
 }
 
 // result snapshots the current assignment from the metrics the last refresh
-// cached; scans since then only touched candidate state.
-func (s *hsolver) result() Result {
+// cached; scans since then only touched candidate state. The Result owns its
+// slices: nothing in it aliases the workspace.
+func (w *Workspace) result() Result {
 	return Result{
-		Assign:       s.a.clone(),
-		Makespan:     s.curMk,
-		EnergyNJ:     s.curE,
-		BufferDemand: append([]int64(nil), s.bufDemand...),
-		Feasible:     s.curMk <= s.p.Deadline,
+		Assign:       w.a.clone(),
+		Makespan:     w.curMk,
+		EnergyNJ:     w.curE,
+		BufferDemand: append([]int64(nil), w.bufDemand...),
+		Feasible:     w.curMk <= w.p.Deadline,
 	}
 }
 
@@ -259,23 +307,23 @@ func (s *hsolver) result() Result {
 // restored in place). It returns the best move under the phase's decision
 // rule, with ties resolved to the first move in (chain, layer, accelerator)
 // scan order — exactly the original solver's scan semantics. The scan polls
-// ctx once per site; on cancellation it latches s.aborted and returns the
+// ctx once per site; on cancellation it latches w.aborted and returns the
 // partial best.
-func (s *hsolver) scan(phase1 bool) move {
-	p := s.p
-	best := move{mk: s.curMk} // phase 1: only strictly smaller makespans qualify
+func (w *Workspace) scan(ctx context.Context, phase1 bool) move {
+	p := &w.p
+	best := move{mk: w.curMk} // phase 1: only strictly smaller makespans qualify
 	// O(1) screen threshold: moves whose order-independent option delta
 	// cannot reach the acceptance threshold even after the worst-case
 	// full-sum discrepancy are skipped without simulating.
-	screen := 1e-12 - energySlack(s.curE)
+	screen := 1e-12 - energySlack(w.curE)
 	// Phase 2 candidates must meet the deadline and strictly lower the
 	// energy; simulations abort as soon as either is impossible. Both
 	// bounds are exact rejections, not approximations (see runBounded).
 	deadlineBound := incClamp(p.Deadline)
-	a, ev, ck := s.a, s.ev, s.ck
-	for si, st := range s.sites {
-		if s.ctx.Err() != nil {
-			s.aborted = true
+	a, ev, ck := w.a, &w.ev, &w.ck
+	for si, st := range w.sites {
+		if ctx.Err() != nil {
+			w.aborted = true
 			return best
 		}
 		ci, li := st.ci, st.li
@@ -299,7 +347,7 @@ func (s *hsolver) scan(phase1 bool) move {
 				continue
 			}
 			row[li] = j
-			ok := ev.resumeBounded(a, si, ck, deadlineBound, s.curE)
+			ok := ev.resumeBounded(a, si, ck, deadlineBound, w.curE)
 			row[li] = orig
 			if !ok || ev.makespan > p.Deadline {
 				continue
@@ -307,11 +355,11 @@ func (s *hsolver) scan(phase1 bool) move {
 			// Exact decision arithmetic: the candidate's energy is the full
 			// schedule-order sum, so dE and the ratio are bit-identical to
 			// the pre-rewrite solver's.
-			dE := s.curE - ev.energy
+			dE := w.curE - ev.energy
 			if dE <= 1e-12 {
 				continue
 			}
-			dT := float64(ev.makespan - s.curMk)
+			dT := float64(ev.makespan - w.curMk)
 			if dT < 1 {
 				dT = 1
 			}
@@ -343,63 +391,59 @@ func incClamp(x int64) int64 {
 // every move scan. Once ctx is done it stops promptly and returns the best
 // assignment refined so far — a valid, fully evaluated partial result —
 // together with ctx's error; a cancellation before any refinement started
-// returns the zero Result. Each call builds its own solver state and
-// checkpoint arenas, so an aborted solve can never leak stale checkpoints
-// into a later call.
+// returns the zero Result. Each call solves on a fresh Workspace; a
+// Workspace reused across solves gives bit-identical results, because every
+// solve starts with a full checkpointed run that resets the arena, so an
+// aborted solve can never leak stale checkpoints into a later one.
 func HeuristicCtx(ctx context.Context, p Problem) (Result, error) {
+	return new(Workspace).heuristic(ctx, p)
+}
+
+// heuristic is HeuristicCtx on w's reusable state.
+func (w *Workspace) heuristic(ctx context.Context, p Problem) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	s := &hsolver{p: &p, ctx: ctx, ev: newEvaluator(&p), ck: newCkpts(&p), a: minLatencyAssignment(p), lastMove: -1}
-	for ci, c := range p.Chains {
-		for li := range c.Layers {
-			s.sites = append(s.sites, site{ci, li})
-		}
-	}
-	s.refresh()
-	apply := func(m move) {
-		s.a[m.ci][m.li] = m.j
-		s.lastMove = s.ev.siteBase[m.ci] + m.li
-		s.refresh()
-	}
+	w.bind(p)
+	w.refresh()
 
 	// Phase 1: if infeasible, try to shorten the makespan by moving layers
 	// off the critical (busiest) accelerator.
-	for s.curMk > p.Deadline {
+	for w.curMk > p.Deadline {
 		if err := ctx.Err(); err != nil {
-			return s.result(), err
+			return w.result(), err
 		}
-		m := s.scan(true)
-		if s.aborted {
-			return s.result(), ctx.Err()
+		m := w.scan(ctx, true)
+		if w.aborted {
+			return w.result(), ctx.Err()
 		}
 		if !m.ok {
 			break
 		}
-		apply(m)
+		w.apply(m)
 	}
-	if s.curMk > p.Deadline {
-		return s.result(), nil
+	if w.curMk > p.Deadline {
+		return w.result(), nil
 	}
 
 	// Phase 2: ratio-greedy energy refinement under the deadline.
 	for {
 		if err := ctx.Err(); err != nil {
-			return s.result(), err
+			return w.result(), err
 		}
-		m := s.scan(false)
-		if s.aborted {
-			return s.result(), ctx.Err()
+		m := w.scan(ctx, false)
+		if w.aborted {
+			return w.result(), ctx.Err()
 		}
 		if !m.ok {
 			break
 		}
-		apply(m)
+		w.apply(m)
 	}
-	return s.result(), nil
+	return w.result(), nil
 }
 
 // MaxExhaustiveSize bounds the instance size ExhaustiveCtx accepts
@@ -635,8 +679,15 @@ func HAP(p Problem) (float64, Result, error) {
 
 // HAPCtx is HAP with cooperative cancellation (see HeuristicCtx and
 // ExhaustiveCtx); it returns ctx's error once ctx is done. Uncancelled
-// solves are bit-identical to HAP.
+// solves are bit-identical to HAP. It solves on a fresh Workspace.
 func HAPCtx(ctx context.Context, p Problem) (float64, Result, error) {
+	return new(Workspace).HAP(ctx, p)
+}
+
+// HAP is HAPCtx on w's reusable state: the one production solve. Results
+// are bit-identical to HAPCtx's. Small instances go to ExhaustiveCtx, which
+// keeps its own allocation.
+func (w *Workspace) HAP(ctx context.Context, p Problem) (float64, Result, error) {
 	var (
 		res Result
 		err error
@@ -644,7 +695,7 @@ func HAPCtx(ctx context.Context, p Problem) (float64, Result, error) {
 	if canExhaust(p) {
 		res, err = ExhaustiveCtx(ctx, p)
 	} else {
-		res, err = HeuristicCtx(ctx, p)
+		res, err = w.heuristic(ctx, p)
 	}
 	if err != nil {
 		return 0, Result{}, err
