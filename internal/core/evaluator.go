@@ -327,26 +327,19 @@ func (e *Evaluator) hwCompute(ctx context.Context, ws *workspace, nets []*dnn.Ne
 	}, nil
 }
 
-// layerCost evaluates the cost model for one (layer, sub-accelerator) pair
-// through the per-layer memo: repeated sub-accelerator configurations across
-// designs skip the MAESTRO model entirely. LayerCost is pure, so memoized
-// results are bit-identical to recomputation.
-func (e *Evaluator) layerCost(l dnn.Layer, sub accel.SubAccel) maestro.LayerCost {
-	e.layerReqs.Inc()
-	lc, hit := e.layerMemo.LayerCost(l, sub.DF, sub.PEs, sub.BW)
-	if hit {
-		e.layerHits.Inc()
-	}
-	return lc
-}
-
 // buildProblem assembles the HAP cost table for the given networks on the
 // design's active sub-accelerators (recorded in ws.active) in ws's storage:
 // exactly sized chains and layers, and every layer's options carved from
-// one slice. The problem is valid until ws builds the next one.
+// one slice. The problem is valid until ws builds the next one. Every
+// (layer, sub-accelerator) cost goes through the per-layer memo: repeated
+// sub-accelerator configurations across designs skip the MAESTRO model
+// entirely, and LayerCost is pure, so memoized results are bit-identical to
+// recomputation. The memo's requests and hits are counted locally and added
+// to the evaluator's counters once per call.
 func (e *Evaluator) buildProblem(ws *workspace, nets []*dnn.Network, d accel.Design) sched.Problem {
 	ws.active = d.AppendActive(ws.active[:0])
 	na, total := len(ws.active), 0
+	var reqs, hits int64
 	for _, n := range nets {
 		total += n.Depth()
 	}
@@ -371,7 +364,12 @@ func (e *Evaluator) buildProblem(ws *workspace, nets []*dnn.Network, d accel.Des
 			sl := sched.Layer{Name: l.Name, Options: opts[:na:na]}
 			opts = opts[na:]
 			for ai, di := range ws.active {
-				lc := e.layerCost(l, d.Subs[di])
+				sub := d.Subs[di]
+				lc, hit := e.layerMemo.LayerCost(l, sub.DF, sub.PEs, sub.BW)
+				reqs++
+				if hit {
+					hits++
+				}
 				sl.Options[ai] = sched.Option{
 					Cycles:      lc.Cycles,
 					EnergyNJ:    lc.EnergyNJ,
@@ -381,6 +379,8 @@ func (e *Evaluator) buildProblem(ws *workspace, nets []*dnn.Network, d accel.Des
 			ch.Layers = append(ch.Layers, sl)
 		}
 	}
+	e.layerReqs.Add(reqs)
+	e.layerHits.Add(hits)
 	return sched.Problem{NumAccels: na, Deadline: e.W.Specs.LatencyCycles, Chains: ws.chains}
 }
 

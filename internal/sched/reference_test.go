@@ -301,3 +301,61 @@ func fullResimHeuristic(p Problem) (Result, error) {
 		apply(m)
 	}
 }
+
+// referenceScan is the heuristic's move scan as a plain scan-order loop:
+// every move that passes phase 2's O(1) energy screen is simulated from its
+// site's checkpoint, in (chain, layer, accelerator) order, and the best is
+// replaced only by a strictly better one, so ties go to the first move in
+// scan order. It is the semantics the best-first (*Workspace).scan must
+// reproduce move for move (TestScanMatchesReference). It counts its
+// simulations in w.sims and does not poll a context.
+func referenceScan(w *Workspace, phase1 bool) move {
+	p := &w.p
+	best := move{mk: w.curMk} // phase 1: only strictly smaller makespans qualify
+	screen := 1e-12 - energySlack(w.curE)
+	deadlineBound := incClamp(p.Deadline)
+	a, ev, ck := w.a, &w.ev, &w.ck
+	for si, st := range w.sites {
+		ci, li := st.ci, st.li
+		row := a[ci]
+		orig := row[li]
+		opts := ev.opts[ci][li]
+		for j := 0; j < p.NumAccels; j++ {
+			if j == orig {
+				continue
+			}
+			if phase1 {
+				row[li] = j
+				ok := ev.resumeBounded(a, si, ck, best.mk, math.Inf(1))
+				row[li] = orig
+				w.sims++
+				if ok && ev.makespan < best.mk {
+					best = move{ok: true, ci: ci, li: li, j: j, mk: ev.makespan}
+				}
+				continue
+			}
+			if opts[orig].EnergyNJ-opts[j].EnergyNJ <= screen {
+				continue
+			}
+			row[li] = j
+			ok := ev.resumeBounded(a, si, ck, deadlineBound, w.curE)
+			row[li] = orig
+			w.sims++
+			if !ok || ev.makespan > p.Deadline {
+				continue
+			}
+			dE := w.curE - ev.energy
+			if dE <= 1e-12 {
+				continue
+			}
+			dT := float64(ev.makespan - w.curMk)
+			if dT < 1 {
+				dT = 1
+			}
+			if r := dE / dT; !best.ok || r > best.ratio {
+				best = move{ok: true, ci: ci, li: li, j: j, mk: ev.makespan, ratio: r}
+			}
+		}
+	}
+	return best
+}

@@ -48,6 +48,29 @@
 // trajectory — stay bit-identical (pinned by differential_test.go, which
 // also runs the test-only full per-move re-simulation the checkpoints
 // replace, from reference_test.go).
+//
+// # Best-first move scans
+//
+// A round's scan does not simulate its moves in scan order. It bounds them
+// first, then simulates the most promising one first:
+//
+//  1. A bounding pass gives every move an integer makespan lower bound from
+//     its site's snapshot: the snapshot's running makespan, each chain's
+//     ready time plus its remaining cycles, and each sub-accelerator's free
+//     time plus its remaining assigned cycles. The remaining cycles are
+//     suffix sums of the current assignment, kept by the workspace and
+//     updated with each applied move. Phase 1 drops moves whose bound cannot
+//     beat the current makespan; phase 2 drops moves whose bound is past the
+//     deadline and bounds the energy/latency ratio of the rest.
+//  2. An evaluation pass simulates the candidates in order of least makespan
+//     bound (phase 1) or largest ratio bound (phase 2), and stops once no
+//     remaining candidate can beat the best found, ties in scan order
+//     included.
+//
+// The chosen move — its makespan and its ratio bits too — is the move the
+// plain scan-order loop picks; (*Workspace).scan carries the proofs, and
+// scan_test.go checks it move for move against that loop (referenceScan, in
+// reference_test.go).
 package sched
 
 import (
@@ -214,12 +237,13 @@ type move struct {
 }
 
 // Workspace is the reusable state of the HAP heuristic: the schedule
-// simulator, the checkpoint arena, the assignment rows and the site list.
-// Each solve re-carves them for its problem and allocates only when the
-// problem is larger than every earlier one, so a workspace that solves
-// problems of one shape allocates nothing but each Result's own slices.
-// The zero value is ready to use. A Workspace is not safe for concurrent
-// use; give each goroutine its own.
+// simulator, the checkpoint arena, the assignment rows, the site list, the
+// assignment's suffix sums and the move scan's candidate list. Each solve
+// re-carves them for its problem and allocates only when the problem is
+// larger than every earlier one, so a workspace that solves problems of one
+// shape allocates nothing but each Result's own slices. The zero value is
+// ready to use. A Workspace is not safe for concurrent use; give each
+// goroutine its own.
 type Workspace struct {
 	p     Problem
 	a     Assignment
@@ -234,29 +258,48 @@ type Workspace struct {
 	// last candidate's state, not the current assignment's).
 	bufDemand []int64
 
+	// Suffix sums of the current assignment's cycles, indexed by
+	// sufBase(ci)+li for li in 0..len(chain ci) (the last entry is 0):
+	// chainSuf holds the cycles of chain ci's layers li.. on their assigned
+	// sub-accelerators, and accelSuf[idx·K+k] the part of them assigned to
+	// sub-accelerator k. apply keeps them current in O(li).
+	chainSuf []int64
+	accelSuf []int64
+	// accelLB is the scan's per-site scratch: sub-accelerator k's makespan
+	// bound for the site's current assignment.
+	accelLB []int64
+	// cands is the scan's candidate list, carved for every move of a round.
+	cands []cand
+
 	// lastMove is the flat site index of the latest applied move (-1
 	// before any): it lets refresh update the checkpoint arena
 	// incrementally instead of re-simulating the whole assignment.
 	lastMove int
 
-	// aborted latches a mid-scan context cancellation, polled per site, so
-	// a cancelled solve unwinds promptly with the partial best instead of
-	// finishing the round.
+	// aborted latches a mid-scan context cancellation, polled per site and
+	// per simulated candidate, so a cancelled solve unwinds promptly with
+	// the partial best instead of finishing the round.
 	aborted bool
+
+	// sims counts the candidate simulations the move scans ran, so tests
+	// can check that the scan's bounds keep firing.
+	sims int
 }
 
 // bind starts a heuristic solve of p: it carves the simulator, the arena,
-// the assignment and the sites for p and seeds the assignment with the
-// minimum-latency one. lastMove = -1 makes the first refresh a full
-// checkpointed run, which resets the arena, so nothing an earlier solve
-// left behind — a cancelled one included — can be read.
+// the assignment, the sites, the suffix sums and the candidate list for p
+// and seeds the assignment with the minimum-latency one. lastMove = -1
+// makes the first refresh a full checkpointed run, which resets the arena,
+// so nothing an earlier solve left behind — a cancelled one included — can
+// be read.
 func (w *Workspace) bind(p Problem) {
 	w.p = p
 	pp := &w.p
 	w.ev.bind(pp)
 	w.ck.bind(pp)
-	w.rows = resize(w.rows, p.Size())
-	w.a = resize(w.a, len(p.Chains))
+	n, nc, na := p.Size(), len(p.Chains), p.NumAccels
+	w.rows = resize(w.rows, n)
+	w.a = resize(w.a, nc)
 	w.sites = w.sites[:0]
 	k := 0
 	for ci, c := range p.Chains {
@@ -267,8 +310,35 @@ func (w *Workspace) bind(p Problem) {
 		}
 	}
 	w.a.setMinLatency(pp)
+	w.chainSuf = resize(w.chainSuf, n+nc)
+	w.accelSuf = resize(w.accelSuf, (n+nc)*na)
+	w.accelLB = resize(w.accelLB, na)
+	w.cands = resize(w.cands, n*(na-1))[:0]
+	w.initSuffix()
 	w.lastMove = -1
 	w.aborted = false
+}
+
+// sufBase is the index of (ci, 0) in the suffix sums: chain ci's entries
+// follow the entries of every earlier chain, each chain with one extra.
+func (w *Workspace) sufBase(ci int) int { return w.ev.siteBase[ci] + ci }
+
+// initSuffix computes the suffix sums of the current assignment.
+func (w *Workspace) initSuffix() {
+	na := w.p.NumAccels
+	for ci, row := range w.a {
+		opts := w.ev.opts[ci]
+		i := w.sufBase(ci) + len(row)
+		w.chainSuf[i] = 0
+		clear(w.accelSuf[i*na : (i+1)*na])
+		for li := len(row) - 1; li >= 0; li-- {
+			i--
+			c := opts[li][row[li]].Cycles
+			w.chainSuf[i] = w.chainSuf[i+1] + c
+			copy(w.accelSuf[i*na:(i+1)*na], w.accelSuf[(i+1)*na:(i+2)*na])
+			w.accelSuf[i*na+row[li]] += c
+		}
+	}
 }
 
 // refresh re-simulates the current assignment and caches its metrics; the
@@ -282,8 +352,18 @@ func (w *Workspace) refresh() {
 	w.bufDemand = append(w.bufDemand[:0], w.ev.buf...)
 }
 
-// apply makes move m and refreshes the metrics.
+// apply makes move m, updates the suffix sums of the moved layer's chain
+// prefix and refreshes the metrics.
 func (w *Workspace) apply(m move) {
+	opts := w.ev.opts[m.ci][m.li]
+	orig := w.a[m.ci][m.li]
+	co, cj := opts[orig].Cycles, opts[m.j].Cycles
+	na := w.p.NumAccels
+	for i := w.sufBase(m.ci); i <= w.sufBase(m.ci)+m.li; i++ {
+		w.chainSuf[i] += cj - co
+		w.accelSuf[i*na+orig] -= co
+		w.accelSuf[i*na+m.j] += cj
+	}
 	w.a[m.ci][m.li] = m.j
 	w.lastMove = w.ev.siteBase[m.ci] + m.li
 	w.refresh()
@@ -302,70 +382,308 @@ func (w *Workspace) result() Result {
 	}
 }
 
-// scan evaluates every single-layer move against the current schedule,
-// resuming each candidate from its site's checkpoint (s.a is mutated and
-// restored in place). It returns the best move under the phase's decision
-// rule, with ties resolved to the first move in (chain, layer, accelerator)
-// scan order — exactly the original solver's scan semantics. The scan polls
-// ctx once per site; on cancellation it latches w.aborted and returns the
-// partial best.
+// cand is one move of the scan's bounding pass: target j at site si, with
+// its makespan lower bound lb and, in phase 2, the bound eUB on its energy
+// saving and u on its ratio.
+type cand struct {
+	si, j int
+	lb    int64
+	eUB   float64
+	u     float64
+}
+
+// before reports whether move (si, j) comes before move (sj, jj) in scan
+// order.
+func before(si, j, sj, jj int) bool { return si < sj || si == sj && j < jj }
+
+// scan returns the best single-layer move against the current schedule
+// under the phase's decision rule — phase 1 the least makespan below curMk,
+// phase 2 the largest energy/latency ratio dE/max(1, mk−curMk) among moves
+// that meet the deadline and save more than 1e-12 nJ — with ties resolved to
+// the first move in (chain, layer, accelerator) scan order: exactly the move
+// a plain scan-order loop over every move (referenceScan in the tests)
+// picks, with the same mk and the same ratio bits. Candidates resume from
+// their site's checkpoint (w.a is mutated and restored in place).
+//
+// The scan is best-first. A bounding pass polls ctx once per site and gives
+// every move a makespan lower bound lb from its site's snapshot, in O(C·K)
+// per site (C chains, K sub-accelerators) and O(1) per move; an evaluation
+// pass then simulates the candidates in bound order, picked by
+// repeated selection, polls ctx once per simulation and stops as soon as no
+// remaining candidate can beat the best. On cancellation it latches
+// w.aborted and returns the partial best.
+//
+// The makespan bound. At site si's snapshot, the layers already scheduled
+// are fixed, chain c's layers next[c].. remain and sub-accelerator k is
+// free at accelFree[k]. A move changes only the remaining part, so for the
+// moved assignment a':
+//
+//   - the final makespan is at least the snapshot's running makespan, the
+//     largest finish time so far;
+//   - chain c's remaining layers run one after another, each starting no
+//     earlier than its predecessor's finish, the first no earlier than
+//     chainReady[c]; so chain c finishes no earlier than chainReady[c] plus
+//     their cycles under a';
+//   - every remaining layer assigned to k starts no earlier than
+//     accelFree[k] at its start, which only grows, and the layers on k never
+//     overlap; so k is busy until at least accelFree[k] plus their cycles.
+//
+// Each term is a finish time of the moved schedule or a lower bound on one,
+// so their maximum lb is admissible: lb ≤ mk. The remaining cycles come from
+// the suffix sums of the current assignment (w.chainSuf, w.accelSuf at each
+// chain's next[c]), and the move only changes the moved layer's cycles on
+// its own chain, its old and its new sub-accelerator. All of it is integer
+// arithmetic, so the bound is exact, not approximate.
+//
+// Phase 1. Moves with lb ≥ curMk cannot qualify and are dropped. The rest
+// are simulated in ascending (lb, scan order). The best so far is the
+// lexicographic minimum of (mk, scan order) over the simulated moves, which
+// is the move the scan-order loop keeps, since it replaces its best only on
+// a strictly smaller mk. A candidate can displace it only with mk < best.mk,
+// or mk = best.mk and an earlier scan position; so it resumes with the
+// abort bound best.mk, or best.mk+1 when it precedes the best, and the
+// simulation succeeds exactly when the candidate wins. Once the next
+// candidate's lb reaches its own abort bound, every later one (larger lb,
+// or equal lb and later scan position) does too, and the scan stops.
+//
+// Phase 2. Moves that fail the O(1) energy screen are dropped as before (a
+// site whose every target fails it is not bounded at all), and so are moves
+// with lb > Deadline: their mk is past the deadline too. A surviving move
+// gets eUB = (δE + 2·energySlack(curE))·(1+1e-9), where δE is its option
+// energy delta, and the ratio bound u = eUB / max(1, lb−curMk).
+//
+//   - eUB bounds the computed saving dE = curE − E': dE, the difference of
+//     two schedule-order sums, is within energySlack(curE) of δE (see
+//     energySlack), so dE ≤ δE + energySlack(curE). The second
+//     energySlack(curE) and the (1+1e-9) factor dwarf the rounding of eUB's
+//     own sum and product (δE ≤ curE, so each is below 2^-53·2·curE), and
+//     δE + 2·energySlack(curE) > 0 for a move that passes the screen; so
+//     eUB ≥ dE.
+//   - u bounds the computed ratio r = fl(dE/dT): dT = max(1, mk−curMk) ≥
+//     max(1, lb−curMk) because int64→float64 conversion is monotone, and a
+//     correctly rounded division is monotone in both operands, so
+//     r ≤ fl(eUB/max(1, lb−curMk)) = u.
+//
+// Candidates are simulated in descending (u, then ascending scan order).
+// The best so far is the maximum of ratio, ties to the earliest scan
+// position, as the scan-order loop's strict ">" keeps it. The scan stops
+// when the next candidate has u < best.ratio, or u = best.ratio and a later
+// scan position than the best: no later candidate can then reach a larger
+// ratio, or an equal one from an earlier position. A candidate also aborts
+// once its makespan reaches curMk + ⌊q⌋ + 2, where q = fl(eUB/best.ratio)
+// < 2^51 (else the deadline bound alone applies). With Q = eUB/best.ratio
+// exactly and u = 2^-53, q ≥ Q(1−u), so an aborted candidate has
+// dT ≥ ⌊q⌋ + 2 > Q(1−u) + 1 and dE/dT ≤ eUB/dT < best.ratio·Q/(Q(1−u)+1);
+// rounding the quotient up by at most a factor (1+u) leaves
+// r < best.ratio·Q(1+u)/(Q(1−u)+1) ≤ best.ratio, because 2uQ ≤ 1 for
+// Q < 2^52. Such a candidate could not even tie the best.
 func (w *Workspace) scan(ctx context.Context, phase1 bool) move {
-	p := &w.p
-	best := move{mk: w.curMk} // phase 1: only strictly smaller makespans qualify
+	if !w.bound(ctx, phase1) {
+		return move{mk: w.curMk}
+	}
+	if phase1 {
+		return w.bestMakespan(ctx)
+	}
+	return w.bestRatio(ctx)
+}
+
+// bound is the scan's bounding pass: it fills w.cands, in scan order, with
+// the moves that survive the phase's screens. It polls ctx once per site
+// and reports false, with w.aborted latched, on cancellation.
+func (w *Workspace) bound(ctx context.Context, phase1 bool) bool {
+	p, ev := &w.p, &w.ev
 	// O(1) screen threshold: moves whose order-independent option delta
 	// cannot reach the acceptance threshold even after the worst-case
 	// full-sum discrepancy are skipped without simulating.
-	screen := 1e-12 - energySlack(w.curE)
-	// Phase 2 candidates must meet the deadline and strictly lower the
-	// energy; simulations abort as soon as either is impossible. Both
-	// bounds are exact rejections, not approximations (see runBounded).
-	deadlineBound := incClamp(p.Deadline)
-	a, ev, ck := w.a, &w.ev, &w.ck
+	slack := energySlack(w.curE)
+	screen := 1e-12 - slack
+	w.cands = w.cands[:0]
 	for si, st := range w.sites {
 		if ctx.Err() != nil {
 			w.aborted = true
-			return best
+			return false
 		}
 		ci, li := st.ci, st.li
-		row := a[ci]
-		orig := row[li]
+		orig := w.a[ci][li]
 		opts := ev.opts[ci][li]
-		for j := 0; j < p.NumAccels; j++ {
+		eo, co := opts[orig].EnergyNJ, opts[orig].Cycles
+		// The site's bounds are computed for its first move that passes
+		// the energy screen, so a site whose every move fails it costs
+		// nothing more.
+		var lb0, ownChain int64
+		bounded := false
+		for j := range opts {
 			if j == orig {
 				continue
 			}
+			var dE float64
+			if !phase1 {
+				if dE = eo - opts[j].EnergyNJ; dE <= screen {
+					continue
+				}
+			}
+			if !bounded {
+				lb0, ownChain = w.siteBounds(si, ci, orig, co)
+				bounded = true
+			}
+			cj := opts[j].Cycles
+			lb := max(lb0, ownChain-co+cj, w.accelLB[j]+cj)
 			if phase1 {
-				row[li] = j
-				ok := ev.resumeBounded(a, si, ck, best.mk, math.Inf(1))
-				row[li] = orig
-				if ok && ev.makespan < best.mk {
-					best = move{ok: true, ci: ci, li: li, j: j, mk: ev.makespan}
+				if lb < w.curMk {
+					w.cands = append(w.cands, cand{si: si, j: j, lb: lb})
 				}
 				continue
 			}
-			if opts[orig].EnergyNJ-opts[j].EnergyNJ <= screen {
+			if lb > p.Deadline {
 				continue
 			}
-			row[li] = j
-			ok := ev.resumeBounded(a, si, ck, deadlineBound, w.curE)
-			row[li] = orig
-			if !ok || ev.makespan > p.Deadline {
-				continue
+			eUB := (dE + 2*slack) * (1 + 1e-9)
+			w.cands = append(w.cands, cand{si: si, j: j, lb: lb, eUB: eUB,
+				u: eUB / max(1, float64(lb-w.curMk))})
+		}
+	}
+	return true
+}
+
+// siteBounds computes the makespan bounds of site si's snapshot under the
+// current assignment, where layer (ci, next[ci]) runs on orig for co
+// cycles: lb0 is the maximum of every term a move of that layer leaves
+// alone, ownChain is chain ci's bound, and w.accelLB[k] holds
+// sub-accelerator k's.
+func (w *Workspace) siteBounds(si, ci, orig int, co int64) (lb0, ownChain int64) {
+	ck := &w.ck
+	nc, na := ck.nc, ck.na
+	next := ck.next[si*nc : (si+1)*nc]
+	ready := ck.ready[si*nc : (si+1)*nc]
+	copy(w.accelLB, ck.free[si*na:(si+1)*na])
+	lb0 = ck.makespan[si]
+	for c := range next {
+		i := w.sufBase(c) + next[c]
+		if b := ready[c] + w.chainSuf[i]; c == ci {
+			ownChain = b
+		} else if b > lb0 {
+			lb0 = b
+		}
+		for k, r := range w.accelSuf[i*na : (i+1)*na] {
+			w.accelLB[k] += r
+		}
+	}
+	for k, b := range w.accelLB {
+		if k == orig {
+			b -= co
+		}
+		if b > lb0 {
+			lb0 = b
+		}
+	}
+	return lb0, ownChain
+}
+
+// simulate resumes candidate c from its site's checkpoint under the given
+// abort bounds; it polls ctx first and reports false, with w.aborted
+// latched, on cancellation.
+func (w *Workspace) simulate(ctx context.Context, c *cand, mkBound int64, eBound float64) (ok bool) {
+	if ctx.Err() != nil {
+		w.aborted = true
+		return false
+	}
+	st := w.sites[c.si]
+	row := w.a[st.ci]
+	orig := row[st.li]
+	row[st.li] = c.j
+	ok = w.ev.resumeBounded(w.a, c.si, &w.ck, mkBound, eBound)
+	row[st.li] = orig
+	w.sims++
+	return ok
+}
+
+// bestMakespan is phase 1's evaluation pass over w.cands (see scan).
+func (w *Workspace) bestMakespan(ctx context.Context) move {
+	best := move{mk: w.curMk}
+	bsi, bj := -1, 0 // the best's scan position; -1 precedes every move
+	cs := w.cands
+	for k := range cs {
+		sel := k
+		for i := k + 1; i < len(cs); i++ {
+			if cs[i].lb < cs[sel].lb || cs[i].lb == cs[sel].lb && before(cs[i].si, cs[i].j, cs[sel].si, cs[sel].j) {
+				sel = i
 			}
-			// Exact decision arithmetic: the candidate's energy is the full
-			// schedule-order sum, so dE and the ratio are bit-identical to
-			// the pre-rewrite solver's.
-			dE := w.curE - ev.energy
-			if dE <= 1e-12 {
-				continue
+		}
+		cs[k], cs[sel] = cs[sel], cs[k]
+		c := &cs[k]
+		bound := best.mk
+		if before(c.si, c.j, bsi, bj) {
+			bound++
+		}
+		if c.lb >= bound {
+			break
+		}
+		if !w.simulate(ctx, c, bound, math.Inf(1)) {
+			if w.aborted {
+				return best
 			}
-			dT := float64(ev.makespan - w.curMk)
-			if dT < 1 {
-				dT = 1
+			continue
+		}
+		st := w.sites[c.si]
+		best = move{ok: true, ci: st.ci, li: st.li, j: c.j, mk: w.ev.makespan}
+		bsi, bj = c.si, c.j
+	}
+	return best
+}
+
+// bestRatio is phase 2's evaluation pass over w.cands (see scan).
+func (w *Workspace) bestRatio(ctx context.Context) move {
+	best := move{mk: w.curMk}
+	bsi, bj := 0, 0
+	deadlineBound := incClamp(w.p.Deadline)
+	cs := w.cands
+	for k := range cs {
+		sel := k
+		for i := k + 1; i < len(cs); i++ {
+			if cs[i].u > cs[sel].u || cs[i].u == cs[sel].u && before(cs[i].si, cs[i].j, cs[sel].si, cs[sel].j) {
+				sel = i
 			}
-			if r := dE / dT; !best.ok || r > best.ratio {
-				best = move{ok: true, ci: ci, li: li, j: j, mk: ev.makespan, ratio: r}
+		}
+		cs[k], cs[sel] = cs[sel], cs[k]
+		c := &cs[k]
+		mkBound := deadlineBound
+		if best.ok {
+			if c.u < best.ratio || c.u == best.ratio && before(bsi, bj, c.si, c.j) {
+				break
 			}
+			if q := c.eUB / best.ratio; q < 1<<51 {
+				// The tightened bound stays below deadlineBound, so the
+				// sum cannot overflow.
+				if d := int64(q) + 2; d < deadlineBound-w.curMk {
+					mkBound = w.curMk + d
+				}
+			}
+		}
+		// Candidates must meet the deadline and strictly lower the energy;
+		// both abort bounds are exact rejections (see runBounded), and a
+		// completed run has mk < mkBound ≤ Deadline+1.
+		if !w.simulate(ctx, c, mkBound, w.curE) {
+			if w.aborted {
+				return best
+			}
+			continue
+		}
+		// Exact decision arithmetic: the candidate's energy is the full
+		// schedule-order sum, so dE and the ratio are bit-identical to the
+		// pre-rewrite solver's.
+		dE := w.curE - w.ev.energy
+		if dE <= 1e-12 {
+			continue
+		}
+		dT := float64(w.ev.makespan - w.curMk)
+		if dT < 1 {
+			dT = 1
+		}
+		r := dE / dT
+		if !best.ok || r > best.ratio || r == best.ratio && before(c.si, c.j, bsi, bj) {
+			st := w.sites[c.si]
+			best = move{ok: true, ci: st.ci, li: st.li, j: c.j, mk: w.ev.makespan, ratio: r}
+			bsi, bj = c.si, c.j
 		}
 	}
 	return best
@@ -387,8 +705,8 @@ func incClamp(x int64) int64 {
 // before optimizing energy. The returned Result reports Feasible=false when
 // no deadline-meeting schedule was found.
 //
-// The solver polls ctx between refinement rounds and once per site inside
-// every move scan. Once ctx is done it stops promptly and returns the best
+// The solver polls ctx between refinement rounds, and inside every move
+// scan once per site and once per simulated candidate. Once ctx is done it stops promptly and returns the best
 // assignment refined so far — a valid, fully evaluated partial result —
 // together with ctx's error; a cancellation before any refinement started
 // returns the zero Result. Each call solves on a fresh Workspace; a
